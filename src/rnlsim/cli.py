@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("true", "false"),
         help="paths unknowable after the final splitter",
     )
-    parser.add_argument("--workers", type=int, default=1, help="parallel sampling workers")
     parser.add_argument("--out", type=Path, help="write the report here instead of stdout")
     parser.add_argument(
         "--format",
@@ -101,10 +100,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.workers < 1:
-            raise ConfigError(f"workers must be positive, got {args.workers!r}")
         config = build_run_config(_collect_values(args))
-        report = compare_report(config, workers=args.workers)
+        report = compare_report(config)
     except AmbiguousScheduleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
@@ -112,10 +109,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     text = _RENDERERS[args.format](report)
-    if args.out is not None:
-        args.out.write_text(text)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        args.out.write_text(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -18,6 +18,8 @@ DEFAULT_SERIES = 3
 DEFAULT_N_EVENTS = 1_000_000
 DEFAULT_SEED = 1
 DEFAULT_CHUNK_SIZE = 125_000
+# Largest n_events and chunk_size: the sampler counts in numpy int64.
+MAX_EVENTS = 2**63 - 1
 
 _GEOMETRY_LENGTH_KEYS = ("length_bs11", "length_bs21", "length_bs22")
 
@@ -80,12 +82,16 @@ class RunConfig:
         for variant in self.variants:
             if not isinstance(variant, ModelVariant):
                 raise ConfigError(f"unknown variant {variant!r}")
-        if not isinstance(self.n_events, int) or self.n_events < 1:
-            raise ConfigError(f"n_events must be a positive integer, got {self.n_events!r}")
+        if not isinstance(self.n_events, int) or not 1 <= self.n_events <= MAX_EVENTS:
+            raise ConfigError(
+                f"n_events must be an integer in [1, {MAX_EVENTS}], got {self.n_events!r}"
+            )
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
-            raise ConfigError(f"chunk_size must be a positive integer, got {self.chunk_size!r}")
+        if not isinstance(self.chunk_size, int) or not 1 <= self.chunk_size <= MAX_EVENTS:
+            raise ConfigError(
+                f"chunk_size must be an integer in [1, {MAX_EVENTS}], got {self.chunk_size!r}"
+            )
 
     def settings(self) -> PhaseSettings:
         return PhaseSettings.from_degrees(self.phi11_deg, self.phi21_deg, self.phi22_deg)

@@ -1,20 +1,20 @@
 """Deterministic Monte Carlo coincidence counting.
 
 Philox (counter-based) generators are keyed by (seed, variant index, chunk
-index), so every chunk owns its stream and merged counts cannot depend on
-how chunks are spread over workers.  The chunk size is part of the run
-configuration for the same reason: changing it changes the stream layout.
+index), so every chunk owns its stream and a variant's counts do not depend
+on which other variants run.  Each chunk is one multinomial draw over the
+4-cell table.  The chunk size is part of the run configuration because
+changing it changes the stream layout.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import MAX_EVENTS, RunConfig
 from .quantum import JointDistribution
 from .rnl import ModelVariant, predict
 from .timing import TimingAssignment, classify, schedule_from_geometry
@@ -22,8 +22,9 @@ from .timing import TimingAssignment, classify, schedule_from_geometry
 # Canonical stream index per variant, independent of the order requested.
 _VARIANT_STREAM_INDEX = {variant: index for index, variant in enumerate(ModelVariant)}
 
-# Outcome pairs in the order of JointDistribution.as_array().
-OUTCOME_ORDER = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# Names the RNG stream layout: the counts printed for a given seed change
+# whenever this does.
+STREAM_LAYOUT = "philox(seed,variant,chunk)+multinomial/v2"
 
 
 @dataclass(frozen=True)
@@ -62,28 +63,6 @@ def substream(seed: int, variant_index: int, chunk_index: int) -> np.random.Gene
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def _cumulative(joint: JointDistribution) -> np.ndarray:
-    cumulative = np.cumsum(joint.as_array())
-    # The table sums to 1 within tolerance; pinning the last edge keeps
-    # every uniform draw in range.
-    cumulative[-1] = 1.0
-    return cumulative
-
-
-def sample_outcome(rng: np.random.Generator, joint: JointDistribution) -> tuple[int, int]:
-    """One coincidence draw by inverse CDF; consumes exactly one uniform."""
-    index = int(np.searchsorted(_cumulative(joint), rng.random(), side="right"))
-    return OUTCOME_ORDER[min(index, 3)]
-
-
-def _sample_chunk(
-    cumulative: np.ndarray, seed: int, variant_index: int, chunk_index: int, size: int
-) -> np.ndarray:
-    rng = substream(seed, variant_index, chunk_index)
-    indices = np.searchsorted(cumulative, rng.random(size), side="right")
-    return np.bincount(np.minimum(indices, 3), minlength=4)
-
-
 def sample_counts(
     joint: JointDistribution,
     *,
@@ -91,42 +70,31 @@ def sample_counts(
     variant_index: int,
     n_events: int,
     chunk_size: int,
-    workers: int = 1,
 ) -> CoincidenceCounts:
-    """Draw n_events pairs in fixed chunks and merge the per-chunk counts.
+    """Draw n_events pairs as one multinomial per chunk and merge the counts.
 
     The result is a pure function of (joint, seed, variant_index, n_events,
-    chunk_size); the worker count only spreads the chunks around.
+    chunk_size).  Chunk k draws min(chunk_size, n_events - k * chunk_size)
+    events from substream(seed, variant_index, k).
     """
-    if n_events < 1:
-        raise ValueError(f"n_events must be positive, got {n_events!r}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers!r}")
-    cumulative = _cumulative(joint)
-    sizes = [
-        min(chunk_size, n_events - start) for start in range(0, n_events, chunk_size)
-    ]
-    if workers == 1 or len(sizes) == 1:
-        chunk_counts = [
-            _sample_chunk(cumulative, seed, variant_index, index, size)
-            for index, size in enumerate(sizes)
-        ]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
-            chunk_counts = list(
-                pool.map(
-                    _sample_chunk,
-                    [cumulative] * len(sizes),
-                    [seed] * len(sizes),
-                    [variant_index] * len(sizes),
-                    range(len(sizes)),
-                    sizes,
-                )
-            )
-    merged = np.sum(chunk_counts, axis=0)
-    return CoincidenceCounts(*(int(c) for c in merged))
+    if not 1 <= n_events <= MAX_EVENTS:
+        raise ValueError(f"n_events must be in [1, {MAX_EVENTS}], got {n_events!r}")
+    if not 1 <= chunk_size <= MAX_EVENTS:
+        raise ValueError(f"chunk_size must be in [1, {MAX_EVENTS}], got {chunk_size!r}")
+    p = joint.as_array()
+    # Only nonzero cells are drawn, so a zero cell can never take the
+    # remainder numpy hands to the last cell.  Renormalising absorbs the
+    # PROB_ATOL slack that numpy's sum(p[:-1]) <= 1 + 1e-12 check rejects.
+    cells = np.flatnonzero(p)
+    p = p[cells] / p[cells].sum()
+    # int64 cannot overflow: the merged total is n_events <= MAX_EVENTS.
+    merged = np.zeros(len(cells), dtype=np.int64)
+    for chunk_index, start in enumerate(range(0, n_events, chunk_size)):
+        size = min(chunk_size, n_events - start)
+        merged += substream(seed, variant_index, chunk_index).multinomial(size, p)
+    counts = np.zeros(4, dtype=np.int64)
+    counts[cells] = merged
+    return CoincidenceCounts(*(int(c) for c in counts))
 
 
 def estimate_correlation(counts: CoincidenceCounts) -> EstimatorResult:
@@ -143,16 +111,14 @@ def estimate_correlation(counts: CoincidenceCounts) -> EstimatorResult:
     return EstimatorResult(e_hat=e_hat, stderr=stderr, n=n)
 
 
-def run_experiment(
-    config: RunConfig, *, workers: int = 1
-) -> dict[ModelVariant, CoincidenceCounts]:
+def run_experiment(config: RunConfig) -> dict[ModelVariant, CoincidenceCounts]:
     """Classify the configured geometry once, then sample each variant's table."""
     timing = classify(schedule_from_geometry(config.resolve_geometry()))
-    return _run_with_timing(config, timing, workers=workers)
+    return _run_with_timing(config, timing)
 
 
 def _run_with_timing(
-    config: RunConfig, timing: TimingAssignment, *, workers: int = 1
+    config: RunConfig, timing: TimingAssignment
 ) -> dict[ModelVariant, CoincidenceCounts]:
     settings = config.settings()
     results: dict[ModelVariant, CoincidenceCounts] = {}
@@ -170,6 +136,5 @@ def _run_with_timing(
             variant_index=_VARIANT_STREAM_INDEX[variant],
             n_events=config.n_events,
             chunk_size=config.chunk_size,
-            workers=workers,
         )
     return results

@@ -10,6 +10,7 @@ from itertools import combinations
 
 from .config import RunConfig
 from .montecarlo import (
+    STREAM_LAYOUT,
     CoincidenceCounts,
     EstimatorResult,
     _run_with_timing,
@@ -70,10 +71,10 @@ class ComparisonReport:
     verdicts: tuple[Verdict, ...]
 
 
-def compare_report(config: RunConfig, *, workers: int = 1) -> ComparisonReport:
+def compare_report(config: RunConfig) -> ComparisonReport:
     """Run every configured variant on the same timing and collect the comparison."""
     timing = classify(schedule_from_geometry(config.resolve_geometry()))
-    counts_by_variant = _run_with_timing(config, timing, workers=workers)
+    counts_by_variant = _run_with_timing(config, timing)
     settings = config.settings()
     rows = []
     for variant in config.variants:
@@ -166,7 +167,7 @@ def render_table(report: ComparisonReport) -> str:
         ),
         (
             f"events per variant: {config.n_events}  seed: {config.seed}  "
-            f"chunk size: {config.chunk_size}"
+            f"chunk size: {config.chunk_size}  stream: {STREAM_LAYOUT}"
         ),
         (
             f"timing: photon 1 = {timing.label1.value}, photon 2 = {timing.label2.value} "

@@ -116,6 +116,10 @@ def test_run_config_validation() -> None:
     with pytest.raises(ConfigError):
         RunConfig(chunk_size=0)
     with pytest.raises(ConfigError):
+        RunConfig(n_events=2**63)
+    with pytest.raises(ConfigError):
+        RunConfig(chunk_size=2**63)
+    with pytest.raises(ConfigError):
         RunConfig(phi11_deg=float("nan"))
 
 
@@ -181,9 +185,21 @@ def test_cli_exit_code_on_config_errors(tmp_path: Path, capsys: pytest.CaptureFi
     assert main(["--series", "5"]) == 2
     assert main(["--n-events", "0"]) == 2
     assert main(["--variants", "QM,PILOT_WAVE"]) == 2
-    assert main(["--workers", "0"]) == 2
+    too_many = str(2**63)
+    assert main(["--n-events", too_many, "--chunk-size", too_many]) == 2
+    assert main(["--chunk-size", too_many]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_failed_out_write_is_a_clean_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    out_path = tmp_path / "missing" / "dir" / "report.csv"
+    assert main(["--n-events", "100", "--format", "csv", "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_cli_exit_code_on_ambiguous_timing(capsys: pytest.CaptureFixture) -> None:

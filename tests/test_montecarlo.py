@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rnlsim import (
@@ -14,29 +15,34 @@ from rnlsim import (
     ModelVariant,
     RunConfig,
     TimingAssignment,
+    compare_report,
     estimate_correlation,
     predict,
     qm_distinguishable_joint,
     run_experiment,
     sample_counts,
-    sample_outcome,
     substream,
 )
+from rnlsim.config import MAX_EVENTS
+from rnlsim.quantum import PROB_ATOL
 
 
 def test_degenerate_table_always_yields_its_outcome() -> None:
-    table = JointDistribution(1.0, 0.0, 0.0, 0.0)
-    rng = substream(0, 0, 0)
-    assert all(sample_outcome(rng, table) == (1, 1) for _ in range(100))
+    for cell in range(4):
+        probabilities = [0.0, 0.0, 0.0, 0.0]
+        probabilities[cell] = 1.0
+        counts = sample_counts(
+            JointDistribution(*probabilities), seed=0, variant_index=0, n_events=1000, chunk_size=300
+        )
+        expected = [0, 0, 0, 0]
+        expected[cell] = 1000
+        assert counts.as_tuple() == tuple(expected)
 
 
 def test_identical_seeds_give_identical_draws() -> None:
     table = qm_distinguishable_joint()
-    rng_a = substream(42, 1, 0)
-    rng_b = substream(42, 1, 0)
-    seq_a = [sample_outcome(rng_a, table) for _ in range(200)]
-    seq_b = [sample_outcome(rng_b, table) for _ in range(200)]
-    assert seq_a == seq_b
+    kwargs = dict(seed=42, variant_index=1, n_events=200, chunk_size=64)
+    assert sample_counts(table, **kwargs) == sample_counts(table, **kwargs)
 
 
 def test_different_substreams_differ() -> None:
@@ -65,12 +71,74 @@ def test_counts_conserve_the_event_total() -> None:
     assert counts.n_total == 12_345
 
 
-def test_merged_counts_independent_of_worker_count() -> None:
-    table = qm_distinguishable_joint()
+def test_counts_are_a_pure_function_of_their_arguments() -> None:
     kwargs = dict(seed=7, variant_index=1, n_events=50_000, chunk_size=8_192)
-    counts_serial = sample_counts(table, workers=1, **kwargs)
-    counts_parallel = sample_counts(table, workers=4, **kwargs)
-    assert counts_serial == counts_parallel
+    first = sample_counts(JointDistribution(0.1, 0.2, 0.3, 0.4), **kwargs)
+    # Other draws in between leave no state behind.
+    sample_counts(qm_distinguishable_joint(), seed=8, variant_index=0, n_events=999, chunk_size=7)
+    again = sample_counts(JointDistribution(0.1, 0.2, 0.3, 0.4), **kwargs)
+    assert first == again
+
+
+@pytest.mark.parametrize(
+    "n_events, chunk_size", [(1, 1), (999, 1_000), (1_000, 1_000), (12_345, 1_000), (10, 3)]
+)
+def test_chunk_counts_sum_to_n_and_merge_into_the_result(n_events: int, chunk_size: int) -> None:
+    # Chunk k is one multinomial draw of its size from substream(seed, variant, k).
+    table = JointDistribution(0.1, 0.2, 0.3, 0.4)
+    chunk_counts = [
+        substream(5, 2, index).multinomial(min(chunk_size, n_events - start), table.as_array())
+        for index, start in enumerate(range(0, n_events, chunk_size))
+    ]
+    assert sum(int(chunk.sum()) for chunk in chunk_counts) == n_events
+    counts = sample_counts(table, seed=5, variant_index=2, n_events=n_events, chunk_size=chunk_size)
+    assert counts.as_tuple() == tuple(int(c) for c in np.sum(chunk_counts, axis=0))
+
+
+@st.composite
+def _valid_tables(draw) -> JointDistribution:
+    """Tables with zero cells, and totals anywhere inside the PROB_ATOL band."""
+    cell_weights = st.sampled_from([0.0, 1e-300, 1e-9, 0.25, 1.0, 3.0])
+    weights = draw(st.lists(cell_weights, min_size=4, max_size=4))
+    assume(sum(weights) > 0.0)
+    total = draw(st.floats(min_value=1.0 - PROB_ATOL, max_value=1.0 + PROB_ATOL))
+    probabilities = [total * w / sum(weights) for w in weights]
+    try:
+        return JointDistribution(*probabilities)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def _run_shapes(draw) -> tuple[int, int]:
+    """(n_events, chunk_size) with at most 50 chunks, so each example stays fast."""
+    n_events = draw(st.integers(min_value=1, max_value=10_000))
+    chunk_size = draw(st.integers(min_value=max(1, n_events // 50), max_value=n_events + 100))
+    return n_events, chunk_size
+
+
+@given(_valid_tables(), _run_shapes(), st.integers(min_value=0, max_value=2**64 - 1))
+def test_any_valid_table_samples_into_its_nonzero_cells(
+    table: JointDistribution, shape: tuple[int, int], seed: int
+) -> None:
+    n_events, chunk_size = shape
+    counts = sample_counts(table, seed=seed, variant_index=0, n_events=n_events, chunk_size=chunk_size)
+    assert counts.n_total == n_events
+    for p, count in zip(table.as_array(), counts.as_tuple()):
+        if p == 0.0:
+            assert count == 0
+
+
+def test_edge_of_the_tolerance_band_samples() -> None:
+    # Sums and single entries just past 1 are valid tables; numpy rejects
+    # such p unless the sampler renormalises.
+    for table in (
+        JointDistribution(1.0 + 0.9 * PROB_ATOL, 0.0, 0.0, 0.0),
+        JointDistribution(0.5 + 0.45 * PROB_ATOL, 0.5 + 0.45 * PROB_ATOL, 0.0, 0.0),
+        JointDistribution(0.0, 0.0, 0.5 - 0.45 * PROB_ATOL, 0.5 - 0.45 * PROB_ATOL),
+    ):
+        counts = sample_counts(table, seed=1, variant_index=0, n_events=10_000, chunk_size=999)
+        assert counts.n_total == 10_000
 
 
 def test_chunk_size_is_part_of_the_stream_layout() -> None:
@@ -164,6 +232,15 @@ def test_estimates_converge_across_seeds() -> None:
     assert misses / cells <= 0.01
 
 
+def test_zero_last_cell_stays_empty_in_one_huge_chunk() -> None:
+    # numpy hands the last cell whatever the earlier binomials leave; with
+    # this table and 2^63 - 1 events that would be a few hundred events.
+    table = JointDistribution(0.6720976591387724, 0.28466864239501943, 0.04323369846620814, 0.0)
+    counts = sample_counts(table, seed=1, variant_index=0, n_events=MAX_EVENTS, chunk_size=MAX_EVENTS)
+    assert counts.r_mm == 0
+    assert counts.n_total == MAX_EVENTS
+
+
 def test_sample_counts_validates_arguments() -> None:
     table = qm_distinguishable_joint()
     with pytest.raises(ValueError):
@@ -171,4 +248,13 @@ def test_sample_counts_validates_arguments() -> None:
     with pytest.raises(ValueError):
         sample_counts(table, seed=1, variant_index=0, n_events=10, chunk_size=0)
     with pytest.raises(ValueError):
-        sample_counts(table, seed=1, variant_index=0, n_events=10, chunk_size=10, workers=0)
+        sample_counts(table, seed=1, variant_index=0, n_events=MAX_EVENTS + 1, chunk_size=10)
+    with pytest.raises(ValueError):
+        sample_counts(table, seed=1, variant_index=0, n_events=10, chunk_size=MAX_EVENTS + 1)
+
+
+def test_billion_events_per_variant() -> None:
+    # The default chunk size gives 8000 chunks per variant.
+    report = compare_report(RunConfig(n_events=10**9, seed=1))
+    for row in report.rows:
+        assert row.counts.n_total == 10**9
