@@ -105,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     except AmbiguousScheduleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     text = _RENDERERS[args.format](report)

@@ -7,37 +7,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .montecarlo import MAX_EVENTS
 from .quantum import PhaseSettings
 from .rnl import ModelVariant
 from .timing import ExperimentGeometry, series_preset
 
-DEFAULT_PHI11_DEG = 45.0
-DEFAULT_PHI21_DEG = -45.0
-DEFAULT_PHI22_DEG = 90.0
-DEFAULT_SERIES = 3
-DEFAULT_N_EVENTS = 1_000_000
-DEFAULT_SEED = 1
-DEFAULT_CHUNK_SIZE = 125_000
-# Largest n_events and chunk_size: the sampler counts in numpy int64.
-MAX_EVENTS = 2**63 - 1
-
 _GEOMETRY_LENGTH_KEYS = ("length_bs11", "length_bs21", "length_bs22")
-
-# The complete config vocabulary; anything else in a file is an error.
-CONFIG_KEYS = (
-    "series",
-    *_GEOMETRY_LENGTH_KEYS,
-    "m11_displacement",
-    "phi11_deg",
-    "phi21_deg",
-    "phi22_deg",
-    "variants",
-    "n_events",
-    "seed",
-    "chunk_size",
-    "condition1",
-    "condition2",
-)
+_GEOMETRY_KEYS = (*_GEOMETRY_LENGTH_KEYS, "m11_displacement")
 
 
 @dataclass(frozen=True)
@@ -49,19 +25,15 @@ class RunConfig:
     assumptions; turning one off flattens the affected quantum table.
     """
 
-    phi11_deg: float = DEFAULT_PHI11_DEG
-    phi21_deg: float = DEFAULT_PHI21_DEG
-    phi22_deg: float = DEFAULT_PHI22_DEG
-    series: int | None = DEFAULT_SERIES
+    phi11_deg: float = 45.0
+    phi21_deg: float = -45.0
+    phi22_deg: float = 90.0
+    series: int | None = 3
     geometry: ExperimentGeometry | None = None
-    variants: tuple[ModelVariant, ...] = (
-        ModelVariant.QM,
-        ModelVariant.RNL_STANDARD,
-        ModelVariant.RNL_ALTERNATIVE,
-    )
-    n_events: int = DEFAULT_N_EVENTS
-    seed: int = DEFAULT_SEED
-    chunk_size: int = DEFAULT_CHUNK_SIZE
+    variants: tuple[ModelVariant, ...] = tuple(ModelVariant)
+    n_events: int = 1_000_000
+    seed: int = 1
+    chunk_size: int = 125_000
     condition1: bool = True
     condition2: bool = True
 
@@ -159,6 +131,8 @@ _KEY_PARSERS = {
     "condition1": _parse_bool,
     "condition2": _parse_bool,
 }
+# The complete config vocabulary; anything else in a file is an error.
+CONFIG_KEYS = tuple(_KEY_PARSERS)
 
 
 def parse_config_file(path: Path | str) -> dict[str, object]:
@@ -168,8 +142,12 @@ def parse_config_file(path: Path | str) -> dict[str, object]:
     repeated keys and malformed values are all ConfigErrors.
     """
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     values: dict[str, object] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -189,7 +167,7 @@ def parse_config_file(path: Path | str) -> dict[str, object]:
 
 
 def build_run_config(values: dict[str, object]) -> RunConfig:
-    """Assemble a RunConfig from typed config values, applying defaults.
+    """Assemble a RunConfig from typed config values; RunConfig supplies the defaults.
 
     Explicit geometry lengths and a series id are mutually exclusive; the
     lengths must come as a complete triple.
@@ -206,34 +184,13 @@ def build_run_config(values: dict[str, object]) -> RunConfig:
     if "m11_displacement" in values and not length_keys:
         raise ConfigError("m11_displacement requires explicit geometry lengths")
 
-    series: int | None = None
-    geometry: ExperimentGeometry | None = None
+    fields = {key: value for key, value in values.items() if key not in _GEOMETRY_KEYS}
     if length_keys:
         try:
-            geometry = ExperimentGeometry(
-                length_bs11=values["length_bs11"],
-                length_bs21=values["length_bs21"],
-                length_bs22=values["length_bs22"],
-                m11_displacement=values.get("m11_displacement", 0.0),
+            fields["geometry"] = ExperimentGeometry(
+                **{key: values[key] for key in _GEOMETRY_KEYS if key in values}
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    else:
-        series = values.get("series", DEFAULT_SERIES)
-
-    return RunConfig(
-        phi11_deg=values.get("phi11_deg", DEFAULT_PHI11_DEG),
-        phi21_deg=values.get("phi21_deg", DEFAULT_PHI21_DEG),
-        phi22_deg=values.get("phi22_deg", DEFAULT_PHI22_DEG),
-        series=series,
-        geometry=geometry,
-        variants=values.get(
-            "variants",
-            (ModelVariant.QM, ModelVariant.RNL_STANDARD, ModelVariant.RNL_ALTERNATIVE),
-        ),
-        n_events=values.get("n_events", DEFAULT_N_EVENTS),
-        seed=values.get("seed", DEFAULT_SEED),
-        chunk_size=values.get("chunk_size", DEFAULT_CHUNK_SIZE),
-        condition1=values.get("condition1", True),
-        condition2=values.get("condition2", True),
-    )
+        fields["series"] = None
+    return RunConfig(**fields)

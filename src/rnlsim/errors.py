@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check."""
 
 from __future__ import annotations
+
+import math
 
 
 class ConfigError(ValueError):
@@ -13,3 +15,10 @@ class TopologyError(ConfigError):
 
 class AmbiguousScheduleError(ValueError):
     """Two impact times fall inside the guard band, so no reliable ordering exists."""
+
+
+def require_finite(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value

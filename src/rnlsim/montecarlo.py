@@ -14,17 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_EVENTS, RunConfig
 from .quantum import JointDistribution
-from .rnl import ModelVariant, predict
-from .timing import TimingAssignment, classify, schedule_from_geometry
-
-# Canonical stream index per variant, independent of the order requested.
-_VARIANT_STREAM_INDEX = {variant: index for index, variant in enumerate(ModelVariant)}
+from .rnl import ModelVariant
 
 # Names the RNG stream layout: the counts printed for a given seed change
 # whenever this does.
 STREAM_LAYOUT = "philox(seed,variant,chunk)+multinomial/v2"
+# Canonical stream index per variant, independent of the order requested.
+VARIANT_STREAM_INDEX = {variant: index for index, variant in enumerate(ModelVariant)}
+# Largest n_events and chunk_size: the sampler counts in numpy int64.
+MAX_EVENTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -110,31 +109,3 @@ def estimate_correlation(counts: CoincidenceCounts) -> EstimatorResult:
     stderr = math.sqrt(max(0.0, 1.0 - e_hat * e_hat) / n)
     return EstimatorResult(e_hat=e_hat, stderr=stderr, n=n)
 
-
-def run_experiment(config: RunConfig) -> dict[ModelVariant, CoincidenceCounts]:
-    """Classify the configured geometry once, then sample each variant's table."""
-    timing = classify(schedule_from_geometry(config.resolve_geometry()))
-    return _run_with_timing(config, timing)
-
-
-def _run_with_timing(
-    config: RunConfig, timing: TimingAssignment
-) -> dict[ModelVariant, CoincidenceCounts]:
-    settings = config.settings()
-    results: dict[ModelVariant, CoincidenceCounts] = {}
-    for variant in config.variants:
-        joint = predict(
-            settings,
-            timing,
-            variant,
-            condition1=config.condition1,
-            condition2=config.condition2,
-        ).joint
-        results[variant] = sample_counts(
-            joint,
-            seed=config.seed,
-            variant_index=_VARIANT_STREAM_INDEX[variant],
-            n_events=config.n_events,
-            chunk_size=config.chunk_size,
-        )
-    return results

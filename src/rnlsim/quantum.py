@@ -14,20 +14,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import TopologyError
+from .errors import TopologyError, require_finite
 
 # Detector outcomes for either photon: +1 and -1 ports of the final splitter.
 OUTCOMES: tuple[int, int] = (1, -1)
 
 # Absolute tolerance for probability normalization and unitarity checks.
 PROB_ATOL = 1e-12
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 def _require_outcome(name: str, value: int) -> int:
@@ -46,7 +39,7 @@ class PhaseSettings:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _require_finite(f.name, getattr(self, f.name))
+            require_finite(f.name, getattr(self, f.name))
 
     @classmethod
     def from_degrees(cls, phi11_deg: float, phi21_deg: float, phi22_deg: float) -> "PhaseSettings":
@@ -71,7 +64,7 @@ class JointDistribution:
     def __post_init__(self) -> None:
         total = 0.0
         for f in fields(self):
-            p = _require_finite(f.name, getattr(self, f.name))
+            p = require_finite(f.name, getattr(self, f.name))
             if p < 0.0:
                 # Amplitude squares can undershoot zero by rounding only.
                 if p < -PROB_ATOL:
@@ -94,9 +87,6 @@ class JointDistribution:
     def as_array(self) -> np.ndarray:
         """Entries in fixed order (+,+), (+,-), (-,+), (-,-)."""
         return np.array([self.p_pp, self.p_pm, self.p_mp, self.p_mm])
-
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        return {(1, 1): self.p_pp, (1, -1): self.p_pm, (-1, 1): self.p_mp, (-1, -1): self.p_mm}
 
     @property
     def correlation(self) -> float:
@@ -144,8 +134,8 @@ def qm_correlation(settings: PhaseSettings) -> float:
 
 def qm_single_pair_correlation(phi11: float, phi21: float) -> float:
     """Correlation when photon 2 is detected between its two splitters: cos(phi11 - phi21)."""
-    _require_finite("phi11", phi11)
-    _require_finite("phi21", phi21)
+    require_finite("phi11", phi11)
+    require_finite("phi21", phi21)
     return math.cos(phi11 - phi21)
 
 
@@ -207,7 +197,7 @@ class InterferometerTopology:
         for name in ("phi11_arm", "phi21_arm", "phi22_arm"):
             if getattr(self, name) not in (0, 1):
                 raise TopologyError(f"{name} must be 0 or 1")
-        _require_finite("source_phase", self.source_phase)
+        require_finite("source_phase", self.source_phase)
 
 
 def calibrated_topology() -> InterferometerTopology:

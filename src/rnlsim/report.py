@@ -11,10 +11,11 @@ from itertools import combinations
 from .config import RunConfig
 from .montecarlo import (
     STREAM_LAYOUT,
+    VARIANT_STREAM_INDEX,
     CoincidenceCounts,
     EstimatorResult,
-    _run_with_timing,
     estimate_correlation,
+    sample_counts,
 )
 from .rnl import ModelVariant, predict
 from .timing import TimingAssignment, classify, schedule_from_geometry
@@ -72,9 +73,8 @@ class ComparisonReport:
 
 
 def compare_report(config: RunConfig) -> ComparisonReport:
-    """Run every configured variant on the same timing and collect the comparison."""
+    """Classify once, then predict, sample and estimate each configured variant."""
     timing = classify(schedule_from_geometry(config.resolve_geometry()))
-    counts_by_variant = _run_with_timing(config, timing)
     settings = config.settings()
     rows = []
     for variant in config.variants:
@@ -85,15 +85,14 @@ def compare_report(config: RunConfig) -> ComparisonReport:
             condition1=config.condition1,
             condition2=config.condition2,
         )
-        counts = counts_by_variant[variant]
-        rows.append(
-            VariantRow(
-                variant=variant,
-                e_analytic=prediction.correlation,
-                counts=counts,
-                estimate=estimate_correlation(counts),
-            )
+        counts = sample_counts(
+            prediction.joint,
+            seed=config.seed,
+            variant_index=VARIANT_STREAM_INDEX[variant],
+            n_events=config.n_events,
+            chunk_size=config.chunk_size,
         )
+        rows.append(VariantRow(variant, prediction.correlation, counts, estimate_correlation(counts)))
     verdicts = []
     for row_a, row_b in combinations(rows, 2):
         stderr = max(row_a.estimate.stderr, row_b.estimate.stderr)
@@ -106,6 +105,11 @@ def compare_report(config: RunConfig) -> ComparisonReport:
             )
         )
     return ComparisonReport(config=config, timing=timing, rows=tuple(rows), verdicts=tuple(verdicts))
+
+
+def run_experiment(config: RunConfig) -> dict[ModelVariant, CoincidenceCounts]:
+    """The counts of compare_report, keyed by variant."""
+    return {row.variant: row.counts for row in compare_report(config).rows}
 
 
 def _row_record(report: ComparisonReport, row: VariantRow) -> dict[str, object]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .quantum import (
     OUTCOMES,
+    PROB_ATOL,
     JointDistribution,
     PhaseSettings,
     qm_correlation,
@@ -22,9 +23,7 @@ from .quantum import (
     qm_single_pair_correlation,
     qm_single_pair_joint,
 )
-from .timing import PhotonOneLabel, PhotonTwoLabel, TimingAssignment
-
-PROB_ATOL = 1e-12
+from .timing import REPRESENTABLE_PAIRINGS, PhotonOneLabel, PhotonTwoLabel, TimingAssignment
 
 
 class ModelVariant(enum.Enum):
@@ -69,14 +68,86 @@ class ConditionalTable:
         return self.p_plus_given_minus if outcome == 1 else self.p_minus_given_minus
 
 
-def _final_stage_table(settings: PhaseSettings, indistinguishable: bool) -> JointDistribution:
-    return qm_joint(settings) if indistinguishable else qm_distinguishable_joint()
+# A rule maps (settings, condition1, condition2) to a joint table.  Dropping
+# condition1 flattens the intermediate-stage table, condition2 the final one.
 
 
-def _intermediate_stage_table(settings: PhaseSettings, indistinguishable: bool) -> JointDistribution:
-    if indistinguishable:
+def _flat_rule(settings: PhaseSettings, condition1: bool, condition2: bool) -> JointDistribution:
+    return qm_distinguishable_joint()
+
+
+def _intermediate_rule(settings: PhaseSettings, condition1: bool, condition2: bool) -> JointDistribution:
+    if condition1:
         return qm_single_pair_joint(settings.phi11, settings.phi21)
     return qm_distinguishable_joint()
+
+
+def _final_rule(settings: PhaseSettings, condition1: bool, condition2: bool) -> JointDistribution:
+    return qm_joint(settings) if condition2 else qm_distinguishable_joint()
+
+
+def _two_nonbefore_rule(label1: PhotonOneLabel):
+    """Factorized table: sum the flat before outcomes against both conditionals.
+
+    Photon 1's conditional reads photon 2's before value and vice versa, so
+    each non-before outcome is decided by the partner's earlier impact alone.
+    """
+
+    def rule(settings: PhaseSettings, condition1: bool, condition2: bool) -> JointDistribution:
+        before = qm_distinguishable_joint()
+        cond_photon1 = _conditional(settings, label1, condition1, condition2)
+        cond_photon2 = _conditional(settings, PhotonTwoLabel.A22, condition1, condition2)
+
+        def entry(out1: int, out2: int) -> float:
+            total = 0.0
+            for sigma in OUTCOMES:
+                for omega in OUTCOMES:
+                    total += (
+                        before.prob(sigma, omega)
+                        * cond_photon1.prob(out1, omega)
+                        * cond_photon2.prob(out2, sigma)
+                    )
+            return total
+
+        return JointDistribution(entry(1, 1), entry(1, -1), entry(-1, 1), entry(-1, -1))
+
+    return rule
+
+
+_B11, _A11_21, _A11_22 = PhotonOneLabel.B11, PhotonOneLabel.A11_21, PhotonOneLabel.A11_22
+_B21, _B22, _A22 = PhotonTwoLabel.B21, PhotonTwoLabel.B22, PhotonTwoLabel.A22
+
+# RNL_STANDARD: two before impacts give the flat table, mixed pairings the
+# quantum table of their stage, two non-before impacts the factorized one.
+_RULES = {
+    (_B11, _B21): _flat_rule,
+    (_B11, _B22): _flat_rule,
+    (_A11_21, _B21): _intermediate_rule,
+    (_A11_22, _B22): _final_rule,
+    (_B11, _A22): _final_rule,
+    (_A11_22, _A22): _two_nonbefore_rule(_A11_22),
+    (_A11_21, _A22): _two_nonbefore_rule(_A11_21),
+}
+if set(_RULES) != REPRESENTABLE_PAIRINGS:
+    raise RuntimeError("the rule table must cover exactly the representable pairings")
+
+# The mixed experiment whose table pins each non-before impact's conditional.
+_ANCHOR_PAIRING = {_A11_21: (_A11_21, _B21), _A11_22: (_A11_22, _B22), _A22: (_B11, _A22)}
+
+
+def _conditional(
+    settings: PhaseSettings, which: PhotonOneLabel | PhotonTwoLabel, condition1: bool, condition2: bool
+) -> ConditionalTable:
+    if which not in _ANCHOR_PAIRING:
+        raise ValueError(f"conditionals exist only for non-before impacts, got {which!r}")
+    anchor = _RULES[_ANCHOR_PAIRING[which]](settings, condition1, condition2)
+    transpose = isinstance(which, PhotonTwoLabel)
+
+    def c(outcome: int, given: int) -> float:
+        joint = anchor.prob(given, outcome) if transpose else anchor.prob(outcome, given)
+        return 2.0 * joint
+
+    return ConditionalTable(c(1, 1), c(-1, 1), c(1, -1), c(-1, -1))
 
 
 def conditional_from_before(
@@ -93,48 +164,7 @@ def conditional_from_before(
     a11[21] conditions on the BS21 before value, a11[22] on the BS22 one and
     a22 on the BS11 one (the partner's own other before value drops out).
     """
-    if which is PhotonOneLabel.A11_21:
-        anchor = _intermediate_stage_table(settings, indistinguishable)
-        transpose = False
-    elif which is PhotonOneLabel.A11_22:
-        anchor = _final_stage_table(settings, indistinguishable)
-        transpose = False
-    elif which is PhotonTwoLabel.A22:
-        anchor = _final_stage_table(settings, indistinguishable)
-        transpose = True
-    else:
-        raise ValueError(f"conditionals exist only for non-before impacts, got {which!r}")
-
-    def c(outcome: int, given: int) -> float:
-        joint = anchor.prob(given, outcome) if transpose else anchor.prob(outcome, given)
-        return 2.0 * joint
-
-    return ConditionalTable(c(1, 1), c(-1, 1), c(1, -1), c(-1, -1))
-
-
-def _factorized_joint(
-    before_table: JointDistribution,
-    cond_photon1: ConditionalTable,
-    cond_photon2: ConditionalTable,
-) -> JointDistribution:
-    """Two-non-before table: sum the before outcomes against both conditionals.
-
-    Photon 1's conditional reads photon 2's before value and vice versa, so
-    each non-before outcome is decided by the partner's earlier impact alone.
-    """
-
-    def entry(out1: int, out2: int) -> float:
-        total = 0.0
-        for sigma in OUTCOMES:
-            for omega in OUTCOMES:
-                total += (
-                    before_table.prob(sigma, omega)
-                    * cond_photon1.prob(out1, omega)
-                    * cond_photon2.prob(out2, sigma)
-                )
-        return total
-
-    return JointDistribution(entry(1, 1), entry(1, -1), entry(-1, 1), entry(-1, -1))
+    return _conditional(settings, which, indistinguishable, indistinguishable)
 
 
 def rnl_joint(
@@ -158,34 +188,11 @@ def rnl_joint(
         raise ValueError(f"variant must be a ModelVariant, got {variant!r}")
     if not isinstance(timing, TimingAssignment):
         raise ValueError(f"timing must be a TimingAssignment, got {timing!r}")
-    if variant is ModelVariant.QM:
-        return _final_stage_table(settings, condition2)
-
-    label1, label2 = timing.pairing
-    if label1 is PhotonOneLabel.B11 and label2 in (PhotonTwoLabel.B21, PhotonTwoLabel.B22):
-        return qm_distinguishable_joint()
-    if timing.pairing == (PhotonOneLabel.A11_21, PhotonTwoLabel.B21):
-        return _intermediate_stage_table(settings, condition1)
-    if timing.pairing in (
-        (PhotonOneLabel.A11_22, PhotonTwoLabel.B22),
-        (PhotonOneLabel.B11, PhotonTwoLabel.A22),
+    if variant is ModelVariant.QM or (
+        variant is ModelVariant.RNL_ALTERNATIVE and timing.pairing == (_A11_21, _A22)
     ):
-        return _final_stage_table(settings, condition2)
-    if timing.pairing == (PhotonOneLabel.A11_22, PhotonTwoLabel.A22):
-        return _factorized_joint(
-            qm_distinguishable_joint(),
-            conditional_from_before(settings, PhotonOneLabel.A11_22, indistinguishable=condition2),
-            conditional_from_before(settings, PhotonTwoLabel.A22, indistinguishable=condition2),
-        )
-    if timing.pairing == (PhotonOneLabel.A11_21, PhotonTwoLabel.A22):
-        if variant is ModelVariant.RNL_ALTERNATIVE:
-            return _final_stage_table(settings, condition2)
-        return _factorized_joint(
-            qm_distinguishable_joint(),
-            conditional_from_before(settings, PhotonOneLabel.A11_21, indistinguishable=condition1),
-            conditional_from_before(settings, PhotonTwoLabel.A22, indistinguishable=condition2),
-        )
-    raise ValueError(f"no prediction rule for pairing {timing.pairing!r}")
+        return _final_rule(settings, condition1, condition2)
+    return _RULES[timing.pairing](settings, condition1, condition2)
 
 
 _TWO_NONBEFORE_PAIRINGS = (

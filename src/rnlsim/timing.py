@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import AmbiguousScheduleError
+from .errors import AmbiguousScheduleError, require_finite
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -27,13 +27,6 @@ class Site(enum.Enum):
     BS11 = "BS11"
     BS21 = "BS21"
     BS22 = "BS22"
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 def _require_beta(name: str, beta: float) -> float:
@@ -54,8 +47,8 @@ class SpacetimeEvent:
     def __post_init__(self) -> None:
         if not isinstance(self.site, Site):
             raise ValueError(f"site must be a Site, got {self.site!r}")
-        _require_finite("t", self.t)
-        _require_finite("x", self.x)
+        require_finite("t", self.t)
+        require_finite("x", self.x)
 
 
 def boost_time(event: SpacetimeEvent, beta: float) -> float:
@@ -124,10 +117,14 @@ REPRESENTABLE_PAIRINGS = frozenset(
     }
 )
 
+# Rest-frame (label1, label2, bs21_before) of each lab-ordering series.
+_SERIES_ASSIGNMENTS = {
+    1: (PhotonOneLabel.A11_22, PhotonTwoLabel.B22, True),
+    2: (PhotonOneLabel.B11, PhotonTwoLabel.A22, False),
+    3: (PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True),
+}
 _SERIES_BY_PAIRING = {
-    (PhotonOneLabel.A11_22, PhotonTwoLabel.B22): 1,
-    (PhotonOneLabel.B11, PhotonTwoLabel.A22): 2,
-    (PhotonOneLabel.A11_21, PhotonTwoLabel.A22): 3,
+    (label1, label2): series for series, (label1, label2, _) in _SERIES_ASSIGNMENTS.items()
 }
 
 
@@ -163,14 +160,9 @@ class TimingAssignment:
     @classmethod
     def for_series(cls, series: int) -> "TimingAssignment":
         """Rest-frame assignment of one of the three lab-ordering series."""
-        table = {
-            1: (PhotonOneLabel.A11_22, PhotonTwoLabel.B22, True),
-            2: (PhotonOneLabel.B11, PhotonTwoLabel.A22, False),
-            3: (PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True),
-        }
-        if series not in table:
+        if series not in _SERIES_ASSIGNMENTS:
             raise ValueError(f"series must be 1, 2 or 3, got {series!r}")
-        label1, label2, bs21_before = table[series]
+        label1, label2, bs21_before = _SERIES_ASSIGNMENTS[series]
         return cls(label1, label2, bs21_before, series)
 
 
@@ -232,7 +224,9 @@ class ExperimentGeometry:
 
     Arrival times are path length over c.  Displacing mirror M11 stretches or
     shortens photon 1's path only, which is how one lab ordering is traded
-    for another without touching photon 2's legs.
+    for another without touching photon 2's legs.  Photon 2 must reach BS21
+    first: its impacts sit at x = +l, t = l / c, so a later lab arrival at
+    BS22 is a later one in every splitter frame too.
     """
 
     length_bs11: float
@@ -245,10 +239,13 @@ class ExperimentGeometry:
 
     def __post_init__(self) -> None:
         for name in ("length_bs11", "length_bs21", "length_bs22"):
-            if _require_finite(name, getattr(self, name)) <= 0.0:
+            if require_finite(name, getattr(self, name)) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        _require_finite("m11_displacement", self.m11_displacement)
-        if self.effective_length_bs11 <= 0.0:
+        # Arrival times, not lengths: two lengths one ulp apart can share one.
+        if self.length_bs22 / SPEED_OF_LIGHT <= self.length_bs21 / SPEED_OF_LIGHT:
+            raise ValueError("photon 2 must reach BS21 before BS22: length_bs22 must exceed length_bs21")
+        require_finite("m11_displacement", self.m11_displacement)
+        if require_finite("effective_length_bs11", self.effective_length_bs11) <= 0.0:
             raise ValueError("m11_displacement makes photon 1's path non-positive")
         for name in ("beta_bs11", "beta_bs21", "beta_bs22"):
             _require_beta(name, getattr(self, name))

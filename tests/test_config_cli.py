@@ -192,6 +192,47 @@ def test_cli_exit_code_on_config_errors(tmp_path: Path, capsys: pytest.CaptureFi
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # Photon 2 reaching BS22 before BS21.
+        ["--length-bs11", "2", "--length-bs21", "3", "--length-bs22", "1"],
+        # Legs one ulp apart: equal arrival times at BS21 and BS22.
+        ["--length-bs11", "1", "--length-bs21", "2.682", "--length-bs22", "2.6820000000000004"],
+        # Photon 1's displaced path overflows to an infinite arrival time.
+        ["--length-bs11", "1e308", "--m11-displacement", "1e308"]
+        + ["--length-bs21", "1", "--length-bs22", "3"],
+    ],
+)
+def test_cli_inconsistent_geometry_is_a_config_error(
+    args: list[str], capsys: pytest.CaptureFixture
+) -> None:
+    assert main([*args, "--n-events", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+def test_cli_config_file_that_is_not_utf8_is_a_config_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"series = 3\nseed = \xff\n")
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+def test_cli_internal_value_error_is_not_a_config_error(monkeypatch: pytest.MonkeyPatch) -> None:
+    def broken_report(config):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("rnlsim.cli.compare_report", broken_report)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["--n-events", "10"])
+
+
 def test_cli_failed_out_write_is_a_clean_error(
     tmp_path: Path, capsys: pytest.CaptureFixture
 ) -> None:

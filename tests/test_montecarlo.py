@@ -19,11 +19,12 @@ from rnlsim import (
     estimate_correlation,
     predict,
     qm_distinguishable_joint,
+    rnl_joint,
     run_experiment,
     sample_counts,
     substream,
 )
-from rnlsim.config import MAX_EVENTS
+from rnlsim.montecarlo import MAX_EVENTS
 from rnlsim.quantum import PROB_ATOL
 
 
@@ -192,6 +193,21 @@ def test_run_experiment_key_settings() -> None:
         assert estimate_correlation(counts[variant]).e_hat == 1.0
     standard = estimate_correlation(counts[ModelVariant.RNL_STANDARD])
     assert abs(standard.e_hat) < 5.0 * standard.stderr
+
+
+def test_compare_report_predicts_each_variant_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Counted below predict, so a prediction made from any module is seen.
+    calls = []
+
+    def counting_rnl_joint(settings, timing, variant, **conditions):
+        calls.append(variant)
+        return rnl_joint(settings, timing, variant, **conditions)
+
+    monkeypatch.setattr("rnlsim.rnl.rnl_joint", counting_rnl_joint)
+    for variants in (tuple(ModelVariant), (ModelVariant.RNL_STANDARD,)):
+        calls.clear()
+        compare_report(RunConfig(n_events=1000, variants=variants))
+        assert tuple(calls) == variants
 
 
 def test_run_experiment_is_deterministic() -> None:

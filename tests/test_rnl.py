@@ -178,6 +178,45 @@ def test_variants_agree_everywhere_except_series3_pairing(settings: PhaseSetting
         assert _max_dev(standard, alternative) < ATOL
 
 
+def _expected_correlation(
+    pairing: tuple[PhotonOneLabel, PhotonTwoLabel],
+    variant: ModelVariant,
+    settings: PhaseSettings,
+    condition1: bool,
+    condition2: bool,
+) -> float:
+    """The paper's correlation per pairing, variant and condition, in plain math."""
+    qm = math.sin(settings.phi11 - settings.phi21) * math.sin(settings.phi22) if condition2 else 0.0
+    label1, label2 = pairing
+    if variant is ModelVariant.QM:
+        return qm
+    if label1 is PhotonOneLabel.B11 and label2 is not PhotonTwoLabel.A22:
+        return 0.0  # two before impacts
+    if pairing == (PhotonOneLabel.A11_21, PhotonTwoLabel.B21):
+        return math.cos(settings.phi11 - settings.phi21) if condition1 else 0.0
+    if label1 is PhotonOneLabel.B11 or label2 is not PhotonTwoLabel.A22:
+        return qm  # final mixed pairings
+    if variant is ModelVariant.RNL_ALTERNATIVE and label1 is PhotonOneLabel.A11_21:
+        return qm  # the alternative rule on the series-3 pairing
+    return 0.0  # two non-before impacts
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("timing", ALL_PAIRINGS, ids=lambda t: f"{t.label1.value}-{t.label2.value}")
+def test_every_table_is_the_fair_marginal_table_of_its_correlation(
+    timing: TimingAssignment, variant: ModelVariant
+) -> None:
+    for settings in (KEY_SETTINGS, PhaseSettings(0.8, 0.1, 2.0), PhaseSettings(-2.5, 1.3, -0.4)):
+        for condition1 in (True, False):
+            for condition2 in (True, False):
+                e = _expected_correlation(timing.pairing, variant, settings, condition1, condition2)
+                table = rnl_joint(
+                    settings, timing, variant, condition1=condition1, condition2=condition2
+                )
+                expected = ((1 + e) / 4, (1 - e) / 4, (1 - e) / 4, (1 + e) / 4)
+                assert table.as_array() == pytest.approx(expected, abs=ATOL)
+
+
 def test_qm_variant_ignores_timing() -> None:
     expected = qm_joint(KEY_SETTINGS)
     for timing in ALL_PAIRINGS:

@@ -212,6 +212,16 @@ def test_geometry_rejects_bad_lengths() -> None:
         ExperimentGeometry(length_bs11=0.0, length_bs21=1.0, length_bs22=2.0)
     with pytest.raises(ValueError):
         ExperimentGeometry(length_bs11=1.0, length_bs21=1.0, length_bs22=2.0, m11_displacement=-1.0)
+    # Photon 2 out of order, and legs one ulp apart with equal arrival times.
+    for length_bs22 in (1.0, 0.5):
+        with pytest.raises(ValueError, match="BS21 before BS22"):
+            ExperimentGeometry(length_bs11=1.0, length_bs21=1.0, length_bs22=length_bs22)
+    with pytest.raises(ValueError, match="BS21 before BS22"):
+        ExperimentGeometry(length_bs11=1.0, length_bs21=2.682, length_bs22=2.6820000000000004)
+    with pytest.raises(ValueError, match="effective_length_bs11 must be finite"):
+        ExperimentGeometry(
+            length_bs11=1e308, length_bs21=1.0, length_bs22=2.0, m11_displacement=1e308
+        )
 
 
 def test_schedule_from_geometry_times_and_positions() -> None:
