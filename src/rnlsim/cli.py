@@ -6,12 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import (
-    CONFIG_KEYS,
-    build_run_config,
-    parse_config_file,
-    parse_variants,
-)
+from .config import CONFIG_KEYS, build_run_config, parse_config_file, parse_value
 from .errors import AmbiguousScheduleError, ConfigError
 from .report import compare_report, render_csv, render_json_lines, render_table
 
@@ -38,35 +33,32 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", type=Path, help="flat key = value run file")
-    parser.add_argument("--series", type=int, help="preset geometry: lab ordering series 1, 2 or 3")
-    parser.add_argument("--length-bs11", dest="length_bs11", type=float, help="photon 1 path length in m")
-    parser.add_argument("--length-bs21", dest="length_bs21", type=float, help="photon 2 first leg in m")
-    parser.add_argument("--length-bs22", dest="length_bs22", type=float, help="photon 2 full path in m")
+    parser.add_argument("--series", help="preset geometry: lab ordering series 1, 2 or 3")
+    parser.add_argument("--length-bs11", dest="length_bs11", help="photon 1 path length in m")
+    parser.add_argument("--length-bs21", dest="length_bs21", help="photon 2 first leg in m")
+    parser.add_argument("--length-bs22", dest="length_bs22", help="photon 2 full path in m")
     parser.add_argument(
         "--m11-displacement",
         dest="m11_displacement",
-        type=float,
         help="extra photon 1 path from displacing mirror M11, in m",
     )
-    parser.add_argument("--phi11-deg", dest="phi11_deg", type=float, help="phase at BS11 in degrees")
-    parser.add_argument("--phi21-deg", dest="phi21_deg", type=float, help="phase before BS21 in degrees")
-    parser.add_argument("--phi22-deg", dest="phi22_deg", type=float, help="phase before BS22 in degrees")
+    parser.add_argument("--phi11-deg", dest="phi11_deg", help="phase at BS11 in degrees")
+    parser.add_argument("--phi21-deg", dest="phi21_deg", help="phase before BS21 in degrees")
+    parser.add_argument("--phi22-deg", dest="phi22_deg", help="phase before BS22 in degrees")
     parser.add_argument(
         "--variants",
         help="comma-separated subset of QM, RNL_STANDARD, RNL_ALTERNATIVE",
     )
-    parser.add_argument("--n-events", dest="n_events", type=int, help="coincidences per variant")
-    parser.add_argument("--seed", type=int, help="64-bit unsigned master seed")
-    parser.add_argument("--chunk-size", dest="chunk_size", type=int, help="events per RNG substream")
+    parser.add_argument("--n-events", dest="n_events", help="coincidences per variant")
+    parser.add_argument("--seed", help="64-bit unsigned master seed")
+    parser.add_argument("--chunk-size", dest="chunk_size", help="events per multinomial draw")
     parser.add_argument(
         "--condition1",
-        choices=("true", "false"),
-        help="pairs indistinguishable at the intermediate detection stage",
+        help="pairs indistinguishable at the intermediate detection stage (true or false)",
     )
     parser.add_argument(
         "--condition2",
-        choices=("true", "false"),
-        help="paths unknowable after the final splitter",
+        help="paths unknowable after the final splitter (true or false)",
     )
     parser.add_argument("--out", type=Path, help="write the report here instead of stdout")
     parser.add_argument(
@@ -79,20 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_values(args: argparse.Namespace) -> dict[str, object]:
-    """Config file values first, command line flags on top."""
+    """Config file values first, command line flags on top, both parsed alike."""
     values: dict[str, object] = {}
     if args.config is not None:
         values.update(parse_config_file(args.config))
     for key in CONFIG_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is None:
-            continue
-        if key == "variants":
-            values[key] = parse_variants(flag_value)
-        elif key in ("condition1", "condition2"):
-            values[key] = flag_value == "true"
-        else:
-            values[key] = flag_value
+        text = getattr(args, key, None)
+        if text is not None:
+            values[key] = parse_value(key, text)
     return values
 
 

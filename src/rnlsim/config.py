@@ -135,6 +135,11 @@ _KEY_PARSERS = {
 CONFIG_KEYS = tuple(_KEY_PARSERS)
 
 
+def parse_value(key: str, text: str) -> object:
+    """The typed value of one config key, from a file line or a command line flag."""
+    return _KEY_PARSERS[key](key, text)
+
+
 def parse_config_file(path: Path | str) -> dict[str, object]:
     """Read a flat `key = value` file into typed values.
 
@@ -162,7 +167,7 @@ def parse_config_file(path: Path | str) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
         if not raw:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-        values[key] = _KEY_PARSERS[key](key, raw)
+        values[key] = parse_value(key, raw)
     return values
 
 

@@ -1,10 +1,11 @@
 """Deterministic Monte Carlo coincidence counting.
 
-Philox (counter-based) generators are keyed by (seed, variant index, chunk
-index), so every chunk owns its stream and a variant's counts do not depend
-on which other variants run.  Each chunk is one multinomial draw over the
-4-cell table.  The chunk size is part of the run configuration because
-changing it changes the stream layout.
+Each variant owns one Philox (counter-based) stream, keyed by the seed with
+the variant index as its spawn key, so a variant's counts do not depend on
+which other variants run.  Chunk k of a run is the k-th multinomial draw
+over the 4-cell table from that stream; full chunks are drawn as the rows
+of one vectorized call.  The chunk size is part of the run configuration
+because changing it changes the stream layout.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ from .rnl import ModelVariant
 
 # Names the RNG stream layout: the counts printed for a given seed change
 # whenever this does.
-STREAM_LAYOUT = "philox(seed,variant,chunk)+multinomial/v2"
+STREAM_LAYOUT = "philox(seed,spawn_key=variant)+multinomial-rows/v3"
 # Canonical stream index per variant, independent of the order requested.
 VARIANT_STREAM_INDEX = {variant: index for index, variant in enumerate(ModelVariant)}
 # Largest n_events and chunk_size: the sampler counts in numpy int64.
 MAX_EVENTS = 2**63 - 1
+# Chunks per vectorized multinomial call, so memory stays bounded at any
+# n_events / chunk_size.  numpy draws the rows in order from one stream, so
+# this does not change the counts.
+_BLOCK_ROWS = 2**14
 
 
 @dataclass(frozen=True)
@@ -56,9 +61,13 @@ class EstimatorResult:
     n: int
 
 
-def substream(seed: int, variant_index: int, chunk_index: int) -> np.random.Generator:
-    """Philox generator for one (variant, chunk) cell of a run."""
-    sequence = np.random.SeedSequence([seed, variant_index, chunk_index])
+def substream(seed: int, variant_index: int) -> np.random.Generator:
+    """Philox generator for one variant of a run.
+
+    The seed is padded to SeedSequence's 128-bit pool before the spawn key,
+    so unlike an entropy list [seed, variant_index], no two pairs collide.
+    """
+    sequence = np.random.SeedSequence(seed, spawn_key=(variant_index,))
     return np.random.Generator(np.random.Philox(sequence))
 
 
@@ -74,7 +83,7 @@ def sample_counts(
 
     The result is a pure function of (joint, seed, variant_index, n_events,
     chunk_size).  Chunk k draws min(chunk_size, n_events - k * chunk_size)
-    events from substream(seed, variant_index, k).
+    events as the k-th draw from substream(seed, variant_index).
     """
     if not 1 <= n_events <= MAX_EVENTS:
         raise ValueError(f"n_events must be in [1, {MAX_EVENTS}], got {n_events!r}")
@@ -88,9 +97,13 @@ def sample_counts(
     p = p[cells] / p[cells].sum()
     # int64 cannot overflow: the merged total is n_events <= MAX_EVENTS.
     merged = np.zeros(len(cells), dtype=np.int64)
-    for chunk_index, start in enumerate(range(0, n_events, chunk_size)):
-        size = min(chunk_size, n_events - start)
-        merged += substream(seed, variant_index, chunk_index).multinomial(size, p)
+    rng = substream(seed, variant_index)
+    full_chunks, remainder = divmod(n_events, chunk_size)
+    for start in range(0, full_chunks, _BLOCK_ROWS):
+        sizes = np.full(min(_BLOCK_ROWS, full_chunks - start), chunk_size, dtype=np.int64)
+        merged += rng.multinomial(sizes, p).sum(axis=0)
+    if remainder:
+        merged += rng.multinomial(remainder, p)
     counts = np.zeros(4, dtype=np.int64)
     counts[cells] = merged
     return CoincidenceCounts(*(int(c) for c in counts))

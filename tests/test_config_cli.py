@@ -278,3 +278,18 @@ def test_cli_conditions_flatten_predictions(capsys: pytest.CaptureFixture) -> No
     out = capsys.readouterr().out
     assert "condition2=false" in out
     assert "   0.000000" in out  # analytic E drops to zero
+
+
+def test_cli_condition_flags_read_like_config_values(capsys: pytest.CaptureFixture) -> None:
+    args = ["--n-events", "1000", "--variants", "qm, rnl_standard", "--format", "csv"]
+    assert main([*args, "--condition2", "false"]) == 0
+    as_false = capsys.readouterr().out
+    assert main([*args, "--condition2", "no"]) == 0
+    assert capsys.readouterr().out == as_false
+
+
+def test_cli_bad_condition_flag_is_a_config_error(capsys: pytest.CaptureFixture) -> None:
+    assert main(["--condition1", "maybe", "--n-events", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1

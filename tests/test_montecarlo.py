@@ -85,15 +85,35 @@ def test_counts_are_a_pure_function_of_their_arguments() -> None:
     "n_events, chunk_size", [(1, 1), (999, 1_000), (1_000, 1_000), (12_345, 1_000), (10, 3)]
 )
 def test_chunk_counts_sum_to_n_and_merge_into_the_result(n_events: int, chunk_size: int) -> None:
-    # Chunk k is one multinomial draw of its size from substream(seed, variant, k).
+    # Chunk k is row k of one multinomial over the chunk sizes, drawn from
+    # the variant's stream substream(seed, variant).
     table = JointDistribution(0.1, 0.2, 0.3, 0.4)
-    chunk_counts = [
-        substream(5, 2, index).multinomial(min(chunk_size, n_events - start), table.as_array())
-        for index, start in enumerate(range(0, n_events, chunk_size))
-    ]
-    assert sum(int(chunk.sum()) for chunk in chunk_counts) == n_events
+    sizes = [min(chunk_size, n_events - start) for start in range(0, n_events, chunk_size)]
+    chunk_counts = substream(5, 2).multinomial(sizes, table.as_array())
+    assert chunk_counts.sum(axis=1).tolist() == sizes
     counts = sample_counts(table, seed=5, variant_index=2, n_events=n_events, chunk_size=chunk_size)
-    assert counts.as_tuple() == tuple(int(c) for c in np.sum(chunk_counts, axis=0))
+    assert counts.as_tuple() == tuple(int(c) for c in chunk_counts.sum(axis=0))
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 2**14])
+def test_block_size_does_not_change_counts(
+    monkeypatch: pytest.MonkeyPatch, block_rows: int
+) -> None:
+    table = JointDistribution(0.1, 0.2, 0.3, 0.4)
+    kwargs = dict(seed=11, variant_index=1, n_events=20_011, chunk_size=7)
+    expected = sample_counts(table, **kwargs)
+    monkeypatch.setattr("rnlsim.montecarlo._BLOCK_ROWS", block_rows)
+    assert sample_counts(table, **kwargs) == expected
+
+
+def test_seeds_past_32_bits_do_not_collide_with_other_variants() -> None:
+    # An entropy list [seed, variant] makes seed 5 + (2 << 32), variant 0 the
+    # words [5, 2, 0]; zero-padded, that is also the key of seed 5, variant 2.
+    table = JointDistribution(0.1, 0.2, 0.3, 0.4)
+    wide = sample_counts(table, seed=5 + (2 << 32), variant_index=0, n_events=1000, chunk_size=1000)
+    narrow = sample_counts(table, seed=5, variant_index=2, n_events=1000, chunk_size=1000)
+    assert wide != narrow
+    assert not np.array_equal(substream(5 + (2 << 32), 0).random(4), substream(5, 2).random(4))
 
 
 @st.composite
@@ -112,9 +132,9 @@ def _valid_tables(draw) -> JointDistribution:
 
 @st.composite
 def _run_shapes(draw) -> tuple[int, int]:
-    """(n_events, chunk_size) with at most 50 chunks, so each example stays fast."""
+    """(n_events, chunk_size) with up to ~10^4 chunks, down to one event per chunk."""
     n_events = draw(st.integers(min_value=1, max_value=10_000))
-    chunk_size = draw(st.integers(min_value=max(1, n_events // 50), max_value=n_events + 100))
+    chunk_size = draw(st.integers(min_value=max(1, n_events // 10_000), max_value=n_events + 100))
     return n_events, chunk_size
 
 
