@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .montecarlo import MAX_EVENTS
+from .montecarlo import MAX_CHUNKS, MAX_EVENTS
 from .quantum import PhaseSettings
 from .rnl import ModelVariant
 from .timing import ExperimentGeometry, series_preset
@@ -63,6 +63,11 @@ class RunConfig:
         if not isinstance(self.chunk_size, int) or not 1 <= self.chunk_size <= MAX_EVENTS:
             raise ConfigError(
                 f"chunk_size must be an integer in [1, {MAX_EVENTS}], got {self.chunk_size!r}"
+            )
+        if -(-self.n_events // self.chunk_size) > MAX_CHUNKS:
+            raise ConfigError(
+                f"n_events={self.n_events!r} in chunks of {self.chunk_size!r} needs more than "
+                f"{MAX_CHUNKS} chunks; raise chunk_size"
             )
 
     def settings(self) -> PhaseSettings:

@@ -25,6 +25,10 @@ STREAM_LAYOUT = "philox(seed,spawn_key=variant)+multinomial-rows/v3"
 VARIANT_STREAM_INDEX = {variant: index for index, variant in enumerate(ModelVariant)}
 # Largest n_events and chunk_size: the sampler counts in numpy int64.
 MAX_EVENTS = 2**63 - 1
+# Most chunks (multinomial rows) per variant.  Each row costs a fraction of a
+# microsecond, so 2^30 of them take minutes; a run needing more is refused
+# up front instead of running for years.
+MAX_CHUNKS = 2**30
 # Chunks per vectorized multinomial call, so memory stays bounded at any
 # n_events / chunk_size.  numpy draws the rows in order from one stream, so
 # this does not change the counts.
@@ -89,6 +93,12 @@ def sample_counts(
         raise ValueError(f"n_events must be in [1, {MAX_EVENTS}], got {n_events!r}")
     if not 1 <= chunk_size <= MAX_EVENTS:
         raise ValueError(f"chunk_size must be in [1, {MAX_EVENTS}], got {chunk_size!r}")
+    full_chunks, remainder = divmod(n_events, chunk_size)
+    if full_chunks + (remainder > 0) > MAX_CHUNKS:
+        raise ValueError(
+            f"n_events={n_events!r} in chunks of {chunk_size!r} needs more than "
+            f"{MAX_CHUNKS} chunks; raise chunk_size"
+        )
     p = joint.as_array()
     # Only nonzero cells are drawn, so a zero cell can never take the
     # remainder numpy hands to the last cell.  Renormalising absorbs the
@@ -98,7 +108,6 @@ def sample_counts(
     # int64 cannot overflow: the merged total is n_events <= MAX_EVENTS.
     merged = np.zeros(len(cells), dtype=np.int64)
     rng = substream(seed, variant_index)
-    full_chunks, remainder = divmod(n_events, chunk_size)
     for start in range(0, full_chunks, _BLOCK_ROWS):
         sizes = np.full(min(_BLOCK_ROWS, full_chunks - start), chunk_size, dtype=np.int64)
         merged += rng.multinomial(sizes, p).sum(axis=0)

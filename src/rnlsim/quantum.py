@@ -10,7 +10,7 @@ the same distribution by composing 2x2 splitter unitaries and arm phases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +38,9 @@ class PhaseSettings:
     phi22: float
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            require_finite(f.name, getattr(self, f.name))
+        require_finite("phi11", self.phi11)
+        require_finite("phi21", self.phi21)
+        require_finite("phi22", self.phi22)
 
     @classmethod
     def from_degrees(cls, phi11_deg: float, phi21_deg: float, phi22_deg: float) -> "PhaseSettings":
@@ -63,16 +64,18 @@ class JointDistribution:
 
     def __post_init__(self) -> None:
         total = 0.0
-        for f in fields(self):
-            p = require_finite(f.name, getattr(self, f.name))
+        for name, p in (
+            ("p_pp", self.p_pp), ("p_pm", self.p_pm), ("p_mp", self.p_mp), ("p_mm", self.p_mm)
+        ):
+            p = require_finite(name, p)
             if p < 0.0:
                 # Amplitude squares can undershoot zero by rounding only.
                 if p < -PROB_ATOL:
-                    raise ValueError(f"{f.name} = {p!r} is negative")
+                    raise ValueError(f"{name} = {p!r} is negative")
                 p = 0.0
-                object.__setattr__(self, f.name, p)
+                object.__setattr__(self, name, p)
             if p > 1.0 + PROB_ATOL:
-                raise ValueError(f"{f.name} = {p!r} exceeds 1")
+                raise ValueError(f"{name} = {p!r} exceeds 1")
             total += p
         if abs(total - 1.0) > PROB_ATOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
@@ -103,6 +106,12 @@ class JointDistribution:
 # --- closed forms -----------------------------------------------------------
 
 
+def _fringe(settings: PhaseSettings) -> float:
+    """cos(phi11 - phi21 - phi22) - cos(phi11 - phi21 + phi22), the term every QM entry scales."""
+    delta = settings.phi11 - settings.phi21
+    return math.cos(delta - settings.phi22) - math.cos(delta + settings.phi22)
+
+
 def qm_joint_probability(settings: PhaseSettings, sigma: int, omega: int) -> float:
     """Coincidence probability after the final splitters with full indistinguishability.
 
@@ -111,25 +120,20 @@ def qm_joint_probability(settings: PhaseSettings, sigma: int, omega: int) -> flo
     """
     _require_outcome("sigma", sigma)
     _require_outcome("omega", omega)
-    delta = settings.phi11 - settings.phi21
-    fringe = math.cos(delta - settings.phi22) - math.cos(delta + settings.phi22)
-    return 0.25 + (sigma * omega / 8.0) * fringe
+    return 0.25 + (sigma * omega / 8.0) * _fringe(settings)
 
 
 def qm_joint(settings: PhaseSettings) -> JointDistribution:
-    """Full coincidence table built entrywise from the closed form."""
-    return JointDistribution(
-        qm_joint_probability(settings, 1, 1),
-        qm_joint_probability(settings, 1, -1),
-        qm_joint_probability(settings, -1, 1),
-        qm_joint_probability(settings, -1, -1),
-    )
+    """Full coincidence table; each entry is bit-identical to qm_joint_probability's."""
+    fringe = _fringe(settings)
+    same = 0.25 + 0.125 * fringe
+    differ = 0.25 + (-0.125) * fringe
+    return JointDistribution(same, differ, differ, same)
 
 
 def qm_correlation(settings: PhaseSettings) -> float:
     """Correlation of the full table; equals sin(phi11 - phi21) * sin(phi22)."""
-    delta = settings.phi11 - settings.phi21
-    return 0.5 * (math.cos(delta - settings.phi22) - math.cos(delta + settings.phi22))
+    return 0.5 * _fringe(settings)
 
 
 def qm_single_pair_correlation(phi11: float, phi21: float) -> float:
@@ -147,7 +151,11 @@ def qm_single_pair_joint(phi11: float, phi21: float) -> JointDistribution:
 
 def qm_distinguishable_joint() -> JointDistribution:
     """Flat table when the pair's origin or path is knowable: every cell 1/4."""
-    return JointDistribution(0.25, 0.25, 0.25, 0.25)
+    return _FLAT
+
+
+# Built once: tables are frozen, so every caller can share it.
+_FLAT = JointDistribution(0.25, 0.25, 0.25, 0.25)
 
 
 # --- amplitude oracle -------------------------------------------------------

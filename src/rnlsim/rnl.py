@@ -10,6 +10,7 @@ values, which forces their correlation to vanish.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .quantum import (
@@ -95,21 +96,27 @@ def _two_nonbefore_rule(label1: PhotonOneLabel):
 
     def rule(settings: PhaseSettings, condition1: bool, condition2: bool) -> JointDistribution:
         before = qm_distinguishable_joint()
-        cond_photon1 = _conditional(settings, label1, condition1, condition2)
-        cond_photon2 = _conditional(settings, PhotonTwoLabel.A22, condition1, condition2)
+        cond1 = _conditional(settings, label1, condition1, condition2)
+        cond2 = _conditional(settings, _A22, condition1, condition2)
+        # (P(outcome | partner's before value +1), P(outcome | -1)) per outcome.
+        plus1 = (cond1.p_plus_given_plus, cond1.p_plus_given_minus)
+        minus1 = (cond1.p_minus_given_plus, cond1.p_minus_given_minus)
+        plus2 = (cond2.p_plus_given_plus, cond2.p_plus_given_minus)
+        minus2 = (cond2.p_minus_given_plus, cond2.p_minus_given_minus)
 
-        def entry(out1: int, out2: int) -> float:
-            total = 0.0
-            for sigma in OUTCOMES:
-                for omega in OUTCOMES:
-                    total += (
-                        before.prob(sigma, omega)
-                        * cond_photon1.prob(out1, omega)
-                        * cond_photon2.prob(out2, sigma)
-                    )
-            return total
+        def entry(photon1: tuple[float, float], photon2: tuple[float, float]) -> float:
+            # Summed over (sigma, omega) = (+,+), (+,-), (-,+), (-,-), photon 1
+            # given omega and photon 2 given sigma.
+            return (
+                before.p_pp * photon1[0] * photon2[0]
+                + before.p_pm * photon1[1] * photon2[0]
+                + before.p_mp * photon1[0] * photon2[1]
+                + before.p_mm * photon1[1] * photon2[1]
+            )
 
-        return JointDistribution(entry(1, 1), entry(1, -1), entry(-1, 1), entry(-1, -1))
+        return JointDistribution(
+            entry(plus1, plus2), entry(plus1, minus2), entry(minus1, plus2), entry(minus1, minus2)
+        )
 
     return rule
 
@@ -141,13 +148,15 @@ def _conditional(
     if which not in _ANCHOR_PAIRING:
         raise ValueError(f"conditionals exist only for non-before impacts, got {which!r}")
     anchor = _RULES[_ANCHOR_PAIRING[which]](settings, condition1, condition2)
-    transpose = isinstance(which, PhotonTwoLabel)
-
-    def c(outcome: int, given: int) -> float:
-        joint = anchor.prob(given, outcome) if transpose else anchor.prob(outcome, given)
-        return 2.0 * joint
-
-    return ConditionalTable(c(1, 1), c(-1, 1), c(1, -1), c(-1, -1))
+    # P(out | given) = 2 * P_anchor(out, given); photon 2's outcome is the
+    # anchor's second index, photon 1's its first.
+    if isinstance(which, PhotonTwoLabel):
+        minus_given_plus, plus_given_minus = anchor.p_pm, anchor.p_mp
+    else:
+        minus_given_plus, plus_given_minus = anchor.p_mp, anchor.p_pm
+    return ConditionalTable(
+        2.0 * anchor.p_pp, 2.0 * minus_given_plus, 2.0 * plus_given_minus, 2.0 * anchor.p_mm
+    )
 
 
 def conditional_from_before(
@@ -191,8 +200,24 @@ def rnl_joint(
     if variant is ModelVariant.QM or (
         variant is ModelVariant.RNL_ALTERNATIVE and timing.pairing == (_A11_21, _A22)
     ):
-        return _final_rule(settings, condition1, condition2)
-    return _RULES[timing.pairing](settings, condition1, condition2)
+        rule = _final_rule
+    else:
+        rule = _RULES[timing.pairing]
+    return _evaluate(
+        rule, settings.phi11, settings.phi21, settings.phi22, bool(condition1), bool(condition2)
+    )
+
+
+# A sweep at fixed phases asks for the same few (rule, phases, conditions)
+# tables at every point, so each is computed once while it stays among the
+# most recent 256.  Tables are frozen, so sharing them is safe; +0.0 and
+# -0.0 phases share a key and give bit-identical tables (cos is even);
+# typed=True keeps int and float phases apart, as their arithmetic may not be.
+@functools.lru_cache(maxsize=256, typed=True)
+def _evaluate(
+    rule, phi11: float, phi21: float, phi22: float, condition1: bool, condition2: bool
+) -> JointDistribution:
+    return rule(PhaseSettings(phi11, phi21, phi22), condition1, condition2)
 
 
 _TWO_NONBEFORE_PAIRINGS = (

@@ -58,6 +58,16 @@ def boost_time(event: SpacetimeEvent, beta: float) -> float:
     return gamma * (event.t - beta * event.x / SPEED_OF_LIGHT)
 
 
+def _photon2_order_violation(
+    bs21: SpacetimeEvent, bs22: SpacetimeEvent, beta_bs21: float, beta_bs22: float
+) -> str | None:
+    """The first splitter frame in which photon 2 does not reach BS21 before BS22, if any."""
+    for beta, frame in ((beta_bs21, "BS21"), (beta_bs22, "BS22")):
+        if boost_time(bs22, beta) <= boost_time(bs21, beta):
+            return frame
+    return None
+
+
 @dataclass(frozen=True)
 class ImpactSchedule:
     """One impact event per beam splitter plus each splitter's frame velocity.
@@ -80,11 +90,9 @@ class ImpactSchedule:
                 raise ValueError(f"{slot} must be a SpacetimeEvent at {site.value}")
         for name in ("beta_bs11", "beta_bs21", "beta_bs22"):
             _require_beta(name, getattr(self, name))
-        for beta, frame in ((self.beta_bs21, "BS21"), (self.beta_bs22, "BS22")):
-            if boost_time(self.bs22, beta) <= boost_time(self.bs21, beta):
-                raise ValueError(
-                    f"photon 2 must reach BS21 before BS22, violated in the {frame} frame"
-                )
+        frame = _photon2_order_violation(self.bs21, self.bs22, self.beta_bs21, self.beta_bs22)
+        if frame is not None:
+            raise ValueError(f"photon 2 must reach BS21 before BS22, violated in the {frame} frame")
 
     def at_rest(self) -> bool:
         return self.beta_bs11 == 0.0 and self.beta_bs21 == 0.0 and self.beta_bs22 == 0.0
@@ -225,8 +233,9 @@ class ExperimentGeometry:
     Arrival times are path length over c.  Displacing mirror M11 stretches or
     shortens photon 1's path only, which is how one lab ordering is traded
     for another without touching photon 2's legs.  Photon 2 must reach BS21
-    first: its impacts sit at x = +l, t = l / c, so a later lab arrival at
-    BS22 is a later one in every splitter frame too.
+    first, checked with the same own-frame times ImpactSchedule uses: at
+    |beta| > 0, gamma * (t - beta x / c) can round two impacts one ulp apart
+    into a tie, so a longer second leg alone does not guarantee the order.
     """
 
     length_bs11: float
@@ -241,18 +250,31 @@ class ExperimentGeometry:
         for name in ("length_bs11", "length_bs21", "length_bs22"):
             if require_finite(name, getattr(self, name)) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        # Arrival times, not lengths: two lengths one ulp apart can share one.
-        if self.length_bs22 / SPEED_OF_LIGHT <= self.length_bs21 / SPEED_OF_LIGHT:
-            raise ValueError("photon 2 must reach BS21 before BS22: length_bs22 must exceed length_bs21")
         require_finite("m11_displacement", self.m11_displacement)
         if require_finite("effective_length_bs11", self.effective_length_bs11) <= 0.0:
             raise ValueError("m11_displacement makes photon 1's path non-positive")
         for name in ("beta_bs11", "beta_bs21", "beta_bs22"):
             _require_beta(name, getattr(self, name))
+        # Frame times, not lengths: two lengths one ulp apart can share one.
+        frame = _photon2_order_violation(
+            _photon2_impact(Site.BS21, self.length_bs21),
+            _photon2_impact(Site.BS22, self.length_bs22),
+            self.beta_bs21,
+            self.beta_bs22,
+        )
+        if frame is not None:
+            raise ValueError(
+                "photon 2 must reach BS21 before BS22: length_bs22 must exceed length_bs21 "
+                f"(violated in the {frame} frame)"
+            )
 
     @property
     def effective_length_bs11(self) -> float:
         return self.length_bs11 + self.m11_displacement
+
+
+def _photon2_impact(site: Site, length: float) -> SpacetimeEvent:
+    return SpacetimeEvent(site, length / SPEED_OF_LIGHT, length)
 
 
 def schedule_from_geometry(geometry: ExperimentGeometry) -> ImpactSchedule:
@@ -260,8 +282,8 @@ def schedule_from_geometry(geometry: ExperimentGeometry) -> ImpactSchedule:
     l11 = geometry.effective_length_bs11
     return ImpactSchedule(
         bs11=SpacetimeEvent(Site.BS11, l11 / SPEED_OF_LIGHT, -l11),
-        bs21=SpacetimeEvent(Site.BS21, geometry.length_bs21 / SPEED_OF_LIGHT, geometry.length_bs21),
-        bs22=SpacetimeEvent(Site.BS22, geometry.length_bs22 / SPEED_OF_LIGHT, geometry.length_bs22),
+        bs21=_photon2_impact(Site.BS21, geometry.length_bs21),
+        bs22=_photon2_impact(Site.BS22, geometry.length_bs22),
         beta_bs11=geometry.beta_bs11,
         beta_bs21=geometry.beta_bs21,
         beta_bs22=geometry.beta_bs22,

@@ -5,10 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rnlsim
 from rnlsim import ConfigError, ModelVariant, RunConfig, build_run_config, parse_config_file
 from rnlsim.cli import main
 from rnlsim.report import CSV_COLUMNS
@@ -119,6 +123,12 @@ def test_run_config_validation() -> None:
         RunConfig(n_events=2**63)
     with pytest.raises(ConfigError):
         RunConfig(chunk_size=2**63)
+    # At most 2^30 chunks per variant: ceil(n_events / chunk_size) decides.
+    RunConfig(n_events=2**30, chunk_size=1)
+    RunConfig(n_events=2**31, chunk_size=2)
+    for n_events, chunk_size in ((2**30 + 1, 1), (2**31 + 1, 2), (2**63 - 1, 1)):
+        with pytest.raises(ConfigError, match="chunks"):
+            RunConfig(n_events=n_events, chunk_size=chunk_size)
     with pytest.raises(ConfigError):
         RunConfig(phi11_deg=float("nan"))
 
@@ -190,6 +200,23 @@ def test_cli_exit_code_on_config_errors(tmp_path: Path, capsys: pytest.CaptureFi
     assert main(["--chunk-size", too_many]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_refuses_an_endless_chunk_count_promptly() -> None:
+    # 2^63 - 1 one-event chunks would run for millennia.  A child process, so
+    # that a regression is killed at the timeout instead of hanging the suite.
+    package_root = os.path.dirname(os.path.dirname(rnlsim.__file__))
+    code = "import sys; from rnlsim.cli import main; sys.exit(main(sys.argv[1:]))"
+    result = subprocess.run(
+        [sys.executable, "-c", code, "--n-events", str(2**63 - 1), "--chunk-size", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+        timeout=30,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "chunks" in result.stderr
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from rnlsim import (
     sample_counts,
     substream,
 )
-from rnlsim.montecarlo import MAX_EVENTS
+from rnlsim.montecarlo import MAX_CHUNKS, MAX_EVENTS
 from rnlsim.quantum import PROB_ATOL
 
 
@@ -287,6 +287,19 @@ def test_sample_counts_validates_arguments() -> None:
         sample_counts(table, seed=1, variant_index=0, n_events=MAX_EVENTS + 1, chunk_size=10)
     with pytest.raises(ValueError):
         sample_counts(table, seed=1, variant_index=0, n_events=10, chunk_size=MAX_EVENTS + 1)
+
+
+def test_sample_counts_refuses_too_many_chunks_before_drawing(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    def no_stream(seed: int, variant_index: int):
+        raise AssertionError("a refused run must not reach the sampler")
+
+    monkeypatch.setattr("rnlsim.montecarlo.substream", no_stream)
+    table = qm_distinguishable_joint()
+    for n_events, chunk_size in ((MAX_EVENTS, 1), (MAX_CHUNKS + 1, 1), (2 * MAX_CHUNKS + 1, 2)):
+        with pytest.raises(ValueError, match="chunks"):
+            sample_counts(table, seed=1, variant_index=0, n_events=n_events, chunk_size=chunk_size)
 
 
 def test_billion_events_per_variant() -> None:

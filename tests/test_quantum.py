@@ -34,6 +34,15 @@ phases = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False, allow_infin
 settings_strategy = st.builds(PhaseSettings, phases, phases, phases)
 
 
+@given(settings_strategy)
+def test_straight_line_table_is_bit_exact(settings: PhaseSettings) -> None:
+    entrywise = [
+        qm_joint_probability(settings, sigma, omega)
+        for sigma, omega in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    ]
+    assert qm_joint(settings).as_array().tolist() == entrywise
+
+
 def test_key_settings_joint_values() -> None:
     assert qm_joint_probability(KEY_SETTINGS, 1, 1) == pytest.approx(0.5, abs=ATOL)
     assert qm_joint_probability(KEY_SETTINGS, 1, -1) == pytest.approx(0.0, abs=ATOL)

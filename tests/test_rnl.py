@@ -26,6 +26,7 @@ from rnlsim import (
     rnl_joint,
     two_nonbefore_correlation,
 )
+from rnlsim import rnl
 
 ATOL = 1e-12
 
@@ -335,3 +336,75 @@ def test_every_produced_table_is_normalized_with_fair_marginals(settings: PhaseS
             for outcome in (1, -1):
                 assert abs(table.marginal_photon1(outcome) - 0.5) < ATOL
                 assert abs(table.marginal_photon2(outcome) - 0.5) < ATOL
+
+
+# --- memoized rule evaluation -----------------------------------------------------
+
+signed_phases = st.one_of(st.sampled_from((0.0, -0.0)), phases)
+MEMO_CASES = [
+    (timing, variant, condition1, condition2)
+    for timing in ALL_PAIRINGS
+    for variant in ModelVariant
+    for condition1 in (True, False)
+    for condition2 in (True, False)
+]
+
+
+def _bits(prediction) -> tuple[str, ...]:
+    return tuple(float(p).hex() for p in (*prediction.joint.as_array(), prediction.correlation))
+
+
+def _fresh(settings: PhaseSettings, timing, variant, condition1: bool, condition2: bool):
+    rnl._evaluate.cache_clear()
+    return predict(settings, timing, variant, condition1=condition1, condition2=condition2)
+
+
+@given(st.builds(PhaseSettings, signed_phases, signed_phases, signed_phases))
+def test_memoized_predictions_equal_fresh_rule_calls(settings: PhaseSettings) -> None:
+    phis = (settings.phi11, settings.phi21, settings.phi22)
+    # The same phases with every zero's sign flipped share the memo's keys;
+    # each sibling moves one phase, so a key without it returns a stale table.
+    flipped = PhaseSettings(*(-phi if phi == 0.0 else phi for phi in phis))
+    siblings = [
+        PhaseSettings(*(phi + 0.5 if j == i else phi for j, phi in enumerate(phis))) for i in range(3)
+    ]
+    memoized = [
+        (s, (timing, variant, c1, c2), predict(s, timing, variant, condition1=c1, condition2=c2))
+        for s in (settings, flipped, *siblings)
+        for timing, variant, c1, c2 in MEMO_CASES
+    ]
+    for s, case, got in memoized:
+        assert _bits(got) == _bits(_fresh(s, *case))
+
+
+def test_memo_stays_bounded_and_exact() -> None:
+    rnl._evaluate.cache_clear()
+    bound = rnl._evaluate.cache_info().maxsize
+    timing = TimingAssignment.for_series(3)
+    cases = [
+        (PhaseSettings(0.001 * k, -0.002 * k, 0.003 * k), variant)
+        for k in range(2 * bound)
+        for variant in ModelVariant
+    ]
+    memoized = []
+    for settings, variant in cases:
+        memoized.append(predict(settings, timing, variant))
+        assert rnl._evaluate.cache_info().currsize <= bound
+    assert rnl._evaluate.cache_info().currsize == bound
+    # Newest first: the late settings are hits, the evicted early ones are recomputed.
+    for (settings, variant), got in reversed(list(zip(cases, memoized))):
+        assert _bits(predict(settings, timing, variant)) == _bits(got)
+    for (settings, variant), got in zip(cases, memoized):
+        assert _bits(got) == _bits(_fresh(settings, timing, variant, True, True))
+
+
+def test_int_and_float_phases_keep_their_own_tables() -> None:
+    # Equal keys, different arithmetic: 2^53 - (-1) is exact for ints only.
+    timing = TimingAssignment.for_series(3)
+    as_int = PhaseSettings(2**53, -1, 1)
+    as_float = PhaseSettings(2.0**53, -1.0, 1.0)
+    int_first = predict(as_int, timing, ModelVariant.QM)
+    float_second = predict(as_float, timing, ModelVariant.QM)
+    assert _bits(int_first) == _bits(_fresh(as_int, timing, ModelVariant.QM, True, True))
+    assert _bits(float_second) == _bits(_fresh(as_float, timing, ModelVariant.QM, True, True))
+    assert _bits(int_first) != _bits(float_second)

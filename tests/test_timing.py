@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -222,6 +224,34 @@ def test_geometry_rejects_bad_lengths() -> None:
         ExperimentGeometry(
             length_bs11=1e308, length_bs21=1.0, length_bs22=2.0, m11_displacement=1e308
         )
+
+
+@given(
+    length_bs21=st.floats(min_value=1e-3, max_value=1e3),
+    beta_bs21=st.sampled_from((-0.7, -0.3, -0.1, 0.1, 0.3, 0.7)),
+    beta_bs22=st.sampled_from((-0.7, -0.3, -0.1, 0.1, 0.3, 0.7)),
+)
+def test_every_accepted_geometry_yields_a_schedule(
+    length_bs21: float, beta_bs21: float, beta_bs22: float
+) -> None:
+    # Legs one ulp apart: moving-splitter frame times can round into a tie.
+    try:
+        geometry = ExperimentGeometry(
+            2.0,
+            length_bs21,
+            math.nextafter(length_bs21, math.inf),
+            beta_bs21=beta_bs21,
+            beta_bs22=beta_bs22,
+        )
+    except ValueError as exc:
+        assert "BS21 before BS22" in str(exc)
+        return
+    schedule_from_geometry(geometry)
+
+
+def test_geometry_refuses_moving_splitter_ties() -> None:
+    with pytest.raises(ValueError, match="BS21 before BS22"):
+        ExperimentGeometry(2.0, 3.631, math.nextafter(3.631, 4.0), beta_bs21=0.7, beta_bs22=0.7)
 
 
 def test_schedule_from_geometry_times_and_positions() -> None:
