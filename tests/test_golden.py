@@ -1,18 +1,25 @@
-"""Byte-identical CLI output at fixed configs.
+"""Byte-identical CLI output at fixed configs, and bit-identical tables.
 
-A refactor must leave these hashes alone.  They cover the analytic columns
-and the sampled counts, so a change to the RNG stream layout
+A refactor must leave these hashes alone.  The CLI hashes cover the analytic
+columns and the sampled counts, so a change to the RNG stream layout
 (montecarlo.STREAM_LAYOUT) or to numpy's multinomial sampler changes them
-too; such a change must update them and say so in CHANGES.md.
+too; such a change must update them and say so in CHANGES.md.  The CLI
+configs all use phases 45/-45/90, where the two-non-before table is exactly
+flat, so the table hash pins every rule at seeded float phases as well.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
+import random
 
 import pytest
 
+from rnlsim import ModelVariant, PhaseSettings, TimingAssignment, predict
 from rnlsim.cli import main
+from rnlsim.timing import REPRESENTABLE_PAIRINGS
 
 GOLDEN_SHA256 = {
     "--series 1 --format csv": "62ef060b28bf16b66c529574867248121f912b418451c42bd4b53d1cbc4fb834",
@@ -32,3 +39,32 @@ def test_cli_output_is_byte_identical(args: str, capsys: pytest.CaptureFixture) 
     assert main(args.split()) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_SHA256[args]
+
+
+# sha256 of the repr of every predict(...).joint over _table_grid(), one per line.
+TABLE_GRID_SHA256 = "026425f9582e62c038d1c3ba81e19448df768824e2e8720a9959036d3d64f9b1"
+
+
+def _table_grid() -> list[str]:
+    rng = random.Random(1997)
+    settings = [
+        PhaseSettings(*(rng.uniform(-2.0 * math.pi, 2.0 * math.pi) for _ in range(3)))
+        for _ in range(32)
+    ]
+    # REPRESENTABLE_PAIRINGS is a set, so fix the order by label value.
+    pairings = sorted(REPRESENTABLE_PAIRINGS, key=lambda pair: (pair[0].value, pair[1].value))
+    lines = []
+    for phases, (label1, label2), variant, (condition1, condition2) in itertools.product(
+        settings, pairings, ModelVariant, itertools.product((True, False), repeat=2)
+    ):
+        timing = TimingAssignment(label1, label2)
+        joint = predict(phases, timing, variant, condition1=condition1, condition2=condition2).joint
+        lines.append(repr(joint))
+    return lines
+
+
+def test_prediction_tables_are_bit_identical() -> None:
+    lines = _table_grid()
+    assert len(lines) == 32 * 7 * 3 * 4
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == TABLE_GRID_SHA256
