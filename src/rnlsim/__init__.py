@@ -6,8 +6,8 @@ beam splitter and the other two in series, with a deterministic Monte Carlo
 harness for coincidence counting.
 """
 
-from .config import RunConfig, build_run_config, parse_config_file, parse_variants
-from .errors import AmbiguousScheduleError, ConfigError, TopologyError
+from .config import RunConfig, build_run_config, parse_config_file
+from .errors import AmbiguousScheduleError, ConfigError
 from .montecarlo import (
     CoincidenceCounts,
     EstimatorResult,
@@ -16,19 +16,14 @@ from .montecarlo import (
     substream,
 )
 from .quantum import (
-    OUTCOMES,
-    InterferometerTopology,
     JointDistribution,
     PhaseSettings,
     amplitude_oracle,
-    calibrated_topology,
     qm_correlation,
     qm_distinguishable_joint,
     qm_joint,
-    qm_joint_probability,
     qm_single_pair_correlation,
     qm_single_pair_joint,
-    symmetric_splitter,
 )
 from .report import (
     ComparisonReport,
@@ -38,17 +33,8 @@ from .report import (
     render_csv,
     render_json_lines,
     render_table,
-    run_experiment,
 )
-from .rnl import (
-    ConditionalTable,
-    ModelVariant,
-    Prediction,
-    conditional_from_before,
-    predict,
-    rnl_joint,
-    two_nonbefore_correlation,
-)
+from .rnl import ModelVariant, Prediction, predict
 from .timing import (
     SPEED_OF_LIGHT,
     ExperimentGeometry,
@@ -68,15 +54,12 @@ __all__ = [
     "AmbiguousScheduleError",
     "CoincidenceCounts",
     "ComparisonReport",
-    "ConditionalTable",
     "ConfigError",
     "EstimatorResult",
     "ExperimentGeometry",
     "ImpactSchedule",
-    "InterferometerTopology",
     "JointDistribution",
     "ModelVariant",
-    "OUTCOMES",
     "PhaseSettings",
     "PhotonOneLabel",
     "PhotonTwoLabel",
@@ -86,35 +69,26 @@ __all__ = [
     "Site",
     "SpacetimeEvent",
     "TimingAssignment",
-    "TopologyError",
     "VariantRow",
     "Verdict",
     "amplitude_oracle",
     "boost_time",
     "build_run_config",
-    "calibrated_topology",
     "classify",
     "compare_report",
-    "conditional_from_before",
     "estimate_correlation",
     "parse_config_file",
-    "parse_variants",
     "predict",
     "qm_correlation",
     "qm_distinguishable_joint",
     "qm_joint",
-    "qm_joint_probability",
     "qm_single_pair_correlation",
     "qm_single_pair_joint",
     "render_csv",
     "render_json_lines",
     "render_table",
-    "rnl_joint",
-    "run_experiment",
     "sample_counts",
     "schedule_from_geometry",
     "series_preset",
     "substream",
-    "symmetric_splitter",
-    "two_nonbefore_correlation",
 ]

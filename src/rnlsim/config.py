@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .montecarlo import MAX_CHUNKS, MAX_EVENTS
+from .montecarlo import check_run_size
 from .quantum import PhaseSettings
 from .rnl import ModelVariant
 from .timing import ExperimentGeometry, series_preset
@@ -54,21 +54,15 @@ class RunConfig:
         for variant in self.variants:
             if not isinstance(variant, ModelVariant):
                 raise ConfigError(f"unknown variant {variant!r}")
-        if not isinstance(self.n_events, int) or not 1 <= self.n_events <= MAX_EVENTS:
-            raise ConfigError(
-                f"n_events must be an integer in [1, {MAX_EVENTS}], got {self.n_events!r}"
-            )
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.chunk_size, int) or not 1 <= self.chunk_size <= MAX_EVENTS:
-            raise ConfigError(
-                f"chunk_size must be an integer in [1, {MAX_EVENTS}], got {self.chunk_size!r}"
-            )
-        if -(-self.n_events // self.chunk_size) > MAX_CHUNKS:
-            raise ConfigError(
-                f"n_events={self.n_events!r} in chunks of {self.chunk_size!r} needs more than "
-                f"{MAX_CHUNKS} chunks; raise chunk_size"
-            )
+        for name in ("n_events", "chunk_size"):
+            if not isinstance(getattr(self, name), int):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        try:
+            check_run_size(self.n_events, self.chunk_size)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def settings(self) -> PhaseSettings:
         return PhaseSettings.from_degrees(self.phi11_deg, self.phi21_deg, self.phi22_deg)
@@ -105,17 +99,17 @@ def _parse_bool(key: str, text: str) -> bool:
     raise ConfigError(f"{key}: expected true or false, got {text!r}")
 
 
-def parse_variants(text: str) -> tuple[ModelVariant, ...]:
+def _parse_variants(key: str, text: str) -> tuple[ModelVariant, ...]:
     """Comma-separated variant names, case-insensitive."""
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
-        raise ConfigError(f"variants: no variant named in {text!r}")
+        raise ConfigError(f"{key}: no variant named in {text!r}")
     by_name = {variant.value.lower(): variant for variant in ModelVariant}
     variants = []
     for name in names:
         variant = by_name.get(name.lower())
         if variant is None:
-            raise ConfigError(f"variants: unknown variant {name!r}")
+            raise ConfigError(f"{key}: unknown variant {name!r}")
         variants.append(variant)
     return tuple(variants)
 
@@ -129,7 +123,7 @@ _KEY_PARSERS = {
     "phi11_deg": _parse_float,
     "phi21_deg": _parse_float,
     "phi22_deg": _parse_float,
-    "variants": lambda key, text: parse_variants(text),
+    "variants": _parse_variants,
     "n_events": _parse_int,
     "seed": _parse_int,
     "chunk_size": _parse_int,

@@ -9,10 +9,6 @@ class ConfigError(ValueError):
     """Invalid run configuration: unknown key, bad value, or inconsistent inputs."""
 
 
-class TopologyError(ConfigError):
-    """Interferometer description violates its contract, e.g. a non-unitary splitter."""
-
-
 class AmbiguousScheduleError(ValueError):
     """Two impact times fall inside the guard band, so no reliable ordering exists."""
 

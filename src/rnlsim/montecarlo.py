@@ -16,13 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum import JointDistribution
-from .rnl import ModelVariant
 
 # Names the RNG stream layout: the counts printed for a given seed change
 # whenever this does.
 STREAM_LAYOUT = "philox(seed,spawn_key=variant)+multinomial-rows/v3"
-# Canonical stream index per variant, independent of the order requested.
-VARIANT_STREAM_INDEX = {variant: index for index, variant in enumerate(ModelVariant)}
 # Largest n_events and chunk_size: the sampler counts in numpy int64.
 MAX_EVENTS = 2**63 - 1
 # Most chunks (multinomial rows) per variant.  Each row costs a fraction of a
@@ -75,6 +72,19 @@ def substream(seed: int, variant_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
+def check_run_size(n_events: int, chunk_size: int) -> None:
+    """Raise ValueError unless the sampler can draw n_events in chunks of chunk_size."""
+    if not 1 <= n_events <= MAX_EVENTS:
+        raise ValueError(f"n_events must be in [1, {MAX_EVENTS}], got {n_events!r}")
+    if not 1 <= chunk_size <= MAX_EVENTS:
+        raise ValueError(f"chunk_size must be in [1, {MAX_EVENTS}], got {chunk_size!r}")
+    if -(-n_events // chunk_size) > MAX_CHUNKS:
+        raise ValueError(
+            f"n_events={n_events!r} in chunks of {chunk_size!r} needs more than "
+            f"{MAX_CHUNKS} chunks; raise chunk_size"
+        )
+
+
 def sample_counts(
     joint: JointDistribution,
     *,
@@ -89,16 +99,8 @@ def sample_counts(
     chunk_size).  Chunk k draws min(chunk_size, n_events - k * chunk_size)
     events as the k-th draw from substream(seed, variant_index).
     """
-    if not 1 <= n_events <= MAX_EVENTS:
-        raise ValueError(f"n_events must be in [1, {MAX_EVENTS}], got {n_events!r}")
-    if not 1 <= chunk_size <= MAX_EVENTS:
-        raise ValueError(f"chunk_size must be in [1, {MAX_EVENTS}], got {chunk_size!r}")
+    check_run_size(n_events, chunk_size)
     full_chunks, remainder = divmod(n_events, chunk_size)
-    if full_chunks + (remainder > 0) > MAX_CHUNKS:
-        raise ValueError(
-            f"n_events={n_events!r} in chunks of {chunk_size!r} needs more than "
-            f"{MAX_CHUNKS} chunks; raise chunk_size"
-        )
     p = joint.as_array()
     # Only nonzero cells are drawn, so a zero cell can never take the
     # remainder numpy hands to the last cell.  Renormalising absorbs the

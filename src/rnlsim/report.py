@@ -11,7 +11,6 @@ from itertools import combinations
 from .config import RunConfig
 from .montecarlo import (
     STREAM_LAYOUT,
-    VARIANT_STREAM_INDEX,
     CoincidenceCounts,
     EstimatorResult,
     estimate_correlation,
@@ -20,6 +19,8 @@ from .montecarlo import (
 from .rnl import ModelVariant, predict
 from .timing import TimingAssignment, classify, schedule_from_geometry
 
+# Canonical stream index per variant, independent of the order requested.
+VARIANT_STREAM_INDEX = {variant: index for index, variant in enumerate(ModelVariant)}
 # Significance multiplier for calling two variants apart at the configured n.
 VERDICT_SIGMA = 6.0
 
@@ -105,11 +106,6 @@ def compare_report(config: RunConfig) -> ComparisonReport:
             )
         )
     return ComparisonReport(config=config, timing=timing, rows=tuple(rows), verdicts=tuple(verdicts))
-
-
-def run_experiment(config: RunConfig) -> dict[ModelVariant, CoincidenceCounts]:
-    """The counts of compare_report, keyed by variant."""
-    return {row.variant: row.counts for row in compare_report(config).rows}
 
 
 def _row_record(report: ComparisonReport, row: VariantRow) -> dict[str, object]:

@@ -14,14 +14,10 @@ import functools
 from dataclasses import dataclass
 
 from .quantum import (
-    OUTCOMES,
-    PROB_ATOL,
     JointDistribution,
     PhaseSettings,
-    qm_correlation,
     qm_distinguishable_joint,
     qm_joint,
-    qm_single_pair_correlation,
     qm_single_pair_joint,
 )
 from .timing import REPRESENTABLE_PAIRINGS, PhotonOneLabel, PhotonTwoLabel, TimingAssignment
@@ -33,40 +29,6 @@ class ModelVariant(enum.Enum):
     QM = "QM"
     RNL_STANDARD = "RNL_STANDARD"
     RNL_ALTERNATIVE = "RNL_ALTERNATIVE"
-
-
-@dataclass(frozen=True)
-class ConditionalTable:
-    """P(outcome | partner's before value) for one non-before impact."""
-
-    p_plus_given_plus: float
-    p_minus_given_plus: float
-    p_plus_given_minus: float
-    p_minus_given_minus: float
-
-    def __post_init__(self) -> None:
-        for name in (
-            "p_plus_given_plus",
-            "p_minus_given_plus",
-            "p_plus_given_minus",
-            "p_minus_given_minus",
-        ):
-            p = getattr(self, name)
-            if not 0.0 - PROB_ATOL <= p <= 1.0 + PROB_ATOL:
-                raise ValueError(f"{name} = {p!r} is not a probability")
-        for given, total in (
-            (1, self.p_plus_given_plus + self.p_minus_given_plus),
-            (-1, self.p_plus_given_minus + self.p_minus_given_minus),
-        ):
-            if abs(total - 1.0) > PROB_ATOL:
-                raise ValueError(f"column for given={given:+d} sums to {total!r}, expected 1")
-
-    def prob(self, outcome: int, given: int) -> float:
-        if outcome not in OUTCOMES or given not in OUTCOMES:
-            raise ValueError(f"outcome and given must be +1 or -1, got {outcome!r}, {given!r}")
-        if given == 1:
-            return self.p_plus_given_plus if outcome == 1 else self.p_minus_given_plus
-        return self.p_plus_given_minus if outcome == 1 else self.p_minus_given_minus
 
 
 # A rule maps (settings, condition1, condition2) to a joint table.  Dropping
@@ -99,10 +61,8 @@ def _two_nonbefore_rule(label1: PhotonOneLabel):
         cond1 = _conditional(settings, label1, condition1, condition2)
         cond2 = _conditional(settings, _A22, condition1, condition2)
         # (P(outcome | partner's before value +1), P(outcome | -1)) per outcome.
-        plus1 = (cond1.p_plus_given_plus, cond1.p_plus_given_minus)
-        minus1 = (cond1.p_minus_given_plus, cond1.p_minus_given_minus)
-        plus2 = (cond2.p_plus_given_plus, cond2.p_plus_given_minus)
-        minus2 = (cond2.p_minus_given_plus, cond2.p_minus_given_minus)
+        plus1, minus1 = (cond1[0], cond1[2]), (cond1[1], cond1[3])
+        plus2, minus2 = (cond2[0], cond2[2]), (cond2[1], cond2[3])
 
         def entry(photon1: tuple[float, float], photon2: tuple[float, float]) -> float:
             # Summed over (sigma, omega) = (+,+), (+,-), (-,+), (-,-), photon 1
@@ -144,105 +104,25 @@ _ANCHOR_PAIRING = {_A11_21: (_A11_21, _B21), _A11_22: (_A11_22, _B22), _A22: (_B
 
 def _conditional(
     settings: PhaseSettings, which: PhotonOneLabel | PhotonTwoLabel, condition1: bool, condition2: bool
-) -> ConditionalTable:
+) -> tuple[float, float, float, float]:
+    """Conditional linking a non-before outcome to the partner's before value.
+
+    Returns (P(+|+), P(-|+), P(+|-), P(-|-)), each column summing to 1.  The
+    table is pinned by one requirement: summing the flat before statistics
+    against it must reproduce the quantum table of the matching mixed
+    experiment.  That forces P(out | given) = 2 * P_mixed(out, given).
+    a11[21] conditions on the BS21 before value, a11[22] on the BS22 one and
+    a22 on the BS11 one (the partner's own other before value drops out).
+    """
     if which not in _ANCHOR_PAIRING:
         raise ValueError(f"conditionals exist only for non-before impacts, got {which!r}")
     anchor = _RULES[_ANCHOR_PAIRING[which]](settings, condition1, condition2)
-    # P(out | given) = 2 * P_anchor(out, given); photon 2's outcome is the
-    # anchor's second index, photon 1's its first.
+    # Photon 2's outcome is the anchor's second index, photon 1's its first.
     if isinstance(which, PhotonTwoLabel):
         minus_given_plus, plus_given_minus = anchor.p_pm, anchor.p_mp
     else:
         minus_given_plus, plus_given_minus = anchor.p_mp, anchor.p_pm
-    return ConditionalTable(
-        2.0 * anchor.p_pp, 2.0 * minus_given_plus, 2.0 * plus_given_minus, 2.0 * anchor.p_mm
-    )
-
-
-def conditional_from_before(
-    settings: PhaseSettings,
-    which: PhotonOneLabel | PhotonTwoLabel,
-    *,
-    indistinguishable: bool = True,
-) -> ConditionalTable:
-    """Conditional linking a non-before outcome to the partner's before value.
-
-    The table is pinned by one requirement: summing the flat before
-    statistics against it must reproduce the quantum table of the matching
-    mixed experiment.  That forces P(out | given) = 2 * P_mixed(out, given).
-    a11[21] conditions on the BS21 before value, a11[22] on the BS22 one and
-    a22 on the BS11 one (the partner's own other before value drops out).
-    """
-    return _conditional(settings, which, indistinguishable, indistinguishable)
-
-
-def rnl_joint(
-    settings: PhaseSettings,
-    timing: TimingAssignment,
-    variant: ModelVariant,
-    *,
-    condition1: bool = True,
-    condition2: bool = True,
-) -> JointDistribution:
-    """Joint outcome table for one timing assignment under one model variant.
-
-    condition1 asserts that pairs are indistinguishable when photon 2 is
-    detected between its splitters, condition2 that paths are unknowable
-    after the final splitter; dropping either replaces the affected quantum
-    table by the flat one.  The QM variant ignores timing.  The standard and
-    alternative rule sets differ only on the (a11[21], a22) pairing, where
-    the alternative keeps the full quantum table.
-    """
-    if not isinstance(variant, ModelVariant):
-        raise ValueError(f"variant must be a ModelVariant, got {variant!r}")
-    if not isinstance(timing, TimingAssignment):
-        raise ValueError(f"timing must be a TimingAssignment, got {timing!r}")
-    if variant is ModelVariant.QM or (
-        variant is ModelVariant.RNL_ALTERNATIVE and timing.pairing == (_A11_21, _A22)
-    ):
-        rule = _final_rule
-    else:
-        rule = _RULES[timing.pairing]
-    return _evaluate(
-        rule, settings.phi11, settings.phi21, settings.phi22, bool(condition1), bool(condition2)
-    )
-
-
-# A sweep at fixed phases asks for the same few (rule, phases, conditions)
-# tables at every point, so each is computed once while it stays among the
-# most recent 256.  Tables are frozen, so sharing them is safe; +0.0 and
-# -0.0 phases share a key and give bit-identical tables (cos is even);
-# typed=True keeps int and float phases apart, as their arithmetic may not be.
-@functools.lru_cache(maxsize=256, typed=True)
-def _evaluate(
-    rule, phi11: float, phi21: float, phi22: float, condition1: bool, condition2: bool
-) -> JointDistribution:
-    return rule(PhaseSettings(phi11, phi21, phi22), condition1, condition2)
-
-
-_TWO_NONBEFORE_PAIRINGS = (
-    (PhotonOneLabel.A11_22, PhotonTwoLabel.A22),
-    (PhotonOneLabel.A11_21, PhotonTwoLabel.A22),
-)
-
-
-def two_nonbefore_correlation(
-    settings: PhaseSettings, pairing: tuple[PhotonOneLabel, PhotonTwoLabel]
-) -> float:
-    """Product form of the two-non-before theorem: E(b,b) * E(a,b) * E(b,a).
-
-    The all-before factor vanishes identically, so the product does too; it
-    is still evaluated factor by factor rather than short-circuited.
-    """
-    if pairing not in _TWO_NONBEFORE_PAIRINGS:
-        raise ValueError(f"pairing must be one of {_TWO_NONBEFORE_PAIRINGS}, got {pairing!r}")
-    e_before_before = qm_distinguishable_joint().correlation
-    if pairing[0] is PhotonOneLabel.A11_22:
-        e_photon1_mixed = qm_correlation(settings)
-    else:
-        e_photon1_mixed = qm_single_pair_correlation(settings.phi11, settings.phi21)
-    e_photon2_mixed = qm_correlation(settings)
-    return e_before_before * e_photon1_mixed * e_photon2_mixed
+    return 2.0 * anchor.p_pp, 2.0 * minus_given_plus, 2.0 * plus_given_minus, 2.0 * anchor.p_mm
 
 
 @dataclass(frozen=True)
@@ -261,6 +141,38 @@ def predict(
     condition1: bool = True,
     condition2: bool = True,
 ) -> Prediction:
-    """Facade: the joint table for (settings, timing, variant) plus its correlation."""
-    joint = rnl_joint(settings, timing, variant, condition1=condition1, condition2=condition2)
+    """Joint table and correlation for one timing assignment under one model variant.
+
+    condition1 asserts that pairs are indistinguishable when photon 2 is
+    detected between its splitters, condition2 that paths are unknowable
+    after the final splitter; dropping either replaces the affected quantum
+    table by the flat one.  The QM variant ignores timing.  The standard and
+    alternative rule sets differ only on the (a11[21], a22) pairing, where
+    the alternative keeps the full quantum table.
+    """
+    if not isinstance(variant, ModelVariant):
+        raise ValueError(f"variant must be a ModelVariant, got {variant!r}")
+    if not isinstance(timing, TimingAssignment):
+        raise ValueError(f"timing must be a TimingAssignment, got {timing!r}")
+    if variant is ModelVariant.QM or (
+        variant is ModelVariant.RNL_ALTERNATIVE and timing.pairing == (_A11_21, _A22)
+    ):
+        rule = _final_rule
+    else:
+        rule = _RULES[timing.pairing]
+    joint = _evaluate(
+        rule, settings.phi11, settings.phi21, settings.phi22, bool(condition1), bool(condition2)
+    )
     return Prediction(joint=joint, correlation=joint.correlation)
+
+
+# A sweep at fixed phases asks for the same few (rule, phases, conditions)
+# tables at every point, so each is computed once while it stays among the
+# most recent 256.  Tables are frozen, so sharing them is safe; phases are
+# always floats, and +0.0 and -0.0 share a key and give bit-identical
+# tables (cos is even).
+@functools.lru_cache(maxsize=256)
+def _evaluate(
+    rule, phi11: float, phi21: float, phi22: float, condition1: bool, condition2: bool
+) -> JointDistribution:
+    return rule(PhaseSettings(phi11, phi21, phi22), condition1, condition2)

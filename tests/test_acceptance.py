@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from helpers import counts_by_variant, marginal_photon1, marginal_photon2, theorem_product
 from rnlsim import (
     ModelVariant,
     PhaseSettings,
@@ -25,16 +26,14 @@ from rnlsim import (
     classify,
     compare_report,
     estimate_correlation,
+    predict,
     qm_correlation,
     qm_distinguishable_joint,
     qm_joint,
     qm_single_pair_joint,
     render_csv,
-    rnl_joint,
-    run_experiment,
     schedule_from_geometry,
     series_preset,
-    two_nonbefore_correlation,
 )
 
 ATOL = 1e-12
@@ -51,9 +50,9 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_closed_form_values_at_key_settings() -> None:
     e_qm = qm_correlation(KEY)
-    e_standard = rnl_joint(KEY, SERIES3, ModelVariant.RNL_STANDARD).correlation
-    e_theorem = two_nonbefore_correlation(KEY, (PhotonOneLabel.A11_21, PhotonTwoLabel.A22))
-    e_alternative = rnl_joint(KEY, SERIES3, ModelVariant.RNL_ALTERNATIVE).correlation
+    e_standard = predict(KEY, SERIES3, ModelVariant.RNL_STANDARD).correlation
+    e_theorem = theorem_product(KEY, PhotonOneLabel.A11_21)
+    e_alternative = predict(KEY, SERIES3, ModelVariant.RNL_ALTERNATIVE).correlation
     ok = (
         abs(e_qm - 1.0) < ATOL
         and abs(e_standard) < ATOL
@@ -98,8 +97,8 @@ def test_criterion_3_two_nonbefore_theorem_sweep() -> None:
         settings = PhaseSettings(*rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=3))
         for label1 in (PhotonOneLabel.A11_22, PhotonOneLabel.A11_21):
             timing = TimingAssignment(label1, PhotonTwoLabel.A22)
-            from_table = rnl_joint(settings, timing, ModelVariant.RNL_STANDARD).correlation
-            from_product = two_nonbefore_correlation(settings, timing.pairing)
+            from_table = predict(settings, timing, ModelVariant.RNL_STANDARD).correlation
+            from_product = theorem_product(settings, label1)
             worst_table = max(worst_table, abs(from_table))
             worst_gap = max(worst_gap, abs(from_table - from_product))
     elapsed = time.perf_counter() - started
@@ -153,7 +152,7 @@ def test_criterion_4_timing_classification_and_boosts() -> None:
 def test_criterion_5_monte_carlo_run_at_key_settings() -> None:
     config = RunConfig(n_events=1_000_000, seed=1)
     started = time.perf_counter()
-    counts = run_experiment(config)
+    counts = counts_by_variant(config)
     elapsed = time.perf_counter() - started
     estimates = {variant: estimate_correlation(counts[variant]) for variant in counts}
     qm_exact = estimates[ModelVariant.QM].e_hat == 1.0
@@ -161,7 +160,7 @@ def test_criterion_5_monte_carlo_run_at_key_settings() -> None:
     standard_small = abs(estimates[ModelVariant.RNL_STANDARD].e_hat) < 0.005
 
     # Counts are a pure function of the config, and every event is counted.
-    repeat_identical = run_experiment(config) == counts
+    repeat_identical = counts_by_variant(config) == counts
     totals_ok = all(c.n_total == config.n_events for c in counts.values())
     ok = (
         qm_exact
@@ -219,18 +218,18 @@ def test_criterion_7_distribution_invariants_sweep() -> None:
             table = qm_single_pair_joint(settings.phi11, settings.phi21)
         else:
             timing = pairings[index % len(pairings)]
-            table = rnl_joint(settings, timing, variants[index % len(variants)])
+            table = predict(settings, timing, variants[index % len(variants)]).joint
         checked += 1
         worst = max(
             worst,
             abs(sum(table.as_array()) - 1.0),
-            abs(table.marginal_photon1(1) - 0.5),
-            abs(table.marginal_photon1(-1) - 0.5),
-            abs(table.marginal_photon2(1) - 0.5),
-            abs(table.marginal_photon2(-1) - 0.5),
+            abs(marginal_photon1(table, 1) - 0.5),
+            abs(marginal_photon1(table, -1) - 0.5),
+            abs(marginal_photon2(table, 1) - 0.5),
+            abs(marginal_photon2(table, -1) - 0.5),
         )
     flat = qm_distinguishable_joint()
-    worst = max(worst, abs(sum(flat.as_array()) - 1.0), abs(flat.marginal_photon1(1) - 0.5))
+    worst = max(worst, abs(sum(flat.as_array()) - 1.0), abs(marginal_photon1(flat, 1) - 0.5))
     ok = worst < ATOL and checked == 10_000
     _verdict(
         "criterion 7 (normalization and fair marginals, 10^4 random tables)",

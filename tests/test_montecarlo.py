@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from helpers import counts_by_variant
 from rnlsim import (
     CoincidenceCounts,
     JointDistribution,
@@ -19,11 +20,10 @@ from rnlsim import (
     estimate_correlation,
     predict,
     qm_distinguishable_joint,
-    rnl_joint,
-    run_experiment,
     sample_counts,
     substream,
 )
+from rnlsim import rnl
 from rnlsim.montecarlo import MAX_CHUNKS, MAX_EVENTS
 from rnlsim.quantum import PROB_ATOL
 
@@ -205,7 +205,7 @@ def test_estimator_is_bounded(counts: tuple[int, int, int, int]) -> None:
 
 def test_run_experiment_key_settings() -> None:
     config = RunConfig(n_events=20_000, seed=9)
-    counts = run_experiment(config)
+    counts = counts_by_variant(config)
     assert set(counts) == set(ModelVariant)
     for variant in (ModelVariant.QM, ModelVariant.RNL_ALTERNATIVE):
         assert counts[variant].r_pm == 0
@@ -216,23 +216,32 @@ def test_run_experiment_key_settings() -> None:
 
 
 def test_compare_report_predicts_each_variant_once(monkeypatch: pytest.MonkeyPatch) -> None:
-    # Counted below predict, so a prediction made from any module is seen.
+    # Counted below predict and above its memo, so every prediction made
+    # from any module is seen.  At the default series-3 timing, QM and the
+    # alternative rules evaluate the final-stage rule, the standard rules
+    # the factorized one.
     calls = []
+    evaluate = rnl._evaluate
 
-    def counting_rnl_joint(settings, timing, variant, **conditions):
-        calls.append(variant)
-        return rnl_joint(settings, timing, variant, **conditions)
+    def counting_evaluate(rule, *args):
+        calls.append(rule)
+        return evaluate(rule, *args)
 
-    monkeypatch.setattr("rnlsim.rnl.rnl_joint", counting_rnl_joint)
+    monkeypatch.setattr("rnlsim.rnl._evaluate", counting_evaluate)
+    expected = {
+        ModelVariant.QM: rnl._final_rule,
+        ModelVariant.RNL_STANDARD: rnl._RULES[TimingAssignment.for_series(3).pairing],
+        ModelVariant.RNL_ALTERNATIVE: rnl._final_rule,
+    }
     for variants in (tuple(ModelVariant), (ModelVariant.RNL_STANDARD,)):
         calls.clear()
         compare_report(RunConfig(n_events=1000, variants=variants))
-        assert tuple(calls) == variants
+        assert tuple(calls) == tuple(expected[variant] for variant in variants)
 
 
 def test_run_experiment_is_deterministic() -> None:
     config = RunConfig(n_events=30_000, seed=11)
-    assert run_experiment(config) == run_experiment(config)
+    assert counts_by_variant(config) == counts_by_variant(config)
 
 
 def test_run_results_do_not_depend_on_variant_order() -> None:
@@ -242,8 +251,8 @@ def test_run_results_do_not_depend_on_variant_order() -> None:
         seed=13,
         variants=(ModelVariant.RNL_STANDARD, ModelVariant.QM, ModelVariant.RNL_ALTERNATIVE),
     )
-    counts_base = run_experiment(base)
-    counts_reordered = run_experiment(reordered)
+    counts_base = counts_by_variant(base)
+    counts_reordered = counts_by_variant(reordered)
     for variant in ModelVariant:
         assert counts_base[variant] == counts_reordered[variant]
 
@@ -260,7 +269,7 @@ def test_estimates_converge_across_seeds() -> None:
             analytic = predict(RunConfig(series=series).settings(), timing, variant).correlation
             for seed in range(20):
                 config = RunConfig(series=series, n_events=n, seed=seed, variants=(variant,))
-                counts = run_experiment(config)[variant]
+                counts = counts_by_variant(config)[variant]
                 result = estimate_correlation(counts)
                 cells += 1
                 if abs(result.e_hat - analytic) > 5.0 * result.stderr:

@@ -9,20 +9,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import cell, marginal_photon1, marginal_photon2
 from rnlsim import (
-    InterferometerTopology,
     JointDistribution,
+    ModelVariant,
     PhaseSettings,
-    TopologyError,
+    TimingAssignment,
     amplitude_oracle,
-    calibrated_topology,
+    predict,
     qm_correlation,
     qm_distinguishable_joint,
     qm_joint,
-    qm_joint_probability,
     qm_single_pair_correlation,
     qm_single_pair_joint,
-    symmetric_splitter,
 )
 
 ATOL = 1e-12
@@ -34,20 +33,28 @@ phases = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False, allow_infin
 settings_strategy = st.builds(PhaseSettings, phases, phases, phases)
 
 
+def _straight_line(settings: PhaseSettings, sigma: int, omega: int) -> float:
+    """P(sigma, omega) = 1/4 + (sigma*omega/8) [cos(phi11 - phi21 - phi22) - cos(phi11 - phi21 + phi22)]."""
+    delta = settings.phi11 - settings.phi21
+    fringe = math.cos(delta - settings.phi22) - math.cos(delta + settings.phi22)
+    return 0.25 + (sigma * omega / 8.0) * fringe
+
+
 @given(settings_strategy)
 def test_straight_line_table_is_bit_exact(settings: PhaseSettings) -> None:
     entrywise = [
-        qm_joint_probability(settings, sigma, omega)
+        _straight_line(settings, sigma, omega)
         for sigma, omega in ((1, 1), (1, -1), (-1, 1), (-1, -1))
     ]
     assert qm_joint(settings).as_array().tolist() == entrywise
 
 
 def test_key_settings_joint_values() -> None:
-    assert qm_joint_probability(KEY_SETTINGS, 1, 1) == pytest.approx(0.5, abs=ATOL)
-    assert qm_joint_probability(KEY_SETTINGS, 1, -1) == pytest.approx(0.0, abs=ATOL)
-    assert qm_joint_probability(KEY_SETTINGS, -1, 1) == pytest.approx(0.0, abs=ATOL)
-    assert qm_joint_probability(KEY_SETTINGS, -1, -1) == pytest.approx(0.5, abs=ATOL)
+    table = qm_joint(KEY_SETTINGS)
+    assert table.p_pp == pytest.approx(0.5, abs=ATOL)
+    assert table.p_pm == pytest.approx(0.0, abs=ATOL)
+    assert table.p_mp == pytest.approx(0.0, abs=ATOL)
+    assert table.p_mm == pytest.approx(0.5, abs=ATOL)
 
 
 def test_key_settings_correlation_is_unity() -> None:
@@ -56,9 +63,8 @@ def test_key_settings_correlation_is_unity() -> None:
 
 def test_zero_final_phase_flattens_the_table() -> None:
     settings = PhaseSettings(0.3, -1.2, 0.0)
-    for sigma in (1, -1):
-        for omega in (1, -1):
-            assert qm_joint_probability(settings, sigma, omega) == pytest.approx(0.25, abs=ATOL)
+    for p in qm_joint(settings).as_array():
+        assert p == pytest.approx(0.25, abs=ATOL)
     assert qm_correlation(settings) == pytest.approx(0.0, abs=ATOL)
 
 
@@ -73,8 +79,8 @@ def test_single_pair_correlation_values() -> None:
 def test_single_pair_joint_table_matches_its_correlation() -> None:
     table = qm_single_pair_joint(0.9, 0.1)
     e = qm_single_pair_correlation(0.9, 0.1)
-    assert table.prob(1, 1) == pytest.approx(0.25 + e / 4.0, abs=ATOL)
-    assert table.prob(1, -1) == pytest.approx(0.25 - e / 4.0, abs=ATOL)
+    assert table.p_pp == pytest.approx(0.25 + e / 4.0, abs=ATOL)
+    assert table.p_pm == pytest.approx(0.25 - e / 4.0, abs=ATOL)
     assert table.correlation == pytest.approx(e, abs=ATOL)
 
 
@@ -84,13 +90,6 @@ def test_distinguishable_table_is_flat() -> None:
     assert table.correlation == 0.0
 
 
-def test_outcomes_must_be_plus_or_minus_one() -> None:
-    with pytest.raises(ValueError):
-        qm_joint_probability(KEY_SETTINGS, 0, 1)
-    with pytest.raises(ValueError):
-        qm_joint(KEY_SETTINGS).prob(1, 2)
-
-
 def test_non_finite_phase_rejected() -> None:
     with pytest.raises(ValueError):
         PhaseSettings(float("nan"), 0.0, 0.0)
@@ -98,6 +97,23 @@ def test_non_finite_phase_rejected() -> None:
         PhaseSettings(0.0, float("inf"), 0.0)
     with pytest.raises(ValueError):
         qm_single_pair_correlation(float("nan"), 0.0)
+
+
+def test_string_phases_are_stored_as_floats() -> None:
+    settings = PhaseSettings("0.5", 0, 0)
+    assert settings == PhaseSettings(0.5, 0.0, 0.0)
+    assert all(type(phi) is float for phi in (settings.phi11, settings.phi21, settings.phi22))
+    prediction = predict(settings, TimingAssignment.for_series(3), ModelVariant.QM)
+    assert prediction.joint == qm_joint(PhaseSettings(0.5, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        PhaseSettings("half", 0, 0)
+
+
+def test_string_probabilities_are_stored_as_floats() -> None:
+    table = JointDistribution("0.25", 0.25, 0.25, 0.25)
+    assert table == qm_distinguishable_joint()
+    assert type(table.p_pp) is float
+    assert table.correlation == 0.0
 
 
 def test_from_degrees_conversion() -> None:
@@ -114,7 +130,7 @@ def test_joint_distribution_validation() -> None:
         JointDistribution(-0.1, 0.4, 0.4, 0.3)  # genuinely negative
     # A degenerate but normalized table is allowed (used for sampler tests).
     degenerate = JointDistribution(1.0, 0.0, 0.0, 0.0)
-    assert degenerate.prob(1, 1) == 1.0
+    assert degenerate.p_pp == 1.0
     # Rounding-level negatives clamp to zero.
     clamped = JointDistribution(0.5, -1e-17, 0.0, 0.5)
     assert clamped.p_pm == 0.0
@@ -125,15 +141,15 @@ def test_table_normalization_and_fair_marginals(settings: PhaseSettings) -> None
     table = qm_joint(settings)
     assert abs(sum(table.as_array()) - 1.0) < ATOL
     for outcome in (1, -1):
-        assert abs(table.marginal_photon1(outcome) - 0.5) < ATOL
-        assert abs(table.marginal_photon2(outcome) - 0.5) < ATOL
+        assert abs(marginal_photon1(table, outcome) - 0.5) < ATOL
+        assert abs(marginal_photon2(table, outcome) - 0.5) < ATOL
 
 
 @given(settings_strategy)
 def test_correlation_consistent_with_table(settings: PhaseSettings) -> None:
     table = qm_joint(settings)
     from_table = sum(
-        sigma * omega * table.prob(sigma, omega) for sigma in (1, -1) for omega in (1, -1)
+        sigma * omega * cell(table, sigma, omega) for sigma in (1, -1) for omega in (1, -1)
     )
     assert abs(from_table - qm_correlation(settings)) < ATOL
 
@@ -154,9 +170,7 @@ def test_two_pi_periodicity(settings: PhaseSettings, which: str) -> None:
     )
     for sigma in (1, -1):
         for omega in (1, -1):
-            delta = qm_joint_probability(settings, sigma, omega) - qm_joint_probability(
-                shifted, sigma, omega
-            )
+            delta = cell(qm_joint(settings), sigma, omega) - cell(qm_joint(shifted), sigma, omega)
             assert abs(delta) < ATOL
 
 
@@ -182,36 +196,6 @@ def test_oracle_distribution_is_normalized_with_fair_marginals() -> None:
         table = amplitude_oracle(settings)
         assert abs(sum(table.as_array()) - 1.0) < ATOL
         for outcome in (1, -1):
-            assert abs(table.marginal_photon1(outcome) - 0.5) < ATOL
-            assert abs(table.marginal_photon2(outcome) - 0.5) < ATOL
+            assert abs(marginal_photon1(table, outcome) - 0.5) < ATOL
+            assert abs(marginal_photon2(table, outcome) - 0.5) < ATOL
 
-
-def test_moving_the_phi21_phase_to_the_other_arm_flips_the_fringe() -> None:
-    # The uncalibrated placement produces the phi11 + phi21 fringe instead.
-    s = symmetric_splitter()
-    flipped = InterferometerTopology(s, s, s, phi21_arm=0)
-    settings = PhaseSettings(0.4, 0.9, 1.3)
-    mirrored = PhaseSettings(0.4, -0.9, 1.3)
-    got = amplitude_oracle(settings, flipped)
-    expected = qm_joint(mirrored)
-    assert np.max(np.abs(got.as_array() - expected.as_array())) < ATOL
-
-
-def test_non_unitary_splitter_rejected() -> None:
-    bad = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
-    good = symmetric_splitter()
-    with pytest.raises(TopologyError):
-        InterferometerTopology(bad, good, good)
-
-
-def test_bad_arm_index_rejected() -> None:
-    s = symmetric_splitter()
-    with pytest.raises(TopologyError):
-        InterferometerTopology(s, s, s, phi11_arm=2)
-
-
-def test_calibrated_topology_uses_symmetric_splitters() -> None:
-    topology = calibrated_topology()
-    expected = symmetric_splitter()
-    for matrix in (topology.splitter_11, topology.splitter_21, topology.splitter_22):
-        assert np.allclose(matrix, expected, atol=ATOL)
