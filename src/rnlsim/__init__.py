@@ -41,7 +41,6 @@ from .timing import (
     ImpactSchedule,
     PhotonOneLabel,
     PhotonTwoLabel,
-    Site,
     SpacetimeEvent,
     TimingAssignment,
     boost_time,
@@ -66,7 +65,6 @@ __all__ = [
     "Prediction",
     "RunConfig",
     "SPEED_OF_LIGHT",
-    "Site",
     "SpacetimeEvent",
     "TimingAssignment",
     "VariantRow",

@@ -39,7 +39,12 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name in ("phi11_deg", "phi21_deg", "phi22_deg"):
-            if not math.isfinite(getattr(self, name)):
+            # Checked, not converted: the CSV prints the value as given.
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except TypeError:
+                raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}") from None
+            if not finite:
                 raise ConfigError(f"{name} must be finite")
         if (self.series is None) == (self.geometry is None):
             raise ConfigError("exactly one of series and geometry must be set")

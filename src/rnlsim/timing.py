@@ -18,15 +18,7 @@ from .errors import AmbiguousScheduleError, require_finite
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 # Frame-time differences smaller than this are refused as unclassifiable.
-DEFAULT_GUARD_BAND_S = 1e-15
-
-
-class Site(enum.Enum):
-    """The three beam splitters: BS11 for photon 1, BS21 then BS22 for photon 2."""
-
-    BS11 = "BS11"
-    BS21 = "BS21"
-    BS22 = "BS22"
+GUARD_BAND_S = 1e-15
 
 
 def _require_beta(name: str, beta: float) -> float:
@@ -40,20 +32,21 @@ def _require_beta(name: str, beta: float) -> float:
 class SpacetimeEvent:
     """A beam-splitter impact at lab time t (s) and axis position x (m)."""
 
-    site: Site
     t: float
     x: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.site, Site):
-            raise ValueError(f"site must be a Site, got {self.site!r}")
         require_finite("t", self.t)
         require_finite("x", self.x)
 
 
 def boost_time(event: SpacetimeEvent, beta: float) -> float:
     """Impact time in a frame moving at beta = v/c along the axis: gamma * (t - beta x / c)."""
-    beta = _require_beta("beta", beta)
+    return _boost(event, _require_beta("beta", beta))
+
+
+def _boost(event: SpacetimeEvent, beta: float) -> float:
+    """boost_time for a beta already checked."""
     gamma = 1.0 / math.sqrt(1.0 - beta * beta)
     return gamma * (event.t - beta * event.x / SPEED_OF_LIGHT)
 
@@ -63,7 +56,7 @@ def _photon2_order_violation(
 ) -> str | None:
     """The first splitter frame in which photon 2 does not reach BS21 before BS22, if any."""
     for beta, frame in ((beta_bs21, "BS21"), (beta_bs22, "BS22")):
-        if boost_time(bs22, beta) <= boost_time(bs21, beta):
+        if _boost(bs22, beta) <= _boost(bs21, beta):
             return frame
     return None
 
@@ -84,12 +77,12 @@ class ImpactSchedule:
     beta_bs22: float = 0.0
 
     def __post_init__(self) -> None:
-        for slot, site in (("bs11", Site.BS11), ("bs21", Site.BS21), ("bs22", Site.BS22)):
-            event = getattr(self, slot)
-            if not isinstance(event, SpacetimeEvent) or event.site is not site:
-                raise ValueError(f"{slot} must be a SpacetimeEvent at {site.value}")
+        for slot in ("bs11", "bs21", "bs22"):
+            if not isinstance(getattr(self, slot), SpacetimeEvent):
+                raise ValueError(f"{slot} must be a SpacetimeEvent")
         for name in ("beta_bs11", "beta_bs21", "beta_bs22"):
-            _require_beta(name, getattr(self, name))
+            # Stored as checked floats, so classify boosts without re-checking.
+            object.__setattr__(self, name, _require_beta(name, getattr(self, name)))
         frame = _photon2_order_violation(self.bs21, self.bs22, self.beta_bs21, self.beta_bs22)
         if frame is not None:
             raise ValueError(f"photon 2 must reach BS21 before BS22, violated in the {frame} frame")
@@ -113,26 +106,12 @@ class PhotonTwoLabel(enum.Enum):
     B22 = "b22"  # final impact before BS11's (and the BS21 one too)
     A22 = "a22"  # final impact non-before
 
-REPRESENTABLE_PAIRINGS = frozenset(
-    {
-        (PhotonOneLabel.B11, PhotonTwoLabel.B21),
-        (PhotonOneLabel.B11, PhotonTwoLabel.B22),
-        (PhotonOneLabel.B11, PhotonTwoLabel.A22),
-        (PhotonOneLabel.A11_21, PhotonTwoLabel.B21),
-        (PhotonOneLabel.A11_21, PhotonTwoLabel.A22),
-        (PhotonOneLabel.A11_22, PhotonTwoLabel.B22),
-        (PhotonOneLabel.A11_22, PhotonTwoLabel.A22),
-    }
-)
 
-# Rest-frame (label1, label2, bs21_before) of each lab-ordering series.
-_SERIES_ASSIGNMENTS = {
-    1: (PhotonOneLabel.A11_22, PhotonTwoLabel.B22, True),
-    2: (PhotonOneLabel.B11, PhotonTwoLabel.A22, False),
-    3: (PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True),
-}
+# The lab-ordering series of each pairing a schedule at rest can have.
 _SERIES_BY_PAIRING = {
-    (label1, label2): series for series, (label1, label2, _) in _SERIES_ASSIGNMENTS.items()
+    (PhotonOneLabel.A11_22, PhotonTwoLabel.B22): 1,
+    (PhotonOneLabel.B11, PhotonTwoLabel.A22): 2,
+    (PhotonOneLabel.A11_21, PhotonTwoLabel.A22): 3,
 }
 
 
@@ -154,9 +133,11 @@ class TimingAssignment:
     def __post_init__(self) -> None:
         if not isinstance(self.label1, PhotonOneLabel) or not isinstance(self.label2, PhotonTwoLabel):
             raise ValueError("labels must be PhotonOneLabel and PhotonTwoLabel")
-        if self.pairing not in REPRESENTABLE_PAIRINGS:
+        # Photon 2 detected between its splitters never reaches BS22, so
+        # photon 1 cannot be non-before relative to that impact.
+        if self.label1 is PhotonOneLabel.A11_22 and self.label2 is PhotonTwoLabel.B21:
             raise ValueError(f"pairing ({self.label1.value}, {self.label2.value}) is not representable")
-        if self.label2 in (PhotonTwoLabel.B21, PhotonTwoLabel.B22) and not self.bs21_before:
+        if self.label2 is not PhotonTwoLabel.A22 and not self.bs21_before:
             raise ValueError(f"label {self.label2.value} requires the BS21 impact to be before")
         if self.series is not None and self.series not in (1, 2, 3):
             raise ValueError(f"series must be 1, 2 or 3, got {self.series!r}")
@@ -165,59 +146,45 @@ class TimingAssignment:
     def pairing(self) -> tuple[PhotonOneLabel, PhotonTwoLabel]:
         return (self.label1, self.label2)
 
-    @classmethod
-    def for_series(cls, series: int) -> "TimingAssignment":
-        """Rest-frame assignment of one of the three lab-ordering series."""
-        if series not in _SERIES_ASSIGNMENTS:
-            raise ValueError(f"series must be 1, 2 or 3, got {series!r}")
-        label1, label2, bs21_before = _SERIES_ASSIGNMENTS[series]
-        return cls(label1, label2, bs21_before, series)
 
-
-def _strictly_before(t_a: float, t_b: float, guard: float, what: str) -> bool:
+def _strictly_before(t_a: float, t_b: float, what: str) -> bool:
     """Whether t_a < t_b, refusing differences inside the guard band."""
-    if abs(t_b - t_a) < guard:
+    if abs(t_b - t_a) < GUARD_BAND_S:
         raise AmbiguousScheduleError(
-            f"{what}: times {t_a!r} and {t_b!r} differ by less than the guard band {guard!r} s"
+            f"{what}: times {t_a!r} and {t_b!r} differ by less than the guard band {GUARD_BAND_S!r} s"
         )
     return t_a < t_b
 
 
-def classify(
-    schedule: ImpactSchedule, *, guard_band_s: float = DEFAULT_GUARD_BAND_S
-) -> TimingAssignment:
+def classify(schedule: ImpactSchedule) -> TimingAssignment:
     """Label both photons' impacts from the frame-relative time orderings.
 
     Photon 1 (times in BS11's frame): before if BS11's impact precedes the
     partner's first one, otherwise non-before relative to the first partner
     splitter it did not precede.  Photon 2's final impact is before only if
     it precedes BS11's in BS22's frame and the BS21 impact does so too in
-    BS21's frame; ties count as non-before.  Near-ties inside the guard band
-    raise AmbiguousScheduleError instead of silently picking a side.
+    BS21's frame.  Ties and near-ties inside the guard band raise
+    AmbiguousScheduleError instead of silently picking a side.
     """
-    if not math.isfinite(guard_band_s) or guard_band_s < 0.0:
-        raise ValueError(f"guard_band_s must be a finite non-negative time, got {guard_band_s!r}")
-    t11_f11 = boost_time(schedule.bs11, schedule.beta_bs11)
-    t21_f11 = boost_time(schedule.bs21, schedule.beta_bs11)
-    t22_f11 = boost_time(schedule.bs22, schedule.beta_bs11)
+    t11_f11 = _boost(schedule.bs11, schedule.beta_bs11)
+    t21_f11 = _boost(schedule.bs21, schedule.beta_bs11)
+    t22_f11 = _boost(schedule.bs22, schedule.beta_bs11)
 
-    if _strictly_before(t11_f11, t21_f11, guard_band_s, "BS11 vs BS21 in the BS11 frame"):
+    if _strictly_before(t11_f11, t21_f11, "BS11 vs BS21 in the BS11 frame"):
         label1 = PhotonOneLabel.B11
-    elif _strictly_before(t11_f11, t22_f11, guard_band_s, "BS11 vs BS22 in the BS11 frame"):
+    elif _strictly_before(t11_f11, t22_f11, "BS11 vs BS22 in the BS11 frame"):
         label1 = PhotonOneLabel.A11_21
     else:
         label1 = PhotonOneLabel.A11_22
 
     bs21_before = _strictly_before(
-        boost_time(schedule.bs21, schedule.beta_bs21),
-        boost_time(schedule.bs11, schedule.beta_bs21),
-        guard_band_s,
+        _boost(schedule.bs21, schedule.beta_bs21),
+        _boost(schedule.bs11, schedule.beta_bs21),
         "BS21 vs BS11 in the BS21 frame",
     )
     bs22_before = _strictly_before(
-        boost_time(schedule.bs22, schedule.beta_bs22),
-        boost_time(schedule.bs11, schedule.beta_bs22),
-        guard_band_s,
+        _boost(schedule.bs22, schedule.beta_bs22),
+        _boost(schedule.bs11, schedule.beta_bs22),
         "BS22 vs BS11 in the BS22 frame",
     )
     label2 = PhotonTwoLabel.B22 if (bs22_before and bs21_before) else PhotonTwoLabel.A22
@@ -232,10 +199,10 @@ class ExperimentGeometry:
 
     Arrival times are path length over c.  Displacing mirror M11 stretches or
     shortens photon 1's path only, which is how one lab ordering is traded
-    for another without touching photon 2's legs.  Photon 2 must reach BS21
-    first, checked with the same own-frame times ImpactSchedule uses: at
-    |beta| > 0, gamma * (t - beta x / c) can round two impacts one ulp apart
-    into a tie, so a longer second leg alone does not guarantee the order.
+    for another without touching photon 2's legs.  A geometry is accepted
+    only if its ImpactSchedule is: at |beta| > 0, gamma * (t - beta x / c)
+    can round two impacts one ulp apart into a tie, so a longer second leg
+    alone does not guarantee photon 2's order in its splitters' frames.
     """
 
     length_bs11: float
@@ -253,37 +220,20 @@ class ExperimentGeometry:
         require_finite("m11_displacement", self.m11_displacement)
         if require_finite("effective_length_bs11", self.effective_length_bs11) <= 0.0:
             raise ValueError("m11_displacement makes photon 1's path non-positive")
-        for name in ("beta_bs11", "beta_bs21", "beta_bs22"):
-            _require_beta(name, getattr(self, name))
-        # Frame times, not lengths: two lengths one ulp apart can share one.
-        frame = _photon2_order_violation(
-            _photon2_impact(Site.BS21, self.length_bs21),
-            _photon2_impact(Site.BS22, self.length_bs22),
-            self.beta_bs21,
-            self.beta_bs22,
-        )
-        if frame is not None:
-            raise ValueError(
-                "photon 2 must reach BS21 before BS22: length_bs22 must exceed length_bs21 "
-                f"(violated in the {frame} frame)"
-            )
+        schedule_from_geometry(self)
 
     @property
     def effective_length_bs11(self) -> float:
         return self.length_bs11 + self.m11_displacement
 
 
-def _photon2_impact(site: Site, length: float) -> SpacetimeEvent:
-    return SpacetimeEvent(site, length / SPEED_OF_LIGHT, length)
-
-
 def schedule_from_geometry(geometry: ExperimentGeometry) -> ImpactSchedule:
     """Impact events at x = (signed) path length, t = path length / c."""
     l11 = geometry.effective_length_bs11
     return ImpactSchedule(
-        bs11=SpacetimeEvent(Site.BS11, l11 / SPEED_OF_LIGHT, -l11),
-        bs21=_photon2_impact(Site.BS21, geometry.length_bs21),
-        bs22=_photon2_impact(Site.BS22, geometry.length_bs22),
+        bs11=SpacetimeEvent(l11 / SPEED_OF_LIGHT, -l11),
+        bs21=SpacetimeEvent(geometry.length_bs21 / SPEED_OF_LIGHT, geometry.length_bs21),
+        bs22=SpacetimeEvent(geometry.length_bs22 / SPEED_OF_LIGHT, geometry.length_bs22),
         beta_bs11=geometry.beta_bs11,
         beta_bs21=geometry.beta_bs21,
         beta_bs22=geometry.beta_bs22,

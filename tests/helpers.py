@@ -8,7 +8,9 @@ from rnlsim import (
     ModelVariant,
     PhaseSettings,
     PhotonOneLabel,
+    PhotonTwoLabel,
     RunConfig,
+    TimingAssignment,
     compare_report,
     qm_correlation,
     qm_distinguishable_joint,
@@ -45,6 +47,20 @@ def theorem_product(settings: PhaseSettings, label1: PhotonOneLabel) -> float:
         e_photon1_mixed = qm_single_pair_correlation(settings.phi11, settings.phi21)
     e_photon2_mixed = qm_correlation(settings)
     return e_before_before * e_photon1_mixed * e_photon2_mixed
+
+
+# Rest-frame (label1, label2, bs21_before) of each lab-ordering series.
+_SERIES_ASSIGNMENTS = {
+    1: (PhotonOneLabel.A11_22, PhotonTwoLabel.B22, True),
+    2: (PhotonOneLabel.B11, PhotonTwoLabel.A22, False),
+    3: (PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True),
+}
+
+
+def for_series(series: int) -> TimingAssignment:
+    """The timing assignment classify gives series_preset(series)."""
+    label1, label2, bs21_before = _SERIES_ASSIGNMENTS[series]
+    return TimingAssignment(label1, label2, bs21_before, series)
 
 
 def counts_by_variant(config: RunConfig) -> dict[ModelVariant, CoincidenceCounts]:

@@ -11,14 +11,13 @@ import time
 
 import numpy as np
 
-from helpers import counts_by_variant, marginal_photon1, marginal_photon2, theorem_product
+from helpers import counts_by_variant, for_series, marginal_photon1, marginal_photon2, theorem_product
 from rnlsim import (
     ModelVariant,
     PhaseSettings,
     PhotonOneLabel,
     PhotonTwoLabel,
     RunConfig,
-    Site,
     SpacetimeEvent,
     TimingAssignment,
     amplitude_oracle,
@@ -40,7 +39,7 @@ ATOL = 1e-12
 
 KEY = PhaseSettings.from_degrees(45.0, -45.0, 90.0)
 
-SERIES3 = TimingAssignment.for_series(3)
+SERIES3 = for_series(3)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -134,9 +133,9 @@ def test_criterion_4_timing_classification_and_boosts() -> None:
     identity_ok = True
     ordering_ok = True
     for i in range(n):
-        event = SpacetimeEvent(Site.BS11, times[i], positions[i])
+        event = SpacetimeEvent(times[i], positions[i])
         identity_ok &= boost_time(event, 0.0) == times[i]
-        partner = SpacetimeEvent(Site.BS21, times[(i + 1) % n], positions[i])
+        partner = SpacetimeEvent(times[(i + 1) % n], positions[i])
         if times[i] != partner.t:
             gap = boost_time(event, betas[i]) - boost_time(partner, betas[i])
             ordering_ok &= (times[i] > partner.t) == (gap > 0)

@@ -133,6 +133,15 @@ def test_run_config_validation() -> None:
         RunConfig(phi11_deg=float("nan"))
 
 
+def test_non_number_phases_are_config_errors() -> None:
+    for value in ("45", None, 1j):
+        with pytest.raises(ConfigError, match="phi21_deg must be a real number"):
+            RunConfig(phi21_deg=value)
+    # Accepted phases are kept as given: the CSV prints them unchanged.
+    assert RunConfig(phi11_deg=45).phi11_deg == 45
+    assert isinstance(RunConfig(phi11_deg=45).phi11_deg, int)
+
+
 # --- CLI -----------------------------------------------------------------------
 
 

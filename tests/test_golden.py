@@ -17,9 +17,16 @@ import random
 
 import pytest
 
-from rnlsim import ModelVariant, PhaseSettings, TimingAssignment, predict
+from rnlsim import (
+    ModelVariant,
+    PhaseSettings,
+    PhotonOneLabel,
+    PhotonTwoLabel,
+    TimingAssignment,
+    predict,
+    qm_distinguishable_joint,
+)
 from rnlsim.cli import main
-from rnlsim.timing import REPRESENTABLE_PAIRINGS
 
 GOLDEN_SHA256 = {
     "--series 1 --format csv": "62ef060b28bf16b66c529574867248121f912b418451c42bd4b53d1cbc4fb834",
@@ -45,17 +52,32 @@ def test_cli_output_is_byte_identical(args: str, capsys: pytest.CaptureFixture) 
 TABLE_GRID_SHA256 = "026425f9582e62c038d1c3ba81e19448df768824e2e8720a9959036d3d64f9b1"
 
 
-def _table_grid() -> list[str]:
+# The pairings the hash was taken over, sorted by label value.  (a11[21], b22)
+# came later and is pinned by test_a11_21_b22_tables_are_exactly_flat.
+_GRID_PAIRINGS = (
+    (PhotonOneLabel.A11_21, PhotonTwoLabel.A22),
+    (PhotonOneLabel.A11_21, PhotonTwoLabel.B21),
+    (PhotonOneLabel.A11_22, PhotonTwoLabel.A22),
+    (PhotonOneLabel.A11_22, PhotonTwoLabel.B22),
+    (PhotonOneLabel.B11, PhotonTwoLabel.A22),
+    (PhotonOneLabel.B11, PhotonTwoLabel.B21),
+    (PhotonOneLabel.B11, PhotonTwoLabel.B22),
+)
+_CONDITION_PAIRS = tuple(itertools.product((True, False), repeat=2))
+
+
+def _grid_settings() -> list[PhaseSettings]:
     rng = random.Random(1997)
-    settings = [
+    return [
         PhaseSettings(*(rng.uniform(-2.0 * math.pi, 2.0 * math.pi) for _ in range(3)))
         for _ in range(32)
     ]
-    # REPRESENTABLE_PAIRINGS is a set, so fix the order by label value.
-    pairings = sorted(REPRESENTABLE_PAIRINGS, key=lambda pair: (pair[0].value, pair[1].value))
+
+
+def _table_grid() -> list[str]:
     lines = []
     for phases, (label1, label2), variant, (condition1, condition2) in itertools.product(
-        settings, pairings, ModelVariant, itertools.product((True, False), repeat=2)
+        _grid_settings(), _GRID_PAIRINGS, ModelVariant, _CONDITION_PAIRS
     ):
         timing = TimingAssignment(label1, label2)
         joint = predict(phases, timing, variant, condition1=condition1, condition2=condition2).joint
@@ -68,3 +90,12 @@ def test_prediction_tables_are_bit_identical() -> None:
     assert len(lines) == 32 * 7 * 3 * 4
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == TABLE_GRID_SHA256
+
+
+def test_a11_21_b22_tables_are_exactly_flat() -> None:
+    timing = TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.B22)
+    flat = qm_distinguishable_joint()
+    for phases, (condition1, condition2) in itertools.product(_grid_settings(), _CONDITION_PAIRS):
+        for variant in (ModelVariant.RNL_STANDARD, ModelVariant.RNL_ALTERNATIVE):
+            joint = predict(phases, timing, variant, condition1=condition1, condition2=condition2).joint
+            assert joint == flat

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import counts_by_variant
+from helpers import counts_by_variant, for_series
 from rnlsim import (
     CoincidenceCounts,
     JointDistribution,
     ModelVariant,
     RunConfig,
-    TimingAssignment,
     compare_report,
     estimate_correlation,
     predict,
@@ -230,7 +229,7 @@ def test_compare_report_predicts_each_variant_once(monkeypatch: pytest.MonkeyPat
     monkeypatch.setattr("rnlsim.rnl._evaluate", counting_evaluate)
     expected = {
         ModelVariant.QM: rnl._final_rule,
-        ModelVariant.RNL_STANDARD: rnl._RULES[TimingAssignment.for_series(3).pairing],
+        ModelVariant.RNL_STANDARD: rnl._RULES[for_series(3).pairing],
         ModelVariant.RNL_ALTERNATIVE: rnl._final_rule,
     }
     for variants in (tuple(ModelVariant), (ModelVariant.RNL_STANDARD,)):
@@ -264,7 +263,7 @@ def test_estimates_converge_across_seeds() -> None:
     misses = 0
     cells = 0
     for series in (1, 2, 3):
-        timing = TimingAssignment.for_series(series)
+        timing = for_series(series)
         for variant in ModelVariant:
             analytic = predict(RunConfig(series=series).settings(), timing, variant).correlation
             for seed in range(20):

@@ -14,7 +14,8 @@ import pytest
 
 import rnlsim
 import rnlsim.cli
-from rnlsim import ModelVariant, PhaseSettings, TimingAssignment, predict
+from helpers import for_series
+from rnlsim import ModelVariant, PhaseSettings, predict
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -34,7 +35,6 @@ PUBLIC_NAMES = {
     "Prediction",
     "RunConfig",
     "SPEED_OF_LIGHT",
-    "Site",
     "SpacetimeEvent",
     "TimingAssignment",
     "VariantRow",
@@ -74,7 +74,7 @@ def _rnlsim_imports(path: Path) -> list[tuple[str, str]]:
 
 
 def test_all_is_pinned() -> None:
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 39
     assert len(rnlsim.__all__) == len(set(rnlsim.__all__))
     assert set(rnlsim.__all__) == PUBLIC_NAMES
     for name in rnlsim.__all__:
@@ -98,7 +98,7 @@ def test_cli_main_exists() -> None:
 
 def test_predict_returns_joint_and_correlation() -> None:
     prediction = predict(
-        PhaseSettings.from_degrees(45.0, -45.0, 90.0), TimingAssignment.for_series(3), ModelVariant.QM
+        PhaseSettings.from_degrees(45.0, -45.0, 90.0), for_series(3), ModelVariant.QM
     )
     assert isinstance(prediction.joint, rnlsim.JointDistribution)
     assert prediction.correlation == prediction.joint.correlation

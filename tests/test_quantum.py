@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cell, marginal_photon1, marginal_photon2
+from helpers import cell, for_series, marginal_photon1, marginal_photon2
 from rnlsim import (
     JointDistribution,
     ModelVariant,
     PhaseSettings,
-    TimingAssignment,
     amplitude_oracle,
     predict,
     qm_correlation,
@@ -103,7 +102,7 @@ def test_string_phases_are_stored_as_floats() -> None:
     settings = PhaseSettings("0.5", 0, 0)
     assert settings == PhaseSettings(0.5, 0.0, 0.0)
     assert all(type(phi) is float for phi in (settings.phi11, settings.phi21, settings.phi22))
-    prediction = predict(settings, TimingAssignment.for_series(3), ModelVariant.QM)
+    prediction = predict(settings, for_series(3), ModelVariant.QM)
     assert prediction.joint == qm_joint(PhaseSettings(0.5, 0.0, 0.0))
     with pytest.raises(ValueError):
         PhaseSettings("half", 0, 0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cell, marginal_photon1, marginal_photon2, theorem_product
+from helpers import cell, for_series, marginal_photon1, marginal_photon2, theorem_product
 from rnlsim import (
     ModelVariant,
     PhaseSettings,
@@ -36,6 +37,7 @@ ALL_PAIRINGS = (
     TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.B21),
     TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.B22),
     TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.B21),
+    TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.B22),
     TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.B22),
     TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.A22, bs21_before=False),
     TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.A22),
@@ -197,6 +199,8 @@ def _expected_correlation(
         return 0.0  # two before impacts
     if pairing == (PhotonOneLabel.A11_21, PhotonTwoLabel.B21):
         return math.cos(settings.phi11 - settings.phi21) if condition1 else 0.0
+    if pairing == (PhotonOneLabel.A11_21, PhotonTwoLabel.B22):
+        return 0.0  # photon 2 before at both splitters, summed over its BS21 port
     if label1 is PhotonOneLabel.B11 or label2 is not PhotonTwoLabel.A22:
         return qm  # final mixed pairings
     if variant is ModelVariant.RNL_ALTERNATIVE and label1 is PhotonOneLabel.A11_21:
@@ -220,6 +224,20 @@ def test_every_table_is_the_fair_marginal_table_of_its_correlation(
                 assert table.as_array() == pytest.approx(expected, abs=ATOL)
 
 
+def test_every_label_pair_is_refused_or_predicted() -> None:
+    predicted = 0
+    for label1, label2 in itertools.product(PhotonOneLabel, PhotonTwoLabel):
+        try:
+            timing = TimingAssignment(label1, label2)
+        except ValueError:
+            assert (label1, label2) == (PhotonOneLabel.A11_22, PhotonTwoLabel.B21)
+            continue
+        for variant in ModelVariant:
+            predict(KEY_SETTINGS, timing, variant)
+        predicted += 1
+    assert predicted == len(ALL_PAIRINGS) == 8
+
+
 def test_qm_variant_ignores_timing() -> None:
     expected = qm_joint(KEY_SETTINGS)
     for timing in ALL_PAIRINGS:
@@ -227,7 +245,7 @@ def test_qm_variant_ignores_timing() -> None:
 
 
 def test_rnl_joint_validates_inputs() -> None:
-    timing = TimingAssignment.for_series(3)
+    timing = for_series(3)
     with pytest.raises(ValueError):
         _table(KEY_SETTINGS, timing, "QM")
     with pytest.raises(ValueError):
@@ -273,7 +291,7 @@ def test_dropping_condition2_flattens_the_final_stage() -> None:
     timing = TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.B22)
     got = _table(KEY_SETTINGS, timing, ModelVariant.RNL_STANDARD, condition2=False)
     assert _max_dev(got, flat) < ATOL
-    got_qm = _table(KEY_SETTINGS, TimingAssignment.for_series(3), ModelVariant.QM, condition2=False)
+    got_qm = _table(KEY_SETTINGS, for_series(3), ModelVariant.QM, condition2=False)
     assert _max_dev(got_qm, flat) < ATOL
 
 
@@ -284,7 +302,7 @@ def test_dropping_condition1_flattens_the_intermediate_stage() -> None:
     got = _table(settings, timing, ModelVariant.RNL_STANDARD, condition1=False)
     assert _max_dev(got, flat) < ATOL
     # condition1 does not touch the final-stage table.
-    untouched = _table(settings, TimingAssignment.for_series(1), ModelVariant.RNL_STANDARD, condition1=False)
+    untouched = _table(settings, for_series(1), ModelVariant.RNL_STANDARD, condition1=False)
     assert _max_dev(untouched, qm_joint(settings)) < ATOL
 
 
@@ -299,7 +317,7 @@ def test_factorized_table_stays_normalized_without_conditions() -> None:
 
 
 def test_predict_reports_the_table_correlation() -> None:
-    timing = TimingAssignment.for_series(2)
+    timing = for_series(2)
     prediction = predict(KEY_SETTINGS, timing, ModelVariant.RNL_STANDARD)
     assert prediction.correlation == pytest.approx(1.0, abs=ATOL)
     by_hand = sum(
@@ -311,7 +329,7 @@ def test_predict_reports_the_table_correlation() -> None:
 
 
 def test_predict_key_settings_expected_values() -> None:
-    timing = TimingAssignment.for_series(3)
+    timing = for_series(3)
     assert predict(KEY_SETTINGS, timing, ModelVariant.QM).correlation == pytest.approx(1.0, abs=ATOL)
     assert predict(KEY_SETTINGS, timing, ModelVariant.RNL_STANDARD).correlation == pytest.approx(
         0.0, abs=ATOL
@@ -374,7 +392,7 @@ def test_memoized_predictions_equal_fresh_rule_calls(settings: PhaseSettings) ->
 def test_memo_stays_bounded_and_exact() -> None:
     rnl._evaluate.cache_clear()
     bound = rnl._evaluate.cache_info().maxsize
-    timing = TimingAssignment.for_series(3)
+    timing = for_series(3)
     cases = [
         (PhaseSettings(0.001 * k, -0.002 * k, 0.003 * k), variant)
         for k in range(2 * bound)
@@ -395,7 +413,7 @@ def test_memo_stays_bounded_and_exact() -> None:
 def test_int_and_float_phases_give_one_table() -> None:
     # PhaseSettings stores floats, so int phases take float arithmetic:
     # 2^53 - (-1) rounds to 2^53 either way.
-    timing = TimingAssignment.for_series(3)
+    timing = for_series(3)
     as_int = PhaseSettings(2**53, -1, 1)
     as_float = PhaseSettings(2.0**53, -1.0, 1.0)
     assert as_int == as_float

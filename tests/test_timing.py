@@ -2,25 +2,31 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from helpers import for_series, marginal_photon1, marginal_photon2
 from rnlsim import (
     SPEED_OF_LIGHT,
     AmbiguousScheduleError,
     ExperimentGeometry,
     ImpactSchedule,
+    ModelVariant,
+    PhaseSettings,
     PhotonOneLabel,
     PhotonTwoLabel,
-    Site,
     SpacetimeEvent,
     TimingAssignment,
     boost_time,
     classify,
+    predict,
     schedule_from_geometry,
     series_preset,
 )
@@ -28,12 +34,25 @@ from rnlsim import (
 ATOL = 1e-12
 
 
+def _load_reference():
+    """bench/reference.py, the benchmark's brute-force labels, imported by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load_reference()
+
+
 def _rest_schedule(t11: float, t21: float, t22: float) -> ImpactSchedule:
     """Lab-time ordering only; positions on the proper sides of the source."""
     return ImpactSchedule(
-        bs11=SpacetimeEvent(Site.BS11, t11, -SPEED_OF_LIGHT * t11),
-        bs21=SpacetimeEvent(Site.BS21, t21, SPEED_OF_LIGHT * t21),
-        bs22=SpacetimeEvent(Site.BS22, t22, SPEED_OF_LIGHT * t22),
+        bs11=SpacetimeEvent(t11, -SPEED_OF_LIGHT * t11),
+        bs21=SpacetimeEvent(t21, SPEED_OF_LIGHT * t21),
+        bs22=SpacetimeEvent(t22, SPEED_OF_LIGHT * t22),
     )
 
 
@@ -41,26 +60,26 @@ def _rest_schedule(t11: float, t21: float, t22: float) -> ImpactSchedule:
 
 
 def test_boost_identity_at_rest() -> None:
-    event = SpacetimeEvent(Site.BS11, 1.0, 123.0)
+    event = SpacetimeEvent(1.0, 123.0)
     assert boost_time(event, 0.0) == 1.0
 
 
 def test_boost_pure_time_dilation() -> None:
-    event = SpacetimeEvent(Site.BS11, 1.0, 0.0)
+    event = SpacetimeEvent(1.0, 0.0)
     assert boost_time(event, 0.6) == pytest.approx(1.25, abs=ATOL)
 
 
 def test_boost_with_position_offset() -> None:
     # x chosen so that t - beta x / c = t (1 - beta^2), i.e. boosted time t / gamma.
     beta = 0.6
-    event = SpacetimeEvent(Site.BS11, 1.0, beta * SPEED_OF_LIGHT * 1.0)
+    event = SpacetimeEvent(1.0, beta * SPEED_OF_LIGHT * 1.0)
     assert boost_time(event, beta) == pytest.approx(0.8, abs=ATOL)
 
 
 @pytest.mark.parametrize("beta", [1.0, -1.0, 1.5, float("nan"), float("inf")])
 def test_boost_rejects_unphysical_beta(beta: float) -> None:
     with pytest.raises(ValueError):
-        boost_time(SpacetimeEvent(Site.BS11, 0.0, 0.0), beta)
+        boost_time(SpacetimeEvent(0.0, 0.0), beta)
 
 
 @given(
@@ -76,8 +95,8 @@ def test_same_position_ordering_is_boost_invariant(
     # Two events at one position with a resolvable time gap (at or above the
     # classification guard band): their order is frame-independent.
     t_b = t_a + gap if later else t_a - gap
-    event_a = SpacetimeEvent(Site.BS11, t_a, x)
-    event_b = SpacetimeEvent(Site.BS21, t_b, x)
+    event_a = SpacetimeEvent(t_a, x)
+    event_b = SpacetimeEvent(t_b, x)
     boosted_order = boost_time(event_a, beta) - boost_time(event_b, beta)
     assert (t_a > t_b) == (boosted_order > 0)
 
@@ -89,9 +108,9 @@ def test_boost_identity_and_ordering_over_random_events() -> None:
     positions = rng.uniform(-100.0, 100.0, size=n)
     betas = rng.uniform(-0.99, 0.99, size=n)
     for i in range(n):
-        event = SpacetimeEvent(Site.BS11, times[i], positions[i])
+        event = SpacetimeEvent(times[i], positions[i])
         assert boost_time(event, 0.0) == times[i]
-        partner = SpacetimeEvent(Site.BS21, times[(i + 1) % n], positions[i])
+        partner = SpacetimeEvent(times[(i + 1) % n], positions[i])
         if times[i] != partner.t:
             same_frame = boost_time(event, betas[i]) - boost_time(partner, betas[i])
             assert (times[i] > partner.t) == (same_frame > 0)
@@ -100,10 +119,10 @@ def test_boost_identity_and_ordering_over_random_events() -> None:
 # --- schedules and classification ---------------------------------------------
 
 
-def test_schedule_rejects_wrong_site() -> None:
+def test_schedule_rejects_a_non_event_slot() -> None:
     good = _rest_schedule(1e-9, 2e-9, 3e-9)
-    with pytest.raises(ValueError):
-        ImpactSchedule(bs11=good.bs21, bs21=good.bs21, bs22=good.bs22)
+    with pytest.raises(ValueError, match="bs11 must be a SpacetimeEvent"):
+        ImpactSchedule(bs11=(good.bs11.t, good.bs11.x), bs21=good.bs21, bs22=good.bs22)
 
 
 def test_schedule_rejects_photon2_order_violation() -> None:
@@ -143,20 +162,10 @@ def test_rest_classification_matches_lab_ordering_sweep() -> None:
 
 
 def test_near_tie_is_refused() -> None:
-    with pytest.raises(AmbiguousScheduleError):
-        classify(_rest_schedule(1e-9 + 1e-16, 1e-9, 2e-9))
-
-
-def test_exact_tie_classifies_as_non_before_when_guard_disabled() -> None:
-    timing = classify(_rest_schedule(2e-9, 1e-9, 2e-9), guard_band_s=0.0)
-    # BS11 impact simultaneous with BS22's: counted as non-before of it.
-    assert timing.label1 is PhotonOneLabel.A11_22
-    assert timing.label2 is PhotonTwoLabel.A22
-
-
-def test_negative_guard_band_rejected() -> None:
-    with pytest.raises(ValueError):
-        classify(_rest_schedule(1e-9, 2e-9, 3e-9), guard_band_s=-1.0)
+    # A near-tie of BS11 with BS21, and an exact tie of BS11 with BS22.
+    for times in ((1e-9 + 1e-16, 1e-9, 2e-9), (2e-9, 1e-9, 2e-9)):
+        with pytest.raises(AmbiguousScheduleError):
+            classify(_rest_schedule(*times))
 
 
 def test_boosted_frames_can_relabel_photon1() -> None:
@@ -180,14 +189,80 @@ def test_boosted_frames_can_relabel_photon1() -> None:
     assert rest_timing.label1 is PhotonOneLabel.A11_22
 
 
+def test_moving_splitters_reach_the_a11_21_b22_pairing() -> None:
+    # At rest this is series 3.  A BS11 frame moving toward photon 1 keeps
+    # BS11's impact between photon 2's two, while a BS22 frame moving toward
+    # photon 2 calls photon 2's final impact before: a pairing no lab
+    # ordering gives.
+    geometry = ExperimentGeometry(2.0, 1.0, 3.0, 0.0, beta_bs11=-0.3, beta_bs22=0.3)
+    timing = classify(schedule_from_geometry(geometry))
+    assert timing.pairing == (PhotonOneLabel.A11_21, PhotonTwoLabel.B22)
+    assert timing.bs21_before is True
+    assert timing.series is None
+
+
+lengths = st.floats(min_value=1e-3, max_value=1e3)
+betas = st.floats(min_value=-0.99, max_value=0.99)
+phases = st.floats(min_value=-25.0, max_value=25.0)
+
+
+@example(2.0, 1.0, 2.0, 0.0, -0.3, 0.0, 0.3, PhaseSettings(0.8, 0.1, 2.0))
+@given(
+    lengths,
+    lengths,
+    lengths,
+    st.floats(min_value=-1e3, max_value=1e3),
+    betas,
+    betas,
+    betas,
+    st.builds(PhaseSettings, phases, phases, phases),
+)
+def test_classify_agrees_with_the_reference_labels(
+    length_bs11: float,
+    length_bs21: float,
+    leg_gap: float,
+    m11_displacement: float,
+    beta_bs11: float,
+    beta_bs21: float,
+    beta_bs22: float,
+    settings: PhaseSettings,
+) -> None:
+    assume(length_bs11 + m11_displacement > 0.0)
+    geometry = ExperimentGeometry(
+        length_bs11,
+        length_bs21,
+        length_bs21 + leg_gap,
+        m11_displacement,
+        beta_bs11,
+        beta_bs21,
+        beta_bs22,
+    )
+    try:
+        timing = classify(schedule_from_geometry(geometry))
+    except AmbiguousScheduleError:
+        return
+    expected = reference.reference_labels(
+        geometry.effective_length_bs11,
+        geometry.length_bs21,
+        geometry.length_bs22,
+        beta_bs11,
+        beta_bs21,
+        beta_bs22,
+    )
+    assert (timing.label1.value, timing.label2.value, timing.bs21_before) == expected.assignment
+    for variant in ModelVariant:
+        table = predict(settings, timing, variant).joint
+        for outcome in (1, -1):
+            assert abs(marginal_photon1(table, outcome) - 0.5) < ATOL
+            assert abs(marginal_photon2(table, outcome) - 0.5) < ATOL
+
+
 # --- timing assignments -------------------------------------------------------
 
 
 def test_unrepresentable_pairing_rejected() -> None:
     with pytest.raises(ValueError):
         TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.B21)
-    with pytest.raises(ValueError):
-        TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.B22)
 
 
 def test_before_label2_requires_bs21_before() -> None:
@@ -197,13 +272,11 @@ def test_before_label2_requires_bs21_before() -> None:
 
 def test_for_series_round_trip() -> None:
     for series in (1, 2, 3):
-        assignment = TimingAssignment.for_series(series)
+        assignment = for_series(series)
         assert assignment.series == series
         from_preset = classify(schedule_from_geometry(series_preset(series)))
         assert from_preset.pairing == assignment.pairing
         assert from_preset.bs21_before == assignment.bs21_before
-    with pytest.raises(ValueError):
-        TimingAssignment.for_series(0)
 
 
 # --- geometry ------------------------------------------------------------------
