@@ -3,8 +3,9 @@
 Unlike the timing-blind quantum rule, these predictions depend on the
 before/non-before pairing of the two impacts: two before impacts give flat
 product statistics, mixed pairings reproduce the quantum tables, and two
-non-before impacts factorize through conditionals on the partner's before
-values, which forces their correlation to vanish.
+non-before impacts give the flat table too: factorized through conditionals
+on the partner's before values, their correlation vanishes.  Every rule is
+one of three closed-form tables; the derivations sit above _RULES.
 """
 
 from __future__ import annotations
@@ -49,44 +50,28 @@ def _final_rule(settings: PhaseSettings, condition1: bool, condition2: bool) -> 
     return qm_joint(settings) if condition2 else qm_distinguishable_joint()
 
 
-def _two_nonbefore_rule(label1: PhotonOneLabel):
-    """Factorized table: sum the flat before outcomes against both conditionals.
-
-    Photon 1's conditional reads photon 2's before value and vice versa, so
-    each non-before outcome is decided by the partner's earlier impact alone.
-    """
-
-    def rule(settings: PhaseSettings, condition1: bool, condition2: bool) -> JointDistribution:
-        before = qm_distinguishable_joint()
-        cond1 = _conditional(settings, label1, condition1, condition2)
-        cond2 = _conditional(settings, _A22, condition1, condition2)
-        # (P(outcome | partner's before value +1), P(outcome | -1)) per outcome.
-        plus1, minus1 = (cond1[0], cond1[2]), (cond1[1], cond1[3])
-        plus2, minus2 = (cond2[0], cond2[2]), (cond2[1], cond2[3])
-
-        def entry(photon1: tuple[float, float], photon2: tuple[float, float]) -> float:
-            # Summed over (sigma, omega) = (+,+), (+,-), (-,+), (-,-), photon 1
-            # given omega and photon 2 given sigma.
-            return (
-                before.p_pp * photon1[0] * photon2[0]
-                + before.p_pm * photon1[1] * photon2[0]
-                + before.p_mp * photon1[0] * photon2[1]
-                + before.p_mm * photon1[1] * photon2[1]
-            )
-
-        return JointDistribution(
-            entry(plus1, plus2), entry(plus1, minus2), entry(minus1, plus2), entry(minus1, minus2)
-        )
-
-    return rule
-
-
 _B11, _A11_21, _A11_22 = PhotonOneLabel.B11, PhotonOneLabel.A11_21, PhotonOneLabel.A11_22
 _B21, _B22, _A22 = PhotonTwoLabel.B21, PhotonTwoLabel.B22, PhotonTwoLabel.A22
 
 # RNL_STANDARD: two before impacts give the flat table, mixed pairings the
-# quantum table of their stage, two non-before impacts the factorized one.
-# These are the pairings TimingAssignment accepts; it refuses (a11[22], b21).
+# quantum table of their stage, two non-before impacts the factorized one,
+# which is flat as well.  These are the pairings TimingAssignment accepts; it
+# refuses (a11[22], b21).
+#
+# Two non-before impacts, (a11[22], a22) and (a11[21], a22): each outcome is
+# drawn from a conditional on the partner's before value, and the conditional
+# is pinned by its anchor, the mixed experiment it must reproduce against the
+# flat before table: P(out | given) = 2 P_mixed(out, given).  Photon 1's
+# anchor P_1 is (a11[22], b22) or (a11[21], b21), given photon 2's before
+# value omega'; photon 2's, P_2, is (b11, a22), given photon 1's sigma'.
+# Summed against the flat P_before(sigma', omega') = 1/4:
+#   P(sigma, omega) = sum_{sigma', omega'} 1/4 * 2 P_1(sigma, omega') * 2 P_2(sigma', omega)
+#                   = 1/4 * (2 sum_omega' P_1(sigma, omega')) * (2 sum_sigma' P_2(sigma', omega))
+#                   = 1/4 * 1 * 1,
+# because each anchor table has fair marginals.  The table is flat, E = 0,
+# for every condition pair: dropping a condition only flattens an anchor.
+# RNL_ALTERNATIVE keeps the full quantum table on (a11[21], a22); predict
+# applies that override.
 #
 # (a11[21], b22): in BS11's frame photon 1 has seen photon 2 pass BS21 but
 # not BS22, while photon 2 is before at both of its splitters.  So photon 1's
@@ -107,35 +92,9 @@ _RULES = {
     (_A11_21, _B22): _flat_rule,
     (_A11_22, _B22): _final_rule,
     (_B11, _A22): _final_rule,
-    (_A11_22, _A22): _two_nonbefore_rule(_A11_22),
-    (_A11_21, _A22): _two_nonbefore_rule(_A11_21),
+    (_A11_22, _A22): _flat_rule,
+    (_A11_21, _A22): _flat_rule,
 }
-
-# The mixed experiment whose table pins each non-before impact's conditional.
-_ANCHOR_PAIRING = {_A11_21: (_A11_21, _B21), _A11_22: (_A11_22, _B22), _A22: (_B11, _A22)}
-
-
-def _conditional(
-    settings: PhaseSettings, which: PhotonOneLabel | PhotonTwoLabel, condition1: bool, condition2: bool
-) -> tuple[float, float, float, float]:
-    """Conditional linking a non-before outcome to the partner's before value.
-
-    Returns (P(+|+), P(-|+), P(+|-), P(-|-)), each column summing to 1.  The
-    table is pinned by one requirement: summing the flat before statistics
-    against it must reproduce the quantum table of the matching mixed
-    experiment.  That forces P(out | given) = 2 * P_mixed(out, given).
-    a11[21] conditions on the BS21 before value, a11[22] on the BS22 one and
-    a22 on the BS11 one (the partner's own other before value drops out).
-    """
-    if which not in _ANCHOR_PAIRING:
-        raise ValueError(f"conditionals exist only for non-before impacts, got {which!r}")
-    anchor = _RULES[_ANCHOR_PAIRING[which]](settings, condition1, condition2)
-    # Photon 2's outcome is the anchor's second index, photon 1's its first.
-    if isinstance(which, PhotonTwoLabel):
-        minus_given_plus, plus_given_minus = anchor.p_pm, anchor.p_mp
-    else:
-        minus_given_plus, plus_given_minus = anchor.p_mp, anchor.p_pm
-    return 2.0 * anchor.p_pp, 2.0 * minus_given_plus, 2.0 * plus_given_minus, 2.0 * anchor.p_mm
 
 
 @dataclass(frozen=True)

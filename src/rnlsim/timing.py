@@ -36,8 +36,8 @@ class SpacetimeEvent:
     x: float
 
     def __post_init__(self) -> None:
-        require_finite("t", self.t)
-        require_finite("x", self.x)
+        for name in ("t", "x"):
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
 
 
 def boost_time(event: SpacetimeEvent, beta: float) -> float:
@@ -214,13 +214,17 @@ class ExperimentGeometry:
     beta_bs22: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("length_bs11", "length_bs21", "length_bs22"):
-            if require_finite(name, getattr(self, name)) <= 0.0:
+        # Stored as checked floats, as PhaseSettings stores its phases.
+        for name in ("length_bs11", "length_bs21", "length_bs22", "m11_displacement"):
+            value = require_finite(name, getattr(self, name))
+            if value <= 0.0 and name != "m11_displacement":
                 raise ValueError(f"{name} must be positive")
-        require_finite("m11_displacement", self.m11_displacement)
+            object.__setattr__(self, name, value)
         if require_finite("effective_length_bs11", self.effective_length_bs11) <= 0.0:
             raise ValueError("m11_displacement makes photon 1's path non-positive")
-        schedule_from_geometry(self)
+        schedule = schedule_from_geometry(self)
+        for name in ("beta_bs11", "beta_bs21", "beta_bs22"):
+            object.__setattr__(self, name, getattr(schedule, name))
 
     @property
     def effective_length_bs11(self) -> float:

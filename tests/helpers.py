@@ -14,7 +14,9 @@ from rnlsim import (
     compare_report,
     qm_correlation,
     qm_distinguishable_joint,
+    qm_joint,
     qm_single_pair_correlation,
+    qm_single_pair_joint,
 )
 
 
@@ -47,6 +49,70 @@ def theorem_product(settings: PhaseSettings, label1: PhotonOneLabel) -> float:
         e_photon1_mixed = qm_single_pair_correlation(settings.phi11, settings.phi21)
     e_photon2_mixed = qm_correlation(settings)
     return e_before_before * e_photon1_mixed * e_photon2_mixed
+
+
+def conditional(
+    settings: PhaseSettings,
+    which: PhotonOneLabel | PhotonTwoLabel,
+    condition1: bool,
+    condition2: bool,
+) -> tuple[float, float, float, float]:
+    """Conditional linking a non-before outcome to the partner's before value.
+
+    Returns (P(+|+), P(-|+), P(+|-), P(-|-)), each column summing to 1.  The
+    table is pinned by one requirement: summing the flat before statistics
+    against it must reproduce the quantum table of the matching mixed
+    experiment, its anchor.  That forces P(out | given) = 2 * P_anchor(out,
+    given).  a11[21] conditions on the BS21 before value (anchor (a11[21],
+    b21)), a11[22] on the BS22 one (anchor (a11[22], b22)) and a22 on the
+    BS11 one (anchor (b11, a22)); the partner's other before value drops out.
+    """
+    flat = qm_distinguishable_joint()
+    intermediate = qm_single_pair_joint(settings.phi11, settings.phi21) if condition1 else flat
+    final = qm_joint(settings) if condition2 else flat
+    anchor = {
+        PhotonOneLabel.A11_21: intermediate,
+        PhotonOneLabel.A11_22: final,
+        PhotonTwoLabel.A22: final,
+    }[which]
+    # Photon 2's outcome is the anchor's second index, photon 1's its first.
+    if isinstance(which, PhotonTwoLabel):
+        minus_given_plus, plus_given_minus = anchor.p_pm, anchor.p_mp
+    else:
+        minus_given_plus, plus_given_minus = anchor.p_mp, anchor.p_pm
+    return 2.0 * anchor.p_pp, 2.0 * minus_given_plus, 2.0 * plus_given_minus, 2.0 * anchor.p_mm
+
+
+def factorized_table(
+    settings: PhaseSettings, label1: PhotonOneLabel, condition1: bool, condition2: bool
+) -> JointDistribution:
+    """The paper's two-non-before table: the flat before outcomes summed against both conditionals.
+
+    Photon 1's conditional (label1, a11[21] or a11[22]) reads photon 2's
+    before value and vice versa, so each non-before outcome is decided by the
+    partner's earlier impact alone.  The result is the flat table up to
+    rounding.
+    """
+    before = qm_distinguishable_joint()
+    cond1 = conditional(settings, label1, condition1, condition2)
+    cond2 = conditional(settings, PhotonTwoLabel.A22, condition1, condition2)
+    # (P(outcome | partner's before value +1), P(outcome | -1)) per outcome.
+    plus1, minus1 = (cond1[0], cond1[2]), (cond1[1], cond1[3])
+    plus2, minus2 = (cond2[0], cond2[2]), (cond2[1], cond2[3])
+
+    def entry(photon1: tuple[float, float], photon2: tuple[float, float]) -> float:
+        # Summed over (sigma, omega) = (+,+), (+,-), (-,+), (-,-), photon 1
+        # given omega and photon 2 given sigma.
+        return (
+            before.p_pp * photon1[0] * photon2[0]
+            + before.p_pm * photon1[1] * photon2[0]
+            + before.p_mp * photon1[0] * photon2[1]
+            + before.p_mm * photon1[1] * photon2[1]
+        )
+
+    return JointDistribution(
+        entry(plus1, plus2), entry(plus1, minus2), entry(minus1, plus2), entry(minus1, minus2)
+    )
 
 
 # Rest-frame (label1, label2, bs21_before) of each lab-ordering series.

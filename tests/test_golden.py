@@ -4,8 +4,10 @@ A refactor must leave these hashes alone.  The CLI hashes cover the analytic
 columns and the sampled counts, so a change to the RNG stream layout
 (montecarlo.STREAM_LAYOUT) or to numpy's multinomial sampler changes them
 too; such a change must update them and say so in CHANGES.md.  The CLI
-configs all use phases 45/-45/90, where the two-non-before table is exactly
-flat, so the table hash pins every rule at seeded float phases as well.
+configs all use phases 45/-45/90, so the table hash pins every rule at
+seeded float phases as well.  The flat pairings, two non-before impacts
+included, are exactly flat by construction: their rule returns the flat
+table itself.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def test_cli_output_is_byte_identical(args: str, capsys: pytest.CaptureFixture) 
 
 
 # sha256 of the repr of every predict(...).joint over _table_grid(), one per line.
-TABLE_GRID_SHA256 = "026425f9582e62c038d1c3ba81e19448df768824e2e8720a9959036d3d64f9b1"
+TABLE_GRID_SHA256 = "3c47f5dcf890e2fbd99d6a7e3b26fd69be6be02602d25b2b9eb0b65068c242ac"
 
 
 # The pairings the hash was taken over, sorted by label value.  (a11[21], b22)
@@ -93,9 +95,19 @@ def test_prediction_tables_are_bit_identical() -> None:
 
 
 def test_a11_21_b22_tables_are_exactly_flat() -> None:
-    timing = TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.B22)
+    # Also the two non-before pairings; RNL_ALTERNATIVE keeps the quantum
+    # table on (a11[21], a22).
     flat = qm_distinguishable_joint()
-    for phases, (condition1, condition2) in itertools.product(_grid_settings(), _CONDITION_PAIRS):
-        for variant in (ModelVariant.RNL_STANDARD, ModelVariant.RNL_ALTERNATIVE):
-            joint = predict(phases, timing, variant, condition1=condition1, condition2=condition2).joint
-            assert joint == flat
+    cases = (
+        (PhotonOneLabel.A11_21, PhotonTwoLabel.B22, ModelVariant.RNL_STANDARD),
+        (PhotonOneLabel.A11_21, PhotonTwoLabel.B22, ModelVariant.RNL_ALTERNATIVE),
+        (PhotonOneLabel.A11_22, PhotonTwoLabel.A22, ModelVariant.RNL_STANDARD),
+        (PhotonOneLabel.A11_22, PhotonTwoLabel.A22, ModelVariant.RNL_ALTERNATIVE),
+        (PhotonOneLabel.A11_21, PhotonTwoLabel.A22, ModelVariant.RNL_STANDARD),
+    )
+    for (label1, label2, variant), phases, (condition1, condition2) in itertools.product(
+        cases, _grid_settings(), _CONDITION_PAIRS
+    ):
+        timing = TimingAssignment(label1, label2)
+        joint = predict(phases, timing, variant, condition1=condition1, condition2=condition2).joint
+        assert joint == flat

@@ -1,4 +1,4 @@
-"""Timing-dependent prediction rules: conditionals, dispatch, vanishing theorem."""
+"""Timing-dependent prediction rules: the conditionals behind them, dispatch, vanishing theorem."""
 
 from __future__ import annotations
 
@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cell, for_series, marginal_photon1, marginal_photon2, theorem_product
+from helpers import (
+    cell,
+    conditional,
+    factorized_table,
+    for_series,
+    marginal_photon1,
+    marginal_photon2,
+    theorem_product,
+)
 from rnlsim import (
     ModelVariant,
     PhaseSettings,
@@ -55,7 +63,7 @@ def _table(settings: PhaseSettings, timing: TimingAssignment, variant: ModelVari
 
 def _conditional(settings: PhaseSettings, which) -> dict[tuple[int, int], float]:
     """P(outcome | given) keyed (outcome, given), both indistinguishability conditions on."""
-    plus_plus, minus_plus, plus_minus, minus_minus = rnl._conditional(settings, which, True, True)
+    plus_plus, minus_plus, plus_minus, minus_minus = conditional(settings, which, True, True)
     return {(1, 1): plus_plus, (-1, 1): minus_plus, (1, -1): plus_minus, (-1, -1): minus_minus}
 
 
@@ -83,13 +91,6 @@ def test_conditional_columns_sum_to_one(settings: PhaseSettings, which) -> None:
     table = _conditional(settings, which)
     for given in (1, -1):
         assert abs(table[1, given] + table[-1, given] - 1.0) < ATOL
-
-
-def test_conditional_rejects_before_labels() -> None:
-    with pytest.raises(ValueError):
-        rnl._conditional(KEY_SETTINGS, PhotonOneLabel.B11, True, True)
-    with pytest.raises(ValueError):
-        rnl._conditional(KEY_SETTINGS, PhotonTwoLabel.B21, True, True)
 
 
 @given(settings_strategy)
@@ -264,6 +265,16 @@ def test_factorized_tables_have_zero_correlation(settings: PhaseSettings) -> Non
         table = _table(settings, timing, ModelVariant.RNL_STANDARD)
         assert abs(table.correlation) < ATOL
         assert abs(table.correlation - theorem_product(settings, timing.label1)) < ATOL
+
+
+@given(settings_strategy)
+def test_two_nonbefore_tables_equal_the_factorized_derivation(settings: PhaseSettings) -> None:
+    for label1 in (PhotonOneLabel.A11_22, PhotonOneLabel.A11_21):
+        timing = TimingAssignment(label1, PhotonTwoLabel.A22)
+        for condition1, condition2 in itertools.product((True, False), repeat=2):
+            conditions = {"condition1": condition1, "condition2": condition2}
+            got = _table(settings, timing, ModelVariant.RNL_STANDARD, **conditions)
+            assert _max_dev(got, factorized_table(settings, label1, **conditions)) < ATOL
 
 
 def test_theorem_product_sweep() -> None:

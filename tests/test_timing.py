@@ -322,6 +322,24 @@ def test_every_accepted_geometry_yields_a_schedule(
     schedule_from_geometry(geometry)
 
 
+def test_string_event_times_and_lengths_are_stored_as_floats() -> None:
+    event = SpacetimeEvent("1e-9", "0")
+    assert (event.t, event.x) == (1e-9, 0.0)
+    assert boost_time(event, 0.1) == boost_time(SpacetimeEvent(1e-9, 0.0), 0.1)
+    geometry = ExperimentGeometry("2", 1.0, 3.0, m11_displacement="0.5", beta_bs11="-0.3")
+    fields = (geometry.length_bs11, geometry.m11_displacement, geometry.beta_bs11)
+    assert fields == (2.0, 0.5, -0.3)
+    assert all(type(value) is float for value in fields)
+    assert geometry.effective_length_bs11 == 2.5
+    # A string bs11 time reaches classify's boosts as a float.
+    schedule = _rest_schedule(2e-9, 1e-9, 3e-9)
+    as_string = ImpactSchedule(
+        bs11=SpacetimeEvent("2e-9", schedule.bs11.x), bs21=schedule.bs21, bs22=schedule.bs22
+    )
+    assert classify(as_string) == classify(schedule)
+    assert classify(as_string).series == 3
+
+
 def test_geometry_refuses_moving_splitter_ties() -> None:
     with pytest.raises(ValueError, match="BS21 before BS22"):
         ExperimentGeometry(2.0, 3.631, math.nextafter(3.631, 4.0), beta_bs21=0.7, beta_bs22=0.7)
