@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import CONFIG_KEYS, build_run_config, parse_config_file, parse_value
+from .config import CONFIG_KEYS, KEY_TABLE, build_run_config, parse_config_file, parse_value
 from .errors import AmbiguousScheduleError, ConfigError
 from .report import compare_report, render_csv, render_json_lines, render_table
 
@@ -33,33 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", type=Path, help="flat key = value run file")
-    parser.add_argument("--series", help="preset geometry: lab ordering series 1, 2 or 3")
-    parser.add_argument("--length-bs11", dest="length_bs11", help="photon 1 path length in m")
-    parser.add_argument("--length-bs21", dest="length_bs21", help="photon 2 first leg in m")
-    parser.add_argument("--length-bs22", dest="length_bs22", help="photon 2 full path in m")
-    parser.add_argument(
-        "--m11-displacement",
-        dest="m11_displacement",
-        help="extra photon 1 path from displacing mirror M11, in m",
-    )
-    parser.add_argument("--phi11-deg", dest="phi11_deg", help="phase at BS11 in degrees")
-    parser.add_argument("--phi21-deg", dest="phi21_deg", help="phase before BS21 in degrees")
-    parser.add_argument("--phi22-deg", dest="phi22_deg", help="phase before BS22 in degrees")
-    parser.add_argument(
-        "--variants",
-        help="comma-separated subset of QM, RNL_STANDARD, RNL_ALTERNATIVE",
-    )
-    parser.add_argument("--n-events", dest="n_events", help="coincidences per variant")
-    parser.add_argument("--seed", help="64-bit unsigned master seed")
-    parser.add_argument("--chunk-size", dest="chunk_size", help="events per multinomial draw")
-    parser.add_argument(
-        "--condition1",
-        help="pairs indistinguishable at the intermediate detection stage (true or false)",
-    )
-    parser.add_argument(
-        "--condition2",
-        help="paths unknowable after the final splitter (true or false)",
-    )
+    for key, (_, help_text) in KEY_TABLE.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
     parser.add_argument("--out", type=Path, help="write the report here instead of stdout")
     parser.add_argument(
         "--format",
@@ -76,7 +51,7 @@ def _collect_values(args: argparse.Namespace) -> dict[str, object]:
     if args.config is not None:
         values.update(parse_config_file(args.config))
     for key in CONFIG_KEYS:
-        text = getattr(args, key, None)
+        text = getattr(args, key)
         if text is not None:
             values[key] = parse_value(key, text)
     return values

@@ -47,8 +47,9 @@ class RunConfig:
             if not finite:
                 raise ConfigError(f"{name} must be finite")
         if (self.series is None) == (self.geometry is None):
-            raise ConfigError("exactly one of series and geometry must be set")
-        if self.series is not None and self.series not in (1, 2, 3):
+            raise ConfigError("series and geometry are mutually exclusive, and one must be set")
+        # bool is an int subclass: True would run as series 1.
+        if isinstance(self.series, bool) or self.series not in (None, 1, 2, 3):
             raise ConfigError(f"series must be 1, 2 or 3, got {self.series!r}")
         if self.geometry is not None and not isinstance(self.geometry, ExperimentGeometry):
             raise ConfigError("geometry must be an ExperimentGeometry")
@@ -59,11 +60,12 @@ class RunConfig:
         for variant in self.variants:
             if not isinstance(variant, ModelVariant):
                 raise ConfigError(f"unknown variant {variant!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        for name in ("seed", "n_events", "chunk_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        for name in ("n_events", "chunk_size"):
-            if not isinstance(getattr(self, name), int):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         try:
             check_run_size(self.n_events, self.chunk_size)
         except ValueError as exc:
@@ -86,13 +88,11 @@ def _parse_int(key: str, text: str) -> int:
 
 
 def _parse_float(key: str, text: str) -> float:
+    # inf and nan pass: RunConfig and ExperimentGeometry refuse them.
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite, got {text!r}")
-    return value
 
 
 def _parse_bool(key: str, text: str) -> bool:
@@ -119,29 +119,34 @@ def _parse_variants(key: str, text: str) -> tuple[ModelVariant, ...]:
     return tuple(variants)
 
 
-_KEY_PARSERS = {
-    "series": _parse_int,
-    "length_bs11": _parse_float,
-    "length_bs21": _parse_float,
-    "length_bs22": _parse_float,
-    "m11_displacement": _parse_float,
-    "phi11_deg": _parse_float,
-    "phi21_deg": _parse_float,
-    "phi22_deg": _parse_float,
-    "variants": _parse_variants,
-    "n_events": _parse_int,
-    "seed": _parse_int,
-    "chunk_size": _parse_int,
-    "condition1": _parse_bool,
-    "condition2": _parse_bool,
+# The complete config vocabulary, in --help order: each key's parser and the
+# help text of its command line flag --key-with-dashes.  Anything else in a
+# file is an error.
+KEY_TABLE = {
+    "series": (_parse_int, "preset geometry: lab ordering series 1, 2 or 3"),
+    "length_bs11": (_parse_float, "photon 1 path length in m"),
+    "length_bs21": (_parse_float, "photon 2 first leg in m"),
+    "length_bs22": (_parse_float, "photon 2 full path in m"),
+    "m11_displacement": (_parse_float, "extra photon 1 path from displacing mirror M11, in m"),
+    "phi11_deg": (_parse_float, "phase at BS11 in degrees"),
+    "phi21_deg": (_parse_float, "phase before BS21 in degrees"),
+    "phi22_deg": (_parse_float, "phase before BS22 in degrees"),
+    "variants": (_parse_variants, "comma-separated subset of QM, RNL_STANDARD, RNL_ALTERNATIVE"),
+    "n_events": (_parse_int, "coincidences per variant"),
+    "seed": (_parse_int, "64-bit unsigned master seed"),
+    "chunk_size": (_parse_int, "events per multinomial draw"),
+    "condition1": (
+        _parse_bool,
+        "pairs indistinguishable at the intermediate detection stage (true or false)",
+    ),
+    "condition2": (_parse_bool, "paths unknowable after the final splitter (true or false)"),
 }
-# The complete config vocabulary; anything else in a file is an error.
-CONFIG_KEYS = tuple(_KEY_PARSERS)
+CONFIG_KEYS = tuple(KEY_TABLE)
 
 
 def parse_value(key: str, text: str) -> object:
     """The typed value of one config key, from a file line or a command line flag."""
-    return _KEY_PARSERS[key](key, text)
+    return KEY_TABLE[key][0](key, text)
 
 
 def parse_config_file(path: Path | str) -> dict[str, object]:
@@ -178,15 +183,13 @@ def parse_config_file(path: Path | str) -> dict[str, object]:
 def build_run_config(values: dict[str, object]) -> RunConfig:
     """Assemble a RunConfig from typed config values; RunConfig supplies the defaults.
 
-    Explicit geometry lengths and a series id are mutually exclusive; the
-    lengths must come as a complete triple.
+    Explicit geometry lengths must come as a complete triple; RunConfig
+    refuses them together with a series id.
     """
     unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)!r}")
     length_keys = [key for key in _GEOMETRY_LENGTH_KEYS if key in values]
-    if "series" in values and length_keys:
-        raise ConfigError("series and explicit geometry lengths are mutually exclusive")
     if length_keys and len(length_keys) < len(_GEOMETRY_LENGTH_KEYS):
         missing = sorted(set(_GEOMETRY_LENGTH_KEYS) - set(length_keys))
         raise ConfigError(f"explicit geometry needs all three lengths, missing {missing!r}")
@@ -201,5 +204,5 @@ def build_run_config(values: dict[str, object]) -> RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        fields["series"] = None
+        fields.setdefault("series", None)
     return RunConfig(**fields)

@@ -108,9 +108,7 @@ def qm_correlation(settings: PhaseSettings) -> float:
 
 def qm_single_pair_correlation(phi11: float, phi21: float) -> float:
     """Correlation when photon 2 is detected between its two splitters: cos(phi11 - phi21)."""
-    require_finite("phi11", phi11)
-    require_finite("phi21", phi21)
-    return math.cos(phi11 - phi21)
+    return math.cos(require_finite("phi11", phi11) - require_finite("phi21", phi21))
 
 
 def qm_single_pair_joint(phi11: float, phi21: float) -> JointDistribution:

@@ -139,8 +139,10 @@ class TimingAssignment:
             raise ValueError(f"pairing ({self.label1.value}, {self.label2.value}) is not representable")
         if self.label2 is not PhotonTwoLabel.A22 and not self.bs21_before:
             raise ValueError(f"label {self.label2.value} requires the BS21 impact to be before")
-        if self.series is not None and self.series not in (1, 2, 3):
-            raise ValueError(f"series must be 1, 2 or 3, got {self.series!r}")
+        if self.series is not None and self.series != _SERIES_BY_PAIRING.get(self.pairing):
+            raise ValueError(
+                f"series {self.series!r} does not match pairing ({self.label1.value}, {self.label2.value})"
+            )
 
     @property
     def pairing(self) -> tuple[PhotonOneLabel, PhotonTwoLabel]:

@@ -133,6 +133,14 @@ def test_run_config_validation() -> None:
         RunConfig(phi11_deg=float("nan"))
 
 
+def test_bool_counts_are_config_errors() -> None:
+    # bool is an int subclass; True must not run as series 1 or seed 1.
+    for name in ("series", "seed", "n_events", "chunk_size"):
+        for value in (True, False):
+            with pytest.raises(ConfigError, match=f"{name} must be"):
+                RunConfig(**{name: value})
+
+
 def test_non_number_phases_are_config_errors() -> None:
     for value in ("45", None, 1j):
         with pytest.raises(ConfigError, match="phi21_deg must be a real number"):
@@ -238,6 +246,11 @@ def test_cli_refuses_an_endless_chunk_count_promptly() -> None:
         # Photon 1's displaced path overflows to an infinite arrival time.
         ["--length-bs11", "1e308", "--m11-displacement", "1e308"]
         + ["--length-bs21", "1", "--length-bs22", "3"],
+        # Non-finite values parse as numbers; RunConfig and ExperimentGeometry refuse them.
+        ["--phi11-deg", "inf"],
+        ["--length-bs11", "nan", "--length-bs21", "1", "--length-bs22", "3"],
+        # A series together with explicit lengths.
+        ["--series", "1", "--length-bs11", "2", "--length-bs21", "1", "--length-bs22", "3"],
     ],
 )
 def test_cli_inconsistent_geometry_is_a_config_error(

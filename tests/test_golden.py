@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +29,8 @@ from rnlsim import (
     predict,
     qm_distinguishable_joint,
 )
-from rnlsim.cli import main
+from rnlsim.cli import build_parser, main
+from rnlsim.config import CONFIG_KEYS
 
 GOLDEN_SHA256 = {
     "--series 1 --format csv": "62ef060b28bf16b66c529574867248121f912b418451c42bd4b53d1cbc4fb834",
@@ -48,6 +50,31 @@ def test_cli_output_is_byte_identical(args: str, capsys: pytest.CaptureFixture) 
     assert main(args.split()) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_SHA256[args]
+
+
+# sha256 of `rnlsim --help` at 80 columns: the flags generated from the key table.
+HELP_SHA256 = "887f07be704aa0d69c93ed3c41d9d981b369eeb5a4084ac93112cdb5134a99ba"
+
+
+def test_cli_help_is_byte_identical(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setenv("COLUMNS", "80")
+    help_text = build_parser().format_help()
+    assert hashlib.sha256(help_text.encode()).hexdigest() == HELP_SHA256
+
+
+def test_every_config_key_is_a_flag() -> None:
+    parser = build_parser()
+    assert list(vars(parser.parse_args([]))) == ["config", *CONFIG_KEYS, "out", "format"]
+    for key in CONFIG_KEYS:
+        args = parser.parse_args(["--" + key.replace("_", "-"), "1"])
+        assert getattr(args, key) == "1"
+
+
+def test_readme_config_block_lists_the_config_keys() -> None:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("### Config file", 1)[1].split("```", 2)[1]
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
+    assert tuple(keys) == CONFIG_KEYS
 
 
 # sha256 of the repr of every predict(...).joint over _table_grid(), one per line.

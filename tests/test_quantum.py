@@ -108,6 +108,11 @@ def test_string_phases_are_stored_as_floats() -> None:
         PhaseSettings("half", 0, 0)
 
 
+def test_single_pair_string_phases_are_read_as_floats() -> None:
+    assert qm_single_pair_correlation("0.5", 0) == qm_single_pair_correlation(0.5, 0.0)
+    assert qm_single_pair_joint("0.5", "0") == qm_single_pair_joint(0.5, 0.0)
+
+
 def test_string_probabilities_are_stored_as_floats() -> None:
     table = JointDistribution("0.25", 0.25, 0.25, 0.25)
     assert table == qm_distinguishable_joint()

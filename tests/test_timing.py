@@ -270,6 +270,16 @@ def test_before_label2_requires_bs21_before() -> None:
         TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.B22, bs21_before=False)
 
 
+def test_series_must_match_the_pairing() -> None:
+    # (b11, a22) is series 2; (b11, b21) has no series at all.
+    for label1, label2, series in (
+        (PhotonOneLabel.B11, PhotonTwoLabel.A22, 1),
+        (PhotonOneLabel.B11, PhotonTwoLabel.B21, 3),
+    ):
+        with pytest.raises(ValueError, match="does not match pairing"):
+            TimingAssignment(label1, label2, True, series)
+
+
 def test_for_series_round_trip() -> None:
     for series in (1, 2, 3):
         assignment = for_series(series)
