@@ -39,8 +39,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name in ("phi11_deg", "phi21_deg", "phi22_deg"):
-            # Checked, not converted: the CSV prints the value as given.
+            # Checked, not converted: the CSV prints the value as given.  bool
+            # is an int subclass: True would run as 1 degree.
             try:
+                if isinstance(getattr(self, name), bool):
+                    raise TypeError
                 finite = math.isfinite(getattr(self, name))
             except TypeError:
                 raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}") from None
@@ -64,6 +67,9 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("condition1", "condition2"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         try:

@@ -14,6 +14,8 @@ class AmbiguousScheduleError(ValueError):
 
 
 def require_finite(name: str, value: float) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")

@@ -83,10 +83,10 @@ class JointDistribution:
 # --- closed forms -----------------------------------------------------------
 
 
-def _fringe(settings: PhaseSettings) -> float:
-    """cos(phi11 - phi21 - phi22) - cos(phi11 - phi21 + phi22), the term every QM entry scales."""
-    delta = settings.phi11 - settings.phi21
-    return math.cos(delta - settings.phi22) - math.cos(delta + settings.phi22)
+def _symmetric_joint(e: float) -> JointDistribution:
+    """The table 1/4 + (sigma*omega/4) e, which has fair marginals and correlation e."""
+    same, differ = 0.25 + e / 4.0, 0.25 - e / 4.0
+    return JointDistribution(same, differ, differ, same)
 
 
 def qm_joint(settings: PhaseSettings) -> JointDistribution:
@@ -95,15 +95,13 @@ def qm_joint(settings: PhaseSettings) -> JointDistribution:
     P(sigma, omega) = 1/4 + (sigma*omega/8) * [cos(phi11 - phi21 - phi22)
                                                - cos(phi11 - phi21 + phi22)].
     """
-    fringe = _fringe(settings)
-    same = 0.25 + 0.125 * fringe
-    differ = 0.25 + (-0.125) * fringe
-    return JointDistribution(same, differ, differ, same)
+    return _symmetric_joint(qm_correlation(settings))
 
 
 def qm_correlation(settings: PhaseSettings) -> float:
     """Correlation of the full table; equals sin(phi11 - phi21) * sin(phi22)."""
-    return 0.5 * _fringe(settings)
+    delta = settings.phi11 - settings.phi21
+    return 0.5 * (math.cos(delta - settings.phi22) - math.cos(delta + settings.phi22))
 
 
 def qm_single_pair_correlation(phi11: float, phi21: float) -> float:
@@ -113,8 +111,7 @@ def qm_single_pair_correlation(phi11: float, phi21: float) -> float:
 
 def qm_single_pair_joint(phi11: float, phi21: float) -> JointDistribution:
     """Joint table for the intermediate-detection experiment: 1/4 + (sigma*omega/4) cos(phi11 - phi21)."""
-    e = qm_single_pair_correlation(phi11, phi21)
-    return JointDistribution(0.25 + e / 4.0, 0.25 - e / 4.0, 0.25 - e / 4.0, 0.25 + e / 4.0)
+    return _symmetric_joint(qm_single_pair_correlation(phi11, phi21))
 
 
 def qm_distinguishable_joint() -> JointDistribution:
@@ -123,7 +120,7 @@ def qm_distinguishable_joint() -> JointDistribution:
 
 
 # Built once: tables are frozen, so every caller can share it.
-_FLAT = JointDistribution(0.25, 0.25, 0.25, 0.25)
+_FLAT = _symmetric_joint(0.0)
 
 
 # --- amplitude oracle -------------------------------------------------------

@@ -4,8 +4,10 @@ Unlike the timing-blind quantum rule, these predictions depend on the
 before/non-before pairing of the two impacts: two before impacts give flat
 product statistics, mixed pairings reproduce the quantum tables, and two
 non-before impacts give the flat table too: factorized through conditionals
-on the partner's before values, their correlation vanishes.  Every rule is
-one of three closed-form tables; the derivations sit above _RULES.
+on the partner's before values, their correlation vanishes.  Every rule is a
+stage (the flat, intermediate or final table); derivations sit above _RULES.
+predict flattens a quantum stage whose condition is off, and memoizes only
+the quantum tables, per (stage, phases).
 """
 
 from __future__ import annotations
@@ -32,31 +34,15 @@ class ModelVariant(enum.Enum):
     RNL_ALTERNATIVE = "RNL_ALTERNATIVE"
 
 
-# A rule maps (settings, condition1, condition2) to a joint table.  Dropping
-# condition1 flattens the intermediate-stage table, condition2 the final one.
-
-
-def _flat_rule(settings: PhaseSettings, condition1: bool, condition2: bool) -> JointDistribution:
-    return qm_distinguishable_joint()
-
-
-def _intermediate_rule(settings: PhaseSettings, condition1: bool, condition2: bool) -> JointDistribution:
-    if condition1:
-        return qm_single_pair_joint(settings.phi11, settings.phi21)
-    return qm_distinguishable_joint()
-
-
-def _final_rule(settings: PhaseSettings, condition1: bool, condition2: bool) -> JointDistribution:
-    return qm_joint(settings) if condition2 else qm_distinguishable_joint()
-
-
+_FLAT, _INTERMEDIATE, _FINAL = "flat", "intermediate", "final"
 _B11, _A11_21, _A11_22 = PhotonOneLabel.B11, PhotonOneLabel.A11_21, PhotonOneLabel.A11_22
 _B21, _B22, _A22 = PhotonTwoLabel.B21, PhotonTwoLabel.B22, PhotonTwoLabel.A22
 
-# RNL_STANDARD: two before impacts give the flat table, mixed pairings the
-# quantum table of their stage, two non-before impacts the factorized one,
-# which is flat as well.  These are the pairings TimingAssignment accepts; it
-# refuses (a11[22], b21).
+# Each rule is the stage whose table a pairing takes: flat (every cell 1/4),
+# intermediate (qm_single_pair_joint) or final (qm_joint).  RNL_STANDARD: two
+# before impacts give the flat table, mixed pairings the quantum table of
+# their stage, two non-before impacts the factorized one, which is flat as
+# well.  TimingAssignment accepts these pairings and refuses (a11[22], b21).
 #
 # Two non-before impacts, (a11[22], a22) and (a11[21], a22): each outcome is
 # drawn from a conditional on the partner's before value, and the conditional
@@ -86,14 +72,14 @@ _B21, _B22, _A22 = PhotonTwoLabel.B21, PhotonTwoLabel.B22, PhotonTwoLabel.A22
 # two conditions: dropping condition1 only flattens P_int, and condition2
 # does not enter.  RNL_ALTERNATIVE equals RNL_STANDARD here.
 _RULES = {
-    (_B11, _B21): _flat_rule,
-    (_B11, _B22): _flat_rule,
-    (_A11_21, _B21): _intermediate_rule,
-    (_A11_21, _B22): _flat_rule,
-    (_A11_22, _B22): _final_rule,
-    (_B11, _A22): _final_rule,
-    (_A11_22, _A22): _flat_rule,
-    (_A11_21, _A22): _flat_rule,
+    (_B11, _B21): _FLAT,
+    (_B11, _B22): _FLAT,
+    (_A11_21, _B21): _INTERMEDIATE,
+    (_A11_21, _B22): _FLAT,
+    (_A11_22, _B22): _FINAL,
+    (_B11, _A22): _FINAL,
+    (_A11_22, _A22): _FLAT,
+    (_A11_21, _A22): _FLAT,
 }
 
 
@@ -129,22 +115,24 @@ def predict(
     if variant is ModelVariant.QM or (
         variant is ModelVariant.RNL_ALTERNATIVE and timing.pairing == (_A11_21, _A22)
     ):
-        rule = _final_rule
+        stage = _FINAL
     else:
-        rule = _RULES[timing.pairing]
-    joint = _evaluate(
-        rule, settings.phi11, settings.phi21, settings.phi22, bool(condition1), bool(condition2)
-    )
+        stage = _RULES[timing.pairing]
+    if (stage is _INTERMEDIATE and not condition1) or (stage is _FINAL and not condition2):
+        stage = _FLAT
+    if stage is _FLAT:
+        joint = qm_distinguishable_joint()
+    else:
+        joint = _evaluate(stage, settings.phi11, settings.phi21, settings.phi22)
     return Prediction(joint=joint, correlation=joint.correlation)
 
 
-# A sweep at fixed phases asks for the same few (rule, phases, conditions)
-# tables at every point, so each is computed once while it stays among the
-# most recent 256.  Tables are frozen, so sharing them is safe; phases are
-# always floats, and +0.0 and -0.0 share a key and give bit-identical
-# tables (cos is even).
+# A sweep at fixed phases asks for the same few quantum tables at every
+# point, so each (stage, phases) table is computed once while among the most
+# recent 256.  Tables are frozen, so sharing them is safe; phases are floats,
+# and +0.0 and -0.0 share a key: cos is even, so their tables are identical.
 @functools.lru_cache(maxsize=256)
-def _evaluate(
-    rule, phi11: float, phi21: float, phi22: float, condition1: bool, condition2: bool
-) -> JointDistribution:
-    return rule(PhaseSettings(phi11, phi21, phi22), condition1, condition2)
+def _evaluate(stage: str, phi11: float, phi21: float, phi22: float) -> JointDistribution:
+    if stage is _INTERMEDIATE:
+        return qm_single_pair_joint(phi11, phi21)
+    return qm_joint(PhaseSettings(phi11, phi21, phi22))

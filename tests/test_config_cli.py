@@ -13,7 +13,17 @@ from pathlib import Path
 import pytest
 
 import rnlsim
-from rnlsim import ConfigError, ModelVariant, RunConfig, build_run_config, parse_config_file
+from rnlsim import (
+    ConfigError,
+    ExperimentGeometry,
+    JointDistribution,
+    ModelVariant,
+    PhaseSettings,
+    RunConfig,
+    SpacetimeEvent,
+    build_run_config,
+    parse_config_file,
+)
 from rnlsim.cli import main
 from rnlsim.report import CSV_COLUMNS
 
@@ -138,6 +148,30 @@ def test_bool_counts_are_config_errors() -> None:
     for name in ("series", "seed", "n_events", "chunk_size"):
         for value in (True, False):
             with pytest.raises(ConfigError, match=f"{name} must be"):
+                RunConfig(**{name: value})
+
+
+def test_bool_phases_and_lengths_are_refused() -> None:
+    # True would run as 1 degree (or 1 m) and print True in the CSV.
+    for name in ("phi11_deg", "phi21_deg", "phi22_deg"):
+        with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+            RunConfig(**{name: True})
+    for make in (
+        lambda: PhaseSettings(True, 0.0, 0.0),
+        lambda: ExperimentGeometry(True, 0.5, 3.0),
+        lambda: ExperimentGeometry(2.0, 1.0, 3.0, m11_displacement=False),
+        lambda: SpacetimeEvent(0.0, True),
+        lambda: JointDistribution(True, False, False, False),
+    ):
+        with pytest.raises(ValueError, match="must be a real number, got (True|False)"):
+            make()
+
+
+def test_non_bool_conditions_are_config_errors() -> None:
+    # A truthy "false" would run with the condition on.
+    for name in ("condition1", "condition2"):
+        for value in ("false", 0, 1, None):
+            with pytest.raises(ConfigError, match=f"{name} must be true or false"):
                 RunConfig(**{name: value})
 
 

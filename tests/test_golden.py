@@ -6,8 +6,8 @@ columns and the sampled counts, so a change to the RNG stream layout
 too; such a change must update them and say so in CHANGES.md.  The CLI
 configs all use phases 45/-45/90, so the table hash pins every rule at
 seeded float phases as well.  The flat pairings, two non-before impacts
-included, are exactly flat by construction: their rule returns the flat
-table itself.
+included, are exactly flat by construction: their stage is flat, and predict
+returns the flat table itself.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ GOLDEN_SHA256 = {
     "--condition2 false --format csv": "44bbc62e850701b23908351255ce0f5777b4ac489074e7641860e3785fd65be8",
     "--format json-lines": "fbe2e11eeaf83d6377ff93560a33f2c7a9fa00c42e8b341c00f0f15b72f06d21",
     "--format table": "84b8119950d072bc746065988859f2495d5af4462260732242da2f516b673a91",
+    "--length-bs11 2 --length-bs21 1 --length-bs22 3 --m11-displacement 0.5 --format table": (
+        "f6a5f88666cc863b60d41ea68162a4d009da7f6c7c165a504f76d892b2430030"
+    ),
 }
 
 

@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import counts_by_variant, for_series
+import rnlsim.report
 from rnlsim import (
     CoincidenceCounts,
     JointDistribution,
@@ -215,27 +216,39 @@ def test_run_experiment_key_settings() -> None:
 
 
 def test_compare_report_predicts_each_variant_once(monkeypatch: pytest.MonkeyPatch) -> None:
-    # Counted below predict and above its memo, so every prediction made
-    # from any module is seen.  At the default series-3 timing, QM and the
-    # alternative rules evaluate the final-stage rule, the standard rules
-    # the factorized one.
-    calls = []
-    evaluate = rnl._evaluate
+    # report.predict is called once per configured variant, in order.  Below
+    # it, the memo sees the stage of every quantum table: at the default
+    # series-3 timing QM and the alternative rules evaluate the final stage,
+    # while the standard rules take the flat table, which never reaches it.
+    predicted, stages = [], []
+    report_predict, evaluate = rnlsim.report.predict, rnl._evaluate
 
-    def counting_evaluate(rule, *args):
-        calls.append(rule)
-        return evaluate(rule, *args)
+    def counting_predict(settings, timing, variant, **conditions):
+        predicted.append(variant)
+        return report_predict(settings, timing, variant, **conditions)
 
+    def counting_evaluate(stage, *phases):
+        stages.append(stage)
+        return evaluate(stage, *phases)
+
+    monkeypatch.setattr("rnlsim.report.predict", counting_predict)
     monkeypatch.setattr("rnlsim.rnl._evaluate", counting_evaluate)
     expected = {
-        ModelVariant.QM: rnl._final_rule,
-        ModelVariant.RNL_STANDARD: rnl._RULES[for_series(3).pairing],
-        ModelVariant.RNL_ALTERNATIVE: rnl._final_rule,
+        ModelVariant.QM: [rnl._FINAL],
+        ModelVariant.RNL_STANDARD: [],
+        ModelVariant.RNL_ALTERNATIVE: [rnl._FINAL],
     }
-    for variants in (tuple(ModelVariant), (ModelVariant.RNL_STANDARD,)):
-        calls.clear()
+    assert rnl._RULES[for_series(3).pairing] is rnl._FLAT
+    for variants in (
+        tuple(ModelVariant),
+        (ModelVariant.RNL_STANDARD,),
+        (ModelVariant.RNL_ALTERNATIVE, ModelVariant.QM),
+    ):
+        predicted.clear()
+        stages.clear()
         compare_report(RunConfig(n_events=1000, variants=variants))
-        assert tuple(calls) == tuple(expected[variant] for variant in variants)
+        assert tuple(predicted) == variants
+        assert stages == [stage for variant in variants for stage in expected[variant]]
 
 
 def test_run_experiment_is_deterministic() -> None:

@@ -398,6 +398,32 @@ def test_memoized_predictions_equal_fresh_rule_calls(settings: PhaseSettings) ->
     ]
     for s, case, got in memoized:
         assert _bits(got) == _bits(_fresh(s, *case))
+        # Every stage's table is 1/4 + (sigma*omega/4) E, symmetric bit for bit.
+        assert got.joint.p_pp == got.joint.p_mm and got.joint.p_pm == got.joint.p_mp
+
+
+def test_flat_tables_never_reach_the_memo(monkeypatch: pytest.MonkeyPatch) -> None:
+    stages = []
+    evaluate = rnl._evaluate
+
+    def counting_evaluate(stage, *phases):
+        stages.append(stage)
+        return evaluate(stage, *phases)
+
+    monkeypatch.setattr(rnl, "_evaluate", counting_evaluate)
+    flat = qm_distinguishable_joint()
+    for timing, variant, condition1, condition2 in MEMO_CASES:
+        stages.clear()
+        joint = _table(KEY_SETTINGS, timing, variant, condition1=condition1, condition2=condition2)
+        # At most one quantum stage is evaluated, and only with its condition on.
+        assert stages in ([], [rnl._INTERMEDIATE], [rnl._FINAL])
+        assert condition1 or rnl._INTERMEDIATE not in stages
+        assert condition2 or rnl._FINAL not in stages
+        assert (joint is flat) == (not stages)
+        if variant is ModelVariant.QM:
+            assert stages == ([rnl._FINAL] if condition2 else [])
+        if variant is ModelVariant.RNL_STANDARD and rnl._RULES[timing.pairing] is rnl._FLAT:
+            assert stages == []
 
 
 def test_memo_stays_bounded_and_exact() -> None:
