@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import BOOL_TYPES, ConfigError
 from .montecarlo import check_run_size
 from .quantum import PhaseSettings
 from .rnl import ModelVariant
@@ -39,10 +39,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name in ("phi11_deg", "phi21_deg", "phi22_deg"):
-            # Checked, not converted: the CSV prints the value as given.  bool
-            # is an int subclass: True would run as 1 degree.
+            # Checked, not converted: the CSV prints the value as given.  A
+            # bool would run as 1 degree.
             try:
-                if isinstance(getattr(self, name), bool):
+                if isinstance(getattr(self, name), BOOL_TYPES):
                     raise TypeError
                 finite = math.isfinite(getattr(self, name))
             except TypeError:
@@ -51,8 +51,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite")
         if (self.series is None) == (self.geometry is None):
             raise ConfigError("series and geometry are mutually exclusive, and one must be set")
-        # bool is an int subclass: True would run as series 1.
-        if isinstance(self.series, bool) or self.series not in (None, 1, 2, 3):
+        # A bool would run as series 1.
+        if isinstance(self.series, BOOL_TYPES) or self.series not in (None, 1, 2, 3):
             raise ConfigError(f"series must be 1, 2 or 3, got {self.series!r}")
         if self.geometry is not None and not isinstance(self.geometry, ExperimentGeometry):
             raise ConfigError("geometry must be an ExperimentGeometry")

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+# Refused where a number is expected: float() would take True as 1.
+BOOL_TYPES = (bool, np.bool_)
+
 
 class ConfigError(ValueError):
     """Invalid run configuration: unknown key, bad value, or inconsistent inputs."""
@@ -14,7 +19,7 @@ class AmbiguousScheduleError(ValueError):
 
 
 def require_finite(name: str, value: float) -> float:
-    if isinstance(value, bool):
+    if isinstance(value, BOOL_TYPES):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):

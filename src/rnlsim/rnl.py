@@ -7,7 +7,7 @@ non-before impacts give the flat table too: factorized through conditionals
 on the partner's before values, their correlation vanishes.  Every rule is a
 stage (the flat, intermediate or final table); derivations sit above _RULES.
 predict flattens a quantum stage whose condition is off, and memoizes only
-the quantum tables, per (stage, phases).
+the quantum predictions, per (stage, phases).
 """
 
 from __future__ import annotations
@@ -91,6 +91,10 @@ class Prediction:
     correlation: float
 
 
+# Frozen, so every flat-stage prediction can be this one object.
+_FLAT_PREDICTION = Prediction(qm_distinguishable_joint(), qm_distinguishable_joint().correlation)
+
+
 def predict(
     settings: PhaseSettings,
     timing: TimingAssignment,
@@ -113,26 +117,22 @@ def predict(
     if not isinstance(timing, TimingAssignment):
         raise ValueError(f"timing must be a TimingAssignment, got {timing!r}")
     if variant is ModelVariant.QM or (
-        variant is ModelVariant.RNL_ALTERNATIVE and timing.pairing == (_A11_21, _A22)
+        variant is ModelVariant.RNL_ALTERNATIVE and timing.label1 is _A11_21 and timing.label2 is _A22
     ):
         stage = _FINAL
     else:
-        stage = _RULES[timing.pairing]
-    if (stage is _INTERMEDIATE and not condition1) or (stage is _FINAL and not condition2):
-        stage = _FLAT
-    if stage is _FLAT:
-        joint = qm_distinguishable_joint()
-    else:
-        joint = _evaluate(stage, settings.phi11, settings.phi21, settings.phi22)
-    return Prediction(joint=joint, correlation=joint.correlation)
+        stage = _RULES[timing.label1, timing.label2]
+    if stage is _FLAT or not (condition1 if stage is _INTERMEDIATE else condition2):
+        return _FLAT_PREDICTION
+    return _evaluate(stage, settings.phi11, settings.phi21, settings.phi22)
 
 
 # A sweep at fixed phases asks for the same few quantum tables at every
-# point, so each (stage, phases) table is computed once while among the most
-# recent 256.  Tables are frozen, so sharing them is safe; phases are floats,
-# and +0.0 and -0.0 share a key: cos is even, so their tables are identical.
+# point, so each (stage, phases) prediction is built once while among the most
+# recent 256.  It is frozen, so sharing it is safe; phases are floats, and
+# +0.0 and -0.0 share a key: cos is even, so their tables are identical.
 @functools.lru_cache(maxsize=256)
-def _evaluate(stage: str, phi11: float, phi21: float, phi22: float) -> JointDistribution:
-    if stage is _INTERMEDIATE:
-        return qm_single_pair_joint(phi11, phi21)
-    return qm_joint(PhaseSettings(phi11, phi21, phi22))
+def _evaluate(stage: str, phi11: float, phi21: float, phi22: float) -> Prediction:
+    settings = PhaseSettings(phi11, phi21, phi22)
+    joint = qm_single_pair_joint(phi11, phi21) if stage is _INTERMEDIATE else qm_joint(settings)
+    return Prediction(joint=joint, correlation=joint.correlation)

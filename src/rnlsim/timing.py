@@ -22,8 +22,8 @@ GUARD_BAND_S = 1e-15
 
 
 def _require_beta(name: str, beta: float) -> float:
-    beta = float(beta)
-    if not math.isfinite(beta) or not -1.0 < beta < 1.0:
+    beta = require_finite(name, beta)
+    if not -1.0 < beta < 1.0:
         raise ValueError(f"{name} must satisfy |beta| < 1, got {beta!r}")
     return beta
 
@@ -98,6 +98,9 @@ class PhotonOneLabel(enum.Enum):
     A11_21 = "a11[21]"  # non-before relative to BS21, still before BS22
     A11_22 = "a11[22]"  # non-before relative to BS22 as well
 
+    # Members are singletons: identity hashing keeps label lookups out of enum.py.
+    __hash__ = object.__hash__
+
 
 class PhotonTwoLabel(enum.Enum):
     """Timing label of photon 2's relevant impact."""
@@ -105,6 +108,8 @@ class PhotonTwoLabel(enum.Enum):
     B21 = "b21"  # BS21 impact before BS11's, photon 2 detected between its splitters
     B22 = "b22"  # final impact before BS11's (and the BS21 one too)
     A22 = "a22"  # final impact non-before
+
+    __hash__ = object.__hash__  # as PhotonOneLabel's
 
 
 # The lab-ordering series of each pairing a schedule at rest can have.
@@ -222,9 +227,16 @@ class ExperimentGeometry:
             if value <= 0.0 and name != "m11_displacement":
                 raise ValueError(f"{name} must be positive")
             object.__setattr__(self, name, value)
-        if require_finite("effective_length_bs11", self.effective_length_bs11) <= 0.0:
+        if (l11 := require_finite("effective_length_bs11", self.effective_length_bs11)) <= 0.0:
             raise ValueError("m11_displacement makes photon 1's path non-positive")
-        schedule = schedule_from_geometry(self)
+        # At x = (signed) length, t = length / c; not a field, so out of __eq__, __hash__, __repr__.
+        schedule = ImpactSchedule(
+            SpacetimeEvent(l11 / SPEED_OF_LIGHT, -l11),
+            SpacetimeEvent(self.length_bs21 / SPEED_OF_LIGHT, self.length_bs21),
+            SpacetimeEvent(self.length_bs22 / SPEED_OF_LIGHT, self.length_bs22),
+            self.beta_bs11, self.beta_bs21, self.beta_bs22,
+        )
+        object.__setattr__(self, "_schedule", schedule)
         for name in ("beta_bs11", "beta_bs21", "beta_bs22"):
             object.__setattr__(self, name, getattr(schedule, name))
 
@@ -234,16 +246,8 @@ class ExperimentGeometry:
 
 
 def schedule_from_geometry(geometry: ExperimentGeometry) -> ImpactSchedule:
-    """Impact events at x = (signed) path length, t = path length / c."""
-    l11 = geometry.effective_length_bs11
-    return ImpactSchedule(
-        bs11=SpacetimeEvent(l11 / SPEED_OF_LIGHT, -l11),
-        bs21=SpacetimeEvent(geometry.length_bs21 / SPEED_OF_LIGHT, geometry.length_bs21),
-        bs22=SpacetimeEvent(geometry.length_bs22 / SPEED_OF_LIGHT, geometry.length_bs22),
-        beta_bs11=geometry.beta_bs11,
-        beta_bs21=geometry.beta_bs21,
-        beta_bs22=geometry.beta_bs22,
-    )
+    """The geometry's impact schedule, built and validated once when the geometry was made."""
+    return geometry._schedule
 
 
 _PHOTON2_LEG_BS21_M = 1.0

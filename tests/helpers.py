@@ -1,15 +1,19 @@
-"""Plain-math readings of joint tables, shared by the test modules."""
+"""Plain-math readings of joint tables and schedules, shared by the test modules."""
 
 from __future__ import annotations
 
 from rnlsim import (
+    SPEED_OF_LIGHT,
     CoincidenceCounts,
+    ExperimentGeometry,
+    ImpactSchedule,
     JointDistribution,
     ModelVariant,
     PhaseSettings,
     PhotonOneLabel,
     PhotonTwoLabel,
     RunConfig,
+    SpacetimeEvent,
     TimingAssignment,
     compare_report,
     qm_correlation,
@@ -132,3 +136,21 @@ def for_series(series: int) -> TimingAssignment:
 def counts_by_variant(config: RunConfig) -> dict[ModelVariant, CoincidenceCounts]:
     """The sampled counts of compare_report, keyed by variant."""
     return {row.variant: row.counts for row in compare_report(config).rows}
+
+
+def rebuilt_schedule(geometry: ExperimentGeometry) -> ImpactSchedule:
+    """A fresh ImpactSchedule from the geometry's fields, as the paper's collinear layout gives it.
+
+    Every impact sits on a light ray from the source: photon 1 reaches BS11
+    at x = -(length_bs11 + m11_displacement), photon 2 its splitters at
+    x = +length, each at t = path length / c.
+    """
+    l11 = geometry.length_bs11 + geometry.m11_displacement
+    return ImpactSchedule(
+        bs11=SpacetimeEvent(l11 / SPEED_OF_LIGHT, -l11),
+        bs21=SpacetimeEvent(geometry.length_bs21 / SPEED_OF_LIGHT, geometry.length_bs21),
+        bs22=SpacetimeEvent(geometry.length_bs22 / SPEED_OF_LIGHT, geometry.length_bs22),
+        beta_bs11=geometry.beta_bs11,
+        beta_bs21=geometry.beta_bs21,
+        beta_bs22=geometry.beta_bs22,
+    )

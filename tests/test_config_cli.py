@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rnlsim
@@ -21,6 +22,7 @@ from rnlsim import (
     PhaseSettings,
     RunConfig,
     SpacetimeEvent,
+    boost_time,
     build_run_config,
     parse_config_file,
 )
@@ -144,9 +146,10 @@ def test_run_config_validation() -> None:
 
 
 def test_bool_counts_are_config_errors() -> None:
-    # bool is an int subclass; True must not run as series 1 or seed 1.
+    # bool is an int subclass and numpy.bool_ compares equal to 1: True must
+    # not run as series 1 or seed 1.
     for name in ("series", "seed", "n_events", "chunk_size"):
-        for value in (True, False):
+        for value in (True, False, np.True_, np.False_):
             with pytest.raises(ConfigError, match=f"{name} must be"):
                 RunConfig(**{name: value})
 
@@ -154,17 +157,23 @@ def test_bool_counts_are_config_errors() -> None:
 def test_bool_phases_and_lengths_are_refused() -> None:
     # True would run as 1 degree (or 1 m) and print True in the CSV.
     for name in ("phi11_deg", "phi21_deg", "phi22_deg"):
-        with pytest.raises(ConfigError, match=f"{name} must be a real number"):
-            RunConfig(**{name: True})
-    for make in (
-        lambda: PhaseSettings(True, 0.0, 0.0),
-        lambda: ExperimentGeometry(True, 0.5, 3.0),
-        lambda: ExperimentGeometry(2.0, 1.0, 3.0, m11_displacement=False),
-        lambda: SpacetimeEvent(0.0, True),
-        lambda: JointDistribution(True, False, False, False),
-    ):
-        with pytest.raises(ValueError, match="must be a real number, got (True|False)"):
-            make()
+        for value in (True, np.True_):
+            with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+                RunConfig(**{name: value})
+    # numpy.bool_ is no bool subclass, but float() takes it as 0 or 1 all the same.
+    for true, false in ((True, False), (np.True_, np.False_)):
+        for make in (
+            lambda: PhaseSettings(true, 0.0, 0.0),
+            lambda: ExperimentGeometry(true, 0.5, 3.0),
+            lambda: ExperimentGeometry(2.0, 1.0, 3.0, m11_displacement=false),
+            lambda: ExperimentGeometry(2.0, 1.0, 3.0, beta_bs11=false),
+            lambda: ExperimentGeometry(2.0, 1.0, 3.0, beta_bs22=true),
+            lambda: boost_time(SpacetimeEvent(0.0, 1.0), false),
+            lambda: SpacetimeEvent(0.0, true),
+            lambda: JointDistribution(true, false, false, false),
+        ):
+            with pytest.raises(ValueError, match=r"must be a real number, got (np\.)?(True|False)"):
+                make()
 
 
 def test_non_bool_conditions_are_config_errors() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -445,6 +446,23 @@ def test_memo_stays_bounded_and_exact() -> None:
         assert _bits(predict(settings, timing, variant)) == _bits(got)
     for (settings, variant), got in zip(cases, memoized):
         assert _bits(got) == _bits(_fresh(settings, timing, variant, True, True))
+
+
+@given(settings_strategy)
+def test_predictions_are_shared_frozen_and_carry_their_table_correlation(
+    settings: PhaseSettings,
+) -> None:
+    for timing, variant, condition1, condition2 in MEMO_CASES:
+        conditions = dict(condition1=condition1, condition2=condition2)
+        first = predict(settings, timing, variant, **conditions)
+        assert first.correlation == first.joint.correlation
+        # A repeated call hands back the memoized object itself.
+        again = predict(settings, timing, variant, **conditions)
+        assert again == first and again is first
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.correlation = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.joint.p_pp = 0.5
 
 
 def test_int_and_float_phases_give_one_table() -> None:

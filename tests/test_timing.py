@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import enum
 import importlib.util
 import math
+import pickle
 import sys
 from pathlib import Path
 
@@ -12,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from helpers import for_series, marginal_photon1, marginal_photon2
+from helpers import for_series, marginal_photon1, marginal_photon2, rebuilt_schedule
 from rnlsim import (
     SPEED_OF_LIGHT,
     AmbiguousScheduleError,
@@ -30,6 +34,8 @@ from rnlsim import (
     schedule_from_geometry,
     series_preset,
 )
+from rnlsim import rnl
+from rnlsim.timing import _SERIES_BY_PAIRING
 
 ATOL = 1e-12
 
@@ -366,6 +372,88 @@ def test_schedule_from_geometry_times_and_positions() -> None:
     assert schedule.bs22.t == pytest.approx(2.0 / SPEED_OF_LIGHT)
     # BS11 arrival between the photon 2 impacts: the third lab ordering.
     assert classify(schedule).series == 3
+
+
+geometry_lengths = st.floats(min_value=1e-3, max_value=1e3)
+geometry_betas = st.one_of(st.just(0.0), st.floats(min_value=-0.9, max_value=0.9))
+
+
+@given(
+    l11=geometry_lengths,
+    l21=geometry_lengths,
+    l22=geometry_lengths,
+    displacement=st.floats(min_value=-0.5, max_value=10.0),
+    moved_to=st.floats(min_value=-0.5, max_value=10.0),
+    moving=st.booleans(),
+    betas=st.tuples(geometry_betas, geometry_betas, geometry_betas),
+)
+def test_a_geometry_keeps_the_schedule_its_fields_give(
+    l11: float,
+    l21: float,
+    l22: float,
+    displacement: float,
+    moved_to: float,
+    moving: bool,
+    betas: tuple[float, float, float],
+) -> None:
+    fields = dict(
+        length_bs11=l11,
+        length_bs21=l21,
+        length_bs22=l22,
+        m11_displacement=displacement,
+        **dict(zip(("beta_bs11", "beta_bs21", "beta_bs22"), betas if moving else (0.0, 0.0, 0.0))),
+    )
+    try:
+        geometry = ExperimentGeometry(**fields)
+    except ValueError:
+        assume(False)
+    assert schedule_from_geometry(geometry) == rebuilt_schedule(geometry)
+    assert schedule_from_geometry(geometry) is schedule_from_geometry(geometry)
+    # The schedule is not a field: equal fields mean equal, equally hashed geometries.
+    twin = ExperimentGeometry(**fields)
+    assert twin == geometry and hash(twin) == hash(geometry)
+    assert "schedule" not in repr(geometry).lower()
+    assert [f.name for f in dataclasses.fields(geometry)] == [*fields]
+    for clone in (pickle.loads(pickle.dumps(geometry)), copy.copy(geometry), copy.deepcopy(geometry)):
+        assert clone == geometry
+        assert schedule_from_geometry(clone) == rebuilt_schedule(geometry)
+    try:
+        moved = dataclasses.replace(geometry, m11_displacement=moved_to)
+    except ValueError:
+        return
+    assert schedule_from_geometry(moved) == rebuilt_schedule(moved)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))])
+def test_cloned_assignments_keep_their_rule_row_and_series(clone) -> None:
+    assignments = [TimingAssignment(label1, label2) for label1, label2 in rnl._RULES]
+    for assignment in (*assignments, *(for_series(series) for series in (1, 2, 3))):
+        cloned = clone(assignment)
+        assert cloned == assignment and hash(cloned) == hash(assignment)
+        assert cloned.label1 is assignment.label1 and cloned.label2 is assignment.label2
+        assert rnl._RULES[cloned.pairing] is rnl._RULES[assignment.pairing]
+        if assignment.series is not None:
+            assert _SERIES_BY_PAIRING[cloned.pairing] == assignment.series
+            # TimingAssignment's series check reads the same table.
+            assert TimingAssignment(cloned.label1, cloned.label2, cloned.bs21_before, cloned.series) == cloned
+
+
+def test_label_lookups_never_call_the_enum_hash(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Enum.__hash__ is Python code; classify, TimingAssignment and predict run
+    # once per sweep point, so their label-pair lookups must not reach it.
+    def refuse(self):
+        raise AssertionError(f"Enum.__hash__ called on {self!r}")
+
+    geometries = [series_preset(series) for series in (1, 2, 3)]
+    geometries.append(ExperimentGeometry(2.0, 1.0, 3.0, 0.3, beta_bs11=-0.3, beta_bs22=0.3))
+    settings = PhaseSettings.from_degrees(45.0, -45.0, 90.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(enum.Enum, "__hash__", refuse)
+        for geometry in geometries:
+            assignment = classify(schedule_from_geometry(geometry))
+            TimingAssignment(assignment.label1, assignment.label2, assignment.bs21_before, assignment.series)
+            for variant in ModelVariant:
+                predict(settings, assignment, variant)
 
 
 def test_presets_classify_to_their_series_with_nanosecond_gaps() -> None:
