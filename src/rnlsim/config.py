@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BOOL_TYPES, ConfigError
+from .errors import ConfigError, require_finite, require_flag, require_int
 from .montecarlo import check_run_size
 from .quantum import PhaseSettings
 from .rnl import ModelVariant
@@ -38,42 +38,30 @@ class RunConfig:
     condition2: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("phi11_deg", "phi21_deg", "phi22_deg"):
-            # Checked, not converted: the CSV prints the value as given.  A
-            # bool would run as 1 degree.
-            try:
-                if isinstance(getattr(self, name), BOOL_TYPES):
-                    raise TypeError
-                finite = math.isfinite(getattr(self, name))
-            except TypeError:
-                raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}") from None
-            if not finite:
-                raise ConfigError(f"{name} must be finite")
-        if (self.series is None) == (self.geometry is None):
-            raise ConfigError("series and geometry are mutually exclusive, and one must be set")
-        # A bool would run as series 1.
-        if isinstance(self.series, BOOL_TYPES) or self.series not in (None, 1, 2, 3):
-            raise ConfigError(f"series must be 1, 2 or 3, got {self.series!r}")
-        if self.geometry is not None and not isinstance(self.geometry, ExperimentGeometry):
-            raise ConfigError("geometry must be an ExperimentGeometry")
-        if not self.variants:
-            raise ConfigError("variants must not be empty")
-        if len(set(self.variants)) != len(self.variants):
-            raise ConfigError("variants must not repeat")
-        for variant in self.variants:
-            if not isinstance(variant, ModelVariant):
-                raise ConfigError(f"unknown variant {variant!r}")
-        for name in ("seed", "n_events", "chunk_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("condition1", "condition2"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        # Only checks inside: a ValueError from anywhere else is no config error.
         try:
+            for name in ("phi11_deg", "phi21_deg", "phi22_deg"):
+                # Checked, not converted: the CSV prints the value as given.
+                if not isinstance(getattr(self, name), numbers.Real):
+                    raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
+                require_finite(name, getattr(self, name))
+            if (self.series is None) == (self.geometry is None):
+                raise ValueError("series and geometry are mutually exclusive, and one must be set")
+            if self.series is not None:
+                require_int("series", self.series, 1, 3)
+            if self.geometry is not None and not isinstance(self.geometry, ExperimentGeometry):
+                raise ValueError("geometry must be an ExperimentGeometry")
+            if not self.variants:
+                raise ValueError("variants must not be empty")
+            if len(set(self.variants)) != len(self.variants):
+                raise ValueError("variants must not repeat")
+            for variant in self.variants:
+                if not isinstance(variant, ModelVariant):
+                    raise ValueError(f"unknown variant {variant!r}")
+            require_int("seed", self.seed, 0, 2**64 - 1)
             check_run_size(self.n_events, self.chunk_size)
+            require_flag("condition1", self.condition1)
+            require_flag("condition2", self.condition2)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

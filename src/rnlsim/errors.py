@@ -1,12 +1,13 @@
-"""Exception types shared across the package, and the finiteness check."""
+"""Exception types shared across the package, and the one copy of each input check."""
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-# Refused where a number is expected: float() would take True as 1.
+# Refused where a number is expected: float() and int() would take True as 1.
 BOOL_TYPES = (bool, np.bool_)
 
 
@@ -24,4 +25,20 @@ def require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def require_int(name: str, value: int, low: int, high: int) -> int:
+    """value as an int in [low, high]; bools and floats are refused, not converted."""
+    if isinstance(value, BOOL_TYPES) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
+    return value
+
+
+def require_flag(name: str, value: bool) -> bool:
+    if value is not True and value is not False:
+        raise ValueError(f"{name} must be true or false, got {value!r}")
     return value

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_int
 from .quantum import JointDistribution
 
 # Names the RNG stream layout: the counts printed for a given seed change
@@ -43,9 +44,7 @@ class CoincidenceCounts:
 
     def __post_init__(self) -> None:
         for name in ("r_pp", "r_pm", "r_mp", "r_mm"):
-            count = getattr(self, name)
-            if not isinstance(count, int) or count < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {count!r}")
+            object.__setattr__(self, name, require_int(name, getattr(self, name), 0, MAX_EVENTS))
 
     @property
     def n_total(self) -> int:
@@ -74,10 +73,8 @@ def substream(seed: int, variant_index: int) -> np.random.Generator:
 
 def check_run_size(n_events: int, chunk_size: int) -> None:
     """Raise ValueError unless the sampler can draw n_events in chunks of chunk_size."""
-    if not 1 <= n_events <= MAX_EVENTS:
-        raise ValueError(f"n_events must be in [1, {MAX_EVENTS}], got {n_events!r}")
-    if not 1 <= chunk_size <= MAX_EVENTS:
-        raise ValueError(f"chunk_size must be in [1, {MAX_EVENTS}], got {chunk_size!r}")
+    n_events = require_int("n_events", n_events, 1, MAX_EVENTS)
+    chunk_size = require_int("chunk_size", chunk_size, 1, MAX_EVENTS)
     if -(-n_events // chunk_size) > MAX_CHUNKS:
         raise ValueError(
             f"n_events={n_events!r} in chunks of {chunk_size!r} needs more than "

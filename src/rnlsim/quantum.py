@@ -34,7 +34,8 @@ class PhaseSettings:
 
     @classmethod
     def from_degrees(cls, phi11_deg: float, phi21_deg: float, phi22_deg: float) -> "PhaseSettings":
-        return cls(math.radians(phi11_deg), math.radians(phi21_deg), math.radians(phi22_deg))
+        degrees = {"phi11_deg": phi11_deg, "phi21_deg": phi21_deg, "phi22_deg": phi22_deg}
+        return cls(*(math.radians(require_finite(name, value)) for name, value in degrees.items()))
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,8 @@ class JointDistribution:
 
     def __post_init__(self) -> None:
         total = 0.0
-        for name, p in (
-            ("p_pp", self.p_pp), ("p_pm", self.p_pm), ("p_mp", self.p_mp), ("p_mm", self.p_mm)
-        ):
-            p = require_finite(name, p)
+        for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
+            p = require_finite(name, getattr(self, name))
             if p < 0.0:
                 # Amplitude squares can undershoot zero by rounding only.
                 if p < -PROB_ATOL:

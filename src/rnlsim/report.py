@@ -108,22 +108,20 @@ def compare_report(config: RunConfig) -> ComparisonReport:
     return ComparisonReport(config=config, timing=timing, rows=tuple(rows), verdicts=tuple(verdicts))
 
 
-def _row_record(report: ComparisonReport, row: VariantRow) -> dict[str, object]:
+def _row_values(report: ComparisonReport, row: VariantRow) -> tuple[object, ...]:
+    """One report row, in CSV_COLUMNS order."""
     config = report.config
-    return {
-        "variant": row.variant.value,
-        "series": report.timing.series,
-        "phi11_deg": config.phi11_deg,
-        "phi21_deg": config.phi21_deg,
-        "phi22_deg": config.phi22_deg,
-        "R_pp": row.counts.r_pp,
-        "R_pm": row.counts.r_pm,
-        "R_mp": row.counts.r_mp,
-        "R_mm": row.counts.r_mm,
-        "e_hat": row.estimate.e_hat,
-        "stderr": row.estimate.stderr,
-        "e_analytic": row.e_analytic,
-    }
+    return (
+        row.variant.value,
+        report.timing.series,
+        config.phi11_deg,
+        config.phi21_deg,
+        config.phi22_deg,
+        *row.counts.as_tuple(),
+        row.estimate.e_hat,
+        row.estimate.stderr,
+        row.e_analytic,
+    )
 
 
 def render_csv(report: ComparisonReport) -> str:
@@ -132,14 +130,13 @@ def render_csv(report: ComparisonReport) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in report.rows:
-        record = _row_record(report, row)
-        writer.writerow(["" if record[key] is None else record[key] for key in CSV_COLUMNS])
+        writer.writerow(["" if value is None else value for value in _row_values(report, row)])
     return buffer.getvalue()
 
 
 def render_json_lines(report: ComparisonReport) -> str:
     """One JSON object per variant, same fields as the CSV schema."""
-    lines = [json.dumps(_row_record(report, row)) for row in report.rows]
+    lines = [json.dumps(dict(zip(CSV_COLUMNS, _row_values(report, row)))) for row in report.rows]
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import AmbiguousScheduleError, require_finite
+from .errors import AmbiguousScheduleError, require_finite, require_flag, require_int
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -142,9 +142,11 @@ class TimingAssignment:
         # photon 1 cannot be non-before relative to that impact.
         if self.label1 is PhotonOneLabel.A11_22 and self.label2 is PhotonTwoLabel.B21:
             raise ValueError(f"pairing ({self.label1.value}, {self.label2.value}) is not representable")
-        if self.label2 is not PhotonTwoLabel.A22 and not self.bs21_before:
+        if not require_flag("bs21_before", self.bs21_before) and self.label2 is not PhotonTwoLabel.A22:
             raise ValueError(f"label {self.label2.value} requires the BS21 impact to be before")
-        if self.series is not None and self.series != _SERIES_BY_PAIRING.get(self.pairing):
+        if self.series is not None and (
+            require_int("series", self.series, 1, 3) != _SERIES_BY_PAIRING.get(self.pairing)
+        ):
             raise ValueError(
                 f"series {self.series!r} does not match pairing ({self.label1.value}, {self.label2.value})"
             )
@@ -189,12 +191,13 @@ def classify(schedule: ImpactSchedule) -> TimingAssignment:
         _boost(schedule.bs11, schedule.beta_bs21),
         "BS21 vs BS11 in the BS21 frame",
     )
-    bs22_before = _strictly_before(
+    # Without the BS21 impact before, photon 2 is a22 whichever way BS22 falls.
+    bs22_before = bs21_before and _strictly_before(
         _boost(schedule.bs22, schedule.beta_bs22),
         _boost(schedule.bs11, schedule.beta_bs22),
         "BS22 vs BS11 in the BS22 frame",
     )
-    label2 = PhotonTwoLabel.B22 if (bs22_before and bs21_before) else PhotonTwoLabel.A22
+    label2 = PhotonTwoLabel.B22 if bs22_before else PhotonTwoLabel.A22
 
     series = _SERIES_BY_PAIRING.get((label1, label2)) if schedule.at_rest() else None
     return TimingAssignment(label1, label2, bs21_before, series)
@@ -263,11 +266,9 @@ def series_preset(series: int) -> ExperimentGeometry:
     the BS11 arrival past both photon-2 impacts (series 1), before both
     (series 2) or between them (series 3).  Every impact gap exceeds 1 ns.
     """
-    if series not in _PRESET_M11_DISPLACEMENT_M:
-        raise ValueError(f"series must be 1, 2 or 3, got {series!r}")
     return ExperimentGeometry(
         length_bs11=_PHOTON1_BASE_LEG_M,
         length_bs21=_PHOTON2_LEG_BS21_M,
         length_bs22=_PHOTON2_LEG_BS22_M,
-        m11_displacement=_PRESET_M11_DISPLACEMENT_M[series],
+        m11_displacement=_PRESET_M11_DISPLACEMENT_M[require_int("series", series, 1, 3)],
     )

@@ -152,6 +152,9 @@ def test_bool_counts_are_config_errors() -> None:
         for value in (True, False, np.True_, np.False_):
             with pytest.raises(ConfigError, match=f"{name} must be"):
                 RunConfig(**{name: value})
+    # 3.0 would run as series 3 and print as "series 3.0 preset".
+    with pytest.raises(ConfigError, match="series must be an integer, got 3.0"):
+        RunConfig(series=3.0)
 
 
 def test_bool_phases_and_lengths_are_refused() -> None:
@@ -164,6 +167,7 @@ def test_bool_phases_and_lengths_are_refused() -> None:
     for true, false in ((True, False), (np.True_, np.False_)):
         for make in (
             lambda: PhaseSettings(true, 0.0, 0.0),
+            lambda: PhaseSettings.from_degrees(0.0, 0.0, true),
             lambda: ExperimentGeometry(true, 0.5, 3.0),
             lambda: ExperimentGeometry(2.0, 1.0, 3.0, m11_displacement=false),
             lambda: ExperimentGeometry(2.0, 1.0, 3.0, beta_bs11=false),

@@ -189,6 +189,8 @@ def test_estimator_rejects_zero_counts() -> None:
 def test_counts_reject_negatives() -> None:
     with pytest.raises(ValueError):
         CoincidenceCounts(-1, 0, 0, 1)
+    with pytest.raises(ValueError, match="r_mm must be an integer, got True"):
+        CoincidenceCounts(0, 0, 0, True)
 
 
 @given(st.tuples(*(st.integers(min_value=0, max_value=10_000),) * 4))
@@ -308,6 +310,12 @@ def test_sample_counts_validates_arguments() -> None:
         sample_counts(table, seed=1, variant_index=0, n_events=MAX_EVENTS + 1, chunk_size=10)
     with pytest.raises(ValueError):
         sample_counts(table, seed=1, variant_index=0, n_events=10, chunk_size=MAX_EVENTS + 1)
+    # True would draw one event (or chunks of one); 2.5 is no event count.
+    for name in ("n_events", "chunk_size"):
+        for value in (True, np.True_, 2.5):
+            sizes = {"n_events": 10, "chunk_size": 10, name: value}
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                sample_counts(table, seed=1, variant_index=0, **sizes)
 
 
 def test_sample_counts_refuses_too_many_chunks_before_drawing(
