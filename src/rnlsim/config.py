@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,8 +41,6 @@ class RunConfig:
         try:
             for name in ("phi11_deg", "phi21_deg", "phi22_deg"):
                 # Checked, not converted: the CSV prints the value as given.
-                if not isinstance(getattr(self, name), numbers.Real):
-                    raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
                 require_finite(name, getattr(self, name))
             if (self.series is None) == (self.geometry is None):
                 raise ValueError("series and geometry are mutually exclusive, and one must be set")

@@ -20,9 +20,11 @@ class AmbiguousScheduleError(ValueError):
 
 
 def require_finite(name: str, value: float) -> float:
-    if isinstance(value, BOOL_TYPES):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    """value as a finite float; bools and other non-reals (strings too) are refused."""
+    if type(value) is not float:  # an exact float is never a bool or a string
+        if isinstance(value, BOOL_TYPES) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
@@ -30,9 +32,10 @@ def require_finite(name: str, value: float) -> float:
 
 def require_int(name: str, value: int, low: int, high: int) -> int:
     """value as an int in [low, high]; bools and floats are refused, not converted."""
-    if isinstance(value, BOOL_TYPES) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
+    if type(value) is not int:
+        if isinstance(value, BOOL_TYPES) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
     if not low <= value <= high:
         raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
     return value

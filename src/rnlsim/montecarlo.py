@@ -98,23 +98,27 @@ def sample_counts(
     """
     check_run_size(n_events, chunk_size)
     full_chunks, remainder = divmod(n_events, chunk_size)
-    p = joint.as_array()
+    table = (joint.p_pp, joint.p_pm, joint.p_mp, joint.p_mm)
     # Only nonzero cells are drawn, so a zero cell can never take the
     # remainder numpy hands to the last cell.  Renormalising absorbs the
     # PROB_ATOL slack that numpy's sum(p[:-1]) <= 1 + 1e-12 check rejects.
-    cells = np.flatnonzero(p)
-    p = p[cells] / p[cells].sum()
-    # int64 cannot overflow: the merged total is n_events <= MAX_EVENTS.
-    merged = np.zeros(len(cells), dtype=np.int64)
+    # The total is summed left to right, as numpy sums four or fewer floats.
+    cells = [cell for cell, q in enumerate(table) if q]
+    total = 0.0
+    for cell in cells:
+        total += table[cell]
+    p = [table[cell] / total for cell in cells]
+    counts = [0, 0, 0, 0]
     rng = substream(seed, variant_index)
+    # Each block's int64 column sums cannot overflow: they total at most n_events.
     for start in range(0, full_chunks, _BLOCK_ROWS):
-        sizes = np.full(min(_BLOCK_ROWS, full_chunks - start), chunk_size, dtype=np.int64)
-        merged += rng.multinomial(sizes, p).sum(axis=0)
+        block = rng.multinomial(chunk_size, p, size=min(_BLOCK_ROWS, full_chunks - start))
+        for cell, count in zip(cells, block.sum(axis=0).tolist()):
+            counts[cell] += count
     if remainder:
-        merged += rng.multinomial(remainder, p)
-    counts = np.zeros(4, dtype=np.int64)
-    counts[cells] = merged
-    return CoincidenceCounts(*(int(c) for c in counts))
+        for cell, count in zip(cells, rng.multinomial(remainder, p).tolist()):
+            counts[cell] += count
+    return CoincidenceCounts(*counts)
 
 
 def estimate_correlation(counts: CoincidenceCounts) -> EstimatorResult:

@@ -69,10 +69,6 @@ class JointDistribution:
         if abs(total - 1.0) > PROB_ATOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
 
-    def as_array(self) -> np.ndarray:
-        """Entries in fixed order (+,+), (+,-), (-,+), (-,-)."""
-        return np.array([self.p_pp, self.p_pm, self.p_mp, self.p_mm])
-
     @property
     def correlation(self) -> float:
         """Expectation of the outcome product sigma * omega."""

@@ -16,6 +16,7 @@ import enum
 import functools
 from dataclasses import dataclass
 
+from .errors import require_flag
 from .quantum import (
     JointDistribution,
     PhaseSettings,
@@ -35,6 +36,8 @@ class ModelVariant(enum.Enum):
 
 
 _FLAT, _INTERMEDIATE, _FINAL = "flat", "intermediate", "final"
+# Module aliases: reading a member off an Enum class is a slow attribute lookup.
+_QM, _RNL_ALTERNATIVE = ModelVariant.QM, ModelVariant.RNL_ALTERNATIVE
 _B11, _A11_21, _A11_22 = PhotonOneLabel.B11, PhotonOneLabel.A11_21, PhotonOneLabel.A11_22
 _B21, _B22, _A22 = PhotonTwoLabel.B21, PhotonTwoLabel.B22, PhotonTwoLabel.A22
 
@@ -116,9 +119,9 @@ def predict(
         raise ValueError(f"variant must be a ModelVariant, got {variant!r}")
     if not isinstance(timing, TimingAssignment):
         raise ValueError(f"timing must be a TimingAssignment, got {timing!r}")
-    if variant is ModelVariant.QM or (
-        variant is ModelVariant.RNL_ALTERNATIVE and timing.label1 is _A11_21 and timing.label2 is _A22
-    ):
+    require_flag("condition1", condition1)
+    require_flag("condition2", condition2)
+    if variant is _QM or (variant is _RNL_ALTERNATIVE and timing.label1 is _A11_21 and timing.label2 is _A22):
         stage = _FINAL
     else:
         stage = _RULES[timing.label1, timing.label2]

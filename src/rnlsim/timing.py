@@ -10,6 +10,7 @@ splitter's own frame.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -156,6 +157,10 @@ class TimingAssignment:
         return (self.label1, self.label2)
 
 
+# classify's results, each checked once when built; 16 valid keys, so none is evicted.
+_interned_assignment = functools.lru_cache(maxsize=16)(TimingAssignment)
+
+
 def _strictly_before(t_a: float, t_b: float, what: str) -> bool:
     """Whether t_a < t_b, refusing differences inside the guard band."""
     if abs(t_b - t_a) < GUARD_BAND_S:
@@ -200,7 +205,7 @@ def classify(schedule: ImpactSchedule) -> TimingAssignment:
     label2 = PhotonTwoLabel.B22 if bs22_before else PhotonTwoLabel.A22
 
     series = _SERIES_BY_PAIRING.get((label1, label2)) if schedule.at_rest() else None
-    return TimingAssignment(label1, label2, bs21_before, series)
+    return _interned_assignment(label1, label2, bs21_before, series)
 
 
 @dataclass(frozen=True)
@@ -256,7 +261,11 @@ def schedule_from_geometry(geometry: ExperimentGeometry) -> ImpactSchedule:
 _PHOTON2_LEG_BS21_M = 1.0
 _PHOTON2_LEG_BS22_M = 3.0
 _PHOTON1_BASE_LEG_M = 2.0
-_PRESET_M11_DISPLACEMENT_M = {1: 2.0, 2: -1.5, 3: 0.0}
+# Built once: geometries are frozen, so every caller can share them.
+_PRESETS = {
+    series: ExperimentGeometry(_PHOTON1_BASE_LEG_M, _PHOTON2_LEG_BS21_M, _PHOTON2_LEG_BS22_M, displacement)
+    for series, displacement in ((1, 2.0), (2, -1.5), (3, 0.0))
+}
 
 
 def series_preset(series: int) -> ExperimentGeometry:
@@ -266,9 +275,4 @@ def series_preset(series: int) -> ExperimentGeometry:
     the BS11 arrival past both photon-2 impacts (series 1), before both
     (series 2) or between them (series 3).  Every impact gap exceeds 1 ns.
     """
-    return ExperimentGeometry(
-        length_bs11=_PHOTON1_BASE_LEG_M,
-        length_bs21=_PHOTON2_LEG_BS21_M,
-        length_bs22=_PHOTON2_LEG_BS22_M,
-        m11_displacement=_PRESET_M11_DISPLACEMENT_M[require_int("series", series, 1, 3)],
-    )
+    return _PRESETS[require_int("series", series, 1, 3)]

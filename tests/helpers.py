@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from rnlsim import (
     SPEED_OF_LIGHT,
     CoincidenceCounts,
@@ -22,6 +24,11 @@ from rnlsim import (
     qm_single_pair_correlation,
     qm_single_pair_joint,
 )
+
+
+def as_array(table: JointDistribution) -> np.ndarray:
+    """Entries in fixed order (+,+), (+,-), (-,+), (-,-)."""
+    return np.array([table.p_pp, table.p_pm, table.p_mp, table.p_mm])
 
 
 def cell(table: JointDistribution, sigma: int, omega: int) -> float:

@@ -11,7 +11,14 @@ import time
 
 import numpy as np
 
-from helpers import counts_by_variant, for_series, marginal_photon1, marginal_photon2, theorem_product
+from helpers import (
+    as_array,
+    counts_by_variant,
+    for_series,
+    marginal_photon1,
+    marginal_photon2,
+    theorem_product,
+)
 from rnlsim import (
     ModelVariant,
     PhaseSettings,
@@ -75,7 +82,7 @@ def test_criterion_2_amplitude_oracle_grid() -> None:
             for phi22 in grid:
                 settings = PhaseSettings(phi11, phi21, phi22)
                 deviation = np.max(
-                    np.abs(amplitude_oracle(settings).as_array() - qm_joint(settings).as_array())
+                    np.abs(as_array(amplitude_oracle(settings)) - as_array(qm_joint(settings)))
                 )
                 worst = max(worst, float(deviation))
     elapsed = time.perf_counter() - started
@@ -221,14 +228,14 @@ def test_criterion_7_distribution_invariants_sweep() -> None:
         checked += 1
         worst = max(
             worst,
-            abs(sum(table.as_array()) - 1.0),
+            abs(sum(as_array(table)) - 1.0),
             abs(marginal_photon1(table, 1) - 0.5),
             abs(marginal_photon1(table, -1) - 0.5),
             abs(marginal_photon2(table, 1) - 0.5),
             abs(marginal_photon2(table, -1) - 0.5),
         )
     flat = qm_distinguishable_joint()
-    worst = max(worst, abs(sum(flat.as_array()) - 1.0), abs(marginal_photon1(flat, 1) - 0.5))
+    worst = max(worst, abs(sum(as_array(flat)) - 1.0), abs(marginal_photon1(flat, 1) - 0.5))
     ok = worst < ATOL and checked == 10_000
     _verdict(
         "criterion 7 (normalization and fair marginals, 10^4 random tables)",

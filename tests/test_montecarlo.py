@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import counts_by_variant, for_series
+from helpers import as_array, counts_by_variant, for_series
 import rnlsim.report
 from rnlsim import (
     CoincidenceCounts,
@@ -89,7 +89,7 @@ def test_chunk_counts_sum_to_n_and_merge_into_the_result(n_events: int, chunk_si
     # the variant's stream substream(seed, variant).
     table = JointDistribution(0.1, 0.2, 0.3, 0.4)
     sizes = [min(chunk_size, n_events - start) for start in range(0, n_events, chunk_size)]
-    chunk_counts = substream(5, 2).multinomial(sizes, table.as_array())
+    chunk_counts = substream(5, 2).multinomial(sizes, as_array(table))
     assert chunk_counts.sum(axis=1).tolist() == sizes
     counts = sample_counts(table, seed=5, variant_index=2, n_events=n_events, chunk_size=chunk_size)
     assert counts.as_tuple() == tuple(int(c) for c in chunk_counts.sum(axis=0))
@@ -119,7 +119,9 @@ def test_seeds_past_32_bits_do_not_collide_with_other_variants() -> None:
 @st.composite
 def _valid_tables(draw) -> JointDistribution:
     """Tables with zero cells, and totals anywhere inside the PROB_ATOL band."""
-    cell_weights = st.sampled_from([0.0, 1e-300, 1e-9, 0.25, 1.0, 3.0])
+    cell_weights = st.one_of(
+        st.sampled_from([0.0, 1e-300, 1e-9, 0.25, 1.0, 3.0]), st.floats(min_value=0.0, max_value=1.0)
+    )
     weights = draw(st.lists(cell_weights, min_size=4, max_size=4))
     assume(sum(weights) > 0.0)
     total = draw(st.floats(min_value=1.0 - PROB_ATOL, max_value=1.0 + PROB_ATOL))
@@ -145,9 +147,78 @@ def test_any_valid_table_samples_into_its_nonzero_cells(
     n_events, chunk_size = shape
     counts = sample_counts(table, seed=seed, variant_index=0, n_events=n_events, chunk_size=chunk_size)
     assert counts.n_total == n_events
-    for p, count in zip(table.as_array(), counts.as_tuple()):
+    for p, count in zip(as_array(table), counts.as_tuple()):
         if p == 0.0:
             assert count == 0
+
+
+def _v3_reference(table: JointDistribution, seed: int, n_events: int, chunk_size: int):
+    """Counts and renormalised p of the multinomial-rows/v3 layout, written with numpy arrays."""
+    p = as_array(table)
+    cells = np.flatnonzero(p)
+    p = p[cells] / p[cells].sum()
+    full_chunks, remainder = divmod(n_events, chunk_size)
+    rng = substream(seed, 1)
+    merged = np.zeros(len(cells), dtype=np.int64)
+    for start in range(0, full_chunks, 2**14):
+        sizes = np.full(min(2**14, full_chunks - start), chunk_size, dtype=np.int64)
+        merged += rng.multinomial(sizes, p).sum(axis=0)
+    if remainder:
+        merged += rng.multinomial(remainder, p)
+    counts = np.zeros(4, dtype=np.int64)
+    counts[cells] = merged
+    return tuple(int(c) for c in counts), p.tolist()
+
+
+class _RecordingStream:
+    """A generator that keeps the p of every multinomial draw."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng, self.drawn_p = rng, []
+
+    def multinomial(self, n, pvals, size=None):
+        self.drawn_p.append(list(pvals))
+        return self.rng.multinomial(n, pvals, size=size)
+
+
+@st.composite
+def _multi_block_shapes(draw) -> tuple[int, int]:
+    """(n_events, chunk_size) with more than 2^14 full chunks, so several blocks are drawn."""
+    chunk_size = draw(st.integers(min_value=1, max_value=40))
+    full_chunks = draw(st.integers(min_value=2**14 + 1, max_value=3 * 2**14))
+    return full_chunks * chunk_size + draw(st.integers(min_value=0, max_value=chunk_size - 1)), chunk_size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _valid_tables(),
+    st.one_of(_run_shapes(), _multi_block_shapes()),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+@example(JointDistribution(1.0 + 0.9 * PROB_ATOL, 0.0, 0.0, 0.0), (2**15 + 7, 1), 1)
+@example(JointDistribution(0.5 + 0.45 * PROB_ATOL, 0.5 + 0.45 * PROB_ATOL, 0.0, 0.0), (10_000, 999), 2)
+@example(JointDistribution(0.0, 0.0, 0.5 - 0.45 * PROB_ATOL, 0.5 - 0.45 * PROB_ATOL), (2**14 * 5 + 3, 5), 3)
+@example(JointDistribution(0.1, 0.2, 0.3, 0.4), (2**14 * 7 * 2, 7), 4)
+def test_sample_counts_equals_the_v3_reference(
+    table: JointDistribution, shape: tuple[int, int], seed: int
+) -> None:
+    n_events, chunk_size = shape
+    expected_counts, expected_p = _v3_reference(table, seed, n_events, chunk_size)
+    streams = []
+
+    def recording_substream(seed: int, variant_index: int) -> _RecordingStream:
+        streams.append(_RecordingStream(substream(seed, variant_index)))
+        return streams[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rnlsim.montecarlo.substream", recording_substream)
+        counts = sample_counts(table, seed=seed, variant_index=1, n_events=n_events, chunk_size=chunk_size)
+    assert counts.as_tuple() == expected_counts
+    assert all(type(count) is int for count in counts.as_tuple())
+    # Every draw used the reference's renormalised p, bit for bit.
+    (stream,) = streams
+    assert stream.drawn_p and all(p == expected_p for p in stream.drawn_p)
+    assert len(stream.drawn_p) == -(-(n_events // chunk_size) // 2**14) + (n_events % chunk_size > 0)
 
 
 def test_edge_of_the_tolerance_band_samples() -> None:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cell, for_series, marginal_photon1, marginal_photon2
+from helpers import as_array, cell, for_series, marginal_photon1, marginal_photon2
 from rnlsim import (
     JointDistribution,
     ModelVariant,
@@ -45,7 +45,7 @@ def test_straight_line_table_is_bit_exact(settings: PhaseSettings) -> None:
         _straight_line(settings, sigma, omega)
         for sigma, omega in ((1, 1), (1, -1), (-1, 1), (-1, -1))
     ]
-    assert qm_joint(settings).as_array().tolist() == entrywise
+    assert as_array(qm_joint(settings)).tolist() == entrywise
 
 
 def test_key_settings_joint_values() -> None:
@@ -62,7 +62,7 @@ def test_key_settings_correlation_is_unity() -> None:
 
 def test_zero_final_phase_flattens_the_table() -> None:
     settings = PhaseSettings(0.3, -1.2, 0.0)
-    for p in qm_joint(settings).as_array():
+    for p in as_array(qm_joint(settings)):
         assert p == pytest.approx(0.25, abs=ATOL)
     assert qm_correlation(settings) == pytest.approx(0.0, abs=ATOL)
 
@@ -85,7 +85,7 @@ def test_single_pair_joint_table_matches_its_correlation() -> None:
 
 def test_distinguishable_table_is_flat() -> None:
     table = qm_distinguishable_joint()
-    assert table.as_array().tolist() == [0.25, 0.25, 0.25, 0.25]
+    assert as_array(table).tolist() == [0.25, 0.25, 0.25, 0.25]
     assert table.correlation == 0.0
 
 
@@ -98,26 +98,34 @@ def test_non_finite_phase_rejected() -> None:
         qm_single_pair_correlation(float("nan"), 0.0)
 
 
-def test_string_phases_are_stored_as_floats() -> None:
-    settings = PhaseSettings("0.5", 0, 0)
-    assert settings == PhaseSettings(0.5, 0.0, 0.0)
+def test_string_phases_are_refused() -> None:
+    for value in ("0.5", "half", b"0.5", None, 1j):
+        with pytest.raises(ValueError, match="phi11 must be a real number"):
+            PhaseSettings(value, 0, 0)
+        with pytest.raises(ValueError, match="phi22_deg must be a real number"):
+            PhaseSettings.from_degrees(0, 0, value)
+    # Real numbers of any type are still stored as floats.
+    settings = PhaseSettings(np.float64(0.5), 0, np.int64(1))
+    assert settings == PhaseSettings(0.5, 0.0, 1.0)
     assert all(type(phi) is float for phi in (settings.phi11, settings.phi21, settings.phi22))
     prediction = predict(settings, for_series(3), ModelVariant.QM)
-    assert prediction.joint == qm_joint(PhaseSettings(0.5, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        PhaseSettings("half", 0, 0)
+    assert prediction.joint == qm_joint(PhaseSettings(0.5, 0.0, 1.0))
 
 
-def test_single_pair_string_phases_are_read_as_floats() -> None:
-    assert qm_single_pair_correlation("0.5", 0) == qm_single_pair_correlation(0.5, 0.0)
-    assert qm_single_pair_joint("0.5", "0") == qm_single_pair_joint(0.5, 0.0)
+def test_single_pair_string_phases_are_refused() -> None:
+    with pytest.raises(ValueError, match="phi11 must be a real number"):
+        qm_single_pair_correlation("0.5", 0)
+    with pytest.raises(ValueError, match="phi21 must be a real number"):
+        qm_single_pair_joint(0.5, "0")
+    assert qm_single_pair_correlation(np.float32(0.5), 0) == qm_single_pair_correlation(0.5, 0.0)
 
 
-def test_string_probabilities_are_stored_as_floats() -> None:
-    table = JointDistribution("0.25", 0.25, 0.25, 0.25)
+def test_string_probabilities_are_refused() -> None:
+    with pytest.raises(ValueError, match="p_pp must be a real number"):
+        JointDistribution("0.25", 0.25, 0.25, 0.25)
+    table = JointDistribution(np.float64(0.25), 0.25, 0.25, 0.25)
     assert table == qm_distinguishable_joint()
     assert type(table.p_pp) is float
-    assert table.correlation == 0.0
 
 
 def test_from_degrees_conversion() -> None:
@@ -143,7 +151,7 @@ def test_joint_distribution_validation() -> None:
 @given(settings_strategy)
 def test_table_normalization_and_fair_marginals(settings: PhaseSettings) -> None:
     table = qm_joint(settings)
-    assert abs(sum(table.as_array()) - 1.0) < ATOL
+    assert abs(sum(as_array(table)) - 1.0) < ATOL
     for outcome in (1, -1):
         assert abs(marginal_photon1(table, outcome) - 0.5) < ATOL
         assert abs(marginal_photon2(table, outcome) - 0.5) < ATOL
@@ -184,12 +192,12 @@ def test_two_pi_periodicity(settings: PhaseSettings, which: str) -> None:
 def test_oracle_matches_closed_form_at_key_settings() -> None:
     oracle = amplitude_oracle(KEY_SETTINGS)
     closed = qm_joint(KEY_SETTINGS)
-    assert np.max(np.abs(oracle.as_array() - closed.as_array())) < ATOL
+    assert np.max(np.abs(as_array(oracle) - as_array(closed))) < ATOL
 
 
 @given(settings_strategy)
 def test_oracle_matches_closed_form(settings: PhaseSettings) -> None:
-    deviation = np.max(np.abs(amplitude_oracle(settings).as_array() - qm_joint(settings).as_array()))
+    deviation = np.max(np.abs(as_array(amplitude_oracle(settings)) - as_array(qm_joint(settings))))
     assert deviation < ATOL
 
 
@@ -198,7 +206,7 @@ def test_oracle_distribution_is_normalized_with_fair_marginals() -> None:
     for _ in range(50):
         settings = PhaseSettings(*rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=3))
         table = amplitude_oracle(settings)
-        assert abs(sum(table.as_array()) - 1.0) < ATOL
+        assert abs(sum(as_array(table)) - 1.0) < ATOL
         for outcome in (1, -1):
             assert abs(marginal_photon1(table, outcome) - 0.5) < ATOL
             assert abs(marginal_photon2(table, outcome) - 0.5) < ATOL

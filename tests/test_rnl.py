@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    as_array,
     cell,
     conditional,
     factorized_table,
@@ -55,7 +56,7 @@ ALL_PAIRINGS = (
 
 
 def _max_dev(a, b) -> float:
-    return float(np.max(np.abs(a.as_array() - b.as_array())))
+    return float(np.max(np.abs(as_array(a) - as_array(b))))
 
 
 def _table(settings: PhaseSettings, timing: TimingAssignment, variant: ModelVariant, **conditions):
@@ -223,7 +224,7 @@ def test_every_table_is_the_fair_marginal_table_of_its_correlation(
                     settings, timing, variant, condition1=condition1, condition2=condition2
                 )
                 expected = ((1 + e) / 4, (1 - e) / 4, (1 - e) / 4, (1 + e) / 4)
-                assert table.as_array() == pytest.approx(expected, abs=ATOL)
+                assert as_array(table) == pytest.approx(expected, abs=ATOL)
 
 
 def test_every_label_pair_is_refused_or_predicted() -> None:
@@ -318,10 +319,21 @@ def test_dropping_condition1_flattens_the_intermediate_stage() -> None:
     assert _max_dev(untouched, qm_joint(settings)) < ATOL
 
 
+def test_condition_flags_must_be_bools() -> None:
+    # A truthy string would run with the condition on: QM at series 3 gives
+    # E = 1 with condition2 on and E = 0 with it off.
+    for value in ("false", "true", 0, 1, None, np.True_):
+        for name in ("condition1", "condition2"):
+            for timing in (for_series(3), TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.B22)):
+                with pytest.raises(ValueError, match=f"{name} must be true or false"):
+                    predict(KEY_SETTINGS, timing, ModelVariant.QM, **{name: value})
+    assert predict(KEY_SETTINGS, for_series(3), ModelVariant.QM, condition2=False).correlation == 0.0
+
+
 def test_factorized_table_stays_normalized_without_conditions() -> None:
     timing = TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22)
     table = _table(KEY_SETTINGS, timing, ModelVariant.RNL_STANDARD, condition1=False, condition2=False)
-    assert abs(sum(table.as_array()) - 1.0) < ATOL
+    assert abs(sum(as_array(table)) - 1.0) < ATOL
     assert abs(table.correlation) < ATOL
 
 
@@ -356,7 +368,7 @@ def test_every_produced_table_is_normalized_with_fair_marginals(settings: PhaseS
     for timing in ALL_PAIRINGS:
         for variant in ModelVariant:
             table = _table(settings, timing, variant)
-            assert abs(sum(table.as_array()) - 1.0) < ATOL
+            assert abs(sum(as_array(table)) - 1.0) < ATOL
             for outcome in (1, -1):
                 assert abs(marginal_photon1(table, outcome) - 0.5) < ATOL
                 assert abs(marginal_photon2(table, outcome) - 0.5) < ATOL
@@ -375,7 +387,7 @@ MEMO_CASES = [
 
 
 def _bits(prediction) -> tuple[str, ...]:
-    return tuple(float(p).hex() for p in (*prediction.joint.as_array(), prediction.correlation))
+    return tuple(float(p).hex() for p in (*as_array(prediction.joint), prediction.correlation))
 
 
 def _fresh(settings: PhaseSettings, timing, variant, condition1: bool, condition2: bool):

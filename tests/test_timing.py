@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import enum
 import importlib.util
+import itertools
 import math
 import pickle
 import sys
@@ -35,7 +36,7 @@ from rnlsim import (
     series_preset,
 )
 from rnlsim import rnl
-from rnlsim.timing import _SERIES_BY_PAIRING
+from rnlsim.timing import _SERIES_BY_PAIRING, _interned_assignment
 
 ATOL = 1e-12
 
@@ -350,22 +351,28 @@ def test_every_accepted_geometry_yields_a_schedule(
     schedule_from_geometry(geometry)
 
 
-def test_string_event_times_and_lengths_are_stored_as_floats() -> None:
-    event = SpacetimeEvent("1e-9", "0")
-    assert (event.t, event.x) == (1e-9, 0.0)
-    assert boost_time(event, 0.1) == boost_time(SpacetimeEvent(1e-9, 0.0), 0.1)
-    geometry = ExperimentGeometry("2", 1.0, 3.0, m11_displacement="0.5", beta_bs11="-0.3")
-    fields = (geometry.length_bs11, geometry.m11_displacement, geometry.beta_bs11)
-    assert fields == (2.0, 0.5, -0.3)
+def test_string_event_times_and_lengths_are_refused() -> None:
+    with pytest.raises(ValueError, match="t must be a real number"):
+        SpacetimeEvent("1e-9", 0.0)
+    with pytest.raises(ValueError, match="beta must be a real number"):
+        boost_time(SpacetimeEvent(1e-9, 0.0), "0.1")
+    for kwargs in (
+        {"length_bs11": "2"},
+        {"length_bs22": "3"},
+        {"m11_displacement": "0.5"},
+        {"beta_bs11": "-0.3"},
+    ):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            ExperimentGeometry(**{"length_bs11": 2.0, "length_bs21": 1.0, "length_bs22": 3.0, **kwargs})
+    with pytest.raises(ValueError, match="must be a real number"):
+        ExperimentGeometry("2", "1", "3")
+    # Real numbers of any type are still stored as floats.
+    geometry = ExperimentGeometry(np.int64(2), 1, 3.0, m11_displacement=np.float64(0.5), beta_bs11=-0.3)
+    fields = (geometry.length_bs11, geometry.length_bs21, geometry.m11_displacement, geometry.beta_bs11)
+    assert fields == (2.0, 1.0, 0.5, -0.3)
     assert all(type(value) is float for value in fields)
     assert geometry.effective_length_bs11 == 2.5
-    # A string bs11 time reaches classify's boosts as a float.
-    schedule = _rest_schedule(2e-9, 1e-9, 3e-9)
-    as_string = ImpactSchedule(
-        bs11=SpacetimeEvent("2e-9", schedule.bs11.x), bs21=schedule.bs21, bs22=schedule.bs22
-    )
-    assert classify(as_string) == classify(schedule)
-    assert classify(as_string).series == 3
 
 
 def test_geometry_refuses_moving_splitter_ties() -> None:
@@ -479,10 +486,55 @@ def test_presets_classify_to_their_series_with_nanosecond_gaps() -> None:
         assert classify(schedule).series == series
 
 
+def test_presets_are_shared() -> None:
+    for series in (1, 2, 3):
+        assert series_preset(series) is series_preset(series)
+        assert series_preset(np.int64(series)) is series_preset(series)
+    assert len({id(series_preset(series)) for series in (1, 2, 3)}) == 3
+
+
+def test_classify_interns_its_assignments() -> None:
+    # Each (label1, label2, bs21_before, series) is one shared, checked object.
+    first = classify(schedule_from_geometry(series_preset(3)))
+    assert classify(schedule_from_geometry(ExperimentGeometry(2.0, 1.0, 3.0))) is first
+    assert first == TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True, 3)
+    assert first is not TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True, 3)
+
+
+def _is_valid_assignment(key) -> bool:
+    try:
+        TimingAssignment(*key)
+    except ValueError:
+        return False
+    return True
+
+
+def test_classify_intern_table_stays_bounded() -> None:
+    keys = itertools.product(PhotonOneLabel, PhotonTwoLabel, (True, False), (None, 1, 2, 3))
+    valid = sum(map(_is_valid_assignment, keys))
+    assert valid == 16
+    reached = set()
+    grid = itertools.product(
+        np.linspace(-1.9, 3.0, 50), (0.0, -0.3, 0.3, 0.7), (0.0, -0.3, 0.3), (0.0, -0.7, 0.3)
+    )
+    for displacement, beta11, beta21, beta22 in grid:
+        try:
+            geometry = ExperimentGeometry(2.0, 1.0, 3.0, displacement, beta11, beta21, beta22)
+            assignment = classify(schedule_from_geometry(geometry))
+        except ValueError:
+            continue
+        assert assignment is classify(schedule_from_geometry(geometry))
+        reached.add(assignment)
+    assert len(reached) >= 8
+    assert len({id(assignment) for assignment in reached}) == len(reached)
+    assert _interned_assignment.cache_info().currsize <= _interned_assignment.cache_info().maxsize == valid
+
+
 def test_preset_requires_known_series() -> None:
-    with pytest.raises(ValueError):
-        series_preset(4)
+    for series in (0, 4, -1):
+        with pytest.raises(ValueError, match="series must be in"):
+            series_preset(series)
     # True would give the series-1 geometry, 3.0 the series-3 one.
-    for series in (True, np.True_, 3.0):
+    for series in (True, np.True_, 3.0, 2.0):
         with pytest.raises(ValueError, match="series must be an integer"):
             series_preset(series)
