@@ -111,9 +111,10 @@ def sample_counts(
     counts = [0, 0, 0, 0]
     rng = substream(seed, variant_index)
     # Each block's int64 column sums cannot overflow: they total at most n_events.
+    # A contiguous per-cell copy sums far faster than numpy's axis-0 reduction of a narrow block.
     for start in range(0, full_chunks, _BLOCK_ROWS):
         block = rng.multinomial(chunk_size, p, size=min(_BLOCK_ROWS, full_chunks - start))
-        for cell, count in zip(cells, block.sum(axis=0).tolist()):
+        for cell, count in zip(cells, block.T.copy().sum(axis=1).tolist()):
             counts[cell] += count
     if remainder:
         for cell, count in zip(cells, rng.multinomial(remainder, p).tolist()):

@@ -34,6 +34,8 @@ class ModelVariant(enum.Enum):
     RNL_STANDARD = "RNL_STANDARD"
     RNL_ALTERNATIVE = "RNL_ALTERNATIVE"
 
+    __hash__ = object.__hash__  # as PhotonOneLabel's: members are singletons
+
 
 _FLAT, _INTERMEDIATE, _FINAL = "flat", "intermediate", "final"
 # Module aliases: reading a member off an Enum class is a slow attribute lookup.
@@ -119,8 +121,10 @@ def predict(
         raise ValueError(f"variant must be a ModelVariant, got {variant!r}")
     if not isinstance(timing, TimingAssignment):
         raise ValueError(f"timing must be a TimingAssignment, got {timing!r}")
-    require_flag("condition1", condition1)
-    require_flag("condition2", condition2)
+    if condition1 is not True:  # exactly True, the default, needs no check
+        require_flag("condition1", condition1)
+    if condition2 is not True:
+        require_flag("condition2", condition2)
     if variant is _QM or (variant is _RNL_ALTERNATIVE and timing.label1 is _A11_21 and timing.label2 is _A22):
         stage = _FINAL
     else:

@@ -10,7 +10,6 @@ splitter's own frame.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -76,6 +75,7 @@ class ImpactSchedule:
     beta_bs11: float = 0.0
     beta_bs21: float = 0.0
     beta_bs22: float = 0.0
+    _classification = None  # set by classify; not a field, so out of __eq__, __hash__, __repr__
 
     def __post_init__(self) -> None:
         for slot in ("bs11", "bs21", "bs22"):
@@ -157,10 +157,6 @@ class TimingAssignment:
         return (self.label1, self.label2)
 
 
-# classify's results, each checked once when built; 16 valid keys, so none is evicted.
-_interned_assignment = functools.lru_cache(maxsize=16)(TimingAssignment)
-
-
 def _strictly_before(t_a: float, t_b: float, what: str) -> bool:
     """Whether t_a < t_b, refusing differences inside the guard band."""
     if abs(t_b - t_a) < GUARD_BAND_S:
@@ -178,8 +174,21 @@ def classify(schedule: ImpactSchedule) -> TimingAssignment:
     splitter it did not precede.  Photon 2's final impact is before only if
     it precedes BS11's in BS22's frame and the BS21 impact does so too in
     BS21's frame.  Ties and near-ties inside the guard band raise
-    AmbiguousScheduleError instead of silently picking a side.
+    AmbiguousScheduleError instead of silently picking a side.  The first
+    call stores the outcome on the frozen schedule; later calls reuse it.
     """
+    if (outcome := schedule._classification) is None:
+        try:
+            outcome = _classify(schedule)
+        except AmbiguousScheduleError as error:
+            outcome = str(error)
+        object.__setattr__(schedule, "_classification", outcome)
+    if type(outcome) is str:
+        raise AmbiguousScheduleError(outcome)
+    return outcome
+
+
+def _classify(schedule: ImpactSchedule) -> TimingAssignment:
     t11_f11 = _boost(schedule.bs11, schedule.beta_bs11)
     t21_f11 = _boost(schedule.bs21, schedule.beta_bs11)
     t22_f11 = _boost(schedule.bs22, schedule.beta_bs11)
@@ -205,7 +214,7 @@ def classify(schedule: ImpactSchedule) -> TimingAssignment:
     label2 = PhotonTwoLabel.B22 if bs22_before else PhotonTwoLabel.A22
 
     series = _SERIES_BY_PAIRING.get((label1, label2)) if schedule.at_rest() else None
-    return _interned_assignment(label1, label2, bs21_before, series)
+    return TimingAssignment(label1, label2, bs21_before, series)
 
 
 @dataclass(frozen=True)

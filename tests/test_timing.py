@@ -5,11 +5,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
+import gc
 import importlib.util
 import itertools
 import math
 import pickle
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +29,18 @@ from rnlsim import (
     PhaseSettings,
     PhotonOneLabel,
     PhotonTwoLabel,
+    RunConfig,
     SpacetimeEvent,
     TimingAssignment,
     boost_time,
     classify,
+    compare_report,
     predict,
     schedule_from_geometry,
     series_preset,
 )
-from rnlsim import rnl
-from rnlsim.timing import _SERIES_BY_PAIRING, _interned_assignment
+from rnlsim import rnl, timing
+from rnlsim.timing import _SERIES_BY_PAIRING
 
 ATOL = 1e-12
 
@@ -254,15 +258,21 @@ def test_classify_agrees_with_the_reference_labels(
         beta_bs21,
         beta_bs22,
     )
+    schedule = schedule_from_geometry(geometry)
     try:
-        timing = classify(schedule_from_geometry(geometry))
-    except AmbiguousScheduleError:
-        # Only a point whose labels a guard-band flip could change is refused.
+        assignment = classify(schedule)
+    except AmbiguousScheduleError as error:
+        # Only a point whose labels a guard-band flip could change is refused,
+        # and a second call refuses it again.
         assert expected.near_tie
+        with pytest.raises(AmbiguousScheduleError) as again:
+            classify(schedule)
+        assert str(again.value) == str(error)
         return
-    assert (timing.label1.value, timing.label2.value, timing.bs21_before) == expected.assignment
+    assert classify(schedule) is assignment
+    assert (assignment.label1.value, assignment.label2.value, assignment.bs21_before) == expected.assignment
     for variant in ModelVariant:
-        table = predict(settings, timing, variant).joint
+        table = predict(settings, assignment, variant).joint
         for outcome in (1, -1):
             assert abs(marginal_photon1(table, outcome) - 0.5) < ATOL
             assert abs(marginal_photon2(table, outcome) - 0.5) < ATOL
@@ -459,7 +469,8 @@ def test_cloned_assignments_keep_their_rule_row_and_series(clone) -> None:
 
 def test_label_lookups_never_call_the_enum_hash(monkeypatch: pytest.MonkeyPatch) -> None:
     # Enum.__hash__ is Python code; classify, TimingAssignment and predict run
-    # once per sweep point, so their label-pair lookups must not reach it.
+    # once per sweep point, and compare_report once per op, so their label and
+    # variant lookups must not reach it.
     def refuse(self):
         raise AssertionError(f"Enum.__hash__ called on {self!r}")
 
@@ -473,6 +484,11 @@ def test_label_lookups_never_call_the_enum_hash(monkeypatch: pytest.MonkeyPatch)
             TimingAssignment(assignment.label1, assignment.label2, assignment.bs21_before, assignment.series)
             for variant in ModelVariant:
                 predict(settings, assignment, variant)
+        # compare_report looks each variant's stream up in a dict keyed by ModelVariant.
+        for series in (1, 2, 3):
+            compare_report(RunConfig(series=series, n_events=1000, chunk_size=100))
+        by_variant = {variant: variant.value for variant in ModelVariant}
+        assert by_variant[ModelVariant.RNL_ALTERNATIVE] == "RNL_ALTERNATIVE"
 
 
 def test_presets_classify_to_their_series_with_nanosecond_gaps() -> None:
@@ -493,26 +509,100 @@ def test_presets_are_shared() -> None:
     assert len({id(series_preset(series)) for series in (1, 2, 3)}) == 3
 
 
-def test_classify_interns_its_assignments() -> None:
-    # Each (label1, label2, bs21_before, series) is one shared, checked object.
-    first = classify(schedule_from_geometry(series_preset(3)))
-    assert classify(schedule_from_geometry(ExperimentGeometry(2.0, 1.0, 3.0))) is first
-    assert first == TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True, 3)
-    assert first is not TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True, 3)
+def _boost_counter(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """A one-item list counting timing._boost calls from here on."""
+    calls = [0]
+    boost = timing._boost
+
+    def counting_boost(event: SpacetimeEvent, beta: float) -> float:
+        calls[0] += 1
+        return boost(event, beta)
+
+    monkeypatch.setattr(timing, "_boost", counting_boost)
+    return calls
 
 
-def _is_valid_assignment(key) -> bool:
+def _outcome(schedule: ImpactSchedule) -> TimingAssignment | str:
+    """classify's assignment, or its refusal's message."""
     try:
-        TimingAssignment(*key)
-    except ValueError:
-        return False
-    return True
+        return classify(schedule)
+    except AmbiguousScheduleError as error:
+        return str(error)
 
 
-def test_classify_intern_table_stays_bounded() -> None:
-    keys = itertools.product(PhotonOneLabel, PhotonTwoLabel, (True, False), (None, 1, 2, 3))
-    valid = sum(map(_is_valid_assignment, keys))
-    assert valid == 16
+def test_classify_stores_its_assignment_on_the_schedule(monkeypatch: pytest.MonkeyPatch) -> None:
+    schedule = schedule_from_geometry(ExperimentGeometry(2.0, 1.0, 3.0))
+    calls = _boost_counter(monkeypatch)
+    first = classify(schedule)
+    assert first == TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True, 3)
+    boosts = calls[0]
+    assert boosts > 0
+    for _ in range(3):
+        assert classify(schedule) is first
+    assert calls[0] == boosts  # no frame time is computed twice
+    # The stored outcome is not a field, so replace builds a schedule without it.
+    fresh = dataclasses.replace(schedule)
+    assert fresh == schedule and hash(fresh) == hash(schedule) and repr(fresh) == repr(schedule)
+
+
+def test_classify_refuses_a_near_tie_afresh_on_every_call(monkeypatch: pytest.MonkeyPatch) -> None:
+    schedule = _rest_schedule(1e-9 + 1e-16, 1e-9, 2e-9)
+    calls = _boost_counter(monkeypatch)
+    errors = []
+    for _ in range(3):
+        with pytest.raises(AmbiguousScheduleError) as info:
+            classify(schedule)
+        errors.append(info.value)
+    assert calls[0] == 3  # the three impacts in BS11's frame, once
+    assert "guard band" in str(errors[0])
+    assert len({str(error) for error in errors}) == 1
+    assert len({id(error) for error in errors}) == len(errors)
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
+)
+def test_cloned_schedules_classify_by_their_own_fields(clone) -> None:
+    schedules = [schedule_from_geometry(series_preset(series)) for series in (1, 2, 3)]
+    schedules.append(_rest_schedule(1e-9 + 1e-16, 1e-9, 2e-9))
+    for schedule in schedules:
+        expected = _outcome(dataclasses.replace(schedule))
+        _outcome(schedule)
+        cloned = clone(schedule)
+        assert cloned == schedule
+        assert _outcome(cloned) == _outcome(schedule) == expected
+
+
+def test_replaced_schedules_classify_by_their_own_fields() -> None:
+    series3 = schedule_from_geometry(series_preset(3))
+    near_tie = _rest_schedule(1e-9 + 1e-16, 1e-9, 2e-9)
+    assert classify(series3).series == 3
+    with pytest.raises(AmbiguousScheduleError):
+        classify(near_tie)
+    moved = dataclasses.replace(series3, bs11=schedule_from_geometry(series_preset(1)).bs11)
+    assert classify(moved).series == 1
+    assert classify(dataclasses.replace(series3)) == classify(series3)
+    cleared = dataclasses.replace(near_tie, bs11=SpacetimeEvent(5e-10, -SPEED_OF_LIGHT * 5e-10))
+    assert classify(cleared).series == 2
+    with pytest.raises(AmbiguousScheduleError):
+        classify(dataclasses.replace(near_tie))
+
+
+def test_classify_keeps_no_reference_to_a_schedule() -> None:
+    for build in (
+        lambda: dataclasses.replace(schedule_from_geometry(series_preset(2))),
+        lambda: _rest_schedule(1e-9 + 1e-16, 1e-9, 2e-9),
+    ):
+        schedule = build()
+        _outcome(schedule)
+        _outcome(schedule)
+        ref = weakref.ref(schedule)
+        del schedule
+        gc.collect()
+        assert ref() is None
+
+
+def test_classify_memo_holds_across_a_geometry_grid() -> None:
     reached = set()
     grid = itertools.product(
         np.linspace(-1.9, 3.0, 50), (0.0, -0.3, 0.3, 0.7), (0.0, -0.3, 0.3), (0.0, -0.7, 0.3)
@@ -524,10 +614,9 @@ def test_classify_intern_table_stays_bounded() -> None:
         except ValueError:
             continue
         assert assignment is classify(schedule_from_geometry(geometry))
+        assert assignment == classify(dataclasses.replace(schedule_from_geometry(geometry)))
         reached.add(assignment)
     assert len(reached) >= 8
-    assert len({id(assignment) for assignment in reached}) == len(reached)
-    assert _interned_assignment.cache_info().currsize <= _interned_assignment.cache_info().maxsize == valid
 
 
 def test_preset_requires_known_series() -> None:
