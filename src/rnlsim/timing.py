@@ -51,22 +51,13 @@ def _boost(event: SpacetimeEvent, beta: float) -> float:
     return gamma * (event.t - beta * event.x / SPEED_OF_LIGHT)
 
 
-def _photon2_order_violation(
-    bs21: SpacetimeEvent, bs22: SpacetimeEvent, beta_bs21: float, beta_bs22: float
-) -> str | None:
-    """The first splitter frame in which photon 2 does not reach BS21 before BS22, if any."""
-    for beta, frame in ((beta_bs21, "BS21"), (beta_bs22, "BS22")):
-        if _boost(bs22, beta) <= _boost(bs21, beta):
-            return frame
-    return None
-
-
 @dataclass(frozen=True)
 class ImpactSchedule:
     """One impact event per beam splitter plus each splitter's frame velocity.
 
     Photon 2's flight fixes the causal order BS21 then BS22; a schedule whose
-    own-frame times violate that order is rejected.
+    own-frame times violate that order is rejected.  A schedule is classified
+    once, when it is made, from each impact's time in each splitter's frame.
     """
 
     bs11: SpacetimeEvent
@@ -75,18 +66,26 @@ class ImpactSchedule:
     beta_bs11: float = 0.0
     beta_bs21: float = 0.0
     beta_bs22: float = 0.0
-    _classification = None  # set by classify; not a field, so out of __eq__, __hash__, __repr__
 
     def __post_init__(self) -> None:
-        for slot in ("bs11", "bs21", "bs22"):
-            if not isinstance(getattr(self, slot), SpacetimeEvent):
+        events = (self.bs11, self.bs21, self.bs22)
+        for slot, event in zip(("bs11", "bs21", "bs22"), events):
+            if not isinstance(event, SpacetimeEvent):
                 raise ValueError(f"{slot} must be a SpacetimeEvent")
         for name in ("beta_bs11", "beta_bs21", "beta_bs22"):
-            # Stored as checked floats, so classify boosts without re-checking.
             object.__setattr__(self, name, _require_beta(name, getattr(self, name)))
-        frame = _photon2_order_violation(self.bs21, self.bs22, self.beta_bs21, self.beta_bs22)
-        if frame is not None:
-            raise ValueError(f"photon 2 must reach BS21 before BS22, violated in the {frame} frame")
+        # times[f][i]: impact i's time in splitter f's frame, both in BS11, BS21, BS22 order.
+        betas = (self.beta_bs11, self.beta_bs21, self.beta_bs22)
+        times = [[_boost(event, beta) for event in events] for beta in betas]
+        for frame, (_, t21, t22) in (("BS21", times[1]), ("BS22", times[2])):
+            if t22 <= t21:
+                raise ValueError(f"photon 2 must reach BS21 before BS22, violated in the {frame} frame")
+        # Not a field, so out of __eq__, __hash__, __repr__; replace classifies afresh.
+        try:
+            outcome = _classify(times, self.at_rest())
+        except AmbiguousScheduleError as error:
+            outcome = str(error)
+        object.__setattr__(self, "_classification", outcome)
 
     def at_rest(self) -> bool:
         return self.beta_bs11 == 0.0 and self.beta_bs21 == 0.0 and self.beta_bs22 == 0.0
@@ -158,8 +157,8 @@ class TimingAssignment:
 
 
 def _strictly_before(t_a: float, t_b: float, what: str) -> bool:
-    """Whether t_a < t_b, refusing differences inside the guard band."""
-    if abs(t_b - t_a) < GUARD_BAND_S:
+    """Whether t_a < t_b, refusing differences inside the guard band (or NaN, as inf - inf gives)."""
+    if not abs(t_b - t_a) >= GUARD_BAND_S:
         raise AmbiguousScheduleError(
             f"{what}: times {t_a!r} and {t_b!r} differ by less than the guard band {GUARD_BAND_S!r} s"
         )
@@ -174,25 +173,18 @@ def classify(schedule: ImpactSchedule) -> TimingAssignment:
     splitter it did not precede.  Photon 2's final impact is before only if
     it precedes BS11's in BS22's frame and the BS21 impact does so too in
     BS21's frame.  Ties and near-ties inside the guard band raise
-    AmbiguousScheduleError instead of silently picking a side.  The first
-    call stores the outcome on the frozen schedule; later calls reuse it.
+    AmbiguousScheduleError instead of silently picking a side.  The schedule
+    was classified when it was made: every call returns the same assignment,
+    or raises a new AmbiguousScheduleError with the same message.
     """
-    if (outcome := schedule._classification) is None:
-        try:
-            outcome = _classify(schedule)
-        except AmbiguousScheduleError as error:
-            outcome = str(error)
-        object.__setattr__(schedule, "_classification", outcome)
-    if type(outcome) is str:
+    if type(outcome := schedule._classification) is str:
         raise AmbiguousScheduleError(outcome)
     return outcome
 
 
-def _classify(schedule: ImpactSchedule) -> TimingAssignment:
-    t11_f11 = _boost(schedule.bs11, schedule.beta_bs11)
-    t21_f11 = _boost(schedule.bs21, schedule.beta_bs11)
-    t22_f11 = _boost(schedule.bs22, schedule.beta_bs11)
-
+def _classify(times: list[list[float]], at_rest: bool) -> TimingAssignment:
+    """classify's four comparisons on ImpactSchedule's frame-time table."""
+    (t11_f11, t21_f11, t22_f11), (t11_f21, t21_f21, _), (t11_f22, _, t22_f22) = times
     if _strictly_before(t11_f11, t21_f11, "BS11 vs BS21 in the BS11 frame"):
         label1 = PhotonOneLabel.B11
     elif _strictly_before(t11_f11, t22_f11, "BS11 vs BS22 in the BS11 frame"):
@@ -200,20 +192,12 @@ def _classify(schedule: ImpactSchedule) -> TimingAssignment:
     else:
         label1 = PhotonOneLabel.A11_22
 
-    bs21_before = _strictly_before(
-        _boost(schedule.bs21, schedule.beta_bs21),
-        _boost(schedule.bs11, schedule.beta_bs21),
-        "BS21 vs BS11 in the BS21 frame",
-    )
+    bs21_before = _strictly_before(t21_f21, t11_f21, "BS21 vs BS11 in the BS21 frame")
     # Without the BS21 impact before, photon 2 is a22 whichever way BS22 falls.
-    bs22_before = bs21_before and _strictly_before(
-        _boost(schedule.bs22, schedule.beta_bs22),
-        _boost(schedule.bs11, schedule.beta_bs22),
-        "BS22 vs BS11 in the BS22 frame",
-    )
+    bs22_before = bs21_before and _strictly_before(t22_f22, t11_f22, "BS22 vs BS11 in the BS22 frame")
     label2 = PhotonTwoLabel.B22 if bs22_before else PhotonTwoLabel.A22
 
-    series = _SERIES_BY_PAIRING.get((label1, label2)) if schedule.at_rest() else None
+    series = _SERIES_BY_PAIRING.get((label1, label2)) if at_rest else None
     return TimingAssignment(label1, label2, bs21_before, series)
 
 
@@ -226,7 +210,8 @@ class ExperimentGeometry:
     for another without touching photon 2's legs.  A geometry is accepted
     only if its ImpactSchedule is: at |beta| > 0, gamma * (t - beta x / c)
     can round two impacts one ulp apart into a tie, so a longer second leg
-    alone does not guarantee photon 2's order in its splitters' frames.
+    alone does not guarantee photon 2's order in its splitters' frames.  Its
+    schedule is built, and so classified, once, when the geometry is made.
     """
 
     length_bs11: float

@@ -17,6 +17,7 @@ from rnlsim import (
     RunConfig,
     SpacetimeEvent,
     TimingAssignment,
+    boost_time,
     compare_report,
     qm_correlation,
     qm_distinguishable_joint,
@@ -24,6 +25,7 @@ from rnlsim import (
     qm_single_pair_correlation,
     qm_single_pair_joint,
 )
+from rnlsim.timing import GUARD_BAND_S
 
 
 def as_array(table: JointDistribution) -> np.ndarray:
@@ -161,3 +163,41 @@ def rebuilt_schedule(geometry: ExperimentGeometry) -> ImpactSchedule:
         beta_bs21=geometry.beta_bs21,
         beta_bs22=geometry.beta_bs22,
     )
+
+
+def schedule_labels(schedule: ImpactSchedule) -> tuple[tuple[str, str, bool], bool]:
+    """((label1, label2, bs21_before), near_tie) by the rules in classify's docstring.
+
+    Each comparison boosts its own two times; no frame time is shared.  A gap
+    decides when the labels read it: BS11 vs BS21 in BS11's frame and BS21 vs
+    BS11 in BS21's frame always, BS11 vs BS22 in BS11's frame only when
+    BS11's impact is not before BS21's, and BS22 vs BS11 in BS22's frame only
+    when the BS21 impact is before.  near_tie is whether a deciding gap is
+    inside the guard band or NaN (inf - inf).
+    """
+
+    def lead(first: SpacetimeEvent, second: SpacetimeEvent, beta: float) -> float:
+        """How long before second's impact first's falls, in the frame moving at beta."""
+        return boost_time(second, beta) - boost_time(first, beta)
+
+    bs11_vs_bs21 = lead(schedule.bs11, schedule.bs21, schedule.beta_bs11)
+    bs11_vs_bs22 = lead(schedule.bs11, schedule.bs22, schedule.beta_bs11)
+    bs21_vs_bs11 = lead(schedule.bs21, schedule.bs11, schedule.beta_bs21)
+    bs22_vs_bs11 = lead(schedule.bs22, schedule.bs11, schedule.beta_bs22)
+
+    # Photon 1: before BS21's impact, else non-before relative to the first one it did not precede.
+    if bs11_vs_bs21 > 0.0:
+        label1 = "b11"
+    else:
+        label1 = "a11[21]" if bs11_vs_bs22 > 0.0 else "a11[22]"
+    # Photon 2: its final impact is before only if its BS21 impact is before too.
+    bs21_before = bs21_vs_bs11 > 0.0
+    label2 = "b22" if bs21_before and bs22_vs_bs11 > 0.0 else "a22"
+
+    deciding = [bs11_vs_bs21, bs21_vs_bs11]
+    if label1 != "b11":
+        deciding.append(bs11_vs_bs22)
+    if bs21_before:
+        deciding.append(bs22_vs_bs11)
+    near_tie = any(not abs(gap) >= GUARD_BAND_S for gap in deciding)
+    return (label1, label2, bs21_before), near_tie
