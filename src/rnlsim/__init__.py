@@ -20,10 +20,8 @@ from .quantum import (
     PhaseSettings,
     amplitude_oracle,
     qm_correlation,
-    qm_distinguishable_joint,
-    qm_joint,
     qm_single_pair_correlation,
-    qm_single_pair_joint,
+    symmetric_joint,
 )
 from .report import (
     ComparisonReport,
@@ -78,10 +76,7 @@ __all__ = [
     "parse_config_file",
     "predict",
     "qm_correlation",
-    "qm_distinguishable_joint",
-    "qm_joint",
     "qm_single_pair_correlation",
-    "qm_single_pair_joint",
     "render_csv",
     "render_json_lines",
     "render_table",
@@ -89,4 +84,5 @@ __all__ = [
     "schedule_from_geometry",
     "series_preset",
     "substream",
+    "symmetric_joint",
 ]

@@ -2,9 +2,10 @@
 
 Photon 1 crosses one beam splitter (phase phi11 on its input arm), photon 2
 crosses two in series (phase phi21 before the first, phi22 between the two).
-This module holds the closed-form coincidence tables for detections after
-the final splitters, plus an independent amplitude-level oracle that builds
-the same distribution by composing 2x2 splitter unitaries and arm phases.
+Each closed-form coincidence table is symmetric_joint(E) of its correlation
+E: qm_correlation after the final splitters, qm_single_pair_correlation
+between photon 2's two, 0 if the pair's origin or path is knowable.  An
+independent amplitude oracle composes 2x2 splitter unitaries and arm phases.
 """
 
 from __future__ import annotations
@@ -78,23 +79,18 @@ class JointDistribution:
 # --- closed forms -----------------------------------------------------------
 
 
-def _symmetric_joint(e: float) -> JointDistribution:
+def symmetric_joint(e: float) -> JointDistribution:
     """The table 1/4 + (sigma*omega/4) e, which has fair marginals and correlation e."""
     same, differ = 0.25 + e / 4.0, 0.25 - e / 4.0
     return JointDistribution(same, differ, differ, same)
 
 
-def qm_joint(settings: PhaseSettings) -> JointDistribution:
-    """Coincidence table after the final splitters with full indistinguishability.
-
-    P(sigma, omega) = 1/4 + (sigma*omega/8) * [cos(phi11 - phi21 - phi22)
-                                               - cos(phi11 - phi21 + phi22)].
-    """
-    return _symmetric_joint(qm_correlation(settings))
-
-
 def qm_correlation(settings: PhaseSettings) -> float:
-    """Correlation of the full table; equals sin(phi11 - phi21) * sin(phi22)."""
+    """Correlation after the final splitters with full indistinguishability: sin(phi11 - phi21) sin(phi22).
+
+    Its table is P(sigma, omega) = 1/4 + (sigma*omega/8) * [cos(phi11 - phi21 - phi22)
+                                                            - cos(phi11 - phi21 + phi22)].
+    """
     delta = settings.phi11 - settings.phi21
     return 0.5 * (math.cos(delta - settings.phi22) - math.cos(delta + settings.phi22))
 
@@ -102,20 +98,6 @@ def qm_correlation(settings: PhaseSettings) -> float:
 def qm_single_pair_correlation(phi11: float, phi21: float) -> float:
     """Correlation when photon 2 is detected between its two splitters: cos(phi11 - phi21)."""
     return math.cos(require_finite("phi11", phi11) - require_finite("phi21", phi21))
-
-
-def qm_single_pair_joint(phi11: float, phi21: float) -> JointDistribution:
-    """Joint table for the intermediate-detection experiment: 1/4 + (sigma*omega/4) cos(phi11 - phi21)."""
-    return _symmetric_joint(qm_single_pair_correlation(phi11, phi21))
-
-
-def qm_distinguishable_joint() -> JointDistribution:
-    """Flat table when the pair's origin or path is knowable: every cell 1/4."""
-    return _FLAT
-
-
-# Built once: tables are frozen, so every caller can share it.
-_FLAT = _symmetric_joint(0.0)
 
 
 # --- amplitude oracle -------------------------------------------------------

@@ -5,24 +5,25 @@ before/non-before pairing of the two impacts: two before impacts give flat
 product statistics, mixed pairings reproduce the quantum tables, and two
 non-before impacts give the flat table too: factorized through conditionals
 on the partner's before values, their correlation vanishes.  Every rule is a
-stage (the flat, intermediate or final table); derivations sit above _RULES.
-predict flattens a quantum stage whose condition is off, and memoizes only
-the quantum predictions, per (stage, phases).
+stage, stored as its table's correlation E; derivations sit above _RULES.
+predict flattens a quantum stage whose condition is off, builds the table as
+symmetric_joint(E) and memoizes the quantum predictions, per (stage, phases).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import require_flag
 from .quantum import (
     JointDistribution,
     PhaseSettings,
-    qm_distinguishable_joint,
-    qm_joint,
-    qm_single_pair_joint,
+    qm_correlation,
+    qm_single_pair_correlation,
+    symmetric_joint,
 )
 from .timing import PhotonOneLabel, PhotonTwoLabel, TimingAssignment
 
@@ -37,17 +38,17 @@ class ModelVariant(enum.Enum):
     __hash__ = object.__hash__  # as PhotonOneLabel's: members are singletons
 
 
-_FLAT, _INTERMEDIATE, _FINAL = "flat", "intermediate", "final"
 # Module aliases: reading a member off an Enum class is a slow attribute lookup.
 _QM, _RNL_ALTERNATIVE = ModelVariant.QM, ModelVariant.RNL_ALTERNATIVE
 _B11, _A11_21, _A11_22 = PhotonOneLabel.B11, PhotonOneLabel.A11_21, PhotonOneLabel.A11_22
 _B21, _B22, _A22 = PhotonTwoLabel.B21, PhotonTwoLabel.B22, PhotonTwoLabel.A22
 
-# Each rule is the stage whose table a pairing takes: flat (every cell 1/4),
-# intermediate (qm_single_pair_joint) or final (qm_joint).  RNL_STANDARD: two
-# before impacts give the flat table, mixed pairings the quantum table of
-# their stage, two non-before impacts the factorized one, which is flat as
-# well.  TimingAssignment accepts these pairings and refuses (a11[22], b21).
+# Each rule is the stage whose table a pairing takes, stored as the table's
+# correlation E: 0 (flat), cos(phi11 - phi21) (intermediate) or
+# sin(phi11 - phi21) sin(phi22) (final).  RNL_STANDARD: two before impacts
+# give the flat table, mixed pairings the quantum table of their stage, two
+# non-before impacts the factorized one, which is flat as well.
+# TimingAssignment accepts these pairings and refuses (a11[22], b21).
 #
 # Two non-before impacts, (a11[22], a22) and (a11[21], a22): each outcome is
 # drawn from a conditional on the partner's before value, and the conditional
@@ -76,6 +77,11 @@ _B21, _B22, _A22 = PhotonTwoLabel.B21, PhotonTwoLabel.B22, PhotonTwoLabel.A22
 # because P_int has fair marginals.  The table is flat, E = 0, whatever the
 # two conditions: dropping condition1 only flattens P_int, and condition2
 # does not enter.  RNL_ALTERNATIVE equals RNL_STANDARD here.
+_FLAT, _INTERMEDIATE, _FINAL = (
+    lambda settings: 0.0,
+    lambda settings: qm_single_pair_correlation(settings.phi11, settings.phi21),
+    qm_correlation,
+)
 _RULES = {
     (_B11, _B21): _FLAT,
     (_B11, _B22): _FLAT,
@@ -97,7 +103,7 @@ class Prediction:
 
 
 # Frozen, so every flat-stage prediction can be this one object.
-_FLAT_PREDICTION = Prediction(qm_distinguishable_joint(), qm_distinguishable_joint().correlation)
+_FLAT_PREDICTION = Prediction(symmetric_joint(0.0), 0.0)
 
 
 def predict(
@@ -139,7 +145,6 @@ def predict(
 # recent 256.  It is frozen, so sharing it is safe; phases are floats, and
 # +0.0 and -0.0 share a key: cos is even, so their tables are identical.
 @functools.lru_cache(maxsize=256)
-def _evaluate(stage: str, phi11: float, phi21: float, phi22: float) -> Prediction:
-    settings = PhaseSettings(phi11, phi21, phi22)
-    joint = qm_single_pair_joint(phi11, phi21) if stage is _INTERMEDIATE else qm_joint(settings)
+def _evaluate(stage: Callable[..., float], phi11: float, phi21: float, phi22: float) -> Prediction:
+    joint = symmetric_joint(stage(PhaseSettings(phi11, phi21, phi22)))
     return Prediction(joint=joint, correlation=joint.correlation)

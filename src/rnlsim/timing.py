@@ -78,7 +78,7 @@ class ImpactSchedule:
         betas = (self.beta_bs11, self.beta_bs21, self.beta_bs22)
         times = [[_boost(event, beta) for event in events] for beta in betas]
         for frame, (_, t21, t22) in (("BS21", times[1]), ("BS22", times[2])):
-            if t22 <= t21:
+            if t22 - t21 <= 0.0:  # False for a NaN gap (inf - inf): _classify refuses that
                 raise ValueError(f"photon 2 must reach BS21 before BS22, violated in the {frame} frame")
         # Not a field, so out of __eq__, __hash__, __repr__; replace classifies afresh.
         try:
@@ -185,6 +185,9 @@ def classify(schedule: ImpactSchedule) -> TimingAssignment:
 def _classify(times: list[list[float]], at_rest: bool) -> TimingAssignment:
     """classify's four comparisons on ImpactSchedule's frame-time table."""
     (t11_f11, t21_f11, t22_f11), (t11_f21, t21_f21, _), (t11_f22, _, t22_f22) = times
+    for frame, (_, t21, t22) in (("BS21", times[1]), ("BS22", times[2])):
+        if math.isnan(t22 - t21):  # photon 2's own order, unreadable when both times are inf
+            raise AmbiguousScheduleError(f"BS21 vs BS22 in the {frame} frame: both times are {t21!r}")
     if _strictly_before(t11_f11, t21_f11, "BS11 vs BS21 in the BS11 frame"):
         label1 = PhotonOneLabel.B11
     elif _strictly_before(t11_f11, t22_f11, "BS11 vs BS22 in the BS11 frame"):

@@ -20,10 +20,8 @@ from rnlsim import (
     boost_time,
     compare_report,
     qm_correlation,
-    qm_distinguishable_joint,
-    qm_joint,
     qm_single_pair_correlation,
-    qm_single_pair_joint,
+    symmetric_joint,
 )
 from rnlsim.timing import GUARD_BAND_S
 
@@ -55,7 +53,7 @@ def theorem_product(settings: PhaseSettings, label1: PhotonOneLabel) -> float:
     all-before factor vanishes identically, so the product does too; it is
     still evaluated factor by factor rather than short-circuited.
     """
-    e_before_before = qm_distinguishable_joint().correlation
+    e_before_before = symmetric_joint(0.0).correlation
     if label1 is PhotonOneLabel.A11_22:
         e_photon1_mixed = qm_correlation(settings)
     else:
@@ -80,14 +78,13 @@ def conditional(
     b21)), a11[22] on the BS22 one (anchor (a11[22], b22)) and a22 on the
     BS11 one (anchor (b11, a22)); the partner's other before value drops out.
     """
-    flat = qm_distinguishable_joint()
-    intermediate = qm_single_pair_joint(settings.phi11, settings.phi21) if condition1 else flat
-    final = qm_joint(settings) if condition2 else flat
-    anchor = {
+    intermediate = qm_single_pair_correlation(settings.phi11, settings.phi21) if condition1 else 0.0
+    final = qm_correlation(settings) if condition2 else 0.0
+    anchor = symmetric_joint({
         PhotonOneLabel.A11_21: intermediate,
         PhotonOneLabel.A11_22: final,
         PhotonTwoLabel.A22: final,
-    }[which]
+    }[which])
     # Photon 2's outcome is the anchor's second index, photon 1's its first.
     if isinstance(which, PhotonTwoLabel):
         minus_given_plus, plus_given_minus = anchor.p_pm, anchor.p_mp
@@ -106,7 +103,7 @@ def factorized_table(
     partner's earlier impact alone.  The result is the flat table up to
     rounding.
     """
-    before = qm_distinguishable_joint()
+    before = symmetric_joint(0.0)
     cond1 = conditional(settings, label1, condition1, condition2)
     cond2 = conditional(settings, PhotonTwoLabel.A22, condition1, condition2)
     # (P(outcome | partner's before value +1), P(outcome | -1)) per outcome.

@@ -34,12 +34,11 @@ from rnlsim import (
     estimate_correlation,
     predict,
     qm_correlation,
-    qm_distinguishable_joint,
-    qm_joint,
-    qm_single_pair_joint,
+    qm_single_pair_correlation,
     render_csv,
     schedule_from_geometry,
     series_preset,
+    symmetric_joint,
 )
 
 ATOL = 1e-12
@@ -81,9 +80,8 @@ def test_criterion_2_amplitude_oracle_grid() -> None:
         for phi21 in grid:
             for phi22 in grid:
                 settings = PhaseSettings(phi11, phi21, phi22)
-                deviation = np.max(
-                    np.abs(as_array(amplitude_oracle(settings)) - as_array(qm_joint(settings)))
-                )
+                closed = symmetric_joint(qm_correlation(settings))
+                deviation = np.max(np.abs(as_array(amplitude_oracle(settings)) - as_array(closed)))
                 worst = max(worst, float(deviation))
     elapsed = time.perf_counter() - started
     ok = worst < ATOL and elapsed < 1.0
@@ -217,11 +215,11 @@ def test_criterion_7_distribution_invariants_sweep() -> None:
         settings = PhaseSettings(*rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=3))
         producer = index % 4
         if producer == 0:
-            table = qm_joint(settings)
+            table = symmetric_joint(qm_correlation(settings))
         elif producer == 1:
             table = amplitude_oracle(settings)
         elif producer == 2:
-            table = qm_single_pair_joint(settings.phi11, settings.phi21)
+            table = symmetric_joint(qm_single_pair_correlation(settings.phi11, settings.phi21))
         else:
             timing = pairings[index % len(pairings)]
             table = predict(settings, timing, variants[index % len(variants)]).joint
@@ -234,7 +232,7 @@ def test_criterion_7_distribution_invariants_sweep() -> None:
             abs(marginal_photon2(table, 1) - 0.5),
             abs(marginal_photon2(table, -1) - 0.5),
         )
-    flat = qm_distinguishable_joint()
+    flat = symmetric_joint(0.0)
     worst = max(worst, abs(sum(as_array(flat)) - 1.0), abs(marginal_photon1(flat, 1) - 0.5))
     ok = worst < ATOL and checked == 10_000
     _verdict(

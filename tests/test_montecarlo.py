@@ -19,9 +19,9 @@ from rnlsim import (
     compare_report,
     estimate_correlation,
     predict,
-    qm_distinguishable_joint,
     sample_counts,
     substream,
+    symmetric_joint,
 )
 from rnlsim import rnl
 from rnlsim.montecarlo import MAX_CHUNKS, MAX_EVENTS
@@ -41,13 +41,13 @@ def test_degenerate_table_always_yields_its_outcome() -> None:
 
 
 def test_identical_seeds_give_identical_draws() -> None:
-    table = qm_distinguishable_joint()
+    table = symmetric_joint(0.0)
     kwargs = dict(seed=42, variant_index=1, n_events=200, chunk_size=64)
     assert sample_counts(table, **kwargs) == sample_counts(table, **kwargs)
 
 
 def test_different_substreams_differ() -> None:
-    table = qm_distinguishable_joint()
+    table = symmetric_joint(0.0)
     counts_a = sample_counts(table, seed=42, variant_index=0, n_events=1000, chunk_size=1000)
     counts_b = sample_counts(table, seed=42, variant_index=1, n_events=1000, chunk_size=1000)
     counts_c = sample_counts(table, seed=43, variant_index=0, n_events=1000, chunk_size=1000)
@@ -58,7 +58,7 @@ def test_different_substreams_differ() -> None:
 def test_uniform_frequencies_within_statistical_bound() -> None:
     n = 4_000_000
     counts = sample_counts(
-        qm_distinguishable_joint(), seed=3, variant_index=0, n_events=n, chunk_size=500_000
+        symmetric_joint(0.0), seed=3, variant_index=0, n_events=n, chunk_size=500_000
     )
     bound = 5.0 * math.sqrt(0.25 * 0.75 / n)
     for count in counts.as_tuple():
@@ -67,7 +67,7 @@ def test_uniform_frequencies_within_statistical_bound() -> None:
 
 def test_counts_conserve_the_event_total() -> None:
     counts = sample_counts(
-        qm_distinguishable_joint(), seed=5, variant_index=2, n_events=12_345, chunk_size=1_000
+        symmetric_joint(0.0), seed=5, variant_index=2, n_events=12_345, chunk_size=1_000
     )
     assert counts.n_total == 12_345
 
@@ -76,7 +76,7 @@ def test_counts_are_a_pure_function_of_their_arguments() -> None:
     kwargs = dict(seed=7, variant_index=1, n_events=50_000, chunk_size=8_192)
     first = sample_counts(JointDistribution(0.1, 0.2, 0.3, 0.4), **kwargs)
     # Other draws in between leave no state behind.
-    sample_counts(qm_distinguishable_joint(), seed=8, variant_index=0, n_events=999, chunk_size=7)
+    sample_counts(symmetric_joint(0.0), seed=8, variant_index=0, n_events=999, chunk_size=7)
     again = sample_counts(JointDistribution(0.1, 0.2, 0.3, 0.4), **kwargs)
     assert first == again
 
@@ -234,7 +234,7 @@ def test_edge_of_the_tolerance_band_samples() -> None:
 
 
 def test_chunk_size_is_part_of_the_stream_layout() -> None:
-    table = qm_distinguishable_joint()
+    table = symmetric_joint(0.0)
     counts_a = sample_counts(table, seed=7, variant_index=0, n_events=10_000, chunk_size=1_000)
     counts_b = sample_counts(table, seed=7, variant_index=0, n_events=10_000, chunk_size=2_500)
     assert counts_a != counts_b  # different layout, different (valid) sample
@@ -372,7 +372,7 @@ def test_zero_last_cell_stays_empty_in_one_huge_chunk() -> None:
 
 
 def test_sample_counts_validates_arguments() -> None:
-    table = qm_distinguishable_joint()
+    table = symmetric_joint(0.0)
     with pytest.raises(ValueError):
         sample_counts(table, seed=1, variant_index=0, n_events=0, chunk_size=10)
     with pytest.raises(ValueError):
@@ -396,7 +396,7 @@ def test_sample_counts_refuses_too_many_chunks_before_drawing(
         raise AssertionError("a refused run must not reach the sampler")
 
     monkeypatch.setattr("rnlsim.montecarlo.substream", no_stream)
-    table = qm_distinguishable_joint()
+    table = symmetric_joint(0.0)
     for n_events, chunk_size in ((MAX_EVENTS, 1), (MAX_CHUNKS + 1, 1), (2 * MAX_CHUNKS + 1, 2)):
         with pytest.raises(ValueError, match="chunks"):
             sample_counts(table, seed=1, variant_index=0, n_events=n_events, chunk_size=chunk_size)

@@ -17,10 +17,8 @@ from rnlsim import (
     amplitude_oracle,
     predict,
     qm_correlation,
-    qm_distinguishable_joint,
-    qm_joint,
     qm_single_pair_correlation,
-    qm_single_pair_joint,
+    symmetric_joint,
 )
 
 ATOL = 1e-12
@@ -45,11 +43,11 @@ def test_straight_line_table_is_bit_exact(settings: PhaseSettings) -> None:
         _straight_line(settings, sigma, omega)
         for sigma, omega in ((1, 1), (1, -1), (-1, 1), (-1, -1))
     ]
-    assert as_array(qm_joint(settings)).tolist() == entrywise
+    assert as_array(symmetric_joint(qm_correlation(settings))).tolist() == entrywise
 
 
 def test_key_settings_joint_values() -> None:
-    table = qm_joint(KEY_SETTINGS)
+    table = symmetric_joint(qm_correlation(KEY_SETTINGS))
     assert table.p_pp == pytest.approx(0.5, abs=ATOL)
     assert table.p_pm == pytest.approx(0.0, abs=ATOL)
     assert table.p_mp == pytest.approx(0.0, abs=ATOL)
@@ -62,7 +60,7 @@ def test_key_settings_correlation_is_unity() -> None:
 
 def test_zero_final_phase_flattens_the_table() -> None:
     settings = PhaseSettings(0.3, -1.2, 0.0)
-    for p in as_array(qm_joint(settings)):
+    for p in as_array(symmetric_joint(qm_correlation(settings))):
         assert p == pytest.approx(0.25, abs=ATOL)
     assert qm_correlation(settings) == pytest.approx(0.0, abs=ATOL)
 
@@ -76,7 +74,7 @@ def test_single_pair_correlation_values() -> None:
 
 
 def test_single_pair_joint_table_matches_its_correlation() -> None:
-    table = qm_single_pair_joint(0.9, 0.1)
+    table = symmetric_joint(qm_single_pair_correlation(0.9, 0.1))
     e = qm_single_pair_correlation(0.9, 0.1)
     assert table.p_pp == pytest.approx(0.25 + e / 4.0, abs=ATOL)
     assert table.p_pm == pytest.approx(0.25 - e / 4.0, abs=ATOL)
@@ -84,7 +82,7 @@ def test_single_pair_joint_table_matches_its_correlation() -> None:
 
 
 def test_distinguishable_table_is_flat() -> None:
-    table = qm_distinguishable_joint()
+    table = symmetric_joint(0.0)
     assert as_array(table).tolist() == [0.25, 0.25, 0.25, 0.25]
     assert table.correlation == 0.0
 
@@ -109,14 +107,14 @@ def test_string_phases_are_refused() -> None:
     assert settings == PhaseSettings(0.5, 0.0, 1.0)
     assert all(type(phi) is float for phi in (settings.phi11, settings.phi21, settings.phi22))
     prediction = predict(settings, for_series(3), ModelVariant.QM)
-    assert prediction.joint == qm_joint(PhaseSettings(0.5, 0.0, 1.0))
+    assert prediction.joint == symmetric_joint(qm_correlation(PhaseSettings(0.5, 0.0, 1.0)))
 
 
 def test_single_pair_string_phases_are_refused() -> None:
     with pytest.raises(ValueError, match="phi11 must be a real number"):
         qm_single_pair_correlation("0.5", 0)
     with pytest.raises(ValueError, match="phi21 must be a real number"):
-        qm_single_pair_joint(0.5, "0")
+        qm_single_pair_correlation(0.5, "0")
     assert qm_single_pair_correlation(np.float32(0.5), 0) == qm_single_pair_correlation(0.5, 0.0)
 
 
@@ -124,7 +122,7 @@ def test_string_probabilities_are_refused() -> None:
     with pytest.raises(ValueError, match="p_pp must be a real number"):
         JointDistribution("0.25", 0.25, 0.25, 0.25)
     table = JointDistribution(np.float64(0.25), 0.25, 0.25, 0.25)
-    assert table == qm_distinguishable_joint()
+    assert table == symmetric_joint(0.0)
     assert type(table.p_pp) is float
 
 
@@ -140,6 +138,8 @@ def test_joint_distribution_validation() -> None:
         JointDistribution(0.5, 0.5, 0.5, 0.5)  # sums to 2
     with pytest.raises(ValueError):
         JointDistribution(-0.1, 0.4, 0.4, 0.3)  # genuinely negative
+    with pytest.raises(ValueError, match="p_pm = -1e-11 is negative"):
+        JointDistribution(0.5 + 1e-11, -1e-11, 0.25, 0.25)  # beyond rounding, though it sums to 1
     # A degenerate but normalized table is allowed (used for sampler tests).
     degenerate = JointDistribution(1.0, 0.0, 0.0, 0.0)
     assert degenerate.p_pp == 1.0
@@ -150,7 +150,7 @@ def test_joint_distribution_validation() -> None:
 
 @given(settings_strategy)
 def test_table_normalization_and_fair_marginals(settings: PhaseSettings) -> None:
-    table = qm_joint(settings)
+    table = symmetric_joint(qm_correlation(settings))
     assert abs(sum(as_array(table)) - 1.0) < ATOL
     for outcome in (1, -1):
         assert abs(marginal_photon1(table, outcome) - 0.5) < ATOL
@@ -159,7 +159,7 @@ def test_table_normalization_and_fair_marginals(settings: PhaseSettings) -> None
 
 @given(settings_strategy)
 def test_correlation_consistent_with_table(settings: PhaseSettings) -> None:
-    table = qm_joint(settings)
+    table = symmetric_joint(qm_correlation(settings))
     from_table = sum(
         sigma * omega * cell(table, sigma, omega) for sigma in (1, -1) for omega in (1, -1)
     )
@@ -180,9 +180,10 @@ def test_two_pi_periodicity(settings: PhaseSettings, which: str) -> None:
             for name in ("phi11", "phi21", "phi22")
         }
     )
+    table, shifted_table = symmetric_joint(qm_correlation(settings)), symmetric_joint(qm_correlation(shifted))
     for sigma in (1, -1):
         for omega in (1, -1):
-            delta = cell(qm_joint(settings), sigma, omega) - cell(qm_joint(shifted), sigma, omega)
+            delta = cell(table, sigma, omega) - cell(shifted_table, sigma, omega)
             assert abs(delta) < ATOL
 
 
@@ -191,13 +192,14 @@ def test_two_pi_periodicity(settings: PhaseSettings, which: str) -> None:
 
 def test_oracle_matches_closed_form_at_key_settings() -> None:
     oracle = amplitude_oracle(KEY_SETTINGS)
-    closed = qm_joint(KEY_SETTINGS)
+    closed = symmetric_joint(qm_correlation(KEY_SETTINGS))
     assert np.max(np.abs(as_array(oracle) - as_array(closed))) < ATOL
 
 
 @given(settings_strategy)
 def test_oracle_matches_closed_form(settings: PhaseSettings) -> None:
-    deviation = np.max(np.abs(as_array(amplitude_oracle(settings)) - as_array(qm_joint(settings))))
+    closed = symmetric_joint(qm_correlation(settings))
+    deviation = np.max(np.abs(as_array(amplitude_oracle(settings)) - as_array(closed)))
     assert deviation < ATOL
 
 

@@ -29,10 +29,8 @@ from rnlsim import (
     TimingAssignment,
     predict,
     qm_correlation,
-    qm_distinguishable_joint,
-    qm_joint,
     qm_single_pair_correlation,
-    qm_single_pair_joint,
+    symmetric_joint,
 )
 from rnlsim import rnl
 
@@ -102,12 +100,12 @@ def test_summing_flat_before_statistics_reproduces_the_mixed_tables(
     # The defining requirement of the conditionals: against the flat before
     # table, the (non-before, before) experiment must give back its quantum
     # table.  Checked for all three non-before impacts.
-    flat = qm_distinguishable_joint()
+    flat = symmetric_joint(0.0)
     cond_21 = _conditional(settings, PhotonOneLabel.A11_21)
     cond_22 = _conditional(settings, PhotonOneLabel.A11_22)
     cond_a22 = _conditional(settings, PhotonTwoLabel.A22)
-    intermediate = qm_single_pair_joint(settings.phi11, settings.phi21)
-    final = qm_joint(settings)
+    intermediate = symmetric_joint(qm_single_pair_correlation(settings.phi11, settings.phi21))
+    final = symmetric_joint(qm_correlation(settings))
     for out in (1, -1):
         for given in (1, -1):
             summed_21 = sum(cell(flat, sigma, given) * cond_21[out, given] for sigma in (1, -1))
@@ -123,7 +121,7 @@ def test_conditional_ignores_the_dropped_before_value(settings: PhaseSettings) -
     # Re-derive each conditional with the partner pair's other before value
     # explicit: column extraction from the mixed table renormalized by that
     # value's marginal.  The result cannot depend on the dropped index.
-    final = qm_joint(settings)
+    final = symmetric_joint(qm_correlation(settings))
     cond_a22 = _conditional(settings, PhotonTwoLabel.A22)
     for out in (1, -1):
         for given_sigma in (1, -1):
@@ -141,7 +139,7 @@ def test_conditional_ignores_the_dropped_before_value(settings: PhaseSettings) -
 
 
 def test_two_before_pairings_give_the_flat_table() -> None:
-    flat = qm_distinguishable_joint()
+    flat = symmetric_joint(0.0)
     for label2 in (PhotonTwoLabel.B21, PhotonTwoLabel.B22):
         timing = TimingAssignment(PhotonOneLabel.B11, label2)
         for variant in (ModelVariant.RNL_STANDARD, ModelVariant.RNL_ALTERNATIVE):
@@ -151,14 +149,14 @@ def test_two_before_pairings_give_the_flat_table() -> None:
 def test_intermediate_mixed_pairing_gives_the_single_pair_table() -> None:
     timing = TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.B21)
     settings = PhaseSettings(0.8, 0.1, 2.0)
-    expected = qm_single_pair_joint(settings.phi11, settings.phi21)
+    expected = symmetric_joint(qm_single_pair_correlation(settings.phi11, settings.phi21))
     got = _table(settings, timing, ModelVariant.RNL_STANDARD)
     assert _max_dev(got, expected) < ATOL
 
 
 @given(settings_strategy)
 def test_final_mixed_pairings_equal_the_quantum_table(settings: PhaseSettings) -> None:
-    expected = qm_joint(settings)
+    expected = symmetric_joint(qm_correlation(settings))
     for timing in (
         TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.B22),
         TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.A22, bs21_before=False),
@@ -173,7 +171,7 @@ def test_series3_pairing_splits_the_variants() -> None:
     alternative = _table(KEY_SETTINGS, timing, ModelVariant.RNL_ALTERNATIVE)
     assert standard.correlation == pytest.approx(0.0, abs=ATOL)
     assert alternative.correlation == pytest.approx(1.0, abs=ATOL)
-    assert _max_dev(alternative, qm_joint(KEY_SETTINGS)) < ATOL
+    assert _max_dev(alternative, symmetric_joint(qm_correlation(KEY_SETTINGS))) < ATOL
 
 
 @given(settings_strategy)
@@ -242,7 +240,7 @@ def test_every_label_pair_is_refused_or_predicted() -> None:
 
 
 def test_qm_variant_ignores_timing() -> None:
-    expected = qm_joint(KEY_SETTINGS)
+    expected = symmetric_joint(qm_correlation(KEY_SETTINGS))
     for timing in ALL_PAIRINGS:
         assert _max_dev(_table(KEY_SETTINGS, timing, ModelVariant.QM), expected) < ATOL
 
@@ -300,7 +298,7 @@ def test_theorem_factors_are_the_mixed_correlations() -> None:
 
 
 def test_dropping_condition2_flattens_the_final_stage() -> None:
-    flat = qm_distinguishable_joint()
+    flat = symmetric_joint(0.0)
     timing = TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.B22)
     got = _table(KEY_SETTINGS, timing, ModelVariant.RNL_STANDARD, condition2=False)
     assert _max_dev(got, flat) < ATOL
@@ -309,14 +307,14 @@ def test_dropping_condition2_flattens_the_final_stage() -> None:
 
 
 def test_dropping_condition1_flattens_the_intermediate_stage() -> None:
-    flat = qm_distinguishable_joint()
+    flat = symmetric_joint(0.0)
     timing = TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.B21)
     settings = PhaseSettings(0.2, 0.2, 0.0)
     got = _table(settings, timing, ModelVariant.RNL_STANDARD, condition1=False)
     assert _max_dev(got, flat) < ATOL
     # condition1 does not touch the final-stage table.
     untouched = _table(settings, for_series(1), ModelVariant.RNL_STANDARD, condition1=False)
-    assert _max_dev(untouched, qm_joint(settings)) < ATOL
+    assert _max_dev(untouched, symmetric_joint(qm_correlation(settings))) < ATOL
 
 
 def test_condition_flags_must_be_bools() -> None:
@@ -424,7 +422,7 @@ def test_flat_tables_never_reach_the_memo(monkeypatch: pytest.MonkeyPatch) -> No
         return evaluate(stage, *phases)
 
     monkeypatch.setattr(rnl, "_evaluate", counting_evaluate)
-    flat = qm_distinguishable_joint()
+    flat = rnl._FLAT_PREDICTION.joint
     for timing, variant, condition1, condition2 in MEMO_CASES:
         stages.clear()
         joint = _table(KEY_SETTINGS, timing, variant, condition1=condition1, condition2=condition2)

@@ -137,8 +137,10 @@ def test_schedule_rejects_a_non_event_slot() -> None:
 
 
 def test_schedule_rejects_photon2_order_violation() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="violated in the BS21 frame") as error:
         _rest_schedule(1e-9, 3e-9, 2e-9)
+    # A reversal is a bad input, not an ambiguity to refuse later.
+    assert not isinstance(error.value, AmbiguousScheduleError)
 
 
 def test_rest_orderings_map_to_series() -> None:
@@ -146,6 +148,9 @@ def test_rest_orderings_map_to_series() -> None:
         (3e-9, 1e-9, 2e-9): (PhotonOneLabel.A11_22, PhotonTwoLabel.B22, True, 1),
         (1e-9, 2e-9, 3e-9): (PhotonOneLabel.B11, PhotonTwoLabel.A22, False, 2),
         (2e-9, 1e-9, 3e-9): (PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True, 3),
+        # Gaps of exactly the guard band, and of three times it, still decide.
+        (0.0, 1e-15, 1e-9): (PhotonOneLabel.B11, PhotonTwoLabel.A22, False, 2),
+        (0.0, 3e-15, 1e-9): (PhotonOneLabel.B11, PhotonTwoLabel.A22, False, 2),
     }
     for (t11, t21, t22), (label1, label2, bs21_before, series) in cases.items():
         timing = classify(_rest_schedule(t11, t21, t22))
@@ -173,8 +178,9 @@ def test_rest_classification_matches_lab_ordering_sweep() -> None:
 
 
 def test_near_tie_is_refused() -> None:
-    # A near-tie of BS11 with BS21, and an exact tie of BS11 with BS22.
-    for times in ((1e-9 + 1e-16, 1e-9, 2e-9), (2e-9, 1e-9, 2e-9)):
+    # Near-ties of BS11 with BS21 (the second half the guard band), and an
+    # exact tie of BS11 with BS22.
+    for times in ((1e-9 + 1e-16, 1e-9, 2e-9), (0.0, 0.5e-15, 1e-9), (2e-9, 1e-9, 2e-9)):
         with pytest.raises(AmbiguousScheduleError):
             classify(_rest_schedule(*times))
 
@@ -188,6 +194,23 @@ def test_an_overflowed_frame_time_gap_is_refused() -> None:
     assert boost_time(schedule.bs11, 0.9) == boost_time(schedule.bs21, 0.9) == math.inf
     with pytest.raises(AmbiguousScheduleError, match="BS11 vs BS21 in the BS11 frame"):
         classify(schedule)
+    # In BS21's frame both of photon 2's own times overflow: their order is
+    # not a reversal either, so the schedule is made and classify refuses it.
+    schedule = ImpactSchedule(
+        SpacetimeEvent(1e308, -1.0), SpacetimeEvent(1.2e308, 1.0), SpacetimeEvent(1.5e308, 2.0), beta_bs21=0.9
+    )
+    assert boost_time(schedule.bs21, 0.9) == boost_time(schedule.bs22, 0.9) == math.inf
+    with pytest.raises(AmbiguousScheduleError, match="BS21 vs BS22 in the BS21 frame"):
+        classify(schedule)
+    # A reversal that the other frame can read is still refused at construction.
+    with pytest.raises(ValueError, match="violated in the BS22 frame") as error:
+        ImpactSchedule(
+            SpacetimeEvent(1e308, -1.0),
+            SpacetimeEvent(1.5e308, 1.0),
+            SpacetimeEvent(1.2e308, 2.0),
+            beta_bs21=0.9,
+        )
+    assert not isinstance(error.value, AmbiguousScheduleError)
 
 
 def test_boosted_frames_can_relabel_photon1() -> None:
