@@ -125,7 +125,7 @@ KEY_TABLE = {
     "variants": (_parse_variants, "comma-separated subset of QM, RNL_STANDARD, RNL_ALTERNATIVE"),
     "n_events": (_parse_int, "coincidences per variant"),
     "seed": (_parse_int, "64-bit unsigned master seed"),
-    "chunk_size": (_parse_int, "events per multinomial draw"),
+    "chunk_size": (_parse_int, "ignored since stream layout v4 (1 to 2^63 - 1)"),
     "condition1": (
         _parse_bool,
         "pairs indistinguishable at the intermediate detection stage (true or false)",

@@ -2,10 +2,9 @@
 
 Each variant owns one Philox (counter-based) stream, keyed by the seed with
 the variant index as its spawn key, so a variant's counts do not depend on
-which other variants run.  Chunk k of a run is the k-th multinomial draw
-over the 4-cell table from that stream; full chunks are drawn as the rows
-of one vectorized call.  The chunk size is part of the run configuration
-because changing it changes the stream layout.
+which other variants run.  A variant's events are one multinomial draw over
+its 4-cell table from that stream: independent draws over one table sum to
+a draw over their total, so splitting the events into chunks buys nothing.
 """
 
 from __future__ import annotations
@@ -20,17 +19,9 @@ from .quantum import JointDistribution
 
 # Names the RNG stream layout: the counts printed for a given seed change
 # whenever this does.
-STREAM_LAYOUT = "philox(seed,spawn_key=variant)+multinomial-rows/v3"
+STREAM_LAYOUT = "philox(seed,spawn_key=variant)+multinomial/v4"
 # Largest n_events and chunk_size: the sampler counts in numpy int64.
 MAX_EVENTS = 2**63 - 1
-# Most chunks (multinomial rows) per variant.  Each row costs a fraction of a
-# microsecond, so 2^30 of them take minutes; a run needing more is refused
-# up front instead of running for years.
-MAX_CHUNKS = 2**30
-# Chunks per vectorized multinomial call, so memory stays bounded at any
-# n_events / chunk_size.  numpy draws the rows in order from one stream, so
-# this does not change the counts.
-_BLOCK_ROWS = 2**14
 
 
 @dataclass(frozen=True)
@@ -72,14 +63,9 @@ def substream(seed: int, variant_index: int) -> np.random.Generator:
 
 
 def check_run_size(n_events: int, chunk_size: int) -> None:
-    """Raise ValueError unless the sampler can draw n_events in chunks of chunk_size."""
-    n_events = require_int("n_events", n_events, 1, MAX_EVENTS)
-    chunk_size = require_int("chunk_size", chunk_size, 1, MAX_EVENTS)
-    if -(-n_events // chunk_size) > MAX_CHUNKS:
-        raise ValueError(
-            f"n_events={n_events!r} in chunks of {chunk_size!r} needs more than "
-            f"{MAX_CHUNKS} chunks; raise chunk_size"
-        )
+    """Raise ValueError unless n_events and chunk_size are integers in 1 .. MAX_EVENTS."""
+    require_int("n_events", n_events, 1, MAX_EVENTS)
+    require_int("chunk_size", chunk_size, 1, MAX_EVENTS)
 
 
 def sample_counts(
@@ -88,16 +74,15 @@ def sample_counts(
     seed: int,
     variant_index: int,
     n_events: int,
-    chunk_size: int,
+    chunk_size: int = MAX_EVENTS,
 ) -> CoincidenceCounts:
-    """Draw n_events pairs as one multinomial per chunk and merge the counts.
+    """Draw n_events pairs as one multinomial over the table's nonzero cells.
 
-    The result is a pure function of (joint, seed, variant_index, n_events,
-    chunk_size).  Chunk k draws min(chunk_size, n_events - k * chunk_size)
-    events as the k-th draw from substream(seed, variant_index).
+    The counts are substream(seed, variant_index).multinomial(n_events, p),
+    a pure function of (joint, seed, variant_index, n_events).  chunk_size
+    is range-checked and otherwise ignored since stream layout v4.
     """
     check_run_size(n_events, chunk_size)
-    full_chunks, remainder = divmod(n_events, chunk_size)
     table = (joint.p_pp, joint.p_pm, joint.p_mp, joint.p_mm)
     # Only nonzero cells are drawn, so a zero cell can never take the
     # remainder numpy hands to the last cell.  Renormalising absorbs the
@@ -108,17 +93,10 @@ def sample_counts(
     for cell in cells:
         total += table[cell]
     p = [table[cell] / total for cell in cells]
+    drawn = substream(seed, variant_index).multinomial(n_events, p)
     counts = [0, 0, 0, 0]
-    rng = substream(seed, variant_index)
-    # Each block's int64 column sums cannot overflow: they total at most n_events.
-    # A contiguous per-cell copy sums far faster than numpy's axis-0 reduction of a narrow block.
-    for start in range(0, full_chunks, _BLOCK_ROWS):
-        block = rng.multinomial(chunk_size, p, size=min(_BLOCK_ROWS, full_chunks - start))
-        for cell, count in zip(cells, block.T.copy().sum(axis=1).tolist()):
-            counts[cell] += count
-    if remainder:
-        for cell, count in zip(cells, rng.multinomial(remainder, p).tolist()):
-            counts[cell] += count
+    for cell, count in zip(cells, drawn.tolist()):
+        counts[cell] = count
     return CoincidenceCounts(*counts)
 
 

@@ -91,7 +91,6 @@ def compare_report(config: RunConfig) -> ComparisonReport:
             seed=config.seed,
             variant_index=VARIANT_STREAM_INDEX[variant],
             n_events=config.n_events,
-            chunk_size=config.chunk_size,
         )
         rows.append(VariantRow(variant, prediction.correlation, counts, estimate_correlation(counts)))
     verdicts = []
@@ -162,10 +161,7 @@ def render_table(report: ComparisonReport) -> str:
             f"phases [deg]: phi11={config.phi11_deg:g} phi21={config.phi21_deg:g} "
             f"phi22={config.phi22_deg:g}"
         ),
-        (
-            f"events per variant: {config.n_events}  seed: {config.seed}  "
-            f"chunk size: {config.chunk_size}  stream: {STREAM_LAYOUT}"
-        ),
+        f"events per variant: {config.n_events}  seed: {config.seed}  stream: {STREAM_LAYOUT}",
         (
             f"timing: photon 1 = {timing.label1.value}, photon 2 = {timing.label2.value} "
             f"(BS21 impact before: {'yes' if timing.bs21_before else 'no'})"

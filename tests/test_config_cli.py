@@ -135,12 +135,8 @@ def test_run_config_validation() -> None:
         RunConfig(n_events=2**63)
     with pytest.raises(ConfigError):
         RunConfig(chunk_size=2**63)
-    # At most 2^30 chunks per variant: ceil(n_events / chunk_size) decides.
-    RunConfig(n_events=2**30, chunk_size=1)
-    RunConfig(n_events=2**31, chunk_size=2)
-    for n_events, chunk_size in ((2**30 + 1, 1), (2**31 + 1, 2), (2**63 - 1, 1)):
-        with pytest.raises(ConfigError, match="chunks"):
-            RunConfig(n_events=n_events, chunk_size=chunk_size)
+    # No bound on the chunk count: each variant is one draw whatever chunk_size is.
+    RunConfig(n_events=2**63 - 1, chunk_size=1)
     with pytest.raises(ConfigError):
         RunConfig(phi11_deg=float("nan"))
 
@@ -266,21 +262,35 @@ def test_cli_exit_code_on_config_errors(tmp_path: Path, capsys: pytest.CaptureFi
     assert "error:" in err
 
 
-def test_cli_refuses_an_endless_chunk_count_promptly() -> None:
-    # 2^63 - 1 one-event chunks would run for millennia.  A child process, so
-    # that a regression is killed at the timeout instead of hanging the suite.
+def test_cli_runs_max_events_in_one_event_chunks_promptly() -> None:
+    # 2^63 - 1 one-event chunks would be millennia of draws one chunk at a
+    # time; each variant is one draw instead.  A child process, so that a
+    # regression is killed at the timeout instead of hanging the suite.
+    n_events = 2**63 - 1
     package_root = os.path.dirname(os.path.dirname(rnlsim.__file__))
     code = "import sys; from rnlsim.cli import main; sys.exit(main(sys.argv[1:]))"
     result = subprocess.run(
-        [sys.executable, "-c", code, "--n-events", str(2**63 - 1), "--chunk-size", "1"],
+        [sys.executable, "-c", code, "--n-events", str(n_events), "--chunk-size", "1"]
+        + ["--format", "csv"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": package_root},
         timeout=30,
     )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith("error: ") and "chunks" in result.stderr
+    assert result.returncode == 0, result.stderr
+    rows = list(csv.DictReader(io.StringIO(result.stdout)))
+    assert len(rows) == 3
+    for row in rows:
+        assert sum(int(row[column]) for column in ("R_pp", "R_pm", "R_mp", "R_mm")) == n_events
+
+
+def test_cli_csv_does_not_depend_on_chunk_size(tmp_path: Path) -> None:
+    outputs = []
+    for chunk_args in ([], ["--chunk-size", "1000"], ["--chunk-size", "125000"]):
+        path = tmp_path / f"run{len(outputs)}.csv"
+        assert main(["--format", "csv", "--out", str(path), *chunk_args]) == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize(

@@ -35,20 +35,20 @@ from rnlsim.cli import build_parser, main
 from rnlsim.config import CONFIG_KEYS
 
 GOLDEN_SHA256 = {
-    "--series 1 --format csv": "62ef060b28bf16b66c529574867248121f912b418451c42bd4b53d1cbc4fb834",
-    "--series 2 --format csv": "3b3f4e6fb2f44684a742f12e6e597c2b29842daa128e8af48e421f8d0a7e65b1",
-    "--series 3 --format csv": "a6042d317a24e20be451480e96d2ecd3f888e30d057e1c159b90a5afbbbaf033",
+    "--series 1 --format csv": "7ab82ca749c7a150e14bff82e927f81cba4ec58cd76d96184216f5c1b9b3b711",
+    "--series 2 --format csv": "5984e80535f50a7ef58b84844c66db9520668b673d5db9600cf94738049ccf81",
+    "--series 3 --format csv": "5f6f6588e4fb18229c02d624f9d767c0c962d6785483b25218a173f5a28b767d",
     "--length-bs11 2 --length-bs21 1 --length-bs22 3 --m11-displacement 0.5 --format csv": (
-        "a6042d317a24e20be451480e96d2ecd3f888e30d057e1c159b90a5afbbbaf033"
+        "5f6f6588e4fb18229c02d624f9d767c0c962d6785483b25218a173f5a28b767d"
     ),
-    "--condition2 false --format csv": "44bbc62e850701b23908351255ce0f5777b4ac489074e7641860e3785fd65be8",
-    "--format json-lines": "fbe2e11eeaf83d6377ff93560a33f2c7a9fa00c42e8b341c00f0f15b72f06d21",
-    "--format table": "84b8119950d072bc746065988859f2495d5af4462260732242da2f516b673a91",
+    "--condition2 false --format csv": "b88f197a1a0a4f4ed25fa26e2f61549030630cc46758a155dfea37323ec16410",
+    "--format json-lines": "fe1a3fddd540e07c80c0b8947bd3619c54e1de091769b0d252d907ad5a399703",
+    "--format table": "2736539aad67c398e0bc8c7a2365cf515423326152e51013eaac0526290d2abb",
     "--length-bs11 2 --length-bs21 1 --length-bs22 3 --m11-displacement 0.5 --format table": (
-        "f6a5f88666cc863b60d41ea68162a4d009da7f6c7c165a504f76d892b2430030"
+        "5b8b68e82ccbc65200cd84c35fb66218770d50fd939d192692dace3c4ebe83bd"
     ),
     "--series 2 --phi11-deg 10 --phi21-deg 0 --phi22-deg 5 --format csv": (
-        "811096ecf0fa5490bbac82336b76796cec6bdd1d7d7c8a074ebd1a36993751a0"
+        "2d7da9bc1dfce6398b59bfb0932712c0795e3a6decd5bc3f28a21c9fa7473e38"
     ),
 }
 
@@ -61,7 +61,7 @@ def test_cli_output_is_byte_identical(args: str, capsys: pytest.CaptureFixture) 
 
 
 # sha256 of `rnlsim --help` at 80 columns: the flags generated from the key table.
-HELP_SHA256 = "887f07be704aa0d69c93ed3c41d9d981b369eeb5a4084ac93112cdb5134a99ba"
+HELP_SHA256 = "f2346d0f2a603cd5bdd8fa32bbb67a9c1f7770948ab3ea03cacd573c2195bf35"
 
 
 def test_cli_help_is_byte_identical(monkeypatch: pytest.MonkeyPatch) -> None:

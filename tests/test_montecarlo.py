@@ -24,7 +24,7 @@ from rnlsim import (
     symmetric_joint,
 )
 from rnlsim import rnl
-from rnlsim.montecarlo import MAX_CHUNKS, MAX_EVENTS
+from rnlsim.montecarlo import MAX_EVENTS
 from rnlsim.quantum import PROB_ATOL
 
 
@@ -85,25 +85,14 @@ def test_counts_are_a_pure_function_of_their_arguments() -> None:
     "n_events, chunk_size", [(1, 1), (999, 1_000), (1_000, 1_000), (12_345, 1_000), (10, 3)]
 )
 def test_chunk_counts_sum_to_n_and_merge_into_the_result(n_events: int, chunk_size: int) -> None:
-    # Chunk k is row k of one multinomial over the chunk sizes, drawn from
-    # the variant's stream substream(seed, variant).
+    # At any chunk_size, all n_events are one multinomial row from the
+    # variant's stream substream(seed, variant); that row sums to n and is
+    # the result.
     table = JointDistribution(0.1, 0.2, 0.3, 0.4)
-    sizes = [min(chunk_size, n_events - start) for start in range(0, n_events, chunk_size)]
-    chunk_counts = substream(5, 2).multinomial(sizes, as_array(table))
-    assert chunk_counts.sum(axis=1).tolist() == sizes
+    row = substream(5, 2).multinomial(n_events, as_array(table))
     counts = sample_counts(table, seed=5, variant_index=2, n_events=n_events, chunk_size=chunk_size)
-    assert counts.as_tuple() == tuple(int(c) for c in chunk_counts.sum(axis=0))
-
-
-@pytest.mark.parametrize("block_rows", [1, 3, 2**14])
-def test_block_size_does_not_change_counts(
-    monkeypatch: pytest.MonkeyPatch, block_rows: int
-) -> None:
-    table = JointDistribution(0.1, 0.2, 0.3, 0.4)
-    kwargs = dict(seed=11, variant_index=1, n_events=20_011, chunk_size=7)
-    expected = sample_counts(table, **kwargs)
-    monkeypatch.setattr("rnlsim.montecarlo._BLOCK_ROWS", block_rows)
-    assert sample_counts(table, **kwargs) == expected
+    assert counts.as_tuple() == tuple(row.tolist())
+    assert counts.n_total == n_events
 
 
 def test_seeds_past_32_bits_do_not_collide_with_other_variants() -> None:
@@ -134,9 +123,9 @@ def _valid_tables(draw) -> JointDistribution:
 
 @st.composite
 def _run_shapes(draw) -> tuple[int, int]:
-    """(n_events, chunk_size) with up to ~10^4 chunks, down to one event per chunk."""
-    n_events = draw(st.integers(min_value=1, max_value=10_000))
-    chunk_size = draw(st.integers(min_value=max(1, n_events // 10_000), max_value=n_events + 100))
+    """(n_events, chunk_size) anywhere in 1 .. MAX_EVENTS, small event counts often."""
+    n_events = draw(st.one_of(st.integers(1, 10_000), st.integers(1, MAX_EVENTS)))
+    chunk_size = draw(st.one_of(st.integers(1, n_events + 100), st.integers(1, MAX_EVENTS)))
     return n_events, chunk_size
 
 
@@ -152,58 +141,29 @@ def test_any_valid_table_samples_into_its_nonzero_cells(
             assert count == 0
 
 
-def _v3_reference(table: JointDistribution, seed: int, n_events: int, chunk_size: int):
-    """Counts and renormalised p of the multinomial-rows/v3 layout, written with numpy arrays."""
+def _v4_reference(table: JointDistribution, seed: int, n_events: int):
+    """Counts and renormalised p of the multinomial/v4 layout, written with numpy arrays."""
     p = as_array(table)
     cells = np.flatnonzero(p)
     p = p[cells] / p[cells].sum()
-    full_chunks, remainder = divmod(n_events, chunk_size)
-    rng = substream(seed, 1)
-    merged = np.zeros(len(cells), dtype=np.int64)
-    for start in range(0, full_chunks, 2**14):
-        sizes = np.full(min(2**14, full_chunks - start), chunk_size, dtype=np.int64)
-        merged += rng.multinomial(sizes, p).sum(axis=0)
-    if remainder:
-        merged += rng.multinomial(remainder, p)
     counts = np.zeros(4, dtype=np.int64)
-    counts[cells] = merged
+    counts[cells] = substream(seed, 1).multinomial(n_events, p)
     return tuple(int(c) for c in counts), p.tolist()
 
 
 class _RecordingStream:
-    """A generator that keeps the p of every multinomial draw."""
+    """A generator that keeps the arguments of every multinomial draw."""
 
     def __init__(self, rng: np.random.Generator) -> None:
-        self.rng, self.drawn_p = rng, []
+        self.rng, self.draws = rng, []
 
     def multinomial(self, n, pvals, size=None):
-        self.drawn_p.append(list(pvals))
+        self.draws.append((n, list(pvals), size))
         return self.rng.multinomial(n, pvals, size=size)
 
 
-@st.composite
-def _multi_block_shapes(draw) -> tuple[int, int]:
-    """(n_events, chunk_size) with more than 2^14 full chunks, so several blocks are drawn."""
-    chunk_size = draw(st.integers(min_value=1, max_value=40))
-    full_chunks = draw(st.integers(min_value=2**14 + 1, max_value=3 * 2**14))
-    return full_chunks * chunk_size + draw(st.integers(min_value=0, max_value=chunk_size - 1)), chunk_size
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    _valid_tables(),
-    st.one_of(_run_shapes(), _multi_block_shapes()),
-    st.integers(min_value=0, max_value=2**64 - 1),
-)
-@example(JointDistribution(1.0 + 0.9 * PROB_ATOL, 0.0, 0.0, 0.0), (2**15 + 7, 1), 1)
-@example(JointDistribution(0.5 + 0.45 * PROB_ATOL, 0.5 + 0.45 * PROB_ATOL, 0.0, 0.0), (10_000, 999), 2)
-@example(JointDistribution(0.0, 0.0, 0.5 - 0.45 * PROB_ATOL, 0.5 - 0.45 * PROB_ATOL), (2**14 * 5 + 3, 5), 3)
-@example(JointDistribution(0.1, 0.2, 0.3, 0.4), (2**14 * 7 * 2, 7), 4)
-def test_sample_counts_equals_the_v3_reference(
-    table: JointDistribution, shape: tuple[int, int], seed: int
-) -> None:
-    n_events, chunk_size = shape
-    expected_counts, expected_p = _v3_reference(table, seed, n_events, chunk_size)
+def _recorded_sample_counts(table: JointDistribution, **kwargs):
+    """sample_counts through recording streams: the counts and each stream's draws."""
     streams = []
 
     def recording_substream(seed: int, variant_index: int) -> _RecordingStream:
@@ -212,13 +172,30 @@ def test_sample_counts_equals_the_v3_reference(
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("rnlsim.montecarlo.substream", recording_substream)
-        counts = sample_counts(table, seed=seed, variant_index=1, n_events=n_events, chunk_size=chunk_size)
+        counts = sample_counts(table, **kwargs)
+    return counts, [stream.draws for stream in streams]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valid_tables(), _run_shapes(), st.integers(min_value=0, max_value=2**64 - 1))
+@example(JointDistribution(0.0, 0.0, 0.0, 1.0), (10_000, 1), 0)
+@example(JointDistribution(1.0 + 0.9 * PROB_ATOL, 0.0, 0.0, 0.0), (2**15 + 7, 1), 1)
+@example(JointDistribution(0.5 + 0.45 * PROB_ATOL, 0.5 + 0.45 * PROB_ATOL, 0.0, 0.0), (10_000, 999), 2)
+@example(JointDistribution(0.0, 0.0, 0.5 - 0.45 * PROB_ATOL, 0.5 - 0.45 * PROB_ATOL), (MAX_EVENTS, 5), 3)
+@example(JointDistribution(0.1, 0.2, 0.3, 0.4), (2**14 * 7 * 2, 7), 4)
+def test_sample_counts_equals_the_v4_reference(
+    table: JointDistribution, shape: tuple[int, int], seed: int
+) -> None:
+    n_events, chunk_size = shape
+    expected_counts, expected_p = _v4_reference(table, seed, n_events)
+    counts, streams = _recorded_sample_counts(
+        table, seed=seed, variant_index=1, n_events=n_events, chunk_size=chunk_size
+    )
     assert counts.as_tuple() == expected_counts
     assert all(type(count) is int for count in counts.as_tuple())
-    # Every draw used the reference's renormalised p, bit for bit.
-    (stream,) = streams
-    assert stream.drawn_p and all(p == expected_p for p in stream.drawn_p)
-    assert len(stream.drawn_p) == -(-(n_events // chunk_size) // 2**14) + (n_events % chunk_size > 0)
+    # One stream, one draw of all the events, with the reference's
+    # renormalised p bit for bit.
+    assert streams == [[(n_events, expected_p, None)]]
 
 
 def test_edge_of_the_tolerance_band_samples() -> None:
@@ -233,11 +210,25 @@ def test_edge_of_the_tolerance_band_samples() -> None:
         assert counts.n_total == 10_000
 
 
-def test_chunk_size_is_part_of_the_stream_layout() -> None:
-    table = symmetric_joint(0.0)
-    counts_a = sample_counts(table, seed=7, variant_index=0, n_events=10_000, chunk_size=1_000)
-    counts_b = sample_counts(table, seed=7, variant_index=0, n_events=10_000, chunk_size=2_500)
-    assert counts_a != counts_b  # different layout, different (valid) sample
+@settings(max_examples=60, deadline=None)
+@given(_valid_tables(), _run_shapes(), st.integers(1, MAX_EVENTS), st.integers(0, 2**64 - 1))
+def test_counts_do_not_depend_on_chunk_size(
+    table: JointDistribution, shape: tuple[int, int], other_chunk_size: int, seed: int
+) -> None:
+    n_events, chunk_size = shape
+    kwargs = dict(seed=seed, variant_index=2, n_events=n_events)
+    counts = sample_counts(table, **kwargs)
+    assert sample_counts(table, chunk_size=chunk_size, **kwargs) == counts
+    assert sample_counts(table, chunk_size=other_chunk_size, **kwargs) == counts
+
+
+def test_max_events_in_one_event_chunks_is_one_draw() -> None:
+    # One draw at any chunk_size, so even 2^63 - 1 one-event chunks finish at once.
+    counts, streams = _recorded_sample_counts(
+        symmetric_joint(0.0), seed=1, variant_index=0, n_events=MAX_EVENTS, chunk_size=1
+    )
+    assert [len(draws) for draws in streams] == [1]
+    assert counts.n_total == MAX_EVENTS
 
 
 # --- estimator -----------------------------------------------------------------
@@ -362,11 +353,50 @@ def test_estimates_converge_across_seeds() -> None:
     assert misses / cells <= 0.01
 
 
+# --- error rates at fixed seeds -----------------------------------------------
+
+_COVERAGE_SEEDS = 1000
+
+
+@pytest.mark.parametrize("e", [0.0, 0.5, 0.9])
+def test_two_stderr_intervals_cover_e_at_the_nominal_rate(e: float) -> None:
+    # e_hat +- 2 stderr misses E with probability q = P(|Z| > 2) ~ 4.55 %.
+    # Over K seeds the misses are Binomial(K, q); allow 4 of its standard
+    # deviations, 19 < misses < 72 at K = 1000.  A sampler with no spread misses
+    # none, one with twice the variance ~157.
+    table = symmetric_joint(e)
+    q = math.erfc(2.0 / math.sqrt(2.0))
+    misses = 0
+    for seed in range(_COVERAGE_SEEDS):
+        counts = sample_counts(table, seed=seed, variant_index=0, n_events=10_000)
+        result = estimate_correlation(counts)
+        misses += abs(result.e_hat - e) > 2.0 * result.stderr
+    expected = _COVERAGE_SEEDS * q
+    assert abs(misses - expected) <= 4.0 * math.sqrt(expected * (1.0 - q))
+
+
+def test_identical_tables_draw_from_separate_streams() -> None:
+    # At the series-3 defaults QM and RNL_ALTERNATIVE predict the same table
+    # (E = 1), so only their streams can set their counts apart.
+    for seed in range(20):
+        config = RunConfig(seed=seed)
+        report = compare_report(config)
+        rows = {row.variant: row for row in report.rows}
+        qm, alternative = rows[ModelVariant.QM], rows[ModelVariant.RNL_ALTERNATIVE]
+        phases, timing = config.settings(), report.timing
+        assert (
+            predict(phases, timing, ModelVariant.QM).joint
+            == predict(phases, timing, ModelVariant.RNL_ALTERNATIVE).joint
+        )
+        assert qm.counts != alternative.counts
+        assert qm.counts.n_total == alternative.counts.n_total == config.n_events
+
+
 def test_zero_last_cell_stays_empty_in_one_huge_chunk() -> None:
     # numpy hands the last cell whatever the earlier binomials leave; with
     # this table and 2^63 - 1 events that would be a few hundred events.
     table = JointDistribution(0.6720976591387724, 0.28466864239501943, 0.04323369846620814, 0.0)
-    counts = sample_counts(table, seed=1, variant_index=0, n_events=MAX_EVENTS, chunk_size=MAX_EVENTS)
+    counts = sample_counts(table, seed=1, variant_index=0, n_events=MAX_EVENTS)
     assert counts.r_mm == 0
     assert counts.n_total == MAX_EVENTS
 
@@ -389,21 +419,7 @@ def test_sample_counts_validates_arguments() -> None:
                 sample_counts(table, seed=1, variant_index=0, **sizes)
 
 
-def test_sample_counts_refuses_too_many_chunks_before_drawing(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    def no_stream(seed: int, variant_index: int):
-        raise AssertionError("a refused run must not reach the sampler")
-
-    monkeypatch.setattr("rnlsim.montecarlo.substream", no_stream)
-    table = symmetric_joint(0.0)
-    for n_events, chunk_size in ((MAX_EVENTS, 1), (MAX_CHUNKS + 1, 1), (2 * MAX_CHUNKS + 1, 2)):
-        with pytest.raises(ValueError, match="chunks"):
-            sample_counts(table, seed=1, variant_index=0, n_events=n_events, chunk_size=chunk_size)
-
-
 def test_billion_events_per_variant() -> None:
-    # The default chunk size gives 8000 chunks per variant.
     report = compare_report(RunConfig(n_events=10**9, seed=1))
     for row in report.rows:
         assert row.counts.n_total == 10**9
