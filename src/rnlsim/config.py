@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, require_finite, require_flag, require_int
-from .montecarlo import check_run_size
+from .montecarlo import MAX_KEY_WORD, check_run_size
 from .quantum import PhaseSettings
 from .rnl import ModelVariant
 from .timing import ExperimentGeometry, series_preset
@@ -55,7 +55,7 @@ class RunConfig:
             for variant in self.variants:
                 if not isinstance(variant, ModelVariant):
                     raise ValueError(f"unknown variant {variant!r}")
-            require_int("seed", self.seed, 0, 2**64 - 1)
+            require_int("seed", self.seed, 0, MAX_KEY_WORD)
             check_run_size(self.n_events, self.chunk_size)
             require_flag("condition1", self.condition1)
             require_flag("condition2", self.condition2)

@@ -1,14 +1,15 @@
 """Deterministic Monte Carlo coincidence counting.
 
-Each variant owns one Philox (counter-based) stream, keyed by the seed with
-the variant index as its spawn key, so a variant's counts do not depend on
-which other variants run.  A variant's events are one multinomial draw over
-its 4-cell table from that stream: independent draws over one table sum to
-a draw over their total, so splitting the events into chunks buys nothing.
+Each variant owns one Philox (counter-based) stream whose 128-bit key is
+the pair (seed, variant index), so a variant's counts do not depend on which
+other variants run.  A variant's events are one multinomial draw over its
+4-cell table from that stream: independent draws over one table sum to a
+draw over their total, so splitting the events into chunks buys nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,9 +20,10 @@ from .quantum import JointDistribution
 
 # Names the RNG stream layout: the counts printed for a given seed change
 # whenever this does.
-STREAM_LAYOUT = "philox(seed,spawn_key=variant)+multinomial/v4"
+STREAM_LAYOUT = "philox(key=(seed,variant))+multinomial/v5"
 # Largest n_events and chunk_size: the sampler counts in numpy int64.
 MAX_EVENTS = 2**63 - 1
+MAX_KEY_WORD = 2**64 - 1  # largest seed and variant_index: one 64-bit Philox key word each
 
 
 @dataclass(frozen=True)
@@ -52,14 +54,32 @@ class EstimatorResult:
     n: int
 
 
-def substream(seed: int, variant_index: int) -> np.random.Generator:
-    """Philox generator for one variant of a run.
+@functools.cache  # built on first use, so `import rnlsim` does not import numpy.random
+def _philox_key() -> type:
+    """Seed type that hands Philox its key words as given; Philox(key=...) first draws OS entropy."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    The seed is padded to SeedSequence's 128-bit pool before the spawn key,
-    so unlike an entropy list [seed, variant_index], no two pairs collide.
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 2 or np.dtype(dtype) != np.uint64:  # any other ask would change the key
+                raise RuntimeError(f"Philox asked for {n_words} {dtype} words, not 2 uint64")
+            return self.words
+
+    return PhiloxKey
+
+
+def substream(seed: int, variant_index: int) -> np.random.Generator:
+    """A fresh Generator(Philox(key=np.array([seed, variant_index], dtype=np.uint64))), bit for bit.
+
+    seed and variant_index are one 64-bit key word each, so distinct pairs are distinct keys.
     """
-    sequence = np.random.SeedSequence(seed, spawn_key=(variant_index,))
-    return np.random.Generator(np.random.Philox(sequence))
+    seed = require_int("seed", seed, 0, MAX_KEY_WORD)
+    variant_index = require_int("variant_index", variant_index, 0, MAX_KEY_WORD)
+    key = np.array([seed, variant_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_philox_key()(key)))
 
 
 def check_run_size(n_events: int, chunk_size: int) -> None:

@@ -198,3 +198,20 @@ def schedule_labels(schedule: ImpactSchedule) -> tuple[tuple[str, str, bool], bo
         deciding.append(bs22_vs_bs11)
     near_tie = any(not abs(gap) >= GUARD_BAND_S for gap in deciding)
     return (label1, label2, bs21_before), near_tie
+
+
+def v5_reference(
+    table: JointDistribution, seed: int, n_events: int, variant_index: int = 1
+) -> tuple[tuple[int, int, int, int], list[float]]:
+    """Counts and renormalised p of stream layout v5, from plain numpy alone.
+
+    The key must be a uint64 array: numpy casts a Python-list key through
+    float, so Philox(key=[2**64 - 1, 1]) gets the key [0, 1], not [2**64 - 1, 1].
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, variant_index], dtype=np.uint64)))
+    p = as_array(table)
+    cells = np.flatnonzero(p)
+    p = p[cells] / p[cells].sum()
+    counts = np.zeros(4, dtype=np.int64)
+    counts[cells] = rng.multinomial(n_events, p)
+    return tuple(int(c) for c in counts), p.tolist()

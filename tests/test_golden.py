@@ -2,8 +2,8 @@
 
 A refactor must leave these hashes alone.  The CLI hashes cover the analytic
 columns and the sampled counts, so a change to the RNG stream layout
-(montecarlo.STREAM_LAYOUT) or to numpy's multinomial sampler changes them
-too; such a change must update them and say so in CHANGES.md.  All CLI
+(montecarlo.STREAM_LAYOUT) or to numpy's Philox or multinomial sampler
+changes them too; such a change must update them and say so in CHANGES.md.  All CLI
 configs but one use phases 45/-45/90, where every E is exactly 0 or 1; the
 one at 10/0/5 reports an e_analytic (the table's correlation) that differs
 from the closed-form E in its last digits, so it pins that rounding.  The
@@ -14,7 +14,9 @@ returns the flat table itself.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import itertools
 import math
 import random
@@ -22,12 +24,15 @@ from pathlib import Path
 
 import pytest
 
+from helpers import v5_reference
 from rnlsim import (
     ModelVariant,
     PhaseSettings,
     PhotonOneLabel,
     PhotonTwoLabel,
+    RunConfig,
     TimingAssignment,
+    compare_report,
     predict,
     symmetric_joint,
 )
@@ -35,20 +40,20 @@ from rnlsim.cli import build_parser, main
 from rnlsim.config import CONFIG_KEYS
 
 GOLDEN_SHA256 = {
-    "--series 1 --format csv": "7ab82ca749c7a150e14bff82e927f81cba4ec58cd76d96184216f5c1b9b3b711",
-    "--series 2 --format csv": "5984e80535f50a7ef58b84844c66db9520668b673d5db9600cf94738049ccf81",
-    "--series 3 --format csv": "5f6f6588e4fb18229c02d624f9d767c0c962d6785483b25218a173f5a28b767d",
+    "--series 1 --format csv": "6c89cacd4511389a8b5a0e6b751312b0d167ac8ea731410ef5c963100fee5403",
+    "--series 2 --format csv": "6b355b8c77c257c3ca44925ebeaeee8601528347116b50a4ceb51ac2ba429bdf",
+    "--series 3 --format csv": "7442e753a50a6171acadadfa87f67c621fcd7dfc371fa327f7297adf7298f72a",
     "--length-bs11 2 --length-bs21 1 --length-bs22 3 --m11-displacement 0.5 --format csv": (
-        "5f6f6588e4fb18229c02d624f9d767c0c962d6785483b25218a173f5a28b767d"
+        "7442e753a50a6171acadadfa87f67c621fcd7dfc371fa327f7297adf7298f72a"
     ),
-    "--condition2 false --format csv": "b88f197a1a0a4f4ed25fa26e2f61549030630cc46758a155dfea37323ec16410",
-    "--format json-lines": "fe1a3fddd540e07c80c0b8947bd3619c54e1de091769b0d252d907ad5a399703",
-    "--format table": "2736539aad67c398e0bc8c7a2365cf515423326152e51013eaac0526290d2abb",
+    "--condition2 false --format csv": "52f86b3fff6cb5997bf1017d03155c12cd01ea4aa54e2e6957c438c4ee311267",
+    "--format json-lines": "8bf4a9296819237122243bf973cc4453a73b96f7c1dc34b087e92ed3c6051eb0",
+    "--format table": "24946d8737e72b6f9383925e8d604951a093f31c01a8683b4b48f1df70b7bf1b",
     "--length-bs11 2 --length-bs21 1 --length-bs22 3 --m11-displacement 0.5 --format table": (
-        "5b8b68e82ccbc65200cd84c35fb66218770d50fd939d192692dace3c4ebe83bd"
+        "3ddb37b9dd2ca87a8bd72c2dcec79333a7b37a6ddbde6980278256c3abfe4e63"
     ),
     "--series 2 --phi11-deg 10 --phi21-deg 0 --phi22-deg 5 --format csv": (
-        "2d7da9bc1dfce6398b59bfb0932712c0795e3a6decd5bc3f28a21c9fa7473e38"
+        "d22627fc3465c8956a5266c1c80ad87b22c0badcc64965163a325239c5543104"
     ),
 }
 
@@ -58,6 +63,22 @@ def test_cli_output_is_byte_identical(args: str, capsys: pytest.CaptureFixture) 
     assert main(args.split()) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_SHA256[args]
+
+
+def test_default_csv_counts_are_the_v5_reference(capsys: pytest.CaptureFixture) -> None:
+    # The CSV goldens move with the stream layout alone: the default run's
+    # counts are plain numpy's Philox(key=[1, variant index]) multinomial.
+    assert main(["--format", "csv"]) == 0
+    rows = {row["variant"]: row for row in csv.DictReader(io.StringIO(capsys.readouterr().out))}
+    config = RunConfig()
+    timing = compare_report(config).timing
+    indices = {ModelVariant.QM: 0, ModelVariant.RNL_STANDARD: 1, ModelVariant.RNL_ALTERNATIVE: 2}
+    for variant, index in indices.items():
+        conditions = dict(condition1=config.condition1, condition2=config.condition2)
+        joint = predict(config.settings(), timing, variant, **conditions).joint
+        expected, _ = v5_reference(joint, config.seed, config.n_events, variant_index=index)
+        row = rows[variant.name]
+        assert tuple(int(row[name]) for name in ("R_pp", "R_pm", "R_mp", "R_mm")) == expected
 
 
 # sha256 of `rnlsim --help` at 80 columns: the flags generated from the key table.

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import as_array, counts_by_variant, for_series
+from helpers import as_array, counts_by_variant, for_series, v5_reference
+import rnlsim.montecarlo
 import rnlsim.report
 from rnlsim import (
     CoincidenceCounts,
@@ -24,7 +25,7 @@ from rnlsim import (
     symmetric_joint,
 )
 from rnlsim import rnl
-from rnlsim.montecarlo import MAX_EVENTS
+from rnlsim.montecarlo import MAX_EVENTS, MAX_KEY_WORD
 from rnlsim.quantum import PROB_ATOL
 
 
@@ -96,8 +97,9 @@ def test_chunk_counts_sum_to_n_and_merge_into_the_result(n_events: int, chunk_si
 
 
 def test_seeds_past_32_bits_do_not_collide_with_other_variants() -> None:
-    # An entropy list [seed, variant] makes seed 5 + (2 << 32), variant 0 the
-    # words [5, 2, 0]; zero-padded, that is also the key of seed 5, variant 2.
+    # Each seed is a whole 64-bit key word, so seed 5 + (2 << 32) at variant 0
+    # and seed 5 at variant 2 are the distinct keys [5 + (2 << 32), 0] and
+    # [5, 2]: the seed's high bits never reach the variant's word.
     table = JointDistribution(0.1, 0.2, 0.3, 0.4)
     wide = sample_counts(table, seed=5 + (2 << 32), variant_index=0, n_events=1000, chunk_size=1000)
     narrow = sample_counts(table, seed=5, variant_index=2, n_events=1000, chunk_size=1000)
@@ -141,14 +143,57 @@ def test_any_valid_table_samples_into_its_nonzero_cells(
             assert count == 0
 
 
-def _v4_reference(table: JointDistribution, seed: int, n_events: int):
-    """Counts and renormalised p of the multinomial/v4 layout, written with numpy arrays."""
-    p = as_array(table)
-    cells = np.flatnonzero(p)
-    p = p[cells] / p[cells].sum()
-    counts = np.zeros(4, dtype=np.int64)
-    counts[cells] = substream(seed, 1).multinomial(n_events, p)
-    return tuple(int(c) for c in counts), p.tolist()
+@given(st.integers(0, MAX_KEY_WORD), st.integers(0, MAX_KEY_WORD))
+@example(0, 0)
+@example(2**63, 1)
+@example(MAX_KEY_WORD, 2)
+@example(MAX_KEY_WORD, MAX_KEY_WORD)
+def test_substream_key_is_seed_and_variant_at_counter_zero(seed: int, variant_index: int) -> None:
+    # Read back as Python ints.  numpy casts a Python-list key through float,
+    # so Philox(key=[2**64 - 1, 1]) has the key [0, 1]: the v5 oracle,
+    # helpers.v5_reference, keys by a uint64 array.
+    state = substream(seed, variant_index).bit_generator.state
+    assert state["bit_generator"] == "Philox"
+    assert state["state"]["key"].tolist() == [seed, variant_index]
+    assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+    assert state["buffer_pos"] == 4 and state["has_uint32"] == 0
+
+
+def test_substream_refuses_keys_outside_64_bits_before_building(monkeypatch: pytest.MonkeyPatch) -> None:
+    def no_build():
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr("rnlsim.montecarlo._philox_key", no_build)
+    for seed, variant_index, message in (
+        (MAX_KEY_WORD + 1, 0, "seed must be in"),
+        (-1, 0, "seed must be in"),
+        (True, 0, "seed must be an integer"),
+        (np.True_, 0, "seed must be an integer"),
+        (1.0, 0, "seed must be an integer"),
+        (1, MAX_KEY_WORD + 1, "variant_index must be in"),
+        (1, -1, "variant_index must be in"),
+        (1, False, "variant_index must be an integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            substream(seed, variant_index)
+
+
+def test_philox_key_refuses_any_other_ask() -> None:
+    # A numpy that asked for other words would get a different key; fail loudly.
+    key = rnlsim.montecarlo._philox_key()(np.array([1, 2], dtype=np.uint64))
+    assert key.generate_state(2, np.uint64).tolist() == [1, 2]
+    for n_words, dtype in ((2, np.uint32), (4, np.uint32), (1, np.uint64), (4, np.uint64)):
+        with pytest.raises(RuntimeError, match="not 2 uint64"):
+            key.generate_state(n_words, dtype)
+
+
+def test_sample_counts_takes_exactly_the_64_bit_seeds() -> None:
+    table = symmetric_joint(0.0)
+    for seed in (MAX_KEY_WORD + 1, True):
+        with pytest.raises(ValueError, match="seed must be"):
+            sample_counts(table, seed=seed, variant_index=0, n_events=10)
+    counts = sample_counts(table, seed=MAX_KEY_WORD, variant_index=0, n_events=10)
+    assert counts.as_tuple() == v5_reference(table, MAX_KEY_WORD, 10, variant_index=0)[0]
 
 
 class _RecordingStream:
@@ -183,11 +228,11 @@ def _recorded_sample_counts(table: JointDistribution, **kwargs):
 @example(JointDistribution(0.5 + 0.45 * PROB_ATOL, 0.5 + 0.45 * PROB_ATOL, 0.0, 0.0), (10_000, 999), 2)
 @example(JointDistribution(0.0, 0.0, 0.5 - 0.45 * PROB_ATOL, 0.5 - 0.45 * PROB_ATOL), (MAX_EVENTS, 5), 3)
 @example(JointDistribution(0.1, 0.2, 0.3, 0.4), (2**14 * 7 * 2, 7), 4)
-def test_sample_counts_equals_the_v4_reference(
+def test_sample_counts_equals_the_v5_reference(
     table: JointDistribution, shape: tuple[int, int], seed: int
 ) -> None:
     n_events, chunk_size = shape
-    expected_counts, expected_p = _v4_reference(table, seed, n_events)
+    expected_counts, expected_p = v5_reference(table, seed, n_events)
     counts, streams = _recorded_sample_counts(
         table, seed=seed, variant_index=1, n_events=n_events, chunk_size=chunk_size
     )
