@@ -120,16 +120,16 @@ def sample_counts(
     return CoincidenceCounts(*counts)
 
 
-def estimate_correlation(counts: CoincidenceCounts) -> EstimatorResult:
-    """Correlation estimate from counts: (R_pp - R_pm - R_mp + R_mm) / n.
+def correlation_stderr(e: float, n: int) -> float:
+    """sqrt((1 - e^2) / n): the binomial standard error of n outcome products of mean e."""
+    return math.sqrt(max(0.0, 1.0 - e * e) / n)
 
-    The standard error is sqrt((1 - e_hat^2) / n), the binomial expression
-    for an outcome-product average.
-    """
+
+def estimate_correlation(counts: CoincidenceCounts) -> EstimatorResult:
+    """Correlation estimate e_hat = (R_pp - R_pm - R_mp + R_mm) / n, with correlation_stderr(e_hat, n)."""
     n = counts.n_total
     if n < 1:
         raise ValueError("cannot estimate a correlation from zero counts")
     e_hat = (counts.r_pp - counts.r_pm - counts.r_mp + counts.r_mm) / n
-    stderr = math.sqrt(max(0.0, 1.0 - e_hat * e_hat) / n)
-    return EstimatorResult(e_hat=e_hat, stderr=stderr, n=n)
+    return EstimatorResult(e_hat=e_hat, stderr=correlation_stderr(e_hat, n), n=n)
 

@@ -13,6 +13,7 @@ from .montecarlo import (
     STREAM_LAYOUT,
     CoincidenceCounts,
     EstimatorResult,
+    correlation_stderr,
     estimate_correlation,
     sample_counts,
 )
@@ -52,7 +53,11 @@ class VariantRow:
 class Verdict:
     """Whether two variants are telling-apart-able at the run's sample size.
 
-    threshold is VERDICT_SIGMA times the larger of the two standard errors.
+    separation is |E_a - E_b|, and threshold is VERDICT_SIGMA times the larger
+    of the two analytic standard errors sqrt((1 - E^2) / n).  Neither reads
+    the draws, so the pair is distinguishable exactly when n exceeds the
+    budget n* = (VERDICT_SIGMA * sqrt(1 - E^2) / |E_a - E_b|)^2 of the larger
+    variance.  Equal tables are never distinguishable, even at stderr 0.
     """
 
     variant_a: ModelVariant
@@ -94,8 +99,9 @@ def compare_report(config: RunConfig) -> ComparisonReport:
         )
         rows.append(VariantRow(variant, prediction.correlation, counts, estimate_correlation(counts)))
     verdicts = []
+    n = config.n_events
     for row_a, row_b in combinations(rows, 2):
-        stderr = max(row_a.estimate.stderr, row_b.estimate.stderr)
+        stderr = max(correlation_stderr(row_a.e_analytic, n), correlation_stderr(row_b.e_analytic, n))
         verdicts.append(
             Verdict(
                 variant_a=row_a.variant,

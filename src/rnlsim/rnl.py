@@ -5,9 +5,9 @@ before/non-before pairing of the two impacts: two before impacts give flat
 product statistics, mixed pairings reproduce the quantum tables, and two
 non-before impacts give the flat table too: factorized through conditionals
 on the partner's before values, their correlation vanishes.  Every rule is a
-stage, stored as its table's correlation E; derivations sit above _RULES.
-predict flattens a quantum stage whose condition is off, builds the table as
-symmetric_joint(E) and memoizes the quantum predictions, per (stage, phases).
+stage, stored as its table's correlation E, in one pairing -> stage table per
+model variant, _RULES; derivations sit above it.  predict flattens a quantum
+stage whose condition is off; the rest are symmetric_joint(E), memoized.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class ModelVariant(enum.Enum):
 
 
 # Module aliases: reading a member off an Enum class is a slow attribute lookup.
-_QM, _RNL_ALTERNATIVE = ModelVariant.QM, ModelVariant.RNL_ALTERNATIVE
 _B11, _A11_21, _A11_22 = PhotonOneLabel.B11, PhotonOneLabel.A11_21, PhotonOneLabel.A11_22
 _B21, _B22, _A22 = PhotonTwoLabel.B21, PhotonTwoLabel.B22, PhotonTwoLabel.A22
 
@@ -62,8 +61,7 @@ _B21, _B22, _A22 = PhotonTwoLabel.B21, PhotonTwoLabel.B22, PhotonTwoLabel.A22
 #                   = 1/4 * 1 * 1,
 # because each anchor table has fair marginals.  The table is flat, E = 0,
 # for every condition pair: dropping a condition only flattens an anchor.
-# RNL_ALTERNATIVE keeps the full quantum table on (a11[21], a22); predict
-# applies that override.
+# RNL_ALTERNATIVE keeps the full quantum table on (a11[21], a22).
 #
 # (a11[21], b22): in BS11's frame photon 1 has seen photon 2 pass BS21 but
 # not BS22, while photon 2 is before at both of its splitters.  So photon 1's
@@ -82,7 +80,7 @@ _FLAT, _INTERMEDIATE, _FINAL = (
     lambda settings: qm_single_pair_correlation(settings.phi11, settings.phi21),
     qm_correlation,
 )
-_RULES = {
+_STANDARD = {
     (_B11, _B21): _FLAT,
     (_B11, _B22): _FLAT,
     (_A11_21, _B21): _INTERMEDIATE,
@@ -91,6 +89,13 @@ _RULES = {
     (_B11, _A22): _FINAL,
     (_A11_22, _A22): _FLAT,
     (_A11_21, _A22): _FLAT,
+}
+# QM ignores timing: every pairing takes the final table, the b21 ones too,
+# because no detection layout stops photon 2 between its splitters yet.
+_RULES = {
+    ModelVariant.QM: dict.fromkeys(_STANDARD, _FINAL),
+    ModelVariant.RNL_STANDARD: _STANDARD,
+    ModelVariant.RNL_ALTERNATIVE: {**_STANDARD, (_A11_21, _A22): _FINAL},
 }
 
 
@@ -119,9 +124,9 @@ def predict(
     condition1 asserts that pairs are indistinguishable when photon 2 is
     detected between its splitters, condition2 that paths are unknowable
     after the final splitter; dropping either replaces the affected quantum
-    table by the flat one.  The QM variant ignores timing.  The standard and
-    alternative rule sets differ only on the (a11[21], a22) pairing, where
-    the alternative keeps the full quantum table.
+    table by the flat one.  The stage is the variant's _RULES entry for the
+    pairing: QM's is final everywhere, and the alternative rule set differs
+    from the standard one only on (a11[21], a22), where it is final too.
     """
     if not isinstance(variant, ModelVariant):
         raise ValueError(f"variant must be a ModelVariant, got {variant!r}")
@@ -131,10 +136,7 @@ def predict(
         require_flag("condition1", condition1)
     if condition2 is not True:
         require_flag("condition2", condition2)
-    if variant is _QM or (variant is _RNL_ALTERNATIVE and timing.label1 is _A11_21 and timing.label2 is _A22):
-        stage = _FINAL
-    else:
-        stage = _RULES[timing.label1, timing.label2]
+    stage = _RULES[variant][timing.label1, timing.label2]
     if stage is _FLAT or not (condition1 if stage is _INTERMEDIATE else condition2):
         return _FLAT_PREDICTION
     return _evaluate(stage, settings.phi11, settings.phi21, settings.phi22)

@@ -82,13 +82,10 @@ class ImpactSchedule:
                 raise ValueError(f"photon 2 must reach BS21 before BS22, violated in the {frame} frame")
         # Not a field, so out of __eq__, __hash__, __repr__; replace classifies afresh.
         try:
-            outcome = _classify(times, self.at_rest())
+            outcome = _classify(times, betas == (0.0, 0.0, 0.0))
         except AmbiguousScheduleError as error:
             outcome = str(error)
         object.__setattr__(self, "_classification", outcome)
-
-    def at_rest(self) -> bool:
-        return self.beta_bs11 == 0.0 and self.beta_bs21 == 0.0 and self.beta_bs22 == 0.0
 
 
 class PhotonOneLabel(enum.Enum):

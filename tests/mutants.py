@@ -1,0 +1,176 @@
+"""Mutation check of the physics core: each single-site mutant must fail tier-1.
+
+Run from anywhere, with the interpreter that runs the tests:
+
+    python tests/mutants.py          # every mutant
+    python tests/mutants.py 3 17     # only these (their numbers in the report)
+
+Each mutant is one text replacement in one file of src/rnlsim.  It is applied
+to its own temporary copy of the repository, where tier-1 runs with
+`-x -q -p no:cacheprovider` and a fixed Hypothesis seed, so a run kills the
+same mutants every time.  A mutant that passes every test survives.  The
+unmutated copy runs first: if it fails, no mutant result would mean anything.
+
+Exit status: 0 when every survivor is marked equivalent (with its reason), 1
+when any other survives, 2 when the unmutated copy fails or a mutant's old
+text does not occur exactly once in its file (the list is stale).  Standard
+library only; the file has no test_ prefix, so tier-1 does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIER1 = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", "--hypothesis-seed=0")
+TIMEOUT_S = 600  # a mutant that hangs the suite counts as killed
+COPY_IGNORE = shutil.ignore_patterns(".git", ".bench_build", ".hypothesis", ".pytest_cache", "__pycache__", "*.egg-info")
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to src/rnlsim
+    old: str
+    new: str
+    equivalent: str | None = None  # "equivalent because ..." when no test can tell it apart
+
+
+MUTANTS = (
+    # --- rnl: the per-variant rule tables and predict ---------------------------
+    Mutant(
+        "rnl.py",
+        "(_B11, _B21): _FLAT,\n    (_B11, _B22): _FLAT,\n    (_A11_21, _B21): _INTERMEDIATE,",
+        "(_B11, _B21): _INTERMEDIATE,\n    (_B11, _B22): _FLAT,\n    (_A11_21, _B21): _FLAT,",
+    ),
+    Mutant(
+        "rnl.py",
+        "(_A11_22, _B22): _FINAL,\n    (_B11, _A22): _FINAL,\n    (_A11_22, _A22): _FLAT,",
+        "(_A11_22, _B22): _FLAT,\n    (_B11, _A22): _FINAL,\n    (_A11_22, _A22): _FINAL,",
+    ),
+    Mutant(
+        "rnl.py",
+        "(_B11, _A22): _FINAL,\n    (_A11_22, _A22): _FLAT,\n    (_A11_21, _A22): _FLAT,",
+        "(_B11, _A22): _FLAT,\n    (_A11_22, _A22): _FLAT,\n    (_A11_21, _A22): _FINAL,",
+    ),
+    Mutant("rnl.py", "(_A11_21, _B22): _FLAT,", "(_A11_21, _B22): _FINAL,"),
+    Mutant("rnl.py", "{**_STANDARD, (_A11_21, _A22): _FINAL}", "{**_STANDARD}"),
+    Mutant("rnl.py", "{**_STANDARD, (_A11_21, _A22): _FINAL}", "{**_STANDARD, (_A11_22, _A22): _FINAL}"),
+    Mutant("rnl.py", "qm_single_pair_correlation(settings.phi11, settings.phi21)", "qm_single_pair_correlation(settings.phi11, settings.phi22)"),
+    Mutant(
+        "rnl.py",
+        "ModelVariant.QM: dict.fromkeys(_STANDARD, _FINAL),",
+        "ModelVariant.QM: {**dict.fromkeys(_STANDARD, _FINAL), (_B11, _B22): _FLAT},",
+    ),
+    Mutant(
+        "rnl.py",
+        "(condition1 if stage is _INTERMEDIATE else condition2)",
+        "(condition2 if stage is _INTERMEDIATE else condition1)",
+    ),
+    Mutant("rnl.py", "if stage is _FLAT or not (", "if not ("),
+    # --- report: verdicts and streams -------------------------------------------
+    Mutant("report.py", "VERDICT_SIGMA = 6.0", "VERDICT_SIGMA = 5.0"),
+    Mutant("report.py", "stderr = max(correlation_stderr(", "stderr = min(correlation_stderr("),
+    Mutant("report.py", "n = config.n_events\n", "n = config.n_events - 1\n"),
+    Mutant("report.py", "return self.separation > self.threshold", "return self.separation >= self.threshold"),
+    Mutant("report.py", "separation=abs(row_a.e_analytic - row_b.e_analytic)", "separation=row_a.e_analytic - row_b.e_analytic"),
+    Mutant("report.py", "for index, variant in enumerate(ModelVariant)}", "for index, variant in enumerate(ModelVariant, 1)}"),
+    # --- montecarlo: estimator, stream keys, run size ---------------------------
+    Mutant("montecarlo.py", "1.0 - e * e) / n)", "1.0 - e * e) / (n - 1))"),
+    Mutant("montecarlo.py", "counts.r_pp - counts.r_pm - counts.r_mp + counts.r_mm", "counts.r_pp - counts.r_pm + counts.r_mp - counts.r_mm"),
+    Mutant("montecarlo.py", "if n < 1:", "if n < 0:"),
+    Mutant("montecarlo.py", "key = np.array([seed, variant_index]", "key = np.array([variant_index, seed]"),
+    Mutant("montecarlo.py", "MAX_EVENTS = 2**63 - 1", "MAX_EVENTS = 2**64 - 1"),
+    Mutant("montecarlo.py", "for cell, q in enumerate(table) if q]", "for cell, q in enumerate(table)]"),
+    Mutant("montecarlo.py", "p = [table[cell] / total for cell in cells]", "p = [table[cell] for cell in cells]"),
+    # --- quantum: closed forms and the probability tolerance --------------------
+    Mutant("quantum.py", "PROB_ATOL = 1e-12", "PROB_ATOL = 1e-9"),
+    Mutant("quantum.py", "same, differ = 0.25 + e / 4.0, 0.25 - e / 4.0", "same, differ = 0.25 - e / 4.0, 0.25 + e / 4.0"),
+    Mutant(
+        "quantum.py",
+        "math.cos(delta - settings.phi22) - math.cos(delta + settings.phi22)",
+        "math.cos(delta + settings.phi22) - math.cos(delta - settings.phi22)",
+    ),
+    Mutant("quantum.py", "return math.cos(require_finite(\"phi11\"", "return math.sin(require_finite(\"phi11\""),
+    # --- timing: guard band, frames and labels ----------------------------------
+    Mutant("timing.py", "GUARD_BAND_S = 1e-15", "GUARD_BAND_S = 1e-14"),
+    Mutant("timing.py", "if not abs(t_b - t_a) >= GUARD_BAND_S:", "if not abs(t_b - t_a) > GUARD_BAND_S:"),
+    Mutant("timing.py", "if t22 - t21 <= 0.0:", "if t22 - t21 < 0.0:"),
+    Mutant("timing.py", "event.t - beta * event.x / SPEED_OF_LIGHT", "event.t + beta * event.x / SPEED_OF_LIGHT"),
+    Mutant("timing.py", "gamma = 1.0 / math.sqrt(1.0 - beta * beta)", "gamma = 1.0"),
+    Mutant("timing.py", "if not -1.0 < beta < 1.0:", "if not -1.0 <= beta < 1.0:"),
+    Mutant("timing.py", "(PhotonOneLabel.A11_22, PhotonTwoLabel.B22): 1,", "(PhotonOneLabel.A11_22, PhotonTwoLabel.B22): 2,"),
+    Mutant("timing.py", "label1 = PhotonOneLabel.A11_21", "label1 = PhotonOneLabel.A11_22"),
+    Mutant("timing.py", "_classify(times, betas == (0.0, 0.0, 0.0))", "_classify(times, betas[0] == 0.0)"),
+    Mutant("timing.py", "elif _strictly_before(t11_f11, t22_f11,", "elif _strictly_before(t11_f11, t22_f22,"),
+    Mutant("timing.py", "bs21_before = _strictly_before(t21_f21, t11_f21,", "bs21_before = _strictly_before(t21_f11, t11_f11,"),
+    Mutant("timing.py", "bs22_before = bs21_before and _strictly_before(", "bs22_before = _strictly_before("),
+    Mutant("timing.py", "_SERIES_BY_PAIRING.get((label1, label2)) if at_rest else None", "_SERIES_BY_PAIRING.get((label1, label2))"),
+)
+
+
+def _summary(text: str, width: int = 48) -> str:
+    flat = " ".join(text.split())
+    return flat if len(flat) <= width else flat[: width - 3] + "..."
+
+
+def _tier1(mutant: Mutant | None) -> subprocess.CompletedProcess | None:
+    """Tier-1 in a fresh copy of the repository, mutated when a mutant is given; None on timeout."""
+    with tempfile.TemporaryDirectory(prefix="rnlsim-mutant-") as scratch:
+        repo = Path(scratch) / "repo"
+        shutil.copytree(ROOT, repo, ignore=COPY_IGNORE)
+        if mutant is not None:
+            target = repo / "src" / "rnlsim" / mutant.path
+            target.write_text(target.read_text().replace(mutant.old, mutant.new))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+        try:
+            return subprocess.run(
+                [sys.executable, *TIER1], cwd=repo, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            return None
+
+
+def main(argv: list[str]) -> int:
+    numbered = dict(enumerate(MUTANTS, 1))
+    mutants = {int(arg): numbered[int(arg)] for arg in argv} or numbered
+    stale = [
+        number
+        for number, mutant in mutants.items()
+        if (ROOT / "src" / "rnlsim" / mutant.path).read_text().count(mutant.old) != 1
+    ]
+    if stale:
+        print(f"stale mutants (old text not found exactly once): {stale}")
+        return 2
+    baseline = _tier1(None)
+    if baseline is None or baseline.returncode != 0:
+        print("the unmutated copy fails tier-1:")
+        print(baseline.stdout[-4000:] if baseline is not None else f"timed out after {TIMEOUT_S} s")
+        return 2
+    survivors = []
+    for number, mutant in mutants.items():
+        result = _tier1(mutant)
+        if result is None:
+            status = "killed (timed out)"
+        elif result.returncode != 0:
+            status = "killed"
+        else:
+            status = "equivalent" if mutant.equivalent else "SURVIVED"
+            survivors.append((number, mutant))
+        print(f"{number:3d} {status:<10} {mutant.path}: {_summary(mutant.old)} -> {_summary(mutant.new)}", flush=True)
+    unexplained = [number for number, mutant in survivors if not mutant.equivalent]
+    for number, mutant in survivors:
+        print(f"survivor {number}: {mutant.path}: {mutant.old!r} -> {mutant.new!r}")
+        if mutant.equivalent:
+            print(f"  equivalent because {mutant.equivalent}")
+    print(f"{len(mutants)} mutants, {len(mutants) - len(survivors)} killed, {len(survivors)} survived, {len(unexplained)} unexplained")
+    return 1 if unexplained else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

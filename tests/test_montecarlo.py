@@ -27,6 +27,7 @@ from rnlsim import (
 from rnlsim import rnl
 from rnlsim.montecarlo import MAX_EVENTS, MAX_KEY_WORD
 from rnlsim.quantum import PROB_ATOL
+from rnlsim.report import VERDICT_SIGMA
 
 
 def test_degenerate_table_always_yields_its_outcome() -> None:
@@ -347,7 +348,7 @@ def test_compare_report_predicts_each_variant_once(monkeypatch: pytest.MonkeyPat
         ModelVariant.RNL_STANDARD: [],
         ModelVariant.RNL_ALTERNATIVE: [rnl._FINAL],
     }
-    assert rnl._RULES[for_series(3).pairing] is rnl._FLAT
+    assert rnl._RULES[ModelVariant.RNL_STANDARD][for_series(3).pairing] is rnl._FLAT
     for variants in (
         tuple(ModelVariant),
         (ModelVariant.RNL_STANDARD,),
@@ -435,6 +436,47 @@ def test_identical_tables_draw_from_separate_streams() -> None:
         )
         assert qm.counts != alternative.counts
         assert qm.counts.n_total == alternative.counts.n_total == config.n_events
+
+
+# --- verdicts -----------------------------------------------------------------
+
+_QM_VS_STANDARD = (ModelVariant.QM, ModelVariant.RNL_STANDARD)
+_QM_VS_ALTERNATIVE = (ModelVariant.QM, ModelVariant.RNL_ALTERNATIVE)
+
+
+def _verdicts(config: RunConfig) -> dict:
+    return {(verdict.variant_a, verdict.variant_b): verdict for verdict in compare_report(config).verdicts}
+
+
+def test_one_event_decides_nothing() -> None:
+    # One event gives e_hat = +-1, whose sampled stderr is 0; the threshold
+    # takes each row's analytic variance instead, 6 * sqrt(1 - E^2) >= 0 here.
+    for series in (1, 2, 3):
+        for seed in range(10):
+            verdicts = _verdicts(RunConfig(series=series, n_events=1, seed=seed))
+            assert len(verdicts) == 3
+            assert not any(verdict.distinguishable for verdict in verdicts.values())
+
+
+@pytest.mark.parametrize("n_events, decided", [(36, False), (37, True)])
+def test_default_pair_is_decided_just_past_its_budget(n_events: int, decided: bool) -> None:
+    # At the defaults E_QM = 1 and E_standard = 0, so the budget is
+    # n* = (VERDICT_SIGMA * sqrt(1 - 0^2) / |1 - 0|)^2 = 36 events, whatever the seed.
+    for seed in range(10):
+        verdict = _verdicts(RunConfig(n_events=n_events, seed=seed))[_QM_VS_STANDARD]
+        assert verdict.separation == 1.0
+        assert verdict.threshold == pytest.approx(VERDICT_SIGMA / math.sqrt(n_events), rel=1e-15)
+        assert verdict.distinguishable is decided
+
+
+def test_equal_tables_are_never_distinguishable() -> None:
+    # QM and RNL_ALTERNATIVE both give E = 1 at the series-3 defaults: |dE| = 0
+    # against a threshold of 0, since E = 1 has no variance.  0 > 0 is false.
+    for n_events in (1, 36, 37, 10**6, 10**9):
+        for seed in range(3):
+            verdict = _verdicts(RunConfig(n_events=n_events, seed=seed))[_QM_VS_ALTERNATIVE]
+            assert verdict.separation == verdict.threshold == 0.0
+            assert not verdict.distinguishable
 
 
 def test_zero_last_cell_stays_empty_in_one_huge_chunk() -> None:

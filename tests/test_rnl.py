@@ -239,6 +239,19 @@ def test_every_label_pair_is_refused_or_predicted() -> None:
     assert predicted == len(ALL_PAIRINGS) == 8
 
 
+def test_each_variant_has_one_rule_table_over_the_accepted_pairings() -> None:
+    accepted = set(itertools.product(PhotonOneLabel, PhotonTwoLabel)) - {(PhotonOneLabel.A11_22, PhotonTwoLabel.B21)}
+    assert set(rnl._RULES) == set(ModelVariant)
+    for variant, rules in rnl._RULES.items():
+        assert set(rules) == accepted and len(rules) == 8, variant
+    standard = rnl._RULES[ModelVariant.RNL_STANDARD]
+    alternative = rnl._RULES[ModelVariant.RNL_ALTERNATIVE]
+    series3 = (PhotonOneLabel.A11_21, PhotonTwoLabel.A22)
+    assert {pairing for pairing in accepted if alternative[pairing] is not standard[pairing]} == {series3}
+    assert standard[series3] is rnl._FLAT and alternative[series3] is rnl._FINAL
+    assert all(stage is rnl._FINAL for stage in rnl._RULES[ModelVariant.QM].values())
+
+
 def test_qm_variant_ignores_timing() -> None:
     expected = symmetric_joint(qm_correlation(KEY_SETTINGS))
     for timing in ALL_PAIRINGS:
@@ -433,7 +446,7 @@ def test_flat_tables_never_reach_the_memo(monkeypatch: pytest.MonkeyPatch) -> No
         assert (joint is flat) == (not stages)
         if variant is ModelVariant.QM:
             assert stages == ([rnl._FINAL] if condition2 else [])
-        if variant is ModelVariant.RNL_STANDARD and rnl._RULES[timing.pairing] is rnl._FLAT:
+        if variant is ModelVariant.RNL_STANDARD and rnl._RULES[variant][timing.pairing] is rnl._FLAT:
             assert stages == []
 
 

@@ -246,6 +246,19 @@ def test_moving_splitters_reach_the_a11_21_b22_pairing() -> None:
     assert timing.series is None
 
 
+@pytest.mark.parametrize("moving", ["beta_bs11", "beta_bs21", "beta_bs22"])
+def test_any_moving_splitter_leaves_a_series_pairing_without_a_series(moving: str) -> None:
+    # A series names a lab ordering, so only a schedule at rest has one.  At
+    # beta = 1e-3 each preset keeps its pairing: the shift, ~1e-11 s, is far
+    # inside its nanosecond gaps.
+    for series in (1, 2, 3):
+        preset = series_preset(series)
+        moved = classify(schedule_from_geometry(dataclasses.replace(preset, **{moving: 1e-3})))
+        assert moved.pairing == classify(schedule_from_geometry(preset)).pairing
+        assert moved.series is None
+        assert classify(schedule_from_geometry(dataclasses.replace(preset, **{moving: -0.0}))).series == series
+
+
 lengths = st.floats(min_value=1e-3, max_value=1e3)
 betas = st.floats(min_value=-0.99, max_value=0.99)
 phases = st.floats(min_value=-25.0, max_value=25.0)
@@ -519,12 +532,13 @@ def test_a_geometry_keeps_the_schedule_its_fields_give(
 
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))])
 def test_cloned_assignments_keep_their_rule_row_and_series(clone) -> None:
-    assignments = [TimingAssignment(label1, label2) for label1, label2 in rnl._RULES]
+    rules = rnl._RULES[ModelVariant.RNL_STANDARD]
+    assignments = [TimingAssignment(label1, label2) for label1, label2 in rules]
     for assignment in (*assignments, *(for_series(series) for series in (1, 2, 3))):
         cloned = clone(assignment)
         assert cloned == assignment and hash(cloned) == hash(assignment)
         assert cloned.label1 is assignment.label1 and cloned.label2 is assignment.label2
-        assert rnl._RULES[cloned.pairing] is rnl._RULES[assignment.pairing]
+        assert rules[cloned.pairing] is rules[assignment.pairing]
         if assignment.series is not None:
             assert _SERIES_BY_PAIRING[cloned.pairing] == assignment.series
             # TimingAssignment's series check reads the same table.
@@ -562,7 +576,7 @@ def test_presets_classify_to_their_series_with_nanosecond_gaps() -> None:
         times = sorted((schedule.bs11.t, schedule.bs21.t, schedule.bs22.t))
         assert times[1] - times[0] >= 1e-9
         assert times[2] - times[1] >= 1e-9
-        assert schedule.at_rest()
+        assert (schedule.beta_bs11, schedule.beta_bs21, schedule.beta_bs22) == (0.0, 0.0, 0.0)
         assert classify(schedule).series == series
 
 
