@@ -14,6 +14,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_AMBIGUOUS = 3
 
+# Each config key's flag: length_bs11 is --length-bs11.
+_KEY_FLAGS = {"--" + key.replace("_", "-"): key for key in CONFIG_KEYS}
+
 _RENDERERS = {
     "table": render_table,
     "csv": render_csv,
@@ -33,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", type=Path, help="flat key = value run file")
-    for key, (_, help_text) in KEY_TABLE.items():
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
+    for flag, key in _KEY_FLAGS.items():
+        parser.add_argument(flag, dest=key, help=KEY_TABLE[key][1])
     parser.add_argument("--out", type=Path, help="write the report here instead of stdout")
     parser.add_argument(
         "--format",
@@ -57,25 +60,42 @@ def _collect_values(args: argparse.Namespace) -> dict[str, object]:
     return values
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _is_number(text: str) -> bool:
     try:
-        config = build_run_config(_collect_values(args))
-        report = compare_report(config)
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _glue_negative_numbers(argv: list[str]) -> list[str]:
+    """`--key -4.5e1` as `--key=-4.5e1`, so a flag's value reads the same in both forms.
+
+    argparse on Python 3.10 and 3.11 takes only -N and -N.N for negative
+    numbers and any other token starting with - (-4.5e1, -45.) for a flag.
+    """
+    glued: list[str] = []
+    for token in argv:
+        if glued and glued[-1] in _KEY_FLAGS and token.startswith("-") and _is_number(token):
+            glued[-1] += "=" + token
+        else:
+            glued.append(token)
+    return glued
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(_glue_negative_numbers(sys.argv[1:] if argv is None else argv))
+    try:
+        report = compare_report(build_run_config(_collect_values(args)))
+        text = _RENDERERS[args.format](report)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            args.out.write_text(text)
     except AmbiguousScheduleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    text = _RENDERERS[args.format](report)
-    if args.out is None:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        args.out.write_text(text)
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an unreadable config file or a failed write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

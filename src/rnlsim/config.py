@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, require_finite, require_flag, require_int
-from .montecarlo import MAX_KEY_WORD, check_run_size
+from .montecarlo import MAX_EVENTS, MAX_KEY_WORD
 from .quantum import PhaseSettings
 from .rnl import ModelVariant
 from .timing import ExperimentGeometry, series_preset
@@ -56,7 +56,8 @@ class RunConfig:
                 if not isinstance(variant, ModelVariant):
                     raise ValueError(f"unknown variant {variant!r}")
             require_int("seed", self.seed, 0, MAX_KEY_WORD)
-            check_run_size(self.n_events, self.chunk_size)
+            require_int("n_events", self.n_events, 1, MAX_EVENTS)
+            require_int("chunk_size", self.chunk_size, 1, MAX_EVENTS)
             require_flag("condition1", self.condition1)
             require_flag("condition2", self.condition2)
         except ValueError as exc:
@@ -148,7 +149,7 @@ def parse_config_file(path: Path | str) -> dict[str, object]:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading byte order mark is dropped
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     values: dict[str, object] = {}

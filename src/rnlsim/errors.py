@@ -5,11 +5,6 @@ from __future__ import annotations
 import math
 import numbers
 
-import numpy as np
-
-# Refused where a number is expected: float() and int() would take True as 1.
-BOOL_TYPES = (bool, np.bool_)
-
 
 class ConfigError(ValueError):
     """Invalid run configuration: unknown key, bad value, or inconsistent inputs."""
@@ -22,7 +17,8 @@ class AmbiguousScheduleError(ValueError):
 def require_finite(name: str, value: float) -> float:
     """value as a finite float; bools and other non-reals (strings too) are refused."""
     if type(value) is not float:  # an exact float is never a bool or a string
-        if isinstance(value, BOOL_TYPES) or not isinstance(value, numbers.Real):
+        # bool is a numbers.Integral; numpy.bool_ is neither Real nor Integral.
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {value!r}")
         value = float(value)
     if not math.isfinite(value):
@@ -33,7 +29,7 @@ def require_finite(name: str, value: float) -> float:
 def require_int(name: str, value: int, low: int, high: int) -> int:
     """value as an int in [low, high]; bools and floats are refused, not converted."""
     if type(value) is not int:
-        if isinstance(value, BOOL_TYPES) or not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     if not low <= value <= high:

@@ -82,12 +82,6 @@ def substream(seed: int, variant_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_philox_key()(key)))
 
 
-def check_run_size(n_events: int, chunk_size: int) -> None:
-    """Raise ValueError unless n_events and chunk_size are integers in 1 .. MAX_EVENTS."""
-    require_int("n_events", n_events, 1, MAX_EVENTS)
-    require_int("chunk_size", chunk_size, 1, MAX_EVENTS)
-
-
 def sample_counts(
     joint: JointDistribution,
     *,
@@ -102,7 +96,8 @@ def sample_counts(
     a pure function of (joint, seed, variant_index, n_events).  chunk_size
     is range-checked and otherwise ignored since stream layout v4.
     """
-    check_run_size(n_events, chunk_size)
+    require_int("n_events", n_events, 1, MAX_EVENTS)
+    require_int("chunk_size", chunk_size, 1, MAX_EVENTS)
     table = (joint.p_pp, joint.p_pm, joint.p_mp, joint.p_mm)
     # Only nonzero cells are drawn, so a zero cell can never take the
     # remainder numpy hands to the last cell.  Renormalising absorbs the

@@ -193,7 +193,9 @@ def render_table(report: ComparisonReport) -> str:
         )
     if report.verdicts:
         lines.append("")
-        lines.append(f"verdicts at n={config.n_events} (threshold {VERDICT_SIGMA:g} * stderr):")
+        lines.append(
+            f"verdicts at n={config.n_events} (threshold {VERDICT_SIGMA:g} * larger analytic stderr):"
+        )
         for verdict in report.verdicts:
             call = "distinguishable" if verdict.distinguishable else "not distinguishable"
             lines.append(

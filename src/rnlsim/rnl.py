@@ -38,7 +38,7 @@ class ModelVariant(enum.Enum):
     __hash__ = object.__hash__  # as PhotonOneLabel's: members are singletons
 
 
-# Module aliases: reading a member off an Enum class is a slow attribute lookup.
+# Short label names for the rule tables below, read only while those are built at import.
 _B11, _A11_21, _A11_22 = PhotonOneLabel.B11, PhotonOneLabel.A11_21, PhotonOneLabel.A11_22
 _B21, _B22, _A22 = PhotonTwoLabel.B21, PhotonTwoLabel.B22, PhotonTwoLabel.A22
 

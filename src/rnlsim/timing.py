@@ -42,11 +42,7 @@ class SpacetimeEvent:
 
 def boost_time(event: SpacetimeEvent, beta: float) -> float:
     """Impact time in a frame moving at beta = v/c along the axis: gamma * (t - beta x / c)."""
-    return _boost(event, _require_beta("beta", beta))
-
-
-def _boost(event: SpacetimeEvent, beta: float) -> float:
-    """boost_time for a beta already checked."""
+    beta = _require_beta("beta", beta)
     gamma = 1.0 / math.sqrt(1.0 - beta * beta)
     return gamma * (event.t - beta * event.x / SPEED_OF_LIGHT)
 
@@ -76,7 +72,7 @@ class ImpactSchedule:
             object.__setattr__(self, name, _require_beta(name, getattr(self, name)))
         # times[f][i]: impact i's time in splitter f's frame, both in BS11, BS21, BS22 order.
         betas = (self.beta_bs11, self.beta_bs21, self.beta_bs22)
-        times = [[_boost(event, beta) for event in events] for beta in betas]
+        times = [[boost_time(event, beta) for event in events] for beta in betas]
         for frame, (_, t21, t22) in (("BS21", times[1]), ("BS22", times[2])):
             if t22 - t21 <= 0.0:  # False for a NaN gap (inf - inf): _classify refuses that
                 raise ValueError(f"photon 2 must reach BS21 before BS22, violated in the {frame} frame")

@@ -1,4 +1,4 @@
-"""Mutation check of the physics core: each single-site mutant must fail tier-1.
+"""Mutation check of the package: each single-site mutant must fail tier-1.
 
 Run from anywhere, with the interpreter that runs the tests:
 
@@ -110,6 +110,22 @@ MUTANTS = (
     Mutant("timing.py", "bs21_before = _strictly_before(t21_f21, t11_f21,", "bs21_before = _strictly_before(t21_f11, t11_f11,"),
     Mutant("timing.py", "bs22_before = bs21_before and _strictly_before(", "bs22_before = _strictly_before("),
     Mutant("timing.py", "_SERIES_BY_PAIRING.get((label1, label2)) if at_rest else None", "_SERIES_BY_PAIRING.get((label1, label2))"),
+    # --- config: value parsers, file format and run checks ----------------------
+    Mutant("config.py", 'in ("true", "1", "yes", "on")', 'in ("true", "1", "yes")'),
+    Mutant("config.py", "variant = by_name.get(name.lower())", "variant = by_name.get(name)"),
+    Mutant("config.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
+    Mutant("config.py", "raw = raw.strip()", "raw = raw"),
+    Mutant("config.py", "if key in values:", "if key in ():"),
+    Mutant("config.py", "if length_keys and len(length_keys) < len(_GEOMETRY_LENGTH_KEYS):", "if len(length_keys) == 1:"),
+    Mutant("config.py", 'if "m11_displacement" in values and not length_keys:', 'if "m11_displacement" in values and not values:'),
+    Mutant("config.py", 'require_int("seed", self.seed, 0, MAX_KEY_WORD)', 'require_int("seed", self.seed, 1, MAX_KEY_WORD)'),
+    Mutant("config.py", "if len(set(self.variants)) != len(self.variants):", "if len(set(self.variants)) > len(self.variants):"),
+    # --- cli: flag values, exit codes and the error path ------------------------
+    Mutant("cli.py", "EXIT_AMBIGUOUS = 3", "EXIT_AMBIGUOUS = 2"),
+    Mutant("cli.py", "values[key] = parse_value(key, text)", "values.setdefault(key, parse_value(key, text))"),
+    Mutant("cli.py", 'glued[-1] += "=" + token', 'glued.append(token)'),
+    Mutant("cli.py", "except (ConfigError, OSError) as exc:", "except (ValueError, OSError) as exc:"),
+    Mutant("cli.py", "except (ConfigError, OSError) as exc:", "except ConfigError as exc:"),
 )
 
 

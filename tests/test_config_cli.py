@@ -27,6 +27,7 @@ from rnlsim import (
     parse_config_file,
 )
 from rnlsim.cli import main
+from rnlsim.config import parse_value
 from rnlsim.report import CSV_COLUMNS
 
 
@@ -89,6 +90,26 @@ def test_bad_values_are_errors(tmp_path: Path) -> None:
         path = _write(tmp_path, line + "\n")
         with pytest.raises(ConfigError):
             parse_config_file(path)
+    # The value is quoted as written, without the spaces around it.
+    path = _write(tmp_path, "n_events =   soon  \n")
+    with pytest.raises(ConfigError, match=r"^n_events: expected an integer, got 'soon'$"):
+        parse_config_file(path)
+
+
+def test_boolean_words() -> None:
+    for word in ("true", "1", "yes", "on", "On", " TRUE "):
+        assert parse_value("condition2", word) is True
+    for word in ("false", "0", "no", "off", "OFF"):
+        assert parse_value("condition2", word) is False
+
+
+def test_config_file_with_byte_order_mark_parses_as_without(tmp_path: Path) -> None:
+    text = "series = 2\nseed = 7\n"
+    plain = tmp_path / "plain.cfg"
+    plain.write_bytes(text.encode("utf-8"))
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_config_file(marked) == parse_config_file(plain) == {"series": 2, "seed": 7}
 
 
 def test_explicit_geometry_config(tmp_path: Path) -> None:
@@ -110,6 +131,8 @@ def test_series_and_lengths_are_exclusive() -> None:
 def test_partial_geometry_is_an_error() -> None:
     with pytest.raises(ConfigError, match="all three lengths"):
         build_run_config({"length_bs11": 1.0})
+    with pytest.raises(ConfigError, match=r"missing \['length_bs21'\]$"):
+        build_run_config({"length_bs11": 2.0, "length_bs22": 3.0})
     with pytest.raises(ConfigError, match="requires explicit geometry"):
         build_run_config({"m11_displacement": 0.5})
 
@@ -179,7 +202,7 @@ def test_bool_phases_and_lengths_are_refused() -> None:
 def test_non_bool_conditions_are_config_errors() -> None:
     # A truthy "false" would run with the condition on.
     for name in ("condition1", "condition2"):
-        for value in ("false", 0, 1, None):
+        for value in ("false", 0, 1, None, np.False_, np.True_):
             with pytest.raises(ConfigError, match=f"{name} must be true or false"):
                 RunConfig(**{name: value})
 
@@ -347,6 +370,19 @@ def test_cli_failed_out_write_is_a_clean_error(
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_cli_failed_stdout_write_is_a_clean_error(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
+) -> None:
+    class ClosedStdout:
+        def write(self, text: str) -> int:
+            raise OSError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(["--n-events", "100", "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_cli_exit_code_on_ambiguous_timing(capsys: pytest.CaptureFixture) -> None:

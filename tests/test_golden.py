@@ -48,9 +48,9 @@ GOLDEN_SHA256 = {
     ),
     "--condition2 false --format csv": "52f86b3fff6cb5997bf1017d03155c12cd01ea4aa54e2e6957c438c4ee311267",
     "--format json-lines": "8bf4a9296819237122243bf973cc4453a73b96f7c1dc34b087e92ed3c6051eb0",
-    "--format table": "24946d8737e72b6f9383925e8d604951a093f31c01a8683b4b48f1df70b7bf1b",
+    "--format table": "3d2b0047320b74404460387458ce15718dd1b843ab9ad1db0a58057207b0c062",
     "--length-bs11 2 --length-bs21 1 --length-bs22 3 --m11-displacement 0.5 --format table": (
-        "3ddb37b9dd2ca87a8bd72c2dcec79333a7b37a6ddbde6980278256c3abfe4e63"
+        "bce256cdf718faef9c010a947d7d380cd7a282bde551e14a18908bb7a42d7786"
     ),
     "--series 2 --phi11-deg 10 --phi21-deg 0 --phi22-deg 5 --format csv": (
         "d22627fc3465c8956a5266c1c80ad87b22c0badcc64965163a325239c5543104"
@@ -63,6 +63,26 @@ def test_cli_output_is_byte_identical(args: str, capsys: pytest.CaptureFixture) 
     assert main(args.split()) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_SHA256[args]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "--phi21-deg -4.5e1",
+        "--phi21-deg -45.",
+        "--phi21-deg -.45e2",
+        "--length-bs11 2 --length-bs21 1 --length-bs22 3 --m11-displacement -1.5e-3",
+    ],
+)
+def test_negative_flag_value_in_any_float_form_is_the_default_run(
+    args: str, capsys: pytest.CaptureFixture
+) -> None:
+    # argparse alone takes these values for flags.  Each run is the default
+    # one: -45 degrees is the default phase, and the displaced geometry is a
+    # series 3 ordering, which the CSV does not tell from the preset.
+    assert main([*args.split(), "--format", "csv"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_SHA256["--series 3 --format csv"]
 
 
 def test_default_csv_counts_are_the_v5_reference(capsys: pytest.CaptureFixture) -> None:

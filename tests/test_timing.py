@@ -588,15 +588,15 @@ def test_presets_are_shared() -> None:
 
 
 def _boost_counter(monkeypatch: pytest.MonkeyPatch) -> list[int]:
-    """A one-item list counting timing._boost calls from here on."""
+    """A one-item list counting timing.boost_time calls from here on."""
     calls = [0]
-    boost = timing._boost
+    boost = timing.boost_time
 
     def counting_boost(event: SpacetimeEvent, beta: float) -> float:
         calls[0] += 1
         return boost(event, beta)
 
-    monkeypatch.setattr(timing, "_boost", counting_boost)
+    monkeypatch.setattr(timing, "boost_time", counting_boost)
     return calls
 
 
