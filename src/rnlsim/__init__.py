@@ -36,12 +36,9 @@ from .rnl import ModelVariant, Prediction, predict
 from .timing import (
     SPEED_OF_LIGHT,
     ExperimentGeometry,
-    ImpactSchedule,
     PhotonOneLabel,
     PhotonTwoLabel,
-    SpacetimeEvent,
     TimingAssignment,
-    boost_time,
     classify,
     schedule_from_geometry,
     series_preset,
@@ -54,7 +51,6 @@ __all__ = [
     "ConfigError",
     "EstimatorResult",
     "ExperimentGeometry",
-    "ImpactSchedule",
     "JointDistribution",
     "ModelVariant",
     "PhaseSettings",
@@ -63,12 +59,10 @@ __all__ = [
     "Prediction",
     "RunConfig",
     "SPEED_OF_LIGHT",
-    "SpacetimeEvent",
     "TimingAssignment",
     "VariantRow",
     "Verdict",
     "amplitude_oracle",
-    "boost_time",
     "build_run_config",
     "classify",
     "compare_report",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, require_finite, require_flag, require_int
+from .errors import ConfigError, require_flag, require_int
 from .montecarlo import MAX_EVENTS, MAX_KEY_WORD
 from .quantum import PhaseSettings
 from .rnl import ModelVariant
@@ -39,9 +39,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         # Only checks inside: a ValueError from anywhere else is no config error.
         try:
-            for name in ("phi11_deg", "phi21_deg", "phi22_deg"):
-                # Checked, not converted: the CSV prints the value as given.
-                require_finite(name, getattr(self, name))
+            # Not a field, so out of __eq__, __hash__, __repr__; the phase fields
+            # stay as given, since the CSV prints them.
+            settings = PhaseSettings.from_degrees(self.phi11_deg, self.phi21_deg, self.phi22_deg)
+            object.__setattr__(self, "_settings", settings)
             if (self.series is None) == (self.geometry is None):
                 raise ValueError("series and geometry are mutually exclusive, and one must be set")
             if self.series is not None:
@@ -64,7 +65,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     def settings(self) -> PhaseSettings:
-        return PhaseSettings.from_degrees(self.phi11_deg, self.phi21_deg, self.phi22_deg)
+        return self._settings
 
     def resolve_geometry(self) -> ExperimentGeometry:
         if self.geometry is not None:

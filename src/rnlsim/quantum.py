@@ -96,7 +96,10 @@ def qm_correlation(settings: PhaseSettings) -> float:
 
 
 def qm_single_pair_correlation(phi11: float, phi21: float) -> float:
-    """Correlation when photon 2 is detected between its two splitters: cos(phi11 - phi21)."""
+    """Correlation when photon 2 is detected between its two splitters: cos(phi11 - phi21).
+
+    In amplitude_oracle's layout, BS21's output port 1 counts as outcome +1 here.
+    """
     return math.cos(require_finite("phi11", phi11) - require_finite("phi21", phi21))
 
 

@@ -18,7 +18,7 @@ from .montecarlo import (
     sample_counts,
 )
 from .rnl import ModelVariant, predict
-from .timing import TimingAssignment, classify, schedule_from_geometry
+from .timing import TimingAssignment, classify
 
 # Canonical stream index per variant, independent of the order requested.
 VARIANT_STREAM_INDEX = {variant: index for index, variant in enumerate(ModelVariant)}
@@ -80,7 +80,7 @@ class ComparisonReport:
 
 def compare_report(config: RunConfig) -> ComparisonReport:
     """Classify once, then predict, sample and estimate each configured variant."""
-    timing = classify(schedule_from_geometry(config.resolve_geometry()))
+    timing = classify(config.resolve_geometry())
     settings = config.settings()
     rows = []
     for variant in config.variants:

@@ -1,29 +1,42 @@
-"""Plain-math readings of joint tables and schedules, shared by the test modules."""
+"""Plain-math readings of joint tables and timing, shared by the test modules."""
 
 from __future__ import annotations
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from rnlsim import (
-    SPEED_OF_LIGHT,
     CoincidenceCounts,
-    ExperimentGeometry,
-    ImpactSchedule,
     JointDistribution,
     ModelVariant,
     PhaseSettings,
     PhotonOneLabel,
     PhotonTwoLabel,
     RunConfig,
-    SpacetimeEvent,
     TimingAssignment,
-    boost_time,
     compare_report,
     qm_correlation,
     qm_single_pair_correlation,
     symmetric_joint,
 )
-from rnlsim.timing import GUARD_BAND_S
+
+
+def _load_reference():
+    """bench/reference.py, the brute-force Lorentz-boost labels, imported by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+# The one timing oracle: it boosts each impact into each splitter's frame.
+reference = _load_reference()
 
 
 def as_array(table: JointDistribution) -> np.ndarray:
@@ -144,60 +157,31 @@ def counts_by_variant(config: RunConfig) -> dict[ModelVariant, CoincidenceCounts
     return {row.variant: row.counts for row in compare_report(config).rows}
 
 
-def rebuilt_schedule(geometry: ExperimentGeometry) -> ImpactSchedule:
-    """A fresh ImpactSchedule from the geometry's fields, as the paper's collinear layout gives it.
+# amplitude_oracle's lossless 50/50 splitter: transmission 1/sqrt(2), reflection i/sqrt(2).
+_SPLITTER = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
 
-    Every impact sits on a light ray from the source: photon 1 reaches BS11
-    at x = -(length_bs11 + m11_displacement), photon 2 its splitters at
-    x = +length, each at t = path length / c.
+
+def oracle_table(
+    settings: PhaseSettings, intermediate: bool = False, coherent: bool = True
+) -> JointDistribution:
+    """Coincidence table from path amplitudes, with amplitude_oracle's splitters and arm phases.
+
+    In the final layout photon 2 is detected after BS22, output port 0
+    counting as +1, and the coherent table is amplitude_oracle's.  In the
+    intermediate layout it is detected right after BS21, whose output port 1
+    counts as +1: that is the port for which the table has E = +cos(phi11 -
+    phi21), as qm_single_pair_correlation says.  Incoherent tables add the
+    two source branches in probability, as when the pair's origin is known.
     """
-    l11 = geometry.length_bs11 + geometry.m11_displacement
-    return ImpactSchedule(
-        bs11=SpacetimeEvent(l11 / SPEED_OF_LIGHT, -l11),
-        bs21=SpacetimeEvent(geometry.length_bs21 / SPEED_OF_LIGHT, geometry.length_bs21),
-        bs22=SpacetimeEvent(geometry.length_bs22 / SPEED_OF_LIGHT, geometry.length_bs22),
-        beta_bs11=geometry.beta_bs11,
-        beta_bs21=geometry.beta_bs21,
-        beta_bs22=geometry.beta_bs22,
-    )
-
-
-def schedule_labels(schedule: ImpactSchedule) -> tuple[tuple[str, str, bool], bool]:
-    """((label1, label2, bs21_before), near_tie) by the rules in classify's docstring.
-
-    Each comparison boosts its own two times; no frame time is shared.  A gap
-    decides when the labels read it: BS11 vs BS21 in BS11's frame and BS21 vs
-    BS11 in BS21's frame always, BS11 vs BS22 in BS11's frame only when
-    BS11's impact is not before BS21's, and BS22 vs BS11 in BS22's frame only
-    when the BS21 impact is before.  near_tie is whether a deciding gap is
-    inside the guard band or NaN (inf - inf).
-    """
-
-    def lead(first: SpacetimeEvent, second: SpacetimeEvent, beta: float) -> float:
-        """How long before second's impact first's falls, in the frame moving at beta."""
-        return boost_time(second, beta) - boost_time(first, beta)
-
-    bs11_vs_bs21 = lead(schedule.bs11, schedule.bs21, schedule.beta_bs11)
-    bs11_vs_bs22 = lead(schedule.bs11, schedule.bs22, schedule.beta_bs11)
-    bs21_vs_bs11 = lead(schedule.bs21, schedule.bs11, schedule.beta_bs21)
-    bs22_vs_bs11 = lead(schedule.bs22, schedule.bs11, schedule.beta_bs22)
-
-    # Photon 1: before BS21's impact, else non-before relative to the first one it did not precede.
-    if bs11_vs_bs21 > 0.0:
-        label1 = "b11"
+    transfer_1 = _SPLITTER @ np.diag([np.exp(1j * settings.phi11), 1.0])
+    transfer_2 = _SPLITTER @ np.diag([1.0, np.exp(1j * settings.phi21)])
+    if intermediate:
+        transfer_2 = transfer_2[::-1]  # port 1 first, as outcome +1
     else:
-        label1 = "a11[21]" if bs11_vs_bs22 > 0.0 else "a11[22]"
-    # Photon 2: its final impact is before only if its BS21 impact is before too.
-    bs21_before = bs21_vs_bs11 > 0.0
-    label2 = "b22" if bs21_before and bs22_vs_bs11 > 0.0 else "a22"
-
-    deciding = [bs11_vs_bs21, bs21_vs_bs11]
-    if label1 != "b11":
-        deciding.append(bs11_vs_bs22)
-    if bs21_before:
-        deciding.append(bs22_vs_bs11)
-    near_tie = any(not abs(gap) >= GUARD_BAND_S for gap in deciding)
-    return (label1, label2, bs21_before), near_tie
+        transfer_2 = _SPLITTER @ np.diag([np.exp(1j * settings.phi22), 1.0]) @ transfer_2
+    branches = [np.outer(transfer_1[:, k], transfer_2[:, k]) / math.sqrt(2.0) for k in (0, 1)]
+    prob = np.abs(sum(branches)) ** 2 if coherent else sum(np.abs(branch) ** 2 for branch in branches)
+    return JointDistribution(prob[0, 0], prob[0, 1], prob[1, 0], prob[1, 1])
 
 
 def v5_reference(

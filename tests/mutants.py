@@ -96,20 +96,23 @@ MUTANTS = (
         "math.cos(delta + settings.phi22) - math.cos(delta - settings.phi22)",
     ),
     Mutant("quantum.py", "return math.cos(require_finite(\"phi11\"", "return math.sin(require_finite(\"phi11\""),
-    # --- timing: guard band, frames and labels ----------------------------------
+    # --- timing: guard band, the four closed-form gaps and labels --------------
     Mutant("timing.py", "GUARD_BAND_S = 1e-15", "GUARD_BAND_S = 1e-14"),
-    Mutant("timing.py", "if not abs(t_b - t_a) >= GUARD_BAND_S:", "if not abs(t_b - t_a) > GUARD_BAND_S:"),
-    Mutant("timing.py", "if t22 - t21 <= 0.0:", "if t22 - t21 < 0.0:"),
-    Mutant("timing.py", "event.t - beta * event.x / SPEED_OF_LIGHT", "event.t + beta * event.x / SPEED_OF_LIGHT"),
-    Mutant("timing.py", "gamma = 1.0 / math.sqrt(1.0 - beta * beta)", "gamma = 1.0"),
+    Mutant("timing.py", "if not abs(gap) >= GUARD_BAND_S:", "if not abs(gap) > GUARD_BAND_S:"),
+    Mutant("timing.py", "if not self.length_bs22 > self.length_bs21:", "if not self.length_bs22 >= self.length_bs21:"),
+    Mutant("timing.py", "g11 * (t21 * (1.0 - beta11)", "g11 * (t21 * (1.0 + beta11)"),
+    Mutant("timing.py", "g22 * (t11 * (1.0 + beta22)", "g22 * (t11 * (1.0 - beta22)"),
+    Mutant("timing.py", "g11, g21, g22 = ((1.0 - beta * beta) ** -0.5 for", "g11, g21, g22 = (1.0 for"),
+    Mutant("timing.py", "t22 * (1.0 - beta22)", "t22 * (1.0 - beta21)"),
+    Mutant("timing.py", "g21 * (t11 * (1.0 + beta21)", "g11 * (t11 * (1.0 + beta21)"),
     Mutant("timing.py", "if not -1.0 < beta < 1.0:", "if not -1.0 <= beta < 1.0:"),
     Mutant("timing.py", "(PhotonOneLabel.A11_22, PhotonTwoLabel.B22): 1,", "(PhotonOneLabel.A11_22, PhotonTwoLabel.B22): 2,"),
     Mutant("timing.py", "label1 = PhotonOneLabel.A11_21", "label1 = PhotonOneLabel.A11_22"),
-    Mutant("timing.py", "_classify(times, betas == (0.0, 0.0, 0.0))", "_classify(times, betas[0] == 0.0)"),
-    Mutant("timing.py", "elif _strictly_before(t11_f11, t22_f11,", "elif _strictly_before(t11_f11, t22_f22,"),
-    Mutant("timing.py", "bs21_before = _strictly_before(t21_f21, t11_f21,", "bs21_before = _strictly_before(t21_f11, t11_f11,"),
+    Mutant("timing.py", "if betas == (0.0, 0.0, 0.0) else None", "if betas[0] == 0.0 else None"),
+    Mutant("timing.py", "elif _strictly_before(lead_11_22,", "elif _strictly_before(-lead_22_11,"),
+    Mutant("timing.py", "bs21_before = _strictly_before(lead_21_11,", "bs21_before = _strictly_before(-lead_11_21,"),
     Mutant("timing.py", "bs22_before = bs21_before and _strictly_before(", "bs22_before = _strictly_before("),
-    Mutant("timing.py", "_SERIES_BY_PAIRING.get((label1, label2)) if at_rest else None", "_SERIES_BY_PAIRING.get((label1, label2))"),
+    Mutant("timing.py", "_SERIES_BY_PAIRING.get((label1, label2)) if betas", "_SERIES_BY_PAIRING.get((label1, label2)) if True or betas"),
     # --- config: value parsers, file format and run checks ----------------------
     Mutant("config.py", 'in ("true", "1", "yes", "on")', 'in ("true", "1", "yes")'),
     Mutant("config.py", "variant = by_name.get(name.lower())", "variant = by_name.get(name)"),
@@ -120,6 +123,11 @@ MUTANTS = (
     Mutant("config.py", 'if "m11_displacement" in values and not length_keys:', 'if "m11_displacement" in values and not values:'),
     Mutant("config.py", 'require_int("seed", self.seed, 0, MAX_KEY_WORD)', 'require_int("seed", self.seed, 1, MAX_KEY_WORD)'),
     Mutant("config.py", "if len(set(self.variants)) != len(self.variants):", "if len(set(self.variants)) > len(self.variants):"),
+    Mutant(
+        "config.py",
+        "PhaseSettings.from_degrees(self.phi11_deg, self.phi21_deg, self.phi22_deg)",
+        "PhaseSettings.from_degrees(self.phi11_deg, self.phi11_deg, self.phi22_deg)",
+    ),
     # --- cli: flag values, exit codes and the error path ------------------------
     Mutant("cli.py", "EXIT_AMBIGUOUS = 3", "EXIT_AMBIGUOUS = 2"),
     Mutant("cli.py", "values[key] = parse_value(key, text)", "values.setdefault(key, parse_value(key, text))"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -21,8 +22,6 @@ from rnlsim import (
     ModelVariant,
     PhaseSettings,
     RunConfig,
-    SpacetimeEvent,
-    boost_time,
     build_run_config,
     parse_config_file,
 )
@@ -164,6 +163,17 @@ def test_run_config_validation() -> None:
         RunConfig(phi11_deg=float("nan"))
 
 
+def test_run_config_checks_and_builds_its_phases_once() -> None:
+    config = RunConfig(phi11_deg=10, phi21_deg=np.float64(-20.0), phi22_deg=30.5)
+    assert config.settings() is config.settings()
+    assert config.settings() == PhaseSettings.from_degrees(10, -20.0, 30.5)
+    # The fields keep the values as given, for the CSV; the settings are no field.
+    assert (type(config.phi11_deg), config.phi11_deg) == (int, 10)
+    assert "settings" not in repr(config)
+    assert config == RunConfig(phi11_deg=10, phi21_deg=-20.0, phi22_deg=30.5)
+    assert dataclasses.replace(config, phi22_deg=90.0).settings() == PhaseSettings.from_degrees(10, -20.0, 90.0)
+
+
 def test_bool_counts_are_config_errors() -> None:
     # bool is an int subclass and numpy.bool_ compares equal to 1: True must
     # not run as series 1 or seed 1.
@@ -191,8 +201,6 @@ def test_bool_phases_and_lengths_are_refused() -> None:
             lambda: ExperimentGeometry(2.0, 1.0, 3.0, m11_displacement=false),
             lambda: ExperimentGeometry(2.0, 1.0, 3.0, beta_bs11=false),
             lambda: ExperimentGeometry(2.0, 1.0, 3.0, beta_bs22=true),
-            lambda: boost_time(SpacetimeEvent(0.0, 1.0), false),
-            lambda: SpacetimeEvent(0.0, true),
             lambda: JointDistribution(true, false, false, false),
         ):
             with pytest.raises(ValueError, match=r"must be a real number, got (np\.)?(True|False)"):
@@ -321,8 +329,8 @@ def test_cli_csv_does_not_depend_on_chunk_size(tmp_path: Path) -> None:
     [
         # Photon 2 reaching BS22 before BS21.
         ["--length-bs11", "2", "--length-bs21", "3", "--length-bs22", "1"],
-        # Legs one ulp apart: equal arrival times at BS21 and BS22.
-        ["--length-bs11", "1", "--length-bs21", "2.682", "--length-bs22", "2.6820000000000004"],
+        # Photon 2's legs of equal length.
+        ["--length-bs11", "1", "--length-bs21", "2.682", "--length-bs22", "2.682"],
         # Photon 1's displaced path overflows to an infinite arrival time.
         ["--length-bs11", "1e308", "--m11-displacement", "1e308"]
         + ["--length-bs21", "1", "--length-bs22", "3"],
@@ -340,6 +348,14 @@ def test_cli_inconsistent_geometry_is_a_config_error(
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+def test_cli_legs_one_ulp_apart_run(capsys: pytest.CaptureFixture) -> None:
+    # The longer second leg is photon 2's order in every frame, although both
+    # arrival times round to the same float.
+    args = ["--length-bs11", "1", "--length-bs21", "2.682", "--length-bs22", "2.6820000000000004"]
+    assert main([*args, "--n-events", "10"]) == 0
+    assert "timing: photon 1 = b11, photon 2 = a22" in capsys.readouterr().out
 
 
 def test_cli_config_file_that_is_not_utf8_is_a_config_error(

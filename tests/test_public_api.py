@@ -26,7 +26,6 @@ PUBLIC_NAMES = {
     "ConfigError",
     "EstimatorResult",
     "ExperimentGeometry",
-    "ImpactSchedule",
     "JointDistribution",
     "ModelVariant",
     "PhaseSettings",
@@ -35,12 +34,10 @@ PUBLIC_NAMES = {
     "Prediction",
     "RunConfig",
     "SPEED_OF_LIGHT",
-    "SpacetimeEvent",
     "TimingAssignment",
     "VariantRow",
     "Verdict",
     "amplitude_oracle",
-    "boost_time",
     "build_run_config",
     "classify",
     "compare_report",
@@ -72,7 +69,7 @@ def _rnlsim_imports(path: Path) -> list[tuple[str, str]]:
 
 
 def test_all_is_pinned() -> None:
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 34
     assert len(rnlsim.__all__) == len(set(rnlsim.__all__))
     assert set(rnlsim.__all__) == PUBLIC_NAMES
     for name in rnlsim.__all__:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import as_array, cell, for_series, marginal_photon1, marginal_photon2
+from helpers import as_array, cell, for_series, marginal_photon1, marginal_photon2, oracle_table
 from rnlsim import (
     JointDistribution,
     ModelVariant,
@@ -213,3 +213,23 @@ def test_oracle_distribution_is_normalized_with_fair_marginals() -> None:
             assert abs(marginal_photon1(table, outcome) - 0.5) < ATOL
             assert abs(marginal_photon2(table, outcome) - 0.5) < ATOL
 
+
+
+@given(settings_strategy)
+def test_amplitudes_pin_the_intermediate_stage_sign(settings: PhaseSettings) -> None:
+    # The helper's coherent final layout is amplitude_oracle's own table.
+    assert np.max(np.abs(as_array(oracle_table(settings)) - as_array(amplitude_oracle(settings)))) < ATOL
+    # Photon 2 detected right after BS21, output port 1 counting as +1: the
+    # closed form's E = +cos(phi11 - phi21).  Port 0 as +1 would give -cos.
+    table = oracle_table(settings, intermediate=True)
+    closed = symmetric_joint(qm_single_pair_correlation(settings.phi11, settings.phi21))
+    assert np.max(np.abs(as_array(table) - as_array(closed))) < ATOL
+
+
+@pytest.mark.parametrize("intermediate", [False, True])
+@given(settings=settings_strategy)
+def test_incoherent_source_branches_give_the_flat_table(intermediate: bool, settings: PhaseSettings) -> None:
+    # A knowable origin adds the two source branches in probability: every
+    # cell is 1/4, the table predict returns when a condition is dropped.
+    table = oracle_table(settings, intermediate=intermediate, coherent=False)
+    assert np.max(np.abs(as_array(table) - as_array(symmetric_joint(0.0)))) < ATOL

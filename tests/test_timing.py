@@ -1,4 +1,4 @@
-"""Lorentz boosts, impact classification, geometry presets."""
+"""Impact classification against the boost oracle, geometries and presets."""
 
 from __future__ import annotations
 
@@ -6,33 +6,27 @@ import copy
 import dataclasses
 import enum
 import gc
-import importlib.util
 import itertools
 import math
 import pickle
-import sys
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from helpers import for_series, marginal_photon1, marginal_photon2, rebuilt_schedule, schedule_labels
+from helpers import for_series, marginal_photon1, marginal_photon2, reference
 from rnlsim import (
     SPEED_OF_LIGHT,
     AmbiguousScheduleError,
     ExperimentGeometry,
-    ImpactSchedule,
     ModelVariant,
     PhaseSettings,
     PhotonOneLabel,
     PhotonTwoLabel,
     RunConfig,
-    SpacetimeEvent,
     TimingAssignment,
-    boost_time,
     classify,
     compare_report,
     predict,
@@ -44,53 +38,49 @@ from rnlsim.timing import _SERIES_BY_PAIRING
 
 ATOL = 1e-12
 
-
-def _load_reference():
-    """bench/reference.py, the benchmark's brute-force labels, imported by path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("bench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
+frame_time = reference.frame_time
 
 
-reference = _load_reference()
+def _labels(geometry: ExperimentGeometry) -> tuple[str, str, bool]:
+    assignment = classify(geometry)
+    return (assignment.label1.value, assignment.label2.value, assignment.bs21_before)
 
 
-def _rest_schedule(t11: float, t21: float, t22: float) -> ImpactSchedule:
-    """Lab-time ordering only; positions on the proper sides of the source."""
-    return ImpactSchedule(
-        bs11=SpacetimeEvent(t11, -SPEED_OF_LIGHT * t11),
-        bs21=SpacetimeEvent(t21, SPEED_OF_LIGHT * t21),
-        bs22=SpacetimeEvent(t22, SPEED_OF_LIGHT * t22),
+def _reference_labels(geometry: ExperimentGeometry):
+    """bench/reference.py's labels for the geometry, from its brute-force boosts."""
+    return reference.reference_labels(
+        geometry.effective_length_bs11,
+        geometry.length_bs21,
+        geometry.length_bs22,
+        geometry.beta_bs11,
+        geometry.beta_bs21,
+        geometry.beta_bs22,
     )
 
 
-# --- boosts ------------------------------------------------------------------
+# --- the boost oracle ----------------------------------------------------------
 
 
 def test_boost_identity_at_rest() -> None:
-    event = SpacetimeEvent(1.0, 123.0)
-    assert boost_time(event, 0.0) == 1.0
+    assert frame_time(1.0, 123.0, 0.0) == 1.0
 
 
 def test_boost_pure_time_dilation() -> None:
-    event = SpacetimeEvent(1.0, 0.0)
-    assert boost_time(event, 0.6) == pytest.approx(1.25, abs=ATOL)
+    assert frame_time(1.0, 0.0, 0.6) == pytest.approx(1.25, abs=ATOL)
 
 
 def test_boost_with_position_offset() -> None:
     # x chosen so that t - beta x / c = t (1 - beta^2), i.e. boosted time t / gamma.
     beta = 0.6
-    event = SpacetimeEvent(1.0, beta * SPEED_OF_LIGHT * 1.0)
-    assert boost_time(event, beta) == pytest.approx(0.8, abs=ATOL)
+    assert frame_time(1.0, beta * SPEED_OF_LIGHT * 1.0, beta) == pytest.approx(0.8, abs=ATOL)
 
 
 @pytest.mark.parametrize("beta", [1.0, -1.0, 1.5, float("nan"), float("inf")])
 def test_boost_rejects_unphysical_beta(beta: float) -> None:
-    with pytest.raises(ValueError):
-        boost_time(SpacetimeEvent(0.0, 0.0), beta)
+    # No frame moves at |beta| >= 1, so no splitter may.
+    for name in ("beta_bs11", "beta_bs21", "beta_bs22"):
+        with pytest.raises(ValueError, match=name):
+            ExperimentGeometry(2.0, 1.0, 3.0, **{name: beta})
 
 
 @given(
@@ -106,9 +96,7 @@ def test_same_position_ordering_is_boost_invariant(
     # Two events at one position with a resolvable time gap (at or above the
     # classification guard band): their order is frame-independent.
     t_b = t_a + gap if later else t_a - gap
-    event_a = SpacetimeEvent(t_a, x)
-    event_b = SpacetimeEvent(t_b, x)
-    boosted_order = boost_time(event_a, beta) - boost_time(event_b, beta)
+    boosted_order = frame_time(t_a, x, beta) - frame_time(t_b, x, beta)
     assert (t_a > t_b) == (boosted_order > 0)
 
 
@@ -119,98 +107,97 @@ def test_boost_identity_and_ordering_over_random_events() -> None:
     positions = rng.uniform(-100.0, 100.0, size=n)
     betas = rng.uniform(-0.99, 0.99, size=n)
     for i in range(n):
-        event = SpacetimeEvent(times[i], positions[i])
-        assert boost_time(event, 0.0) == times[i]
-        partner = SpacetimeEvent(times[(i + 1) % n], positions[i])
-        if times[i] != partner.t:
-            same_frame = boost_time(event, betas[i]) - boost_time(partner, betas[i])
-            assert (times[i] > partner.t) == (same_frame > 0)
+        assert frame_time(times[i], positions[i], 0.0) == times[i]
+        partner_t = times[(i + 1) % n]
+        if times[i] != partner_t:
+            boosted = [frame_time(t, positions[i], betas[i]) for t in (times[i], partner_t)]
+            same_frame = boosted[0] - boosted[1]
+            assert (times[i] > partner_t) == (same_frame > 0)
 
 
-# --- schedules and classification ---------------------------------------------
+# The BS11-frame gap is 1.4e-15 s with gamma = 5/3, and 0.84e-15 s without it.
+@example(0.44444430454129735, 4.0, 5.0, 0.8, 0.0, 0.0)
+@example(1.5e308, 1.6e308, 1.7e308, 0.9, -0.9, 0.9)
+@given(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=-0.999, max_value=0.999),
+    st.floats(min_value=-0.999, max_value=0.999),
+    st.floats(min_value=-0.999, max_value=0.999),
+)
+def test_closed_form_gaps_equal_the_boosted_frame_time_gaps(
+    l11: float, l21: float, l22: float, beta11: float, beta21: float, beta22: float
+) -> None:
+    # Each gap is a difference of two terms gamma t (1 +- beta); both ways of
+    # computing it round each term within a few ulps, so they agree to 16 ulps
+    # of the larger term, whatever the cancellation.
+    times = (l11 / SPEED_OF_LIGHT, l21 / SPEED_OF_LIGHT, l22 / SPEED_OF_LIGHT)
+    gaps = timing._frame_gaps(*times, beta11, beta21, beta22)
+    expected = reference.reference_labels(l11, l21, l22, beta11, beta21, beta22).gaps_s
+    frames = ((beta11, 0, 1), (beta11, 0, 2), (beta21, 0, 1), (beta22, 0, 2))
+    for gap, oracle, (beta, first, second) in zip(gaps, expected, frames):
+        gamma = 1.0 / math.sqrt(1.0 - beta * beta)
+        scale = gamma * 2.0 * max(times[first], times[second])
+        assert math.isfinite(gap)
+        assert abs(gap - oracle) <= 16 * 2.0**-52 * scale
 
 
-def test_schedule_rejects_a_non_event_slot() -> None:
-    good = _rest_schedule(1e-9, 2e-9, 3e-9)
-    with pytest.raises(ValueError, match="bs11 must be a SpacetimeEvent"):
-        ImpactSchedule(bs11=(good.bs11.t, good.bs11.x), bs21=good.bs21, bs22=good.bs22)
+# --- classification ------------------------------------------------------------
 
 
 def test_schedule_rejects_photon2_order_violation() -> None:
-    with pytest.raises(ValueError, match="violated in the BS21 frame") as error:
-        _rest_schedule(1e-9, 3e-9, 2e-9)
-    # A reversal is a bad input, not an ambiguity to refuse later.
-    assert not isinstance(error.value, AmbiguousScheduleError)
+    # Photon 2's impacts lie on one light ray: BS22's leg must be the longer,
+    # whatever the splitters' velocities.
+    for betas in ((0.0, 0.0, 0.0), (0.0, 0.9, -0.9)):
+        with pytest.raises(ValueError, match="BS21 before BS22") as error:
+            ExperimentGeometry(2.0, 3.0, 1.0, 0.0, *betas)
+        # A reversal is a bad input, not an ambiguity to refuse later.
+        assert not isinstance(error.value, AmbiguousScheduleError)
 
 
 def test_rest_orderings_map_to_series() -> None:
     cases = {
-        (3e-9, 1e-9, 2e-9): (PhotonOneLabel.A11_22, PhotonTwoLabel.B22, True, 1),
-        (1e-9, 2e-9, 3e-9): (PhotonOneLabel.B11, PhotonTwoLabel.A22, False, 2),
-        (2e-9, 1e-9, 3e-9): (PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True, 3),
-        # Gaps of exactly the guard band, and of three times it, still decide.
-        (0.0, 1e-15, 1e-9): (PhotonOneLabel.B11, PhotonTwoLabel.A22, False, 2),
-        (0.0, 3e-15, 1e-9): (PhotonOneLabel.B11, PhotonTwoLabel.A22, False, 2),
+        (3.0, 1.0, 2.0): (PhotonOneLabel.A11_22, PhotonTwoLabel.B22, True, 1),
+        (1.0, 2.0, 3.0): (PhotonOneLabel.B11, PhotonTwoLabel.A22, False, 2),
+        (2.0, 1.0, 3.0): (PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True, 3),
+        # Arrival times exactly the guard band apart, and three times it, still decide.
+        (3e-7, 5.99792458e-07, 1e-3): (PhotonOneLabel.B11, PhotonTwoLabel.A22, False, 2),
+        (3e-7, 1.199377374e-06, 1e-3): (PhotonOneLabel.B11, PhotonTwoLabel.A22, False, 2),
     }
-    for (t11, t21, t22), (label1, label2, bs21_before, series) in cases.items():
-        timing = classify(_rest_schedule(t11, t21, t22))
-        assert timing.label1 is label1
-        assert timing.label2 is label2
-        assert timing.bs21_before is bs21_before
-        assert timing.series == series
+    assert 5.99792458e-07 / SPEED_OF_LIGHT - 3e-7 / SPEED_OF_LIGHT == timing.GUARD_BAND_S
+    assert 1.199377374e-06 / SPEED_OF_LIGHT - 3e-7 / SPEED_OF_LIGHT == 3e-15
+    for lengths, (label1, label2, bs21_before, series) in cases.items():
+        assignment = classify(ExperimentGeometry(*lengths))
+        assert assignment.label1 is label1
+        assert assignment.label2 is label2
+        assert assignment.bs21_before is bs21_before
+        assert assignment.series == series
 
 
 def test_rest_classification_matches_lab_ordering_sweep() -> None:
     rng = np.random.default_rng(20240813)
     for _ in range(300):
-        t11, t21, t22 = rng.uniform(1e-9, 100e-9, size=3)
-        if t21 >= t22:
-            t21, t22 = t22, t21
-        if min(abs(t11 - t21), abs(t11 - t22), abs(t22 - t21)) < 1e-12:
+        l11, l21, l22 = rng.uniform(0.3, 30.0, size=3)
+        if l21 >= l22:
+            l21, l22 = l22, l21
+        if min(abs(l11 - l21), abs(l11 - l22), abs(l22 - l21)) < 1e-3:
             continue
-        timing = classify(_rest_schedule(t11, t21, t22))
-        if t11 < t21:
-            assert timing.series == 2
-        elif t11 < t22:
-            assert timing.series == 3
+        assignment = classify(ExperimentGeometry(l11, l21, l22))
+        if l11 < l21:
+            assert assignment.series == 2
+        elif l11 < l22:
+            assert assignment.series == 3
         else:
-            assert timing.series == 1
+            assert assignment.series == 1
 
 
 def test_near_tie_is_refused() -> None:
-    # Near-ties of BS11 with BS21 (the second half the guard band), and an
-    # exact tie of BS11 with BS22.
-    for times in ((1e-9 + 1e-16, 1e-9, 2e-9), (0.0, 0.5e-15, 1e-9), (2e-9, 1e-9, 2e-9)):
-        with pytest.raises(AmbiguousScheduleError):
-            classify(_rest_schedule(*times))
-
-
-def test_an_overflowed_frame_time_gap_is_refused() -> None:
-    # In BS11's frame BS11's and BS21's times both overflow to inf, so their
-    # gap is inf - inf = NaN: no order exists, and none may be guessed.
-    schedule = ImpactSchedule(
-        SpacetimeEvent(1e308, -1.0), SpacetimeEvent(1.2e308, 1.0), SpacetimeEvent(1.5e308, 2.0), beta_bs11=0.9
-    )
-    assert boost_time(schedule.bs11, 0.9) == boost_time(schedule.bs21, 0.9) == math.inf
-    with pytest.raises(AmbiguousScheduleError, match="BS11 vs BS21 in the BS11 frame"):
-        classify(schedule)
-    # In BS21's frame both of photon 2's own times overflow: their order is
-    # not a reversal either, so the schedule is made and classify refuses it.
-    schedule = ImpactSchedule(
-        SpacetimeEvent(1e308, -1.0), SpacetimeEvent(1.2e308, 1.0), SpacetimeEvent(1.5e308, 2.0), beta_bs21=0.9
-    )
-    assert boost_time(schedule.bs21, 0.9) == boost_time(schedule.bs22, 0.9) == math.inf
-    with pytest.raises(AmbiguousScheduleError, match="BS21 vs BS22 in the BS21 frame"):
-        classify(schedule)
-    # A reversal that the other frame can read is still refused at construction.
-    with pytest.raises(ValueError, match="violated in the BS22 frame") as error:
-        ImpactSchedule(
-            SpacetimeEvent(1e308, -1.0),
-            SpacetimeEvent(1.5e308, 1.0),
-            SpacetimeEvent(1.2e308, 2.0),
-            beta_bs21=0.9,
-        )
-    assert not isinstance(error.value, AmbiguousScheduleError)
+    # Near-ties of BS11 with BS21 (3e-8 m is 1e-16 s, 1.5e-7 m half the guard
+    # band), and an exact tie of BS11 with BS22.
+    for lengths in ((1.0 + 3e-8, 1.0, 2.0), (1.0, 1.0 + 1.5e-7, 2.0), (2.0, 1.0, 2.0)):
+        with pytest.raises(AmbiguousScheduleError, match="guard band"):
+            classify(ExperimentGeometry(*lengths))
 
 
 def test_boosted_frames_can_relabel_photon1() -> None:
@@ -227,10 +214,10 @@ def test_boosted_frames_can_relabel_photon1() -> None:
         m11_displacement=base.m11_displacement,
         beta_bs11=-0.9,
     )
-    timing = classify(schedule_from_geometry(boosted))
+    timing = classify(boosted)
     assert timing.pairing == (PhotonOneLabel.B11, PhotonTwoLabel.B22)
-    assert timing.series is None  # not a rest schedule
-    rest_timing = classify(schedule_from_geometry(base))
+    assert timing.series is None  # not at rest
+    rest_timing = classify(base)
     assert rest_timing.label1 is PhotonOneLabel.A11_22
 
 
@@ -240,7 +227,7 @@ def test_moving_splitters_reach_the_a11_21_b22_pairing() -> None:
     # photon 2 calls photon 2's final impact before: a pairing no lab
     # ordering gives.
     geometry = ExperimentGeometry(2.0, 1.0, 3.0, 0.0, beta_bs11=-0.3, beta_bs22=0.3)
-    timing = classify(schedule_from_geometry(geometry))
+    timing = classify(geometry)
     assert timing.pairing == (PhotonOneLabel.A11_21, PhotonTwoLabel.B22)
     assert timing.bs21_before is True
     assert timing.series is None
@@ -248,15 +235,15 @@ def test_moving_splitters_reach_the_a11_21_b22_pairing() -> None:
 
 @pytest.mark.parametrize("moving", ["beta_bs11", "beta_bs21", "beta_bs22"])
 def test_any_moving_splitter_leaves_a_series_pairing_without_a_series(moving: str) -> None:
-    # A series names a lab ordering, so only a schedule at rest has one.  At
+    # A series names a lab ordering, so only a geometry at rest has one.  At
     # beta = 1e-3 each preset keeps its pairing: the shift, ~1e-11 s, is far
     # inside its nanosecond gaps.
     for series in (1, 2, 3):
         preset = series_preset(series)
-        moved = classify(schedule_from_geometry(dataclasses.replace(preset, **{moving: 1e-3})))
-        assert moved.pairing == classify(schedule_from_geometry(preset)).pairing
+        moved = classify(dataclasses.replace(preset, **{moving: 1e-3}))
+        assert moved.pairing == classify(preset).pairing
         assert moved.series is None
-        assert classify(schedule_from_geometry(dataclasses.replace(preset, **{moving: -0.0}))).series == series
+        assert classify(dataclasses.replace(preset, **{moving: -0.0})).series == series
 
 
 lengths = st.floats(min_value=1e-3, max_value=1e3)
@@ -267,6 +254,10 @@ phases = st.floats(min_value=-25.0, max_value=25.0)
 @example(2.0, 1.0, 2.0, 0.0, -0.3, 0.0, 0.3, PhaseSettings(0.8, 0.1, 2.0))
 # BS21's impact is not before, so the BS22-frame tie cannot change the labels.
 @example(1.0, 1.5, 1.5, 0.0, 0.0, 0.0, 0.5, PhaseSettings(0.8, 0.1, 2.0))
+# Gaps written on the lengths would overflow to +-inf here; on the times t = l / c they stay finite.
+@example(1.5e308, 1.6e308, 1e307, 0.0, 0.9, -0.9, 0.9, PhaseSettings(0.8, 0.1, 2.0))
+# The BS11-frame gap is 1.4e-15 s, outside the guard band only with gamma = 5/3.
+@example(0.44444430454129735, 4.0, 1.0, 0.0, 0.8, 0.0, 0.0, PhaseSettings(0.8, 0.1, 2.0))
 @given(
     lengths,
     lengths,
@@ -305,18 +296,18 @@ def test_classify_agrees_with_the_reference_labels(
         beta_bs21,
         beta_bs22,
     )
-    schedule = schedule_from_geometry(geometry)
     try:
-        assignment = classify(schedule)
+        assignment = classify(geometry)
     except AmbiguousScheduleError as error:
         # Only a point whose labels a guard-band flip could change is refused,
         # and a second call refuses it again.
         assert expected.near_tie
+        assert "guard band" in str(error)
         with pytest.raises(AmbiguousScheduleError) as again:
-            classify(schedule)
+            classify(geometry)
         assert str(again.value) == str(error)
         return
-    assert classify(schedule) is assignment
+    assert classify(geometry) is assignment
     assert (assignment.label1.value, assignment.label2.value, assignment.bs21_before) == expected.assignment
     for variant in ModelVariant:
         table = predict(settings, assignment, variant).joint
@@ -325,34 +316,39 @@ def test_classify_agrees_with_the_reference_labels(
             assert abs(marginal_photon2(table, outcome) - 0.5) < ATOL
 
 
-instants = st.floats(allow_nan=False, allow_infinity=False)
-events = st.builds(SpacetimeEvent, instants, instants)
-
-
-@example(
-    SpacetimeEvent(1e308, -1.0), SpacetimeEvent(1.2e308, 1.0), SpacetimeEvent(1.5e308, 2.0), 0.9, 0.0, 0.0
+@given(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e-3, max_value=1e3),
 )
-@example(SpacetimeEvent(1e-9 + 1e-16, -0.3), SpacetimeEvent(1e-9, 0.3), SpacetimeEvent(2e-9, 0.6), 0.0, 0.0, 0.0)
-@given(events, events, events, betas, betas, betas)
-def test_classify_follows_its_rules_on_arbitrary_events(
-    bs11: SpacetimeEvent,
-    bs21: SpacetimeEvent,
-    bs22: SpacetimeEvent,
-    beta_bs11: float,
-    beta_bs21: float,
-    beta_bs22: float,
+def test_at_rest_only_the_three_series_pairings_occur(l11: float, l21: float, leg_gap: float) -> None:
+    # At rest every frame is the lab's, so the signs of l11 - l21 and l11 - l22
+    # alone decide: before BS21 (series 2), between (series 3), after both (1).
+    l22 = l21 + leg_gap
+    assume(min(abs(l11 - l21), abs(l11 - l22)) / SPEED_OF_LIGHT >= 2 * timing.GUARD_BAND_S)
+    geometry = ExperimentGeometry(l11, l21, l22)
+    assignment = classify(geometry)
+    assert _SERIES_BY_PAIRING[assignment.pairing] == assignment.series
+    assert assignment.series == (2 if l11 < l21 else 3 if l11 < l22 else 1)
+    assert _labels(geometry) == _reference_labels(geometry).assignment
+
+
+@pytest.mark.parametrize(
+    "geometry, pairing",
+    [
+        # Series 3 at rest; a BS11 frame moving toward photon 2 puts BS11's impact after both.
+        (ExperimentGeometry(2.0, 1.0, 3.0, beta_bs11=0.5), (PhotonOneLabel.A11_22, PhotonTwoLabel.A22)),
+        # Series 1 at rest; a BS11 frame moving toward photon 1 puts BS11's impact first.
+        (ExperimentGeometry(2.0, 1.0, 3.0, 2.0, beta_bs11=-0.9), (PhotonOneLabel.B11, PhotonTwoLabel.B22)),
+    ],
+)
+def test_moving_splitters_reach_pairings_no_rest_geometry_has(
+    geometry: ExperimentGeometry, pairing: tuple[PhotonOneLabel, PhotonTwoLabel]
 ) -> None:
-    # Only draws that keep photon 2's BS21-then-BS22 order in both of its frames.
-    assume(all(boost_time(bs21, beta) < boost_time(bs22, beta) for beta in (beta_bs21, beta_bs22)))
-    schedule = ImpactSchedule(bs11, bs21, bs22, beta_bs11, beta_bs21, beta_bs22)
-    expected, near_tie = schedule_labels(schedule)
-    try:
-        assignment = classify(schedule)
-    except AmbiguousScheduleError:
-        assert near_tie  # refused only when a deciding gap is inside the band
-        return
-    assert not near_tie
-    assert (assignment.label1.value, assignment.label2.value, assignment.bs21_before) == expected
+    assert pairing not in _SERIES_BY_PAIRING
+    assignment = classify(geometry)
+    assert assignment.pairing == pairing and assignment.series is None
+    assert _labels(geometry) == _reference_labels(geometry).assignment
 
 
 # --- timing assignments -------------------------------------------------------
@@ -390,7 +386,7 @@ def test_for_series_round_trip() -> None:
     for series in (1, 2, 3):
         assignment = for_series(series)
         assert assignment.series == series
-        from_preset = classify(schedule_from_geometry(series_preset(series)))
+        from_preset = classify(series_preset(series))
         assert from_preset.pairing == assignment.pairing
         assert from_preset.bs21_before == assignment.bs21_before
 
@@ -403,12 +399,10 @@ def test_geometry_rejects_bad_lengths() -> None:
         ExperimentGeometry(length_bs11=0.0, length_bs21=1.0, length_bs22=2.0)
     with pytest.raises(ValueError):
         ExperimentGeometry(length_bs11=1.0, length_bs21=1.0, length_bs22=2.0, m11_displacement=-1.0)
-    # Photon 2 out of order, and legs one ulp apart with equal arrival times.
+    # Photon 2 out of order, and legs of equal length.
     for length_bs22 in (1.0, 0.5):
         with pytest.raises(ValueError, match="BS21 before BS22"):
             ExperimentGeometry(length_bs11=1.0, length_bs21=1.0, length_bs22=length_bs22)
-    with pytest.raises(ValueError, match="BS21 before BS22"):
-        ExperimentGeometry(length_bs11=1.0, length_bs21=2.682, length_bs22=2.6820000000000004)
     with pytest.raises(ValueError, match="effective_length_bs11 must be finite"):
         ExperimentGeometry(
             length_bs11=1e308, length_bs21=1.0, length_bs22=2.0, m11_displacement=1e308
@@ -423,26 +417,23 @@ def test_geometry_rejects_bad_lengths() -> None:
 def test_every_accepted_geometry_yields_a_schedule(
     length_bs21: float, beta_bs21: float, beta_bs22: float
 ) -> None:
-    # Legs one ulp apart: moving-splitter frame times can round into a tie.
+    # Legs one ulp apart, whose frame times can round into a tie: a longer
+    # second leg is photon 2's order in every frame, so the geometry is made.
+    geometry = ExperimentGeometry(
+        2.0,
+        length_bs21,
+        math.nextafter(length_bs21, math.inf),
+        beta_bs21=beta_bs21,
+        beta_bs22=beta_bs22,
+    )
+    expected = _reference_labels(geometry)
     try:
-        geometry = ExperimentGeometry(
-            2.0,
-            length_bs21,
-            math.nextafter(length_bs21, math.inf),
-            beta_bs21=beta_bs21,
-            beta_bs22=beta_bs22,
-        )
-    except ValueError as exc:
-        assert "BS21 before BS22" in str(exc)
-        return
-    schedule_from_geometry(geometry)
+        assert _labels(geometry) == expected.assignment
+    except AmbiguousScheduleError:
+        assert expected.near_tie
 
 
 def test_string_event_times_and_lengths_are_refused() -> None:
-    with pytest.raises(ValueError, match="t must be a real number"):
-        SpacetimeEvent("1e-9", 0.0)
-    with pytest.raises(ValueError, match="beta must be a real number"):
-        boost_time(SpacetimeEvent(1e-9, 0.0), "0.1")
     for kwargs in (
         {"length_bs11": "2"},
         {"length_bs22": "3"},
@@ -462,22 +453,34 @@ def test_string_event_times_and_lengths_are_refused() -> None:
     assert geometry.effective_length_bs11 == 2.5
 
 
-def test_geometry_refuses_moving_splitter_ties() -> None:
-    with pytest.raises(ValueError, match="BS21 before BS22"):
-        ExperimentGeometry(2.0, 3.631, math.nextafter(3.631, 4.0), beta_bs21=0.7, beta_bs22=0.7)
+def test_geometry_accepts_legs_one_ulp_apart() -> None:
+    # Both used to be refused: their boosted (or lab) arrival times rounded
+    # into a tie, although the second leg is longer.
+    for geometry in (
+        ExperimentGeometry(2.0, 3.631, math.nextafter(3.631, 4.0), beta_bs21=0.7, beta_bs22=0.7),
+        ExperimentGeometry(length_bs11=1.0, length_bs21=2.682, length_bs22=2.6820000000000004),
+    ):
+        assert _labels(geometry) == _reference_labels(geometry).assignment
 
 
 def test_schedule_from_geometry_times_and_positions() -> None:
     geometry = ExperimentGeometry(
         length_bs11=1.0, length_bs21=1.0, length_bs22=2.0, m11_displacement=0.5
     )
-    schedule = schedule_from_geometry(geometry)
-    assert schedule.bs11.t == pytest.approx(1.5 / SPEED_OF_LIGHT)
-    assert schedule.bs11.x == pytest.approx(-1.5)
-    assert schedule.bs21.x == pytest.approx(1.0)
-    assert schedule.bs22.t == pytest.approx(2.0 / SPEED_OF_LIGHT)
+    # classify takes the geometry; schedule_from_geometry hands it back unchanged.
+    assert schedule_from_geometry(geometry) is geometry
+    # The oracle's impacts: t = path / c at x = -1.5 m (BS11), +1 m and +2 m.
+    assert reference.reference_labels(1.5, 1.0, 2.0).assignment == _labels(geometry)
     # BS11 arrival between the photon 2 impacts: the third lab ordering.
-    assert classify(schedule).series == 3
+    assert classify(geometry).series == 3
+
+
+def _outcome(geometry: ExperimentGeometry) -> TimingAssignment | str:
+    """classify's assignment, or its refusal's message."""
+    try:
+        return classify(geometry)
+    except AmbiguousScheduleError as error:
+        return str(error)
 
 
 geometry_lengths = st.floats(min_value=1e-3, max_value=1e3)
@@ -513,21 +516,21 @@ def test_a_geometry_keeps_the_schedule_its_fields_give(
         geometry = ExperimentGeometry(**fields)
     except ValueError:
         assume(False)
-    assert schedule_from_geometry(geometry) == rebuilt_schedule(geometry)
-    assert schedule_from_geometry(geometry) is schedule_from_geometry(geometry)
-    # The schedule is not a field: equal fields mean equal, equally hashed geometries.
+    # The stored outcome is not a field: equal fields mean equal, equally
+    # hashed geometries with equal outcomes.
     twin = ExperimentGeometry(**fields)
     assert twin == geometry and hash(twin) == hash(geometry)
-    assert "schedule" not in repr(geometry).lower()
+    assert _outcome(twin) == _outcome(geometry)
+    assert "classification" not in repr(geometry).lower()
     assert [f.name for f in dataclasses.fields(geometry)] == [*fields]
     for clone in (pickle.loads(pickle.dumps(geometry)), copy.copy(geometry), copy.deepcopy(geometry)):
         assert clone == geometry
-        assert schedule_from_geometry(clone) == rebuilt_schedule(geometry)
+        assert _outcome(clone) == _outcome(geometry)
     try:
         moved = dataclasses.replace(geometry, m11_displacement=moved_to)
     except ValueError:
         return
-    assert schedule_from_geometry(moved) == rebuilt_schedule(moved)
+    assert _outcome(moved) == _outcome(ExperimentGeometry(**{**fields, "m11_displacement": moved_to}))
 
 
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))])
@@ -558,7 +561,7 @@ def test_label_lookups_never_call_the_enum_hash(monkeypatch: pytest.MonkeyPatch)
     with monkeypatch.context() as patch:
         patch.setattr(enum.Enum, "__hash__", refuse)
         for geometry in geometries:
-            assignment = classify(schedule_from_geometry(geometry))
+            assignment = classify(geometry)
             TimingAssignment(assignment.label1, assignment.label2, assignment.bs21_before, assignment.series)
             for variant in ModelVariant:
                 predict(settings, assignment, variant)
@@ -572,12 +575,12 @@ def test_label_lookups_never_call_the_enum_hash(monkeypatch: pytest.MonkeyPatch)
 def test_presets_classify_to_their_series_with_nanosecond_gaps() -> None:
     for series in (1, 2, 3):
         geometry = series_preset(series)
-        schedule = schedule_from_geometry(geometry)
-        times = sorted((schedule.bs11.t, schedule.bs21.t, schedule.bs22.t))
+        lengths = (geometry.effective_length_bs11, geometry.length_bs21, geometry.length_bs22)
+        times = sorted(length / SPEED_OF_LIGHT for length in lengths)
         assert times[1] - times[0] >= 1e-9
         assert times[2] - times[1] >= 1e-9
-        assert (schedule.beta_bs11, schedule.beta_bs21, schedule.beta_bs22) == (0.0, 0.0, 0.0)
-        assert classify(schedule).series == series
+        assert (geometry.beta_bs11, geometry.beta_bs21, geometry.beta_bs22) == (0.0, 0.0, 0.0)
+        assert classify(geometry).series == series
 
 
 def test_presets_are_shared() -> None:
@@ -587,53 +590,51 @@ def test_presets_are_shared() -> None:
     assert len({id(series_preset(series)) for series in (1, 2, 3)}) == 3
 
 
-def _boost_counter(monkeypatch: pytest.MonkeyPatch) -> list[int]:
-    """A one-item list counting timing.boost_time calls from here on."""
+def _gap_counter(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """A one-item list counting timing._frame_gaps calls from here on."""
     calls = [0]
-    boost = timing.boost_time
+    frame_gaps = timing._frame_gaps
 
-    def counting_boost(event: SpacetimeEvent, beta: float) -> float:
+    def counting_frame_gaps(*args: float) -> tuple:
         calls[0] += 1
-        return boost(event, beta)
+        return frame_gaps(*args)
 
-    monkeypatch.setattr(timing, "boost_time", counting_boost)
+    monkeypatch.setattr(timing, "_frame_gaps", counting_frame_gaps)
     return calls
 
 
-def _outcome(schedule: ImpactSchedule) -> TimingAssignment | str:
-    """classify's assignment, or its refusal's message."""
-    try:
-        return classify(schedule)
-    except AmbiguousScheduleError as error:
-        return str(error)
+# Near-tie of BS11 with BS21: 3e-8 m of path is 1e-16 s.
+NEAR_TIE = (1.0 + 3e-8, 1.0, 2.0)
 
 
 def test_classify_stores_its_assignment_on_the_schedule(monkeypatch: pytest.MonkeyPatch) -> None:
-    calls = _boost_counter(monkeypatch)
-    schedule = schedule_from_geometry(ExperimentGeometry(2.0, 1.0, 3.0))
-    assert 0 < calls[0] <= 9  # each impact in each splitter's frame, at most once
+    calls = _gap_counter(monkeypatch)
+    geometry = ExperimentGeometry(2.0, 1.0, 3.0)
+    assert calls[0] == 1  # the four gaps, once, when the geometry is made
     calls[0] = 0
-    first = classify(schedule)
+    first = classify(geometry)
     assert first == TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True, 3)
     for _ in range(3):
-        assert classify(schedule) is first
+        assert classify(geometry) is first
     assert calls[0] == 0  # classify only reads what construction stored
-    # The stored outcome is not a field, so replace builds a schedule without it.
-    fresh = dataclasses.replace(schedule)
-    assert fresh == schedule and hash(fresh) == hash(schedule) and repr(fresh) == repr(schedule)
+    # The stored outcome is not a field, so replace builds a geometry without it.
+    fresh = dataclasses.replace(geometry)
+    assert calls[0] == 1
+    assert fresh == geometry and hash(fresh) == hash(geometry) and repr(fresh) == repr(geometry)
 
 
 def test_classify_refuses_a_near_tie_afresh_on_every_call(monkeypatch: pytest.MonkeyPatch) -> None:
-    calls = _boost_counter(monkeypatch)
-    schedule = _rest_schedule(1e-9 + 1e-16, 1e-9, 2e-9)
-    assert 0 < calls[0] <= 9
+    calls = _gap_counter(monkeypatch)
+    geometry = ExperimentGeometry(*NEAR_TIE)
+    assert calls[0] == 1
     calls[0] = 0
     errors = []
     for _ in range(3):
         with pytest.raises(AmbiguousScheduleError) as info:
-            classify(schedule)
+            classify(geometry)
         errors.append(info.value)
     assert calls[0] == 0
+    assert "BS11 vs BS21 in the BS11 frame" in str(errors[0])
     assert "guard band" in str(errors[0])
     assert len({str(error) for error in errors}) == 1
     assert len({id(error) for error in errors}) == len(errors)
@@ -643,26 +644,26 @@ def test_classify_refuses_a_near_tie_afresh_on_every_call(monkeypatch: pytest.Mo
     "clone", [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
 )
 def test_cloned_schedules_classify_by_their_own_fields(clone) -> None:
-    schedules = [schedule_from_geometry(series_preset(series)) for series in (1, 2, 3)]
-    schedules.append(_rest_schedule(1e-9 + 1e-16, 1e-9, 2e-9))
-    for schedule in schedules:
-        expected = _outcome(dataclasses.replace(schedule))
-        _outcome(schedule)
-        cloned = clone(schedule)
-        assert cloned == schedule
-        assert _outcome(cloned) == _outcome(schedule) == expected
+    geometries = [series_preset(series) for series in (1, 2, 3)]
+    geometries.append(ExperimentGeometry(*NEAR_TIE))
+    for geometry in geometries:
+        expected = _outcome(dataclasses.replace(geometry))
+        _outcome(geometry)
+        cloned = clone(geometry)
+        assert cloned == geometry
+        assert _outcome(cloned) == _outcome(geometry) == expected
 
 
 def test_replaced_schedules_classify_by_their_own_fields() -> None:
-    series3 = schedule_from_geometry(series_preset(3))
-    near_tie = _rest_schedule(1e-9 + 1e-16, 1e-9, 2e-9)
+    series3 = series_preset(3)
+    near_tie = ExperimentGeometry(*NEAR_TIE)
     assert classify(series3).series == 3
     with pytest.raises(AmbiguousScheduleError):
         classify(near_tie)
-    moved = dataclasses.replace(series3, bs11=schedule_from_geometry(series_preset(1)).bs11)
+    moved = dataclasses.replace(series3, m11_displacement=series_preset(1).m11_displacement)
     assert classify(moved).series == 1
     assert classify(dataclasses.replace(series3)) == classify(series3)
-    cleared = dataclasses.replace(near_tie, bs11=SpacetimeEvent(5e-10, -SPEED_OF_LIGHT * 5e-10))
+    cleared = dataclasses.replace(near_tie, m11_displacement=-0.5)
     assert classify(cleared).series == 2
     with pytest.raises(AmbiguousScheduleError):
         classify(dataclasses.replace(near_tie))
@@ -670,14 +671,14 @@ def test_replaced_schedules_classify_by_their_own_fields() -> None:
 
 def test_classify_keeps_no_reference_to_a_schedule() -> None:
     for build in (
-        lambda: dataclasses.replace(schedule_from_geometry(series_preset(2))),
-        lambda: _rest_schedule(1e-9 + 1e-16, 1e-9, 2e-9),
+        lambda: dataclasses.replace(series_preset(2)),
+        lambda: ExperimentGeometry(*NEAR_TIE),
     ):
-        schedule = build()
-        _outcome(schedule)
-        _outcome(schedule)
-        ref = weakref.ref(schedule)
-        del schedule
+        geometry = build()
+        _outcome(geometry)
+        _outcome(geometry)
+        ref = weakref.ref(geometry)
+        del geometry
         gc.collect()
         assert ref() is None
 
@@ -690,11 +691,11 @@ def test_classify_memo_holds_across_a_geometry_grid() -> None:
     for displacement, beta11, beta21, beta22 in grid:
         try:
             geometry = ExperimentGeometry(2.0, 1.0, 3.0, displacement, beta11, beta21, beta22)
-            assignment = classify(schedule_from_geometry(geometry))
+            assignment = classify(geometry)
         except ValueError:
             continue
-        assert assignment is classify(schedule_from_geometry(geometry))
-        assert assignment == classify(dataclasses.replace(schedule_from_geometry(geometry)))
+        assert assignment is classify(geometry)
+        assert assignment == classify(dataclasses.replace(geometry))
         reached.add(assignment)
     assert len(reached) >= 8
 
