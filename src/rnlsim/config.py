@@ -145,8 +145,8 @@ def parse_value(key: str, text: str) -> object:
 def parse_config_file(path: Path | str) -> dict[str, object]:
     """Read a flat `key = value` file into typed values.
 
-    Blank lines and lines starting with # are skipped.  Unknown keys,
-    repeated keys and malformed values are all ConfigErrors.
+    A # starts a comment that ends with its line; blank lines are skipped.
+    Unknown keys, repeated keys and malformed values are all ConfigErrors.
     """
     path = Path(path)
     try:
@@ -155,8 +155,8 @@ def parse_config_file(path: Path | str) -> dict[str, object]:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()  # no valid value contains a #
+        if not stripped:
             continue
         key, sep, raw = stripped.partition("=")
         if not sep:

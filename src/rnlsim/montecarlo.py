@@ -51,7 +51,6 @@ class CoincidenceCounts:
 class EstimatorResult:
     e_hat: float
     stderr: float
-    n: int
 
 
 @functools.cache  # built on first use, so `import rnlsim` does not import numpy.random
@@ -126,5 +125,5 @@ def estimate_correlation(counts: CoincidenceCounts) -> EstimatorResult:
     if n < 1:
         raise ValueError("cannot estimate a correlation from zero counts")
     e_hat = (counts.r_pp - counts.r_pm - counts.r_mp + counts.r_mm) / n
-    return EstimatorResult(e_hat=e_hat, stderr=correlation_stderr(e_hat, n), n=n)
+    return EstimatorResult(e_hat=e_hat, stderr=correlation_stderr(e_hat, n))
 

@@ -2,10 +2,10 @@
 
 Photon 1 crosses one beam splitter (phase phi11 on its input arm), photon 2
 crosses two in series (phase phi21 before the first, phi22 between the two).
-Each closed-form coincidence table is symmetric_joint(E) of its correlation
-E: qm_correlation after the final splitters, qm_single_pair_correlation
-between photon 2's two, 0 if the pair's origin or path is knowable.  An
-independent amplitude oracle composes 2x2 splitter unitaries and arm phases.
+Each closed-form table is symmetric_joint(E) of its correlation E(settings):
+qm_correlation after the final splitters, qm_single_pair_correlation between
+photon 2's two, 0 if the pair's origin or path is knowable.  An independent
+amplitude oracle composes 2x2 splitter unitaries and arm phases.
 """
 
 from __future__ import annotations
@@ -95,12 +95,12 @@ def qm_correlation(settings: PhaseSettings) -> float:
     return 0.5 * (math.cos(delta - settings.phi22) - math.cos(delta + settings.phi22))
 
 
-def qm_single_pair_correlation(phi11: float, phi21: float) -> float:
+def qm_single_pair_correlation(settings: PhaseSettings) -> float:
     """Correlation when photon 2 is detected between its two splitters: cos(phi11 - phi21).
 
     In amplitude_oracle's layout, BS21's output port 1 counts as outcome +1 here.
     """
-    return math.cos(require_finite("phi11", phi11) - require_finite("phi21", phi21))
+    return math.cos(settings.phi11 - settings.phi21)
 
 
 # --- amplitude oracle -------------------------------------------------------

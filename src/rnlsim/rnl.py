@@ -5,9 +5,9 @@ before/non-before pairing of the two impacts: two before impacts give flat
 product statistics, mixed pairings reproduce the quantum tables, and two
 non-before impacts give the flat table too: factorized through conditionals
 on the partner's before values, their correlation vanishes.  Every rule is a
-stage, stored as its table's correlation E, in one pairing -> stage table per
-model variant, _RULES; derivations sit above it.  predict flattens a quantum
-stage whose condition is off; the rest are symmetric_joint(E), memoized.
+stage, stored as its table's correlation E(settings), in one pairing -> stage
+table per model variant, _RULES; derivations sit above it.  predict flattens a
+quantum stage whose condition is off; the rest are symmetric_joint(E), memoized.
 """
 
 from __future__ import annotations
@@ -75,11 +75,7 @@ _B21, _B22, _A22 = PhotonTwoLabel.B21, PhotonTwoLabel.B22, PhotonTwoLabel.A22
 # because P_int has fair marginals.  The table is flat, E = 0, whatever the
 # two conditions: dropping condition1 only flattens P_int, and condition2
 # does not enter.  RNL_ALTERNATIVE equals RNL_STANDARD here.
-_FLAT, _INTERMEDIATE, _FINAL = (
-    lambda settings: 0.0,
-    lambda settings: qm_single_pair_correlation(settings.phi11, settings.phi21),
-    qm_correlation,
-)
+_FLAT, _INTERMEDIATE, _FINAL = (lambda settings: 0.0, qm_single_pair_correlation, qm_correlation)
 _STANDARD = {
     (_B11, _B21): _FLAT,
     (_B11, _B22): _FLAT,
@@ -101,14 +97,18 @@ _RULES = {
 
 @dataclass(frozen=True)
 class Prediction:
-    """A joint table together with its correlation."""
+    """A predicted joint table."""
 
     joint: JointDistribution
-    correlation: float
+
+    @property
+    def correlation(self) -> float:
+        """The table's own correlation, joint.correlation."""
+        return self.joint.correlation
 
 
 # Frozen, so every flat-stage prediction can be this one object.
-_FLAT_PREDICTION = Prediction(symmetric_joint(0.0), 0.0)
+_FLAT_PREDICTION = Prediction(symmetric_joint(0.0))
 
 
 def predict(
@@ -119,7 +119,7 @@ def predict(
     condition1: bool = True,
     condition2: bool = True,
 ) -> Prediction:
-    """Joint table and correlation for one timing assignment under one model variant.
+    """Joint table for one timing assignment under one model variant.
 
     condition1 asserts that pairs are indistinguishable when photon 2 is
     detected between its splitters, condition2 that paths are unknowable
@@ -147,6 +147,5 @@ def predict(
 # recent 256.  It is frozen, so sharing it is safe; phases are floats, and
 # +0.0 and -0.0 share a key: cos is even, so their tables are identical.
 @functools.lru_cache(maxsize=256)
-def _evaluate(stage: Callable[..., float], phi11: float, phi21: float, phi22: float) -> Prediction:
-    joint = symmetric_joint(stage(PhaseSettings(phi11, phi21, phi22)))
-    return Prediction(joint=joint, correlation=joint.correlation)
+def _evaluate(stage: Callable[[PhaseSettings], float], *phases: float) -> Prediction:
+    return Prediction(symmetric_joint(stage(PhaseSettings(*phases))))

@@ -70,7 +70,7 @@ def theorem_product(settings: PhaseSettings, label1: PhotonOneLabel) -> float:
     if label1 is PhotonOneLabel.A11_22:
         e_photon1_mixed = qm_correlation(settings)
     else:
-        e_photon1_mixed = qm_single_pair_correlation(settings.phi11, settings.phi21)
+        e_photon1_mixed = qm_single_pair_correlation(settings)
     e_photon2_mixed = qm_correlation(settings)
     return e_before_before * e_photon1_mixed * e_photon2_mixed
 
@@ -91,7 +91,7 @@ def conditional(
     b21)), a11[22] on the BS22 one (anchor (a11[22], b22)) and a22 on the
     BS11 one (anchor (b11, a22)); the partner's other before value drops out.
     """
-    intermediate = qm_single_pair_correlation(settings.phi11, settings.phi21) if condition1 else 0.0
+    intermediate = qm_single_pair_correlation(settings) if condition1 else 0.0
     final = qm_correlation(settings) if condition2 else 0.0
     anchor = symmetric_joint({
         PhotonOneLabel.A11_21: intermediate,

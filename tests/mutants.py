@@ -60,7 +60,12 @@ MUTANTS = (
     Mutant("rnl.py", "(_A11_21, _B22): _FLAT,", "(_A11_21, _B22): _FINAL,"),
     Mutant("rnl.py", "{**_STANDARD, (_A11_21, _A22): _FINAL}", "{**_STANDARD}"),
     Mutant("rnl.py", "{**_STANDARD, (_A11_21, _A22): _FINAL}", "{**_STANDARD, (_A11_22, _A22): _FINAL}"),
-    Mutant("rnl.py", "qm_single_pair_correlation(settings.phi11, settings.phi21)", "qm_single_pair_correlation(settings.phi11, settings.phi22)"),
+    Mutant(
+        "rnl.py",
+        "(lambda settings: 0.0, qm_single_pair_correlation, qm_correlation)",
+        "(lambda settings: 0.0, lambda settings: qm_correlation(settings), qm_correlation)",
+    ),
+    Mutant("rnl.py", "(lambda settings: 0.0, qm_single", "(lambda settings: 1.0, qm_single"),
     Mutant(
         "rnl.py",
         "ModelVariant.QM: dict.fromkeys(_STANDARD, _FINAL),",
@@ -72,6 +77,7 @@ MUTANTS = (
         "(condition2 if stage is _INTERMEDIATE else condition1)",
     ),
     Mutant("rnl.py", "if stage is _FLAT or not (", "if not ("),
+    Mutant("rnl.py", "return self.joint.correlation", "return round(self.joint.correlation, 12)"),
     # --- report: verdicts and streams -------------------------------------------
     Mutant("report.py", "VERDICT_SIGMA = 6.0", "VERDICT_SIGMA = 5.0"),
     Mutant("report.py", "stderr = max(correlation_stderr(", "stderr = min(correlation_stderr("),
@@ -95,7 +101,8 @@ MUTANTS = (
         "math.cos(delta - settings.phi22) - math.cos(delta + settings.phi22)",
         "math.cos(delta + settings.phi22) - math.cos(delta - settings.phi22)",
     ),
-    Mutant("quantum.py", "return math.cos(require_finite(\"phi11\"", "return math.sin(require_finite(\"phi11\""),
+    Mutant("quantum.py", "return math.cos(settings.phi11 - settings.phi21)", "return math.sin(settings.phi11 - settings.phi21)"),
+    Mutant("quantum.py", "return math.cos(settings.phi11 - settings.phi21)", "return math.cos(settings.phi11 - settings.phi22)"),
     # --- timing: guard band, the four closed-form gaps and labels --------------
     Mutant("timing.py", "GUARD_BAND_S = 1e-15", "GUARD_BAND_S = 1e-14"),
     Mutant("timing.py", "if not abs(gap) >= GUARD_BAND_S:", "if not abs(gap) > GUARD_BAND_S:"),
@@ -118,6 +125,8 @@ MUTANTS = (
     Mutant("config.py", "variant = by_name.get(name.lower())", "variant = by_name.get(name)"),
     Mutant("config.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
     Mutant("config.py", "raw = raw.strip()", "raw = raw"),
+    Mutant("config.py", 'stripped = line.partition("#")[0].strip()', "stripped = line.strip()"),
+    Mutant("config.py", 'stripped = line.partition("#")[0].strip()', 'stripped = line.partition(" #")[0].strip()'),
     Mutant("config.py", "if key in values:", "if key in ():"),
     Mutant("config.py", "if length_keys and len(length_keys) < len(_GEOMETRY_LENGTH_KEYS):", "if len(length_keys) == 1:"),
     Mutant("config.py", 'if "m11_displacement" in values and not length_keys:', 'if "m11_displacement" in values and not values:'),

@@ -38,6 +38,7 @@ from rnlsim import (
     series_preset,
     symmetric_joint,
 )
+from rnlsim import rnl
 
 ATOL = 1e-12
 
@@ -199,18 +200,16 @@ def test_criterion_6_byte_identical_reports() -> None:
 
 def test_criterion_7_distribution_invariants_sweep() -> None:
     rng = np.random.default_rng(20240817)
+    # Every pairing with a rule, so a new rule row is swept too, and (b11, a22)
+    # once more with BS21's impact not before.
     pairings = (
-        TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.B21),
-        TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.B22),
-        TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.B21),
-        TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.B22),
+        *(TimingAssignment(label1, label2) for label1, label2 in rnl._RULES[ModelVariant.RNL_STANDARD]),
         TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.A22, bs21_before=False),
-        TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.A22),
-        TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22),
     )
     variants = tuple(ModelVariant)
     worst = 0.0
     checked = 0
+    predicted = set()
     for index in range(10_000):
         settings = PhaseSettings(*rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=3))
         producer = index % 4
@@ -219,10 +218,12 @@ def test_criterion_7_distribution_invariants_sweep() -> None:
         elif producer == 1:
             table = amplitude_oracle(settings)
         elif producer == 2:
-            table = symmetric_joint(qm_single_pair_correlation(settings.phi11, settings.phi21))
+            table = symmetric_joint(qm_single_pair_correlation(settings))
         else:
             timing = pairings[index % len(pairings)]
-            table = predict(settings, timing, variants[index % len(variants)]).joint
+            variant = variants[index // len(pairings) % len(variants)]
+            table = predict(settings, timing, variant).joint
+            predicted.add((timing, variant))
         checked += 1
         worst = max(
             worst,
@@ -234,9 +235,10 @@ def test_criterion_7_distribution_invariants_sweep() -> None:
         )
     flat = symmetric_joint(0.0)
     worst = max(worst, abs(sum(as_array(flat)) - 1.0), abs(marginal_photon1(flat, 1) - 0.5))
-    ok = worst < ATOL and checked == 10_000
+    ok = worst < ATOL and checked == 10_000 and len(predicted) == len(pairings) * len(variants)
     _verdict(
         "criterion 7 (normalization and fair marginals, 10^4 random tables)",
         ok,
-        f"{checked} tables from all producers, worst deviation {worst:.3e} < {ATOL:g}",
+        f"{checked} tables from all producers, {len(predicted)} (pairing, variant) predictions,"
+        f" worst deviation {worst:.3e} < {ATOL:g}",
     )

@@ -26,7 +26,7 @@ from rnlsim import (
     parse_config_file,
 )
 from rnlsim.cli import main
-from rnlsim.config import parse_value
+from rnlsim.config import CONFIG_KEYS, parse_value
 from rnlsim.report import CSV_COLUMNS
 
 
@@ -109,6 +109,29 @@ def test_config_file_with_byte_order_mark_parses_as_without(tmp_path: Path) -> N
     marked = tmp_path / "marked.cfg"
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     assert parse_config_file(marked) == parse_config_file(plain) == {"series": 2, "seed": 7}
+
+
+def test_a_comment_may_follow_a_value(tmp_path: Path) -> None:
+    # A # starts a comment wherever it stands: no valid value contains one.
+    for line in ("seed = 5#note", "#note\nseed = 5"):
+        assert parse_config_file(_write(tmp_path, line)) == {"seed": 5}
+    csvs = []
+    for line in ("seed = 5", "seed = 5  # note"):
+        cfg = _write(tmp_path, f"n_events = 1000\n{line}\n")
+        assert parse_config_file(cfg) == {"n_events": 1000, "seed": 5}
+        out_path = tmp_path / "r.csv"
+        assert main(["--config", str(cfg), "--format", "csv", "--out", str(out_path)]) == 0
+        csvs.append(out_path.read_bytes())
+    assert csvs[0] == csvs[1]
+    with pytest.raises(ConfigError, match="empty value for 'seed'"):
+        parse_config_file(_write(tmp_path, "seed = # x\n"))
+
+
+def test_readme_config_block_parses(tmp_path: Path) -> None:
+    # Every line of the README's key block, inline comments included.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config file", 1)[1].split("```\n", 2)[1]
+    assert tuple(parse_config_file(_write(tmp_path, block))) == CONFIG_KEYS
 
 
 def test_explicit_geometry_config(tmp_path: Path) -> None:

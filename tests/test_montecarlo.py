@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -286,7 +287,8 @@ def test_estimator_known_values() -> None:
     result = estimate_correlation(CoincidenceCounts(400, 100, 100, 400))
     assert result.e_hat == pytest.approx(0.6)
     assert result.stderr == pytest.approx(math.sqrt((1.0 - 0.36) / 1000.0))
-    assert result.n == 1000
+    # The sample size is the counts' n_total; the estimate keeps no copy of it.
+    assert [field.name for field in dataclasses.fields(result)] == ["e_hat", "stderr"]
 
 
 def test_estimator_rejects_zero_counts() -> None:
@@ -313,7 +315,7 @@ def test_estimator_is_bounded(counts: tuple[int, int, int, int]) -> None:
 # --- runner --------------------------------------------------------------------
 
 
-def test_run_experiment_key_settings() -> None:
+def test_compare_report_key_settings() -> None:
     config = RunConfig(n_events=20_000, seed=9)
     counts = counts_by_variant(config)
     assert set(counts) == set(ModelVariant)
@@ -361,7 +363,7 @@ def test_compare_report_predicts_each_variant_once(monkeypatch: pytest.MonkeyPat
         assert stages == [stage for variant in variants for stage in expected[variant]]
 
 
-def test_run_experiment_is_deterministic() -> None:
+def test_compare_report_is_deterministic() -> None:
     config = RunConfig(n_events=30_000, seed=11)
     assert counts_by_variant(config) == counts_by_variant(config)
 

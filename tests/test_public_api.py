@@ -7,7 +7,10 @@ importing them) to catch a deleted or renamed name before the benchmark does.
 from __future__ import annotations
 
 import ast
+import contextlib
+import dataclasses
 import importlib
+import io
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from helpers import for_series
 from rnlsim import ModelVariant, PhaseSettings, predict
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = {
     "AmbiguousScheduleError",
@@ -97,3 +101,20 @@ def test_predict_returns_joint_and_correlation() -> None:
     )
     assert isinstance(prediction.joint, rnlsim.JointDistribution)
     assert prediction.correlation == prediction.joint.correlation
+    # The correlation is read from the table, never stored beside it.
+    assert [field.name for field in dataclasses.fields(prediction)] == ["joint"]
+    assert prediction == rnlsim.Prediction(prediction.joint)
+    with pytest.raises(AttributeError):
+        prediction.correlation = 0.0
+
+
+def test_readme_library_example_runs() -> None:
+    # The first python block under "## Library", run as written.
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    example = library.split("```python\n", 1)[1].split("```\n", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, str(README), "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "0.0"
+    assert [line.split()[0] for line in lines[1:]] == [variant.value for variant in ModelVariant]

@@ -66,16 +66,17 @@ def test_zero_final_phase_flattens_the_table() -> None:
 
 
 def test_single_pair_correlation_values() -> None:
-    assert qm_single_pair_correlation(0.7, 0.7) == pytest.approx(1.0, abs=ATOL)
-    assert qm_single_pair_correlation(math.radians(45.0), math.radians(-45.0)) == pytest.approx(
-        0.0, abs=ATOL
-    )
-    assert qm_single_pair_correlation(0.0, math.pi) == pytest.approx(-1.0, abs=ATOL)
+    assert qm_single_pair_correlation(PhaseSettings(0.7, 0.7, 0.0)) == pytest.approx(1.0, abs=ATOL)
+    assert qm_single_pair_correlation(KEY_SETTINGS) == pytest.approx(0.0, abs=ATOL)
+    assert qm_single_pair_correlation(PhaseSettings(0.0, math.pi, 0.0)) == pytest.approx(-1.0, abs=ATOL)
+    # The intermediate stage reads phi11 and phi21 only.
+    for phi22 in (0.0, 1.0, -2.5):
+        assert qm_single_pair_correlation(PhaseSettings(0.9, 0.1, phi22)) == math.cos(0.9 - 0.1)
 
 
 def test_single_pair_joint_table_matches_its_correlation() -> None:
-    table = symmetric_joint(qm_single_pair_correlation(0.9, 0.1))
-    e = qm_single_pair_correlation(0.9, 0.1)
+    table = symmetric_joint(qm_single_pair_correlation(PhaseSettings(0.9, 0.1, 0.0)))
+    e = qm_single_pair_correlation(PhaseSettings(0.9, 0.1, 0.0))
     assert table.p_pp == pytest.approx(0.25 + e / 4.0, abs=ATOL)
     assert table.p_pm == pytest.approx(0.25 - e / 4.0, abs=ATOL)
     assert table.correlation == pytest.approx(e, abs=ATOL)
@@ -92,8 +93,9 @@ def test_non_finite_phase_rejected() -> None:
         PhaseSettings(float("nan"), 0.0, 0.0)
     with pytest.raises(ValueError):
         PhaseSettings(0.0, float("inf"), 0.0)
-    with pytest.raises(ValueError):
-        qm_single_pair_correlation(float("nan"), 0.0)
+    # PhaseSettings guards every stage: a non-finite phase never reaches one.
+    with pytest.raises(ValueError, match="phi11 must be finite"):
+        qm_single_pair_correlation(PhaseSettings(float("nan"), 0.0, 0.0))
 
 
 def test_string_phases_are_refused() -> None:
@@ -111,11 +113,13 @@ def test_string_phases_are_refused() -> None:
 
 
 def test_single_pair_string_phases_are_refused() -> None:
+    # PhaseSettings refuses the phases before the intermediate stage sees them.
     with pytest.raises(ValueError, match="phi11 must be a real number"):
-        qm_single_pair_correlation("0.5", 0)
+        qm_single_pair_correlation(PhaseSettings("0.5", 0, 0))
     with pytest.raises(ValueError, match="phi21 must be a real number"):
-        qm_single_pair_correlation(0.5, "0")
-    assert qm_single_pair_correlation(np.float32(0.5), 0) == qm_single_pair_correlation(0.5, 0.0)
+        qm_single_pair_correlation(PhaseSettings(0.5, "0", 0))
+    single = qm_single_pair_correlation(PhaseSettings(np.float32(0.5), 0, 0))
+    assert single == qm_single_pair_correlation(PhaseSettings(0.5, 0.0, 0.0))
 
 
 def test_string_probabilities_are_refused() -> None:
@@ -222,7 +226,7 @@ def test_amplitudes_pin_the_intermediate_stage_sign(settings: PhaseSettings) -> 
     # Photon 2 detected right after BS21, output port 1 counting as +1: the
     # closed form's E = +cos(phi11 - phi21).  Port 0 as +1 would give -cos.
     table = oracle_table(settings, intermediate=True)
-    closed = symmetric_joint(qm_single_pair_correlation(settings.phi11, settings.phi21))
+    closed = symmetric_joint(qm_single_pair_correlation(settings))
     assert np.max(np.abs(as_array(table) - as_array(closed))) < ATOL
 
 

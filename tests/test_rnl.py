@@ -104,7 +104,7 @@ def test_summing_flat_before_statistics_reproduces_the_mixed_tables(
     cond_21 = _conditional(settings, PhotonOneLabel.A11_21)
     cond_22 = _conditional(settings, PhotonOneLabel.A11_22)
     cond_a22 = _conditional(settings, PhotonTwoLabel.A22)
-    intermediate = symmetric_joint(qm_single_pair_correlation(settings.phi11, settings.phi21))
+    intermediate = symmetric_joint(qm_single_pair_correlation(settings))
     final = symmetric_joint(qm_correlation(settings))
     for out in (1, -1):
         for given in (1, -1):
@@ -149,7 +149,7 @@ def test_two_before_pairings_give_the_flat_table() -> None:
 def test_intermediate_mixed_pairing_gives_the_single_pair_table() -> None:
     timing = TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.B21)
     settings = PhaseSettings(0.8, 0.1, 2.0)
-    expected = symmetric_joint(qm_single_pair_correlation(settings.phi11, settings.phi21))
+    expected = symmetric_joint(qm_single_pair_correlation(settings))
     got = _table(settings, timing, ModelVariant.RNL_STANDARD)
     assert _max_dev(got, expected) < ATOL
 
@@ -223,6 +223,9 @@ def test_every_table_is_the_fair_marginal_table_of_its_correlation(
                 )
                 expected = ((1 + e) / 4, (1 - e) / 4, (1 - e) / 4, (1 + e) / 4)
                 assert as_array(table) == pytest.approx(expected, abs=ATOL)
+        # The pairing's stored stage is the E it has with both conditions on.
+        e = _expected_correlation(timing.pairing, variant, settings, True, True)
+        assert rnl._RULES[variant][timing.pairing](settings) == pytest.approx(e, abs=ATOL)
 
 
 def test_every_label_pair_is_refused_or_predicted() -> None:
@@ -258,7 +261,7 @@ def test_qm_variant_ignores_timing() -> None:
         assert _max_dev(_table(KEY_SETTINGS, timing, ModelVariant.QM), expected) < ATOL
 
 
-def test_rnl_joint_validates_inputs() -> None:
+def test_predict_validates_inputs() -> None:
     timing = for_series(3)
     with pytest.raises(ValueError):
         _table(KEY_SETTINGS, timing, "QM")
@@ -303,7 +306,7 @@ def test_theorem_factors_are_the_mixed_correlations() -> None:
     # mixed-experiment factors vanish.
     settings = PhaseSettings(0.3, -0.4, 1.4)
     assert abs(qm_correlation(settings)) > 0.1
-    assert abs(qm_single_pair_correlation(settings.phi11, settings.phi21)) > 0.1
+    assert abs(qm_single_pair_correlation(settings)) > 0.1
     assert theorem_product(settings, PhotonOneLabel.A11_21) == 0.0
 
 
