@@ -45,17 +45,17 @@ class RunConfig:
             object.__setattr__(self, "_settings", settings)
             if (self.series is None) == (self.geometry is None):
                 raise ValueError("series and geometry are mutually exclusive, and one must be set")
-            if self.series is not None:
-                require_int("series", self.series, 1, 3)
-            if self.geometry is not None and not isinstance(self.geometry, ExperimentGeometry):
+            geometry = self.geometry if self.series is None else series_preset(self.series)
+            object.__setattr__(self, "_geometry", geometry)
+            if not isinstance(geometry, ExperimentGeometry):
                 raise ValueError("geometry must be an ExperimentGeometry")
+            # Before set(): it and hash(config) raise TypeError on a list or on a tuple holding one.
+            if not isinstance(self.variants, tuple) or {type(v) for v in self.variants} - {ModelVariant}:
+                raise ValueError(f"variants must be a tuple of ModelVariant members, got {self.variants!r}")
             if not self.variants:
                 raise ValueError("variants must not be empty")
             if len(set(self.variants)) != len(self.variants):
                 raise ValueError("variants must not repeat")
-            for variant in self.variants:
-                if not isinstance(variant, ModelVariant):
-                    raise ValueError(f"unknown variant {variant!r}")
             require_int("seed", self.seed, 0, MAX_KEY_WORD)
             require_int("n_events", self.n_events, 1, MAX_EVENTS)
             require_int("chunk_size", self.chunk_size, 1, MAX_EVENTS)
@@ -68,9 +68,8 @@ class RunConfig:
         return self._settings
 
     def resolve_geometry(self) -> ExperimentGeometry:
-        if self.geometry is not None:
-            return self.geometry
-        return series_preset(self.series)
+        """The geometry resolved at construction: the series preset, or geometry as given."""
+        return self._geometry
 
 
 def _parse_int(key: str, text: str) -> int:

@@ -64,9 +64,7 @@ class JointDistribution:
                     raise ValueError(f"{name} = {p!r} is negative")
                 p = 0.0
             object.__setattr__(self, name, p)
-            if p > 1.0 + PROB_ATOL:
-                raise ValueError(f"{name} = {p!r} exceeds 1")
-            total += p
+            total += p  # every p >= 0, so total >= p: the sum check also bounds each entry by 1
         if abs(total - 1.0) > PROB_ATOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
 

@@ -134,8 +134,7 @@ def render_csv(report: ComparisonReport) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow(["" if value is None else value for value in _row_values(report, row)])
+    writer.writerows(_row_values(report, row) for row in report.rows)  # csv writes None as ""
     return buffer.getvalue()
 
 

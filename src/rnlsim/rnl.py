@@ -128,6 +128,8 @@ def predict(
     pairing: QM's is final everywhere, and the alternative rule set differs
     from the standard one only on (a11[21], a22), where it is final too.
     """
+    if not isinstance(settings, PhaseSettings):
+        raise ValueError(f"settings must be a PhaseSettings, got {settings!r}")
     if not isinstance(variant, ModelVariant):
         raise ValueError(f"variant must be a ModelVariant, got {variant!r}")
     if not isinstance(timing, TimingAssignment):

@@ -78,6 +78,7 @@ MUTANTS = (
     ),
     Mutant("rnl.py", "if stage is _FLAT or not (", "if not ("),
     Mutant("rnl.py", "return self.joint.correlation", "return round(self.joint.correlation, 12)"),
+    Mutant("rnl.py", "if not isinstance(settings, PhaseSettings):", "if settings is None:"),
     # --- report: verdicts and streams -------------------------------------------
     Mutant("report.py", "VERDICT_SIGMA = 6.0", "VERDICT_SIGMA = 5.0"),
     Mutant("report.py", "stderr = max(correlation_stderr(", "stderr = min(correlation_stderr("),
@@ -132,6 +133,10 @@ MUTANTS = (
     Mutant("config.py", 'if "m11_displacement" in values and not length_keys:', 'if "m11_displacement" in values and not values:'),
     Mutant("config.py", 'require_int("seed", self.seed, 0, MAX_KEY_WORD)', 'require_int("seed", self.seed, 1, MAX_KEY_WORD)'),
     Mutant("config.py", "if len(set(self.variants)) != len(self.variants):", "if len(set(self.variants)) > len(self.variants):"),
+    Mutant("config.py", "if not isinstance(self.variants, tuple) or {type", "if {type"),
+    Mutant("config.py", " or {type(v) for v in self.variants} - {ModelVariant}:", ":"),
+    Mutant("config.py", "else series_preset(self.series)", "else series_preset(3)"),
+    Mutant("config.py", "return self._geometry", "return self.geometry or series_preset(self.series)"),
     Mutant(
         "config.py",
         "PhaseSettings.from_degrees(self.phi11_deg, self.phi21_deg, self.phi22_deg)",

@@ -23,7 +23,9 @@ from rnlsim import (
     PhaseSettings,
     RunConfig,
     build_run_config,
+    compare_report,
     parse_config_file,
+    series_preset,
 )
 from rnlsim.cli import main
 from rnlsim.config import CONFIG_KEYS, parse_value
@@ -162,7 +164,7 @@ def test_partial_geometry_is_an_error() -> None:
 def test_run_config_validation() -> None:
     with pytest.raises(ConfigError):
         RunConfig(series=None)  # neither series nor geometry
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^series must be in \[1, 3\], got 9$"):
         RunConfig(series=9)
     with pytest.raises(ConfigError):
         RunConfig(n_events=0)
@@ -170,10 +172,15 @@ def test_run_config_validation() -> None:
         RunConfig(seed=-1)
     with pytest.raises(ConfigError):
         RunConfig(seed=2**64)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="variants must not be empty"):
         RunConfig(variants=())
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="variants must not repeat"):
         RunConfig(variants=(ModelVariant.QM, ModelVariant.QM))
+    # Not iterable, not hashable, and a list: each would leak a TypeError from
+    # set() or hash(config) unless the tuple of members is checked first.
+    for variants in (5, ([1],), [ModelVariant.QM], ("QM",)):
+        with pytest.raises(ConfigError, match="variants must be a tuple of ModelVariant members"):
+            RunConfig(variants=variants)
     with pytest.raises(ConfigError):
         RunConfig(chunk_size=0)
     with pytest.raises(ConfigError):
@@ -195,6 +202,28 @@ def test_run_config_checks_and_builds_its_phases_once() -> None:
     assert "settings" not in repr(config)
     assert config == RunConfig(phi11_deg=10, phi21_deg=-20.0, phi22_deg=30.5)
     assert dataclasses.replace(config, phi22_deg=90.0).settings() == PhaseSettings.from_degrees(10, -20.0, 90.0)
+
+
+def test_run_config_resolves_its_geometry_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    presets = {series: series_preset(series) for series in (1, 2, 3)}
+    configs = {series: RunConfig(series=series, n_events=100) for series in presets}
+    explicit = ExperimentGeometry(1.0, 2.0, 4.0)  # a series 2 ordering, but not the preset
+    configs[None] = RunConfig(series=None, geometry=explicit, n_events=100)
+    replaced = dataclasses.replace(configs[3], series=1)
+    # The resolved geometry is no field: equality, hashing and repr ignore it.
+    assert replaced == configs[1] and hash(replaced) == hash(configs[1])
+    assert "_geometry" not in repr(replaced)
+
+    def refuse(series: int) -> ExperimentGeometry:
+        raise AssertionError(f"series_preset({series!r}) called after construction")
+
+    monkeypatch.setattr(rnlsim.config, "series_preset", refuse)
+    for series, config in configs.items():
+        geometry = config.resolve_geometry()
+        assert geometry is (explicit if series is None else presets[series])
+        assert config.resolve_geometry() is geometry
+        assert compare_report(config).timing.series == (2 if series is None else series)
+    assert replaced.resolve_geometry() is presets[1]
 
 
 def test_bool_counts_are_config_errors() -> None:

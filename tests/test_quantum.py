@@ -20,6 +20,7 @@ from rnlsim import (
     qm_single_pair_correlation,
     symmetric_joint,
 )
+from rnlsim.quantum import PROB_ATOL
 
 ATOL = 1e-12
 
@@ -144,6 +145,13 @@ def test_joint_distribution_validation() -> None:
         JointDistribution(-0.1, 0.4, 0.4, 0.3)  # genuinely negative
     with pytest.raises(ValueError, match="p_pm = -1e-11 is negative"):
         JointDistribution(0.5 + 1e-11, -1e-11, 0.25, 0.25)  # beyond rounding, though it sums to 1
+    # Entries are non-negative once clamped, so one above 1 + PROB_ATOL fails the sum check.
+    for entry in (1.0 + 2e-12, 1.5):
+        with pytest.raises(ValueError, match="probabilities sum to"):
+            JointDistribution(entry, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="probabilities sum to"):
+            JointDistribution(0.0, 0.0, 0.0, entry)
+    JointDistribution(1.0 + PROB_ATOL / 2, 0.0, 0.0, 0.0)  # within the tolerance
     # A degenerate but normalized table is allowed (used for sampler tests).
     degenerate = JointDistribution(1.0, 0.0, 0.0, 0.0)
     assert degenerate.p_pp == 1.0

@@ -19,6 +19,7 @@ from helpers import (
     for_series,
     marginal_photon1,
     marginal_photon2,
+    oracle_table,
     theorem_product,
 )
 from rnlsim import (
@@ -267,6 +268,40 @@ def test_predict_validates_inputs() -> None:
         _table(KEY_SETTINGS, timing, "QM")
     with pytest.raises(ValueError):
         _table(KEY_SETTINGS, "series 3", ModelVariant.QM)
+    # Series 3 is a flat stage under RNL_STANDARD, which reads no phase: the
+    # settings are refused there too, not only where a table needs them.
+    for settings in (None, (0.1, 0.2, 0.3)):
+        for variant in ModelVariant:
+            with pytest.raises(ValueError, match="settings must be a PhaseSettings"):
+                _table(settings, timing, variant)
+
+
+@given(settings_strategy)
+def test_each_stage_is_the_amplitude_table_of_its_layout(settings: PhaseSettings) -> None:
+    """Conditions as physics: a dropped condition is the oracle's incoherent table.
+
+    For every accepted pairing, variant and condition pair, a final stage is
+    oracle_table in the final layout, coherent iff condition2; an intermediate
+    stage is its intermediate layout, coherent iff condition1; the flat stage
+    is the incoherent table of either layout.  Bound: ATOL (1e-12) per entry.
+    """
+    oracle = {
+        (intermediate, coherent): oracle_table(settings, intermediate, coherent)
+        for intermediate, coherent in itertools.product((False, True), repeat=2)
+    }
+    for variant, timing in itertools.product(ModelVariant, ALL_PAIRINGS):
+        stage = rnl._RULES[variant][timing.pairing]
+        for condition1, condition2 in itertools.product((True, False), repeat=2):
+            got = _table(settings, timing, variant, condition1=condition1, condition2=condition2)
+            if stage is rnl._FLAT:
+                expected = [oracle[False, False], oracle[True, False]]
+            elif stage is rnl._INTERMEDIATE:
+                expected = [oracle[True, condition1]]
+            else:
+                assert stage is rnl._FINAL
+                expected = [oracle[False, condition2]]
+            for table in expected:
+                assert _max_dev(got, table) < ATOL
 
 
 # --- the two-non-before theorem ------------------------------------------------

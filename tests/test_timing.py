@@ -146,7 +146,7 @@ def test_closed_form_gaps_equal_the_boosted_frame_time_gaps(
 # --- classification ------------------------------------------------------------
 
 
-def test_schedule_rejects_photon2_order_violation() -> None:
+def test_geometry_rejects_photon2_order_violation() -> None:
     # Photon 2's impacts lie on one light ray: BS22's leg must be the longer,
     # whatever the splitters' velocities.
     for betas in ((0.0, 0.0, 0.0), (0.0, 0.9, -0.9)):
@@ -414,7 +414,7 @@ def test_geometry_rejects_bad_lengths() -> None:
     beta_bs21=st.sampled_from((-0.7, -0.3, -0.1, 0.1, 0.3, 0.7)),
     beta_bs22=st.sampled_from((-0.7, -0.3, -0.1, 0.1, 0.3, 0.7)),
 )
-def test_every_accepted_geometry_yields_a_schedule(
+def test_every_accepted_geometry_is_classified(
     length_bs21: float, beta_bs21: float, beta_bs22: float
 ) -> None:
     # Legs one ulp apart, whose frame times can round into a tie: a longer
@@ -496,7 +496,7 @@ geometry_betas = st.one_of(st.just(0.0), st.floats(min_value=-0.9, max_value=0.9
     moving=st.booleans(),
     betas=st.tuples(geometry_betas, geometry_betas, geometry_betas),
 )
-def test_a_geometry_keeps_the_schedule_its_fields_give(
+def test_a_geometry_keeps_the_classification_its_fields_give(
     l11: float,
     l21: float,
     l22: float,
@@ -607,7 +607,7 @@ def _gap_counter(monkeypatch: pytest.MonkeyPatch) -> list[int]:
 NEAR_TIE = (1.0 + 3e-8, 1.0, 2.0)
 
 
-def test_classify_stores_its_assignment_on_the_schedule(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_classify_stores_its_assignment_on_the_geometry(monkeypatch: pytest.MonkeyPatch) -> None:
     calls = _gap_counter(monkeypatch)
     geometry = ExperimentGeometry(2.0, 1.0, 3.0)
     assert calls[0] == 1  # the four gaps, once, when the geometry is made
@@ -643,7 +643,7 @@ def test_classify_refuses_a_near_tie_afresh_on_every_call(monkeypatch: pytest.Mo
 @pytest.mark.parametrize(
     "clone", [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
 )
-def test_cloned_schedules_classify_by_their_own_fields(clone) -> None:
+def test_cloned_geometries_classify_by_their_own_fields(clone) -> None:
     geometries = [series_preset(series) for series in (1, 2, 3)]
     geometries.append(ExperimentGeometry(*NEAR_TIE))
     for geometry in geometries:
@@ -654,7 +654,7 @@ def test_cloned_schedules_classify_by_their_own_fields(clone) -> None:
         assert _outcome(cloned) == _outcome(geometry) == expected
 
 
-def test_replaced_schedules_classify_by_their_own_fields() -> None:
+def test_replaced_geometries_classify_by_their_own_fields() -> None:
     series3 = series_preset(3)
     near_tie = ExperimentGeometry(*NEAR_TIE)
     assert classify(series3).series == 3
@@ -669,7 +669,7 @@ def test_replaced_schedules_classify_by_their_own_fields() -> None:
         classify(dataclasses.replace(near_tie))
 
 
-def test_classify_keeps_no_reference_to_a_schedule() -> None:
+def test_classify_keeps_no_reference_to_a_geometry() -> None:
     for build in (
         lambda: dataclasses.replace(series_preset(2)),
         lambda: ExperimentGeometry(*NEAR_TIE),
