@@ -101,9 +101,5 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

@@ -59,7 +59,8 @@ class JointDistribution:
         for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
             p = require_finite(name, getattr(self, name))
             if p < 0.0:
-                # Amplitude squares can undershoot zero by rounding only.
+                # No table the package builds has a negative entry; a caller's
+                # table may undershoot zero by rounding, and that is clamped.
                 if p < -PROB_ATOL:
                     raise ValueError(f"{name} = {p!r} is negative")
                 p = 0.0

@@ -111,7 +111,7 @@ class ExperimentGeometry:
     Displacing mirror M11 changes photon 1's path only.  Photon 2's impacts
     lie on one light ray, so length_bs22 > length_bs21 is its BS21-then-BS22
     order in every frame.  A geometry is classified once, when it is made,
-    from its four frame-time gaps: classify takes a geometry, not events.
+    from its four frame-time gaps.
     """
 
     length_bs11: float

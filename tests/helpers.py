@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from rnlsim import (
     CoincidenceCounts,
@@ -37,6 +38,16 @@ def _load_reference():
 
 # The one timing oracle: it boosts each impact into each splitter's frame.
 reference = _load_reference()
+
+# Absolute tolerance of every closed-form comparison.
+ATOL = 1e-12
+
+# The decisive settings, 45, -45 and 90 degrees: QM's E is 1 there.
+KEY_SETTINGS = PhaseSettings.from_degrees(45.0, -45.0, 90.0)
+
+# Bounded so that argument-reduction error in cos stays far below ATOL.
+phases = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False, allow_infinity=False)
+settings_strategy = st.builds(PhaseSettings, phases, phases, phases)
 
 
 def as_array(table: JointDistribution) -> np.ndarray:

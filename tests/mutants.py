@@ -121,8 +121,17 @@ MUTANTS = (
     Mutant("timing.py", "bs21_before = _strictly_before(lead_21_11,", "bs21_before = _strictly_before(-lead_11_21,"),
     Mutant("timing.py", "bs22_before = bs21_before and _strictly_before(", "bs22_before = _strictly_before("),
     Mutant("timing.py", "_SERIES_BY_PAIRING.get((label1, label2)) if betas", "_SERIES_BY_PAIRING.get((label1, label2)) if True or betas"),
+    Mutant(
+        "timing.py",
+        "if not isinstance(self.label1, PhotonOneLabel) or not isinstance(self.label2, PhotonTwoLabel):",
+        "if False:",
+    ),
     # --- config: value parsers, file format and run checks ----------------------
     Mutant("config.py", 'in ("true", "1", "yes", "on")', 'in ("true", "1", "yes")'),
+    Mutant("config.py", "return float(text)\n    except ValueError:", "return float(text)\n    except TypeError:"),
+    Mutant("config.py", "if not names:", "if False:"),
+    Mutant("config.py", "if unknown:", "if False:"),
+    Mutant("config.py", "if not isinstance(geometry, ExperimentGeometry):", "if False:"),
     Mutant("config.py", "variant = by_name.get(name.lower())", "variant = by_name.get(name)"),
     Mutant("config.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
     Mutant("config.py", "raw = raw.strip()", "raw = raw"),
@@ -146,6 +155,7 @@ MUTANTS = (
     Mutant("cli.py", "EXIT_AMBIGUOUS = 3", "EXIT_AMBIGUOUS = 2"),
     Mutant("cli.py", "values[key] = parse_value(key, text)", "values.setdefault(key, parse_value(key, text))"),
     Mutant("cli.py", 'glued[-1] += "=" + token', 'glued.append(token)'),
+    Mutant("cli.py", "        return False\n    return True", "        return True\n    return True"),
     Mutant("cli.py", "except (ConfigError, OSError) as exc:", "except (ValueError, OSError) as exc:"),
     Mutant("cli.py", "except (ConfigError, OSError) as exc:", "except ConfigError as exc:"),
 )

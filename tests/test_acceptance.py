@@ -12,6 +12,8 @@ import time
 import numpy as np
 
 from helpers import (
+    ATOL,
+    KEY_SETTINGS,
     as_array,
     counts_by_variant,
     for_series,
@@ -40,10 +42,6 @@ from rnlsim import (
 )
 from rnlsim import rnl
 
-ATOL = 1e-12
-
-KEY = PhaseSettings.from_degrees(45.0, -45.0, 90.0)
-
 SERIES3 = for_series(3)
 
 
@@ -53,10 +51,10 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_closed_form_values_at_key_settings() -> None:
-    e_qm = qm_correlation(KEY)
-    e_standard = predict(KEY, SERIES3, ModelVariant.RNL_STANDARD).correlation
-    e_theorem = theorem_product(KEY, PhotonOneLabel.A11_21)
-    e_alternative = predict(KEY, SERIES3, ModelVariant.RNL_ALTERNATIVE).correlation
+    e_qm = qm_correlation(KEY_SETTINGS)
+    e_standard = predict(KEY_SETTINGS, SERIES3, ModelVariant.RNL_STANDARD).correlation
+    e_theorem = theorem_product(KEY_SETTINGS, PhotonOneLabel.A11_21)
+    e_alternative = predict(KEY_SETTINGS, SERIES3, ModelVariant.RNL_ALTERNATIVE).correlation
     ok = (
         abs(e_qm - 1.0) < ATOL
         and abs(e_standard) < ATOL

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,9 @@ def test_unknown_key_is_an_error(tmp_path: Path) -> None:
     path = _write(tmp_path, "series = 3\nphi99_deg = 1\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_file(path)
+    # Typed values that come from no file are checked against the same keys.
+    with pytest.raises(ConfigError, match=r"^unknown keys \['bogus'\]$"):
+        build_run_config({"bogus": 1})
 
 
 def test_repeated_key_is_an_error(tmp_path: Path) -> None:
@@ -92,9 +96,14 @@ def test_bad_values_are_errors(tmp_path: Path) -> None:
         with pytest.raises(ConfigError):
             parse_config_file(path)
     # The value is quoted as written, without the spaces around it.
-    path = _write(tmp_path, "n_events =   soon  \n")
-    with pytest.raises(ConfigError, match=r"^n_events: expected an integer, got 'soon'$"):
-        parse_config_file(path)
+    for line, message in (
+        ("n_events =   soon  ", "n_events: expected an integer, got 'soon'"),
+        ("phi11_deg = abc", "phi11_deg: expected a number, got 'abc'"),
+        ("variants = ,", "variants: no variant named in ','"),
+    ):
+        path = _write(tmp_path, line + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_file(path)
 
 
 def test_boolean_words() -> None:
@@ -164,6 +173,8 @@ def test_partial_geometry_is_an_error() -> None:
 def test_run_config_validation() -> None:
     with pytest.raises(ConfigError):
         RunConfig(series=None)  # neither series nor geometry
+    with pytest.raises(ConfigError, match="^geometry must be an ExperimentGeometry$"):
+        RunConfig(series=None, geometry="x")
     with pytest.raises(ConfigError, match=r"^series must be in \[1, 3\], got 9$"):
         RunConfig(series=9)
     with pytest.raises(ConfigError):
@@ -343,6 +354,33 @@ def test_cli_exit_code_on_config_errors(tmp_path: Path, capsys: pytest.CaptureFi
     assert main(["--chunk-size", too_many]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    # Only a number is glued to its flag, so --series stays a flag and --seed
+    # has no value.  Glued, argparse would refuse the stray 3 instead.
+    with pytest.raises(SystemExit) as exited:
+        main(["--seed", "--series", "3"])
+    assert exited.value.code == 2
+    assert "argument --seed: expected one argument" in capsys.readouterr().err
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """`python -m rnlsim.cli ARGS` in a child process, killed after 30 s."""
+    package_root = os.path.dirname(os.path.dirname(rnlsim.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "rnlsim.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+        timeout=30,
+    )
+
+
+def test_cli_module_runs_as_a_script() -> None:
+    result = _run_module("--format", "csv", "--n-events", "10")
+    assert result.returncode == 0, result.stderr
+    assert tuple(next(csv.reader(io.StringIO(result.stdout)))) == CSV_COLUMNS
+    result = _run_module("--series", "9")
+    assert result.returncode == 2
+    assert (result.stdout, result.stderr) == ("", "error: series must be in [1, 3], got 9\n")
 
 
 def test_cli_runs_max_events_in_one_event_chunks_promptly() -> None:
@@ -350,16 +388,7 @@ def test_cli_runs_max_events_in_one_event_chunks_promptly() -> None:
     # time; each variant is one draw instead.  A child process, so that a
     # regression is killed at the timeout instead of hanging the suite.
     n_events = 2**63 - 1
-    package_root = os.path.dirname(os.path.dirname(rnlsim.__file__))
-    code = "import sys; from rnlsim.cli import main; sys.exit(main(sys.argv[1:]))"
-    result = subprocess.run(
-        [sys.executable, "-c", code, "--n-events", str(n_events), "--chunk-size", "1"]
-        + ["--format", "csv"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": package_root},
-        timeout=30,
-    )
+    result = _run_module("--n-events", str(n_events), "--chunk-size", "1", "--format", "csv")
     assert result.returncode == 0, result.stderr
     rows = list(csv.DictReader(io.StringIO(result.stdout)))
     assert len(rows) == 3

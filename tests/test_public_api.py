@@ -17,8 +17,8 @@ import pytest
 
 import rnlsim
 import rnlsim.cli
-from helpers import for_series
-from rnlsim import ModelVariant, PhaseSettings, predict
+from helpers import KEY_SETTINGS, for_series
+from rnlsim import ModelVariant, predict
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -96,9 +96,7 @@ def test_cli_main_exists() -> None:
 
 
 def test_predict_returns_joint_and_correlation() -> None:
-    prediction = predict(
-        PhaseSettings.from_degrees(45.0, -45.0, 90.0), for_series(3), ModelVariant.QM
-    )
+    prediction = predict(KEY_SETTINGS, for_series(3), ModelVariant.QM)
     assert isinstance(prediction.joint, rnlsim.JointDistribution)
     assert prediction.correlation == prediction.joint.correlation
     # The correlation is read from the table, never stored beside it.

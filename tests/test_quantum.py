@@ -6,10 +6,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import as_array, cell, for_series, marginal_photon1, marginal_photon2, oracle_table
+from helpers import (
+    ATOL,
+    KEY_SETTINGS,
+    as_array,
+    cell,
+    for_series,
+    marginal_photon1,
+    marginal_photon2,
+    oracle_table,
+    settings_strategy,
+)
 from rnlsim import (
     JointDistribution,
     ModelVariant,
@@ -21,14 +31,6 @@ from rnlsim import (
     symmetric_joint,
 )
 from rnlsim.quantum import PROB_ATOL
-
-ATOL = 1e-12
-
-KEY_SETTINGS = PhaseSettings.from_degrees(45.0, -45.0, 90.0)
-
-# Bounded so that argument-reduction error in cos stays far below ATOL.
-phases = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False, allow_infinity=False)
-settings_strategy = st.builds(PhaseSettings, phases, phases, phases)
 
 
 def _straight_line(settings: PhaseSettings, sigma: int, omega: int) -> float:
@@ -55,10 +57,6 @@ def test_key_settings_joint_values() -> None:
     assert table.p_mm == pytest.approx(0.5, abs=ATOL)
 
 
-def test_key_settings_correlation_is_unity() -> None:
-    assert abs(qm_correlation(KEY_SETTINGS) - 1.0) < ATOL
-
-
 def test_zero_final_phase_flattens_the_table() -> None:
     settings = PhaseSettings(0.3, -1.2, 0.0)
     for p in as_array(symmetric_joint(qm_correlation(settings))):
@@ -73,14 +71,6 @@ def test_single_pair_correlation_values() -> None:
     # The intermediate stage reads phi11 and phi21 only.
     for phi22 in (0.0, 1.0, -2.5):
         assert qm_single_pair_correlation(PhaseSettings(0.9, 0.1, phi22)) == math.cos(0.9 - 0.1)
-
-
-def test_single_pair_joint_table_matches_its_correlation() -> None:
-    table = symmetric_joint(qm_single_pair_correlation(PhaseSettings(0.9, 0.1, 0.0)))
-    e = qm_single_pair_correlation(PhaseSettings(0.9, 0.1, 0.0))
-    assert table.p_pp == pytest.approx(0.25 + e / 4.0, abs=ATOL)
-    assert table.p_pm == pytest.approx(0.25 - e / 4.0, abs=ATOL)
-    assert table.correlation == pytest.approx(e, abs=ATOL)
 
 
 def test_distinguishable_table_is_flat() -> None:
@@ -202,29 +192,12 @@ def test_two_pi_periodicity(settings: PhaseSettings, which: str) -> None:
 # --- amplitude oracle -------------------------------------------------------
 
 
-def test_oracle_matches_closed_form_at_key_settings() -> None:
-    oracle = amplitude_oracle(KEY_SETTINGS)
-    closed = symmetric_joint(qm_correlation(KEY_SETTINGS))
-    assert np.max(np.abs(as_array(oracle) - as_array(closed))) < ATOL
-
-
+@example(KEY_SETTINGS)
 @given(settings_strategy)
 def test_oracle_matches_closed_form(settings: PhaseSettings) -> None:
     closed = symmetric_joint(qm_correlation(settings))
     deviation = np.max(np.abs(as_array(amplitude_oracle(settings)) - as_array(closed)))
     assert deviation < ATOL
-
-
-def test_oracle_distribution_is_normalized_with_fair_marginals() -> None:
-    rng = np.random.default_rng(20240811)
-    for _ in range(50):
-        settings = PhaseSettings(*rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=3))
-        table = amplitude_oracle(settings)
-        assert abs(sum(as_array(table)) - 1.0) < ATOL
-        for outcome in (1, -1):
-            assert abs(marginal_photon1(table, outcome) - 0.5) < ATOL
-            assert abs(marginal_photon2(table, outcome) - 0.5) < ATOL
-
 
 
 @given(settings_strategy)

@@ -12,6 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    ATOL,
+    KEY_SETTINGS,
     as_array,
     cell,
     conditional,
@@ -20,6 +22,8 @@ from helpers import (
     marginal_photon1,
     marginal_photon2,
     oracle_table,
+    phases,
+    settings_strategy,
     theorem_product,
 )
 from rnlsim import (
@@ -34,13 +38,6 @@ from rnlsim import (
     symmetric_joint,
 )
 from rnlsim import rnl
-
-ATOL = 1e-12
-
-KEY_SETTINGS = PhaseSettings.from_degrees(45.0, -45.0, 90.0)
-
-phases = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False, allow_infinity=False)
-settings_strategy = st.builds(PhaseSettings, phases, phases, phases)
 
 ALL_PAIRINGS = (
     TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.B21),
@@ -139,52 +136,6 @@ def test_conditional_ignores_the_dropped_before_value(settings: PhaseSettings) -
 # --- dispatch -----------------------------------------------------------------
 
 
-def test_two_before_pairings_give_the_flat_table() -> None:
-    flat = symmetric_joint(0.0)
-    for label2 in (PhotonTwoLabel.B21, PhotonTwoLabel.B22):
-        timing = TimingAssignment(PhotonOneLabel.B11, label2)
-        for variant in (ModelVariant.RNL_STANDARD, ModelVariant.RNL_ALTERNATIVE):
-            assert _max_dev(_table(KEY_SETTINGS, timing, variant), flat) < ATOL
-
-
-def test_intermediate_mixed_pairing_gives_the_single_pair_table() -> None:
-    timing = TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.B21)
-    settings = PhaseSettings(0.8, 0.1, 2.0)
-    expected = symmetric_joint(qm_single_pair_correlation(settings))
-    got = _table(settings, timing, ModelVariant.RNL_STANDARD)
-    assert _max_dev(got, expected) < ATOL
-
-
-@given(settings_strategy)
-def test_final_mixed_pairings_equal_the_quantum_table(settings: PhaseSettings) -> None:
-    expected = symmetric_joint(qm_correlation(settings))
-    for timing in (
-        TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.B22),
-        TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.A22, bs21_before=False),
-    ):
-        for variant in (ModelVariant.RNL_STANDARD, ModelVariant.RNL_ALTERNATIVE):
-            assert _max_dev(_table(settings, timing, variant), expected) < ATOL
-
-
-def test_series3_pairing_splits_the_variants() -> None:
-    timing = TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22)
-    standard = _table(KEY_SETTINGS, timing, ModelVariant.RNL_STANDARD)
-    alternative = _table(KEY_SETTINGS, timing, ModelVariant.RNL_ALTERNATIVE)
-    assert standard.correlation == pytest.approx(0.0, abs=ATOL)
-    assert alternative.correlation == pytest.approx(1.0, abs=ATOL)
-    assert _max_dev(alternative, symmetric_joint(qm_correlation(KEY_SETTINGS))) < ATOL
-
-
-@given(settings_strategy)
-def test_variants_agree_everywhere_except_series3_pairing(settings: PhaseSettings) -> None:
-    for timing in ALL_PAIRINGS:
-        standard = _table(settings, timing, ModelVariant.RNL_STANDARD)
-        alternative = _table(settings, timing, ModelVariant.RNL_ALTERNATIVE)
-        if timing.pairing == (PhotonOneLabel.A11_21, PhotonTwoLabel.A22):
-            continue
-        assert _max_dev(standard, alternative) < ATOL
-
-
 def _expected_correlation(
     pairing: tuple[PhotonOneLabel, PhotonTwoLabel],
     variant: ModelVariant,
@@ -215,15 +166,15 @@ def _expected_correlation(
 def test_every_table_is_the_fair_marginal_table_of_its_correlation(
     timing: TimingAssignment, variant: ModelVariant
 ) -> None:
-    for settings in (KEY_SETTINGS, PhaseSettings(0.8, 0.1, 2.0), PhaseSettings(-2.5, 1.3, -0.4)):
+    fixed = ((0.8, 0.1, 2.0), (-2.5, 1.3, -0.4), (0.2, 0.2, 0.0), (0.9, 0.1, 0.0))  # intermediate E = 1 at (0.2, 0.2)
+    for settings in (KEY_SETTINGS, *(PhaseSettings(*phis) for phis in fixed)):
         for condition1 in (True, False):
             for condition2 in (True, False):
                 e = _expected_correlation(timing.pairing, variant, settings, condition1, condition2)
-                table = _table(
-                    settings, timing, variant, condition1=condition1, condition2=condition2
-                )
+                prediction = predict(settings, timing, variant, condition1=condition1, condition2=condition2)
                 expected = ((1 + e) / 4, (1 - e) / 4, (1 - e) / 4, (1 + e) / 4)
-                assert as_array(table) == pytest.approx(expected, abs=ATOL)
+                assert as_array(prediction.joint) == pytest.approx(expected, abs=ATOL)
+                assert prediction.correlation == pytest.approx(e, abs=ATOL)
         # The pairing's stored stage is the E it has with both conditions on.
         e = _expected_correlation(timing.pairing, variant, settings, True, True)
         assert rnl._RULES[variant][timing.pairing](settings) == pytest.approx(e, abs=ATOL)
@@ -254,12 +205,6 @@ def test_each_variant_has_one_rule_table_over_the_accepted_pairings() -> None:
     assert {pairing for pairing in accepted if alternative[pairing] is not standard[pairing]} == {series3}
     assert standard[series3] is rnl._FLAT and alternative[series3] is rnl._FINAL
     assert all(stage is rnl._FINAL for stage in rnl._RULES[ModelVariant.QM].values())
-
-
-def test_qm_variant_ignores_timing() -> None:
-    expected = symmetric_joint(qm_correlation(KEY_SETTINGS))
-    for timing in ALL_PAIRINGS:
-        assert _max_dev(_table(KEY_SETTINGS, timing, ModelVariant.QM), expected) < ATOL
 
 
 def test_predict_validates_inputs() -> None:
@@ -308,24 +253,15 @@ def test_each_stage_is_the_amplitude_table_of_its_layout(settings: PhaseSettings
 
 
 @given(settings_strategy)
-def test_factorized_tables_have_zero_correlation(settings: PhaseSettings) -> None:
-    for timing in (
-        TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.A22),
-        TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22),
-    ):
-        table = _table(settings, timing, ModelVariant.RNL_STANDARD)
-        assert abs(table.correlation) < ATOL
-        assert abs(table.correlation - theorem_product(settings, timing.label1)) < ATOL
-
-
-@given(settings_strategy)
 def test_two_nonbefore_tables_equal_the_factorized_derivation(settings: PhaseSettings) -> None:
     for label1 in (PhotonOneLabel.A11_22, PhotonOneLabel.A11_21):
         timing = TimingAssignment(label1, PhotonTwoLabel.A22)
         for condition1, condition2 in itertools.product((True, False), repeat=2):
             conditions = {"condition1": condition1, "condition2": condition2}
-            got = _table(settings, timing, ModelVariant.RNL_STANDARD, **conditions)
-            assert _max_dev(got, factorized_table(settings, label1, **conditions)) < ATOL
+            got = predict(settings, timing, ModelVariant.RNL_STANDARD, **conditions)
+            assert _max_dev(got.joint, factorized_table(settings, label1, **conditions)) < ATOL
+            # The product form vanishes identically, so this is |E| < ATOL too.
+            assert abs(got.correlation - theorem_product(settings, label1)) < ATOL
 
 
 def test_theorem_product_sweep() -> None:
@@ -348,26 +284,6 @@ def test_theorem_factors_are_the_mixed_correlations() -> None:
 # --- indistinguishability conditions -------------------------------------------
 
 
-def test_dropping_condition2_flattens_the_final_stage() -> None:
-    flat = symmetric_joint(0.0)
-    timing = TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.B22)
-    got = _table(KEY_SETTINGS, timing, ModelVariant.RNL_STANDARD, condition2=False)
-    assert _max_dev(got, flat) < ATOL
-    got_qm = _table(KEY_SETTINGS, for_series(3), ModelVariant.QM, condition2=False)
-    assert _max_dev(got_qm, flat) < ATOL
-
-
-def test_dropping_condition1_flattens_the_intermediate_stage() -> None:
-    flat = symmetric_joint(0.0)
-    timing = TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.B21)
-    settings = PhaseSettings(0.2, 0.2, 0.0)
-    got = _table(settings, timing, ModelVariant.RNL_STANDARD, condition1=False)
-    assert _max_dev(got, flat) < ATOL
-    # condition1 does not touch the final-stage table.
-    untouched = _table(settings, for_series(1), ModelVariant.RNL_STANDARD, condition1=False)
-    assert _max_dev(untouched, symmetric_joint(qm_correlation(settings))) < ATOL
-
-
 def test_condition_flags_must_be_bools() -> None:
     # A truthy string would run with the condition on: QM at series 3 gives
     # E = 1 with condition2 on and E = 0 with it off.
@@ -377,13 +293,6 @@ def test_condition_flags_must_be_bools() -> None:
                 with pytest.raises(ValueError, match=f"{name} must be true or false"):
                     predict(KEY_SETTINGS, timing, ModelVariant.QM, **{name: value})
     assert predict(KEY_SETTINGS, for_series(3), ModelVariant.QM, condition2=False).correlation == 0.0
-
-
-def test_factorized_table_stays_normalized_without_conditions() -> None:
-    timing = TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22)
-    table = _table(KEY_SETTINGS, timing, ModelVariant.RNL_STANDARD, condition1=False, condition2=False)
-    assert abs(sum(as_array(table)) - 1.0) < ATOL
-    assert abs(table.correlation) < ATOL
 
 
 # --- predict facade -------------------------------------------------------------
@@ -399,28 +308,6 @@ def test_predict_reports_the_table_correlation() -> None:
         for omega in (1, -1)
     )
     assert prediction.correlation == pytest.approx(by_hand, abs=ATOL)
-
-
-def test_predict_key_settings_expected_values() -> None:
-    timing = for_series(3)
-    assert predict(KEY_SETTINGS, timing, ModelVariant.QM).correlation == pytest.approx(1.0, abs=ATOL)
-    assert predict(KEY_SETTINGS, timing, ModelVariant.RNL_STANDARD).correlation == pytest.approx(
-        0.0, abs=ATOL
-    )
-    assert predict(KEY_SETTINGS, timing, ModelVariant.RNL_ALTERNATIVE).correlation == pytest.approx(
-        1.0, abs=ATOL
-    )
-
-
-@given(settings_strategy)
-def test_every_produced_table_is_normalized_with_fair_marginals(settings: PhaseSettings) -> None:
-    for timing in ALL_PAIRINGS:
-        for variant in ModelVariant:
-            table = _table(settings, timing, variant)
-            assert abs(sum(as_array(table)) - 1.0) < ATOL
-            for outcome in (1, -1):
-                assert abs(marginal_photon1(table, outcome) - 0.5) < ATOL
-                assert abs(marginal_photon2(table, outcome) - 0.5) < ATOL
 
 
 # --- memoized rule evaluation -----------------------------------------------------
