@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .config import CONFIG_KEYS, KEY_TABLE, build_run_config, parse_config_file, parse_value
 from .errors import AmbiguousScheduleError, ConfigError
@@ -24,8 +25,14 @@ _RENDERERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """A refused command line is a config error: main gives it its exit status."""
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rnlsim",
         description=(
             "Compare quantum-mechanical and relativistic-nonlocality coincidence "
@@ -84,8 +91,8 @@ def _glue_negative_numbers(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(_glue_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
+        args = build_parser().parse_args(_glue_negative_numbers(sys.argv[1:] if argv is None else argv))
         report = compare_report(build_run_config(_collect_values(args)))
         text = _RENDERERS[args.format](report)
         if args.out is None:

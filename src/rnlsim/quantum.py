@@ -5,15 +5,14 @@ crosses two in series (phase phi21 before the first, phi22 between the two).
 Each closed-form table is symmetric_joint(E) of its correlation E(settings):
 qm_correlation after the final splitters, qm_single_pair_correlation between
 photon 2's two, 0 if the pair's origin or path is knowable.  An independent
-amplitude oracle composes 2x2 splitter unitaries and arm phases.
+amplitude oracle sums path amplitudes in plain complex arithmetic, no numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import require_finite
 
@@ -105,32 +104,26 @@ def qm_single_pair_correlation(settings: PhaseSettings) -> float:
 # --- amplitude oracle -------------------------------------------------------
 
 
-# Lossless 50/50 splitter: transmission 1/sqrt(2), reflection i/sqrt(2).
-_SPLITTER = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
+def _splitter(upper: complex, lower: complex) -> tuple[complex, complex]:
+    """Lossless symmetric 50/50 splitter: transmission 1/sqrt(2), reflection i/sqrt(2)."""
+    return (upper + 1j * lower) / math.sqrt(2.0), (1j * upper + lower) / math.sqrt(2.0)
 
 
 def amplitude_oracle(settings: PhaseSettings) -> JointDistribution:
     """Coincidence table from explicit path amplitudes, independent of the closed forms.
 
-    The source emits the two-path state (|upper, upper> + |lower, lower>) /
-    sqrt(2), arm 0 being "upper".  Each photon gets a 2x2 transfer matrix
-    composed of symmetric splitters and arm phases; the two source branches
-    are summed amplitude-wise and squared.  Output port 0 of a final splitter
-    maps to outcome +1, port 1 to -1.  The layout was calibrated once against
-    a phase sweep: phi11 on photon 1's upper arm, phi21 on photon 2's lower
-    arm, phi22 on the upper output arm of the intermediate splitter.  Moving
-    phi21 to the upper arm would flip the fringe argument from phi11 - phi21
-    to phi11 + phi21.
+    The source state (|upper, upper> + |lower, lower>) / sqrt(2) is followed
+    branch by branch through arm phases and symmetric splitters as (upper,
+    lower) amplitude pairs; the branches are summed and squared.  Port 0 of a
+    final splitter is outcome +1, port 1 is -1.  The layout was calibrated
+    once against a phase sweep: phi11 on photon 1's upper arm, phi21 on photon
+    2's lower arm, phi22 on the upper arm between BS21 and BS22.  phi21 on the
+    upper arm would flip the fringe argument from phi11 - phi21 to phi11 + phi21.
     """
-    transfer_1 = _SPLITTER @ np.diag([np.exp(1j * settings.phi11), 1.0])
-    transfer_2 = (
-        _SPLITTER
-        @ np.diag([np.exp(1j * settings.phi22), 1.0])
-        @ _SPLITTER
-        @ np.diag([1.0, np.exp(1j * settings.phi21)])
-    )
-    amplitude = (
-        np.outer(transfer_1[:, 0], transfer_2[:, 0]) + np.outer(transfer_1[:, 1], transfer_2[:, 1])
-    ) / math.sqrt(2.0)
-    prob = np.abs(amplitude) ** 2
-    return JointDistribution(prob[0, 0], prob[0, 1], prob[1, 0], prob[1, 1])
+    phase11, phase21, phase22 = (cmath.exp(1j * phi) for phi in (settings.phi11, settings.phi21, settings.phi22))
+    branches = []
+    for upper, lower in ((1.0, 0.0), (0.0, 1.0)):
+        bs21 = _splitter(upper, phase21 * lower)
+        branches.append((_splitter(phase11 * upper, lower), _splitter(phase22 * bs21[0], bs21[1])))
+    cells = (abs(sum(out1[a] * out2[b] for out1, out2 in branches)) ** 2 / 2.0 for a in (0, 1) for b in (0, 1))
+    return JointDistribution(*cells)

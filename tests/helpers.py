@@ -168,7 +168,8 @@ def counts_by_variant(config: RunConfig) -> dict[ModelVariant, CoincidenceCounts
     return {row.variant: row.counts for row in compare_report(config).rows}
 
 
-# amplitude_oracle's lossless 50/50 splitter: transmission 1/sqrt(2), reflection i/sqrt(2).
+# amplitude_oracle's lossless 50/50 splitter as a numpy matrix: transmission 1/sqrt(2),
+# reflection i/sqrt(2).  The oracle itself uses no numpy, so the two share no code.
 _SPLITTER = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
 
 

@@ -94,7 +94,7 @@ MUTANTS = (
     Mutant("montecarlo.py", "MAX_EVENTS = 2**63 - 1", "MAX_EVENTS = 2**64 - 1"),
     Mutant("montecarlo.py", "for cell, q in enumerate(table) if q]", "for cell, q in enumerate(table)]"),
     Mutant("montecarlo.py", "p = [table[cell] / total for cell in cells]", "p = [table[cell] for cell in cells]"),
-    # --- quantum: closed forms and the probability tolerance --------------------
+    # --- quantum: closed forms, the oracle and the probability tolerance --------
     Mutant("quantum.py", "PROB_ATOL = 1e-12", "PROB_ATOL = 1e-9"),
     Mutant("quantum.py", "same, differ = 0.25 + e / 4.0, 0.25 - e / 4.0", "same, differ = 0.25 - e / 4.0, 0.25 + e / 4.0"),
     Mutant(
@@ -104,6 +104,9 @@ MUTANTS = (
     ),
     Mutant("quantum.py", "return math.cos(settings.phi11 - settings.phi21)", "return math.sin(settings.phi11 - settings.phi21)"),
     Mutant("quantum.py", "return math.cos(settings.phi11 - settings.phi21)", "return math.cos(settings.phi11 - settings.phi22)"),
+    Mutant("quantum.py", "(upper + 1j * lower) / math.sqrt(2.0)", "(upper - 1j * lower) / math.sqrt(2.0)"),
+    Mutant("quantum.py", "bs21 = _splitter(upper, phase21 * lower)", "bs21 = _splitter(phase21 * upper, lower)"),
+    Mutant("quantum.py", "from .errors import require_finite", "import numpy as np\n\nfrom .errors import require_finite"),
     # --- timing: guard band, the four closed-form gaps and labels --------------
     Mutant("timing.py", "GUARD_BAND_S = 1e-15", "GUARD_BAND_S = 1e-14"),
     Mutant("timing.py", "if not abs(gap) >= GUARD_BAND_S:", "if not abs(gap) > GUARD_BAND_S:"),
@@ -158,6 +161,7 @@ MUTANTS = (
     Mutant("cli.py", "        return False\n    return True", "        return True\n    return True"),
     Mutant("cli.py", "except (ConfigError, OSError) as exc:", "except (ValueError, OSError) as exc:"),
     Mutant("cli.py", "except (ConfigError, OSError) as exc:", "except ConfigError as exc:"),
+    Mutant("cli.py", "raise ConfigError(message)", "super().error(message)"),
 )
 
 

@@ -354,12 +354,21 @@ def test_cli_exit_code_on_config_errors(tmp_path: Path, capsys: pytest.CaptureFi
     assert main(["--chunk-size", too_many]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    # argparse's own refusals are config errors too: one error: line, no usage block.
     # Only a number is glued to its flag, so --series stays a flag and --seed
     # has no value.  Glued, argparse would refuse the stray 3 instead.
-    with pytest.raises(SystemExit) as exited:
-        main(["--seed", "--series", "3"])
-    assert exited.value.code == 2
-    assert "argument --seed: expected one argument" in capsys.readouterr().err
+    refusals = {
+        ("--seed", "--series", "3"): "error: argument --seed: expected one argument\n",
+        ("--bogus",): "error: unrecognized arguments: --bogus\n",
+        # How the choices are quoted after this differs between Python versions.
+        ("--format", "xml"): "error: argument --format: invalid choice: 'xml'",
+    }
+    for argv, first_line in refusals.items():
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(first_line) and err.count("\n") == 1, err
+    result = _run_module("--bogus")
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: unrecognized arguments: --bogus\n")
 
 
 def _run_module(*args: str) -> subprocess.CompletedProcess:

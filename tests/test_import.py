@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import rnlsim
 
@@ -24,3 +26,20 @@ def test_import_loads_no_process_machinery() -> None:
     assert "multiprocessing" not in loaded
     assert "concurrent.futures.process" not in loaded
     assert "numpy.random" not in loaded
+
+
+def test_only_the_sampler_imports_numpy() -> None:
+    # The closed forms and the amplitude oracle are plain float and complex
+    # arithmetic; numpy is the sampler's alone.
+    importers = set()
+    for path in Path(rnlsim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not `from .x import`
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                importers.add(path.name)
+    assert importers == {"montecarlo.py"}
