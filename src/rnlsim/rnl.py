@@ -3,13 +3,11 @@
 Unlike the timing-blind quantum rule, these predictions depend on the
 before/non-before pairing of the two impacts: two before impacts give flat
 product statistics, mixed pairings reproduce the quantum tables, and two
-non-before impacts give the flat table too: factorized through conditionals
-on the partner's before values, their correlation vanishes.  Every rule is a
-stage, stored as its table's correlation E(settings), in one pairing -> stage
-table per model variant, _RULES; derivations sit above it.  predict flattens a
-quantum stage whose condition is off; the rest are symmetric_joint(E), memoized.
+non-before impacts give the flat table too.  Every rule is a stage, stored as
+its table's correlation E(settings), in one pairing -> stage table per model
+variant, _RULES.  predict flattens a quantum stage whose condition is off; the
+rest are symmetric_joint(E), memoized.
 """
-
 from __future__ import annotations
 
 import enum
@@ -42,39 +40,9 @@ class ModelVariant(enum.Enum):
 _B11, _A11_21, _A11_22 = PhotonOneLabel.B11, PhotonOneLabel.A11_21, PhotonOneLabel.A11_22
 _B21, _B22, _A22 = PhotonTwoLabel.B21, PhotonTwoLabel.B22, PhotonTwoLabel.A22
 
-# Each rule is the stage whose table a pairing takes, stored as the table's
-# correlation E: 0 (flat), cos(phi11 - phi21) (intermediate) or
-# sin(phi11 - phi21) sin(phi22) (final).  RNL_STANDARD: two before impacts
-# give the flat table, mixed pairings the quantum table of their stage, two
-# non-before impacts the factorized one, which is flat as well.
-# TimingAssignment accepts these pairings and refuses (a11[22], b21).
-#
-# Two non-before impacts, (a11[22], a22) and (a11[21], a22): each outcome is
-# drawn from a conditional on the partner's before value, and the conditional
-# is pinned by its anchor, the mixed experiment it must reproduce against the
-# flat before table: P(out | given) = 2 P_mixed(out, given).  Photon 1's
-# anchor P_1 is (a11[22], b22) or (a11[21], b21), given photon 2's before
-# value omega'; photon 2's, P_2, is (b11, a22), given photon 1's sigma'.
-# Summed against the flat P_before(sigma', omega') = 1/4:
-#   P(sigma, omega) = sum_{sigma', omega'} 1/4 * 2 P_1(sigma, omega') * 2 P_2(sigma', omega)
-#                   = 1/4 * (2 sum_omega' P_1(sigma, omega')) * (2 sum_sigma' P_2(sigma', omega))
-#                   = 1/4 * 1 * 1,
-# because each anchor table has fair marginals.  The table is flat, E = 0,
-# for every condition pair: dropping a condition only flattens an anchor.
-# RNL_ALTERNATIVE keeps the full quantum table on (a11[21], a22).
-#
-# (a11[21], b22): in BS11's frame photon 1 has seen photon 2 pass BS21 but
-# not BS22, while photon 2 is before at both of its splitters.  So photon 1's
-# outcome sigma is conditioned on photon 2's BS21 port tau, through the
-# a11[21] conditional of the anchor (a11[21], b21): P(sigma | tau) =
-# 2 P_int(sigma, tau).  Photon 2's BS22 outcome omega is before in BS22's
-# frame, so given its BS21 port it is 50/50: P(omega | tau) = 1/2.  Summing
-# over the hidden port with the flat P(tau) = 1/2:
-#   P(sigma, omega) = sum_tau 1/2 * 2 P_int(sigma, tau) * 1/2
-#                   = 1/2 * (P_int(sigma, +) + P_int(sigma, -)) = 1/2 * 1/2,
-# because P_int has fair marginals.  The table is flat, E = 0, whatever the
-# two conditions: dropping condition1 only flattens P_int, and condition2
-# does not enter.  RNL_ALTERNATIVE equals RNL_STANDARD here.
+# Each stage is its table's correlation E; every RNL_STANDARD row is the table
+# of one multisimultaneity rule, tests/helpers.py::rule_table, which
+# test_rnl.py::test_every_table_is_the_fair_marginal_table_of_its_correlation checks.
 _FLAT, _INTERMEDIATE, _FINAL = (lambda settings: 0.0, qm_single_pair_correlation, qm_correlation)
 _STANDARD = {
     (_B11, _B21): _FLAT,

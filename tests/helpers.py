@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -20,9 +21,6 @@ from rnlsim import (
     RunConfig,
     TimingAssignment,
     compare_report,
-    qm_correlation,
-    qm_single_pair_correlation,
-    symmetric_joint,
 )
 
 
@@ -70,85 +68,6 @@ def marginal_photon2(table: JointDistribution, omega: int) -> float:
     return cell(table, 1, omega) + cell(table, -1, omega)
 
 
-def theorem_product(settings: PhaseSettings, label1: PhotonOneLabel) -> float:
-    """Product form of the two-non-before theorem: E(b,b) * E(a,b) * E(b,a).
-
-    label1 is photon 1's non-before label, a11[21] or a11[22].  The
-    all-before factor vanishes identically, so the product does too; it is
-    still evaluated factor by factor rather than short-circuited.
-    """
-    e_before_before = symmetric_joint(0.0).correlation
-    if label1 is PhotonOneLabel.A11_22:
-        e_photon1_mixed = qm_correlation(settings)
-    else:
-        e_photon1_mixed = qm_single_pair_correlation(settings)
-    e_photon2_mixed = qm_correlation(settings)
-    return e_before_before * e_photon1_mixed * e_photon2_mixed
-
-
-def conditional(
-    settings: PhaseSettings,
-    which: PhotonOneLabel | PhotonTwoLabel,
-    condition1: bool,
-    condition2: bool,
-) -> tuple[float, float, float, float]:
-    """Conditional linking a non-before outcome to the partner's before value.
-
-    Returns (P(+|+), P(-|+), P(+|-), P(-|-)), each column summing to 1.  The
-    table is pinned by one requirement: summing the flat before statistics
-    against it must reproduce the quantum table of the matching mixed
-    experiment, its anchor.  That forces P(out | given) = 2 * P_anchor(out,
-    given).  a11[21] conditions on the BS21 before value (anchor (a11[21],
-    b21)), a11[22] on the BS22 one (anchor (a11[22], b22)) and a22 on the
-    BS11 one (anchor (b11, a22)); the partner's other before value drops out.
-    """
-    intermediate = qm_single_pair_correlation(settings) if condition1 else 0.0
-    final = qm_correlation(settings) if condition2 else 0.0
-    anchor = symmetric_joint({
-        PhotonOneLabel.A11_21: intermediate,
-        PhotonOneLabel.A11_22: final,
-        PhotonTwoLabel.A22: final,
-    }[which])
-    # Photon 2's outcome is the anchor's second index, photon 1's its first.
-    if isinstance(which, PhotonTwoLabel):
-        minus_given_plus, plus_given_minus = anchor.p_pm, anchor.p_mp
-    else:
-        minus_given_plus, plus_given_minus = anchor.p_mp, anchor.p_pm
-    return 2.0 * anchor.p_pp, 2.0 * minus_given_plus, 2.0 * plus_given_minus, 2.0 * anchor.p_mm
-
-
-def factorized_table(
-    settings: PhaseSettings, label1: PhotonOneLabel, condition1: bool, condition2: bool
-) -> JointDistribution:
-    """The paper's two-non-before table: the flat before outcomes summed against both conditionals.
-
-    Photon 1's conditional (label1, a11[21] or a11[22]) reads photon 2's
-    before value and vice versa, so each non-before outcome is decided by the
-    partner's earlier impact alone.  The result is the flat table up to
-    rounding.
-    """
-    before = symmetric_joint(0.0)
-    cond1 = conditional(settings, label1, condition1, condition2)
-    cond2 = conditional(settings, PhotonTwoLabel.A22, condition1, condition2)
-    # (P(outcome | partner's before value +1), P(outcome | -1)) per outcome.
-    plus1, minus1 = (cond1[0], cond1[2]), (cond1[1], cond1[3])
-    plus2, minus2 = (cond2[0], cond2[2]), (cond2[1], cond2[3])
-
-    def entry(photon1: tuple[float, float], photon2: tuple[float, float]) -> float:
-        # Summed over (sigma, omega) = (+,+), (+,-), (-,+), (-,-), photon 1
-        # given omega and photon 2 given sigma.
-        return (
-            before.p_pp * photon1[0] * photon2[0]
-            + before.p_pm * photon1[1] * photon2[0]
-            + before.p_mp * photon1[0] * photon2[1]
-            + before.p_mm * photon1[1] * photon2[1]
-        )
-
-    return JointDistribution(
-        entry(plus1, plus2), entry(plus1, minus2), entry(minus1, plus2), entry(minus1, minus2)
-    )
-
-
 # Rest-frame (label1, label2, bs21_before) of each lab-ordering series.
 _SERIES_ASSIGNMENTS = {
     1: (PhotonOneLabel.A11_22, PhotonTwoLabel.B22, True),
@@ -194,6 +113,35 @@ def oracle_table(
     branches = [np.outer(transfer_1[:, k], transfer_2[:, k]) / math.sqrt(2.0) for k in (0, 1)]
     prob = np.abs(sum(branches)) ** 2 if coherent else sum(np.abs(branch) ** 2 for branch in branches)
     return JointDistribution(prob[0, 0], prob[0, 1], prob[1, 0], prob[1, 1])
+
+
+def rule_table(
+    settings: PhaseSettings, pairing: tuple[PhotonOneLabel, PhotonTwoLabel], condition1: bool = True, condition2: bool = True
+) -> JointDistribution:
+    """The multisimultaneity rule's table for one pairing, from oracle_table anchors alone.
+
+    The before values b = (sigma_b, tau_b, omega_b) at BS11, BS21 and BS22 are
+    flat, 1/8 each.  A before impact keeps its own; a non-before one draws its
+    outcome from 2 P_anchor(outcome, partner's before value), each anchor
+    coherent iff its condition holds: a11[21] reads tau_b through the
+    intermediate anchor, a11[22] omega_b and a22 sigma_b through the final one.
+    """
+    intermediate = oracle_table(settings, intermediate=True, coherent=condition1)
+    final = oracle_table(settings, coherent=condition2)
+    given_before = {  # P(outcome | b) per label; each anchor reads photon 1's value first
+        PhotonOneLabel.B11: lambda out, b: float(out == b[0]),
+        PhotonOneLabel.A11_21: lambda out, b: 2.0 * cell(intermediate, out, b[1]),
+        PhotonOneLabel.A11_22: lambda out, b: 2.0 * cell(final, out, b[2]),
+        PhotonTwoLabel.B21: lambda out, b: float(out == b[1]),
+        PhotonTwoLabel.B22: lambda out, b: float(out == b[2]),
+        PhotonTwoLabel.A22: lambda out, b: 2.0 * cell(final, b[0], out),
+    }
+    photon1, photon2 = (given_before[label] for label in pairing)
+    befores = list(itertools.product((1, -1), repeat=3))
+    return JointDistribution(*(
+        sum(photon1(sigma, b) * photon2(omega, b) for b in befores) / 8.0
+        for sigma, omega in itertools.product((1, -1), repeat=2)
+    ))
 
 
 def v5_reference(

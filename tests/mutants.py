@@ -58,6 +58,7 @@ MUTANTS = (
         "(_B11, _A22): _FLAT,\n    (_A11_22, _A22): _FLAT,\n    (_A11_21, _A22): _FINAL,",
     ),
     Mutant("rnl.py", "(_A11_21, _B22): _FLAT,", "(_A11_21, _B22): _FINAL,"),
+    Mutant("rnl.py", "(_B11, _B22): _FLAT,", "(_B11, _B22): _INTERMEDIATE,"),
     Mutant("rnl.py", "{**_STANDARD, (_A11_21, _A22): _FINAL}", "{**_STANDARD}"),
     Mutant("rnl.py", "{**_STANDARD, (_A11_21, _A22): _FINAL}", "{**_STANDARD, (_A11_22, _A22): _FINAL}"),
     Mutant(

@@ -1,14 +1,13 @@
-"""Timing-dependent prediction rules: the conditionals behind them, dispatch, vanishing theorem."""
+"""Timing-dependent prediction rules: the multisimultaneity rule behind every row, dispatch, conditions, memo."""
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -16,15 +15,11 @@ from helpers import (
     KEY_SETTINGS,
     as_array,
     cell,
-    conditional,
-    factorized_table,
     for_series,
-    marginal_photon1,
-    marginal_photon2,
     oracle_table,
     phases,
+    rule_table,
     settings_strategy,
-    theorem_product,
 )
 from rnlsim import (
     ModelVariant,
@@ -33,9 +28,6 @@ from rnlsim import (
     PhotonTwoLabel,
     TimingAssignment,
     predict,
-    qm_correlation,
-    qm_single_pair_correlation,
-    symmetric_joint,
 )
 from rnlsim import rnl
 
@@ -59,125 +51,43 @@ def _table(settings: PhaseSettings, timing: TimingAssignment, variant: ModelVari
     return predict(settings, timing, variant, **conditions).joint
 
 
-def _conditional(settings: PhaseSettings, which) -> dict[tuple[int, int], float]:
-    """P(outcome | given) keyed (outcome, given), both indistinguishability conditions on."""
-    plus_plus, minus_plus, plus_minus, minus_minus = conditional(settings, which, True, True)
-    return {(1, 1): plus_plus, (-1, 1): minus_plus, (1, -1): plus_minus, (-1, -1): minus_minus}
+# --- the multisimultaneity rule and dispatch -------------------------------------
 
 
-# --- conditionals -------------------------------------------------------------
-
-
-def test_conditional_equal_phases_is_deterministic() -> None:
-    settings = PhaseSettings(0.7, 0.7, 1.1)
-    table = _conditional(settings, PhotonOneLabel.A11_21)
-    assert table[1, 1] == pytest.approx(1.0, abs=ATOL)
-    assert table[-1, 1] == pytest.approx(0.0, abs=ATOL)
-    assert table[-1, -1] == pytest.approx(1.0, abs=ATOL)
-
-
-def test_conditional_orthogonal_phases_is_flat() -> None:
-    settings = PhaseSettings(math.radians(45.0), math.radians(-45.0), 1.1)
-    table = _conditional(settings, PhotonOneLabel.A11_21)
-    for outcome in (1, -1):
-        for given in (1, -1):
-            assert table[outcome, given] == pytest.approx(0.5, abs=ATOL)
-
-
-@given(settings_strategy, st.sampled_from([PhotonOneLabel.A11_21, PhotonOneLabel.A11_22, PhotonTwoLabel.A22]))
-def test_conditional_columns_sum_to_one(settings: PhaseSettings, which) -> None:
-    table = _conditional(settings, which)
-    for given in (1, -1):
-        assert abs(table[1, given] + table[-1, given] - 1.0) < ATOL
-
-
-@given(settings_strategy)
-def test_summing_flat_before_statistics_reproduces_the_mixed_tables(
-    settings: PhaseSettings,
-) -> None:
-    # The defining requirement of the conditionals: against the flat before
-    # table, the (non-before, before) experiment must give back its quantum
-    # table.  Checked for all three non-before impacts.
-    flat = symmetric_joint(0.0)
-    cond_21 = _conditional(settings, PhotonOneLabel.A11_21)
-    cond_22 = _conditional(settings, PhotonOneLabel.A11_22)
-    cond_a22 = _conditional(settings, PhotonTwoLabel.A22)
-    intermediate = symmetric_joint(qm_single_pair_correlation(settings))
-    final = symmetric_joint(qm_correlation(settings))
-    for out in (1, -1):
-        for given in (1, -1):
-            summed_21 = sum(cell(flat, sigma, given) * cond_21[out, given] for sigma in (1, -1))
-            assert abs(summed_21 - cell(intermediate, out, given)) < ATOL
-            summed_22 = sum(cell(flat, sigma, given) * cond_22[out, given] for sigma in (1, -1))
-            assert abs(summed_22 - cell(final, out, given)) < ATOL
-            summed_a22 = sum(cell(flat, given, omega) * cond_a22[out, given] for omega in (1, -1))
-            assert abs(summed_a22 - cell(final, given, out)) < ATOL
-
-
-@given(settings_strategy)
-def test_conditional_ignores_the_dropped_before_value(settings: PhaseSettings) -> None:
-    # Re-derive each conditional with the partner pair's other before value
-    # explicit: column extraction from the mixed table renormalized by that
-    # value's marginal.  The result cannot depend on the dropped index.
-    final = symmetric_joint(qm_correlation(settings))
-    cond_a22 = _conditional(settings, PhotonTwoLabel.A22)
-    for out in (1, -1):
-        for given_sigma in (1, -1):
-            for dropped_omega in (1, -1):
-                unreduced = cell(final, given_sigma, out) / marginal_photon1(final, given_sigma)
-                assert abs(unreduced - cond_a22[out, given_sigma]) < ATOL
-    cond_22 = _conditional(settings, PhotonOneLabel.A11_22)
-    for out in (1, -1):
-        for given_omega in (1, -1):
-            unreduced = cell(final, out, given_omega) / marginal_photon2(final, given_omega)
-            assert abs(unreduced - cond_22[out, given_omega]) < ATOL
-
-
-# --- dispatch -----------------------------------------------------------------
-
-
-def _expected_correlation(
-    pairing: tuple[PhotonOneLabel, PhotonTwoLabel],
-    variant: ModelVariant,
-    settings: PhaseSettings,
-    condition1: bool,
-    condition2: bool,
-) -> float:
-    """The paper's correlation per pairing, variant and condition, in plain math."""
-    qm = math.sin(settings.phi11 - settings.phi21) * math.sin(settings.phi22) if condition2 else 0.0
-    label1, label2 = pairing
-    if variant is ModelVariant.QM:
-        return qm
-    if label1 is PhotonOneLabel.B11 and label2 is not PhotonTwoLabel.A22:
-        return 0.0  # two before impacts
-    if pairing == (PhotonOneLabel.A11_21, PhotonTwoLabel.B21):
-        return math.cos(settings.phi11 - settings.phi21) if condition1 else 0.0
-    if pairing == (PhotonOneLabel.A11_21, PhotonTwoLabel.B22):
-        return 0.0  # photon 2 before at both splitters, summed over its BS21 port
-    if label1 is PhotonOneLabel.B11 or label2 is not PhotonTwoLabel.A22:
-        return qm  # final mixed pairings
-    if variant is ModelVariant.RNL_ALTERNATIVE and label1 is PhotonOneLabel.A11_21:
-        return qm  # the alternative rule on the series-3 pairing
-    return 0.0  # two non-before impacts
+def _expected_table(settings: PhaseSettings, pairing, variant: ModelVariant, condition1: bool, condition2: bool):
+    """rule_table, but for its two exceptions: QM everywhere and RNL_ALTERNATIVE on (a11[21], a22) are final."""
+    series3 = (PhotonOneLabel.A11_21, PhotonTwoLabel.A22)
+    if variant is ModelVariant.QM or (variant is ModelVariant.RNL_ALTERNATIVE and pairing == series3):
+        return oracle_table(settings, coherent=condition2)
+    return rule_table(settings, pairing, condition1, condition2)
 
 
 @pytest.mark.parametrize("variant", list(ModelVariant), ids=lambda v: v.value)
 @pytest.mark.parametrize("timing", ALL_PAIRINGS, ids=lambda t: f"{t.label1.value}-{t.label2.value}")
+@given(settings=settings_strategy)
+@example(settings=KEY_SETTINGS)
+@example(settings=PhaseSettings(0.8, 0.1, 2.0))
+@example(settings=PhaseSettings(-2.5, 1.3, -0.4))
+@example(settings=PhaseSettings(0.2, 0.2, 0.0))  # intermediate E = 1
+@example(settings=PhaseSettings(0.9, 0.1, 0.0))
 def test_every_table_is_the_fair_marginal_table_of_its_correlation(
-    timing: TimingAssignment, variant: ModelVariant
+    timing: TimingAssignment, variant: ModelVariant, settings: PhaseSettings
 ) -> None:
-    fixed = ((0.8, 0.1, 2.0), (-2.5, 1.3, -0.4), (0.2, 0.2, 0.0), (0.9, 0.1, 0.0))  # intermediate E = 1 at (0.2, 0.2)
-    for settings in (KEY_SETTINGS, *(PhaseSettings(*phis) for phis in fixed)):
-        for condition1 in (True, False):
-            for condition2 in (True, False):
-                e = _expected_correlation(timing.pairing, variant, settings, condition1, condition2)
-                prediction = predict(settings, timing, variant, condition1=condition1, condition2=condition2)
-                expected = ((1 + e) / 4, (1 - e) / 4, (1 - e) / 4, (1 + e) / 4)
-                assert as_array(prediction.joint) == pytest.approx(expected, abs=ATOL)
-                assert prediction.correlation == pytest.approx(e, abs=ATOL)
-        # The pairing's stored stage is the E it has with both conditions on.
-        e = _expected_correlation(timing.pairing, variant, settings, True, True)
-        assert rnl._RULES[variant][timing.pairing](settings) == pytest.approx(e, abs=ATOL)
+    """predict gives the rule's table, bar its two exceptions, under every condition pair.
+
+    Bound: ATOL (1e-12) per entry and on E.  The expected table is the
+    fair-marginal table of its correlation, and the pairing's stored stage
+    is the E it has with both conditions on.
+    """
+    for condition1, condition2 in itertools.product((True, False), repeat=2):
+        expected = _expected_table(settings, timing.pairing, variant, condition1, condition2)
+        e = expected.correlation
+        assert as_array(expected) == pytest.approx(((1 + e) / 4, (1 - e) / 4, (1 - e) / 4, (1 + e) / 4), abs=ATOL)
+        prediction = predict(settings, timing, variant, condition1=condition1, condition2=condition2)
+        assert _max_dev(prediction.joint, expected) < ATOL
+        assert prediction.correlation == pytest.approx(e, abs=ATOL)
+        if condition1 and condition2:
+            assert rnl._RULES[variant][timing.pairing](settings) == pytest.approx(e, abs=ATOL)
 
 
 def test_every_label_pair_is_refused_or_predicted() -> None:
@@ -247,38 +157,6 @@ def test_each_stage_is_the_amplitude_table_of_its_layout(settings: PhaseSettings
                 expected = [oracle[False, condition2]]
             for table in expected:
                 assert _max_dev(got, table) < ATOL
-
-
-# --- the two-non-before theorem ------------------------------------------------
-
-
-@given(settings_strategy)
-def test_two_nonbefore_tables_equal_the_factorized_derivation(settings: PhaseSettings) -> None:
-    for label1 in (PhotonOneLabel.A11_22, PhotonOneLabel.A11_21):
-        timing = TimingAssignment(label1, PhotonTwoLabel.A22)
-        for condition1, condition2 in itertools.product((True, False), repeat=2):
-            conditions = {"condition1": condition1, "condition2": condition2}
-            got = predict(settings, timing, ModelVariant.RNL_STANDARD, **conditions)
-            assert _max_dev(got.joint, factorized_table(settings, label1, **conditions)) < ATOL
-            # The product form vanishes identically, so this is |E| < ATOL too.
-            assert abs(got.correlation - theorem_product(settings, label1)) < ATOL
-
-
-def test_theorem_product_sweep() -> None:
-    rng = np.random.default_rng(20240814)
-    for _ in range(1000):
-        settings = PhaseSettings(*rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=3))
-        for label1 in (PhotonOneLabel.A11_22, PhotonOneLabel.A11_21):
-            assert abs(theorem_product(settings, label1)) < ATOL
-
-
-def test_theorem_factors_are_the_mixed_correlations() -> None:
-    # The product vanishes through its first factor, never because the
-    # mixed-experiment factors vanish.
-    settings = PhaseSettings(0.3, -0.4, 1.4)
-    assert abs(qm_correlation(settings)) > 0.1
-    assert abs(qm_single_pair_correlation(settings)) > 0.1
-    assert theorem_product(settings, PhotonOneLabel.A11_21) == 0.0
 
 
 # --- indistinguishability conditions -------------------------------------------
