@@ -20,7 +20,9 @@ from rnlsim import (
     PhotonTwoLabel,
     RunConfig,
     TimingAssignment,
+    classify,
     compare_report,
+    series_preset,
 )
 
 
@@ -68,18 +70,9 @@ def marginal_photon2(table: JointDistribution, omega: int) -> float:
     return cell(table, 1, omega) + cell(table, -1, omega)
 
 
-# Rest-frame (label1, label2, bs21_before) of each lab-ordering series.
-_SERIES_ASSIGNMENTS = {
-    1: (PhotonOneLabel.A11_22, PhotonTwoLabel.B22, True),
-    2: (PhotonOneLabel.B11, PhotonTwoLabel.A22, False),
-    3: (PhotonOneLabel.A11_21, PhotonTwoLabel.A22, True),
-}
-
-
 def for_series(series: int) -> TimingAssignment:
     """The timing assignment classify gives series_preset(series)."""
-    label1, label2, bs21_before = _SERIES_ASSIGNMENTS[series]
-    return TimingAssignment(label1, label2, bs21_before, series)
+    return classify(series_preset(series))
 
 
 def counts_by_variant(config: RunConfig) -> dict[ModelVariant, CoincidenceCounts]:

@@ -131,34 +131,6 @@ def test_predict_validates_inputs() -> None:
                 _table(settings, timing, variant)
 
 
-@given(settings_strategy)
-def test_each_stage_is_the_amplitude_table_of_its_layout(settings: PhaseSettings) -> None:
-    """Conditions as physics: a dropped condition is the oracle's incoherent table.
-
-    For every accepted pairing, variant and condition pair, a final stage is
-    oracle_table in the final layout, coherent iff condition2; an intermediate
-    stage is its intermediate layout, coherent iff condition1; the flat stage
-    is the incoherent table of either layout.  Bound: ATOL (1e-12) per entry.
-    """
-    oracle = {
-        (intermediate, coherent): oracle_table(settings, intermediate, coherent)
-        for intermediate, coherent in itertools.product((False, True), repeat=2)
-    }
-    for variant, timing in itertools.product(ModelVariant, ALL_PAIRINGS):
-        stage = rnl._RULES[variant][timing.pairing]
-        for condition1, condition2 in itertools.product((True, False), repeat=2):
-            got = _table(settings, timing, variant, condition1=condition1, condition2=condition2)
-            if stage is rnl._FLAT:
-                expected = [oracle[False, False], oracle[True, False]]
-            elif stage is rnl._INTERMEDIATE:
-                expected = [oracle[True, condition1]]
-            else:
-                assert stage is rnl._FINAL
-                expected = [oracle[False, condition2]]
-            for table in expected:
-                assert _max_dev(got, table) < ATOL
-
-
 # --- indistinguishability conditions -------------------------------------------
 
 
@@ -204,13 +176,18 @@ def _bits(prediction) -> tuple[str, ...]:
     return tuple(float(p).hex() for p in (*as_array(prediction.joint), prediction.correlation))
 
 
-def _fresh(settings: PhaseSettings, timing, variant, condition1: bool, condition2: bool):
-    rnl._evaluate.cache_clear()
+def _predict(settings: PhaseSettings, timing, variant, condition1: bool, condition2: bool):
     return predict(settings, timing, variant, condition1=condition1, condition2=condition2)
+
+
+def _fresh(settings: PhaseSettings, *case):
+    rnl._evaluate.cache_clear()
+    return _predict(settings, *case)
 
 
 @given(st.builds(PhaseSettings, signed_phases, signed_phases, signed_phases))
 def test_memoized_predictions_equal_fresh_rule_calls(settings: PhaseSettings) -> None:
+    """Memoized predictions are fresh rule calls bit for bit, shared by repeat calls, and frozen."""
     phis = (settings.phi11, settings.phi21, settings.phi22)
     # The same phases with every zero's sign flipped share the memo's keys;
     # each sibling moves one phase, so a key without it returns a stale table.
@@ -218,13 +195,17 @@ def test_memoized_predictions_equal_fresh_rule_calls(settings: PhaseSettings) ->
     siblings = [
         PhaseSettings(*(phi + 0.5 if j == i else phi for j, phi in enumerate(phis))) for i in range(3)
     ]
-    memoized = [
-        (s, (timing, variant, c1, c2), predict(s, timing, variant, condition1=c1, condition2=c2))
-        for s in (settings, flipped, *siblings)
-        for timing, variant, c1, c2 in MEMO_CASES
-    ]
+    memoized = [(s, case, _predict(s, *case)) for s in (settings, flipped, *siblings) for case in MEMO_CASES]
+    # A repeated call hands back the memoized object itself.
+    assert all(_predict(s, *case) is got for s, case, got in memoized)
+    for got in {id(got): got for _, _, got in memoized}.values():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.correlation = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.joint.p_pp = 0.5
     for s, case, got in memoized:
         assert _bits(got) == _bits(_fresh(s, *case))
+        assert got.correlation == got.joint.correlation
         # Every stage's table is 1/4 + (sigma*omega/4) E, symmetric bit for bit.
         assert got.joint.p_pp == got.joint.p_mm and got.joint.p_pm == got.joint.p_mp
 
@@ -272,23 +253,6 @@ def test_memo_stays_bounded_and_exact() -> None:
         assert _bits(predict(settings, timing, variant)) == _bits(got)
     for (settings, variant), got in zip(cases, memoized):
         assert _bits(got) == _bits(_fresh(settings, timing, variant, True, True))
-
-
-@given(settings_strategy)
-def test_predictions_are_shared_frozen_and_carry_their_table_correlation(
-    settings: PhaseSettings,
-) -> None:
-    for timing, variant, condition1, condition2 in MEMO_CASES:
-        conditions = dict(condition1=condition1, condition2=condition2)
-        first = predict(settings, timing, variant, **conditions)
-        assert first.correlation == first.joint.correlation
-        # A repeated call hands back the memoized object itself.
-        again = predict(settings, timing, variant, **conditions)
-        assert again == first and again is first
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            first.correlation = 0.5
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            first.joint.p_pp = 0.5
 
 
 def test_int_and_float_phases_give_one_table() -> None:
