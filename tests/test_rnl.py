@@ -187,7 +187,7 @@ def _fresh(settings: PhaseSettings, *case):
 
 @given(st.builds(PhaseSettings, signed_phases, signed_phases, signed_phases))
 def test_memoized_predictions_equal_fresh_rule_calls(settings: PhaseSettings) -> None:
-    """Memoized predictions are fresh rule calls bit for bit, shared by repeat calls, and frozen."""
+    """Memoized predictions are fresh rule calls bit for bit."""
     phis = (settings.phi11, settings.phi21, settings.phi22)
     # The same phases with every zero's sign flipped share the memo's keys;
     # each sibling moves one phase, so a key without it returns a stale table.
@@ -196,16 +196,8 @@ def test_memoized_predictions_equal_fresh_rule_calls(settings: PhaseSettings) ->
         PhaseSettings(*(phi + 0.5 if j == i else phi for j, phi in enumerate(phis))) for i in range(3)
     ]
     memoized = [(s, case, _predict(s, *case)) for s in (settings, flipped, *siblings) for case in MEMO_CASES]
-    # A repeated call hands back the memoized object itself.
-    assert all(_predict(s, *case) is got for s, case, got in memoized)
-    for got in {id(got): got for _, _, got in memoized}.values():
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            got.correlation = 0.5
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            got.joint.p_pp = 0.5
     for s, case, got in memoized:
         assert _bits(got) == _bits(_fresh(s, *case))
-        assert got.correlation == got.joint.correlation
         # Every stage's table is 1/4 + (sigma*omega/4) E, symmetric bit for bit.
         assert got.joint.p_pp == got.joint.p_mm and got.joint.p_pm == got.joint.p_mp
 
@@ -253,6 +245,22 @@ def test_memo_stays_bounded_and_exact() -> None:
         assert _bits(predict(settings, timing, variant)) == _bits(got)
     for (settings, variant), got in zip(cases, memoized):
         assert _bits(got) == _bits(_fresh(settings, timing, variant, True, True))
+
+
+@given(settings_strategy)
+def test_predictions_are_shared_frozen_and_carry_their_table_correlation(
+    settings: PhaseSettings,
+) -> None:
+    for case in MEMO_CASES:
+        first = _predict(settings, *case)
+        assert first.correlation == first.joint.correlation
+        # A repeated call hands back the memoized object itself.
+        again = _predict(settings, *case)
+        assert again == first and again is first
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.correlation = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.joint.p_pp = 0.5
 
 
 def test_int_and_float_phases_give_one_table() -> None:
