@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, require_flag, require_int
+from .errors import ConfigError, require_finite, require_flag, require_int
 from .montecarlo import MAX_EVENTS, MAX_KEY_WORD
 from .quantum import PhaseSettings
 from .rnl import ModelVariant
@@ -39,12 +39,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         # Only checks inside: a ValueError from anywhere else is no config error.
         try:
-            # Not a field, so out of __eq__, __hash__, __repr__; the phase fields
-            # stay as given, since the CSV prints them.
+            for name in ("phi11_deg", "phi21_deg", "phi22_deg"):
+                object.__setattr__(self, name, require_finite(name, getattr(self, name)))
             settings = PhaseSettings.from_degrees(self.phi11_deg, self.phi21_deg, self.phi22_deg)
-            object.__setattr__(self, "_settings", settings)
+            object.__setattr__(self, "_settings", settings)  # no field, so out of __eq__, __hash__, __repr__
             if (self.series is None) == (self.geometry is None):
                 raise ValueError("series and geometry are mutually exclusive, and one must be set")
+            if self.series is not None:
+                object.__setattr__(self, "series", require_int("series", self.series, 1, 3))
             geometry = self.geometry if self.series is None else series_preset(self.series)
             object.__setattr__(self, "_geometry", geometry)
             if not isinstance(geometry, ExperimentGeometry):
@@ -56,9 +58,9 @@ class RunConfig:
                 raise ValueError("variants must not be empty")
             if len(set(self.variants)) != len(self.variants):
                 raise ValueError("variants must not repeat")
-            require_int("seed", self.seed, 0, MAX_KEY_WORD)
-            require_int("n_events", self.n_events, 1, MAX_EVENTS)
-            require_int("chunk_size", self.chunk_size, 1, MAX_EVENTS)
+            object.__setattr__(self, "seed", require_int("seed", self.seed, 0, MAX_KEY_WORD))
+            object.__setattr__(self, "n_events", require_int("n_events", self.n_events, 1, MAX_EVENTS))
+            object.__setattr__(self, "chunk_size", require_int("chunk_size", self.chunk_size, 1, MAX_EVENTS))
             require_flag("condition1", self.condition1)
             require_flag("condition2", self.condition2)
         except ValueError as exc:

@@ -95,7 +95,7 @@ def sample_counts(
     a pure function of (joint, seed, variant_index, n_events).  chunk_size
     is range-checked and otherwise ignored since stream layout v4.
     """
-    require_int("n_events", n_events, 1, MAX_EVENTS)
+    n_events = require_int("n_events", n_events, 1, MAX_EVENTS)
     require_int("chunk_size", chunk_size, 1, MAX_EVENTS)
     table = (joint.p_pp, joint.p_pm, joint.p_mp, joint.p_mm)
     # Only nonzero cells are drawn, so a zero cell can never take the

@@ -69,12 +69,12 @@ class TimingAssignment:
             raise ValueError(f"pairing ({self.label1.value}, {self.label2.value}) is not representable")
         if not require_flag("bs21_before", self.bs21_before) and self.label2 is not PhotonTwoLabel.A22:
             raise ValueError(f"label {self.label2.value} requires the BS21 impact to be before")
-        if self.series is not None and (
-            require_int("series", self.series, 1, 3) != _SERIES_BY_PAIRING.get(self.pairing)
-        ):
-            raise ValueError(
-                f"series {self.series!r} does not match pairing ({self.label1.value}, {self.label2.value})"
-            )
+        if self.series is not None:
+            object.__setattr__(self, "series", require_int("series", self.series, 1, 3))
+            if self.series != _SERIES_BY_PAIRING.get(self.pairing):
+                raise ValueError(
+                    f"series {self.series!r} does not match pairing ({self.label1.value}, {self.label2.value})"
+                )
 
     @property
     def pairing(self) -> tuple[PhotonOneLabel, PhotonTwoLabel]:

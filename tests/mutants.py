@@ -145,6 +145,8 @@ MUTANTS = (
     Mutant("config.py", "if length_keys and len(length_keys) < len(_GEOMETRY_LENGTH_KEYS):", "if len(length_keys) == 1:"),
     Mutant("config.py", 'if "m11_displacement" in values and not length_keys:', 'if "m11_displacement" in values and not values:'),
     Mutant("config.py", 'require_int("seed", self.seed, 0, MAX_KEY_WORD)', 'require_int("seed", self.seed, 1, MAX_KEY_WORD)'),
+    Mutant("config.py", 'for name in ("phi11_deg", "phi21_deg", "phi22_deg"):', 'for name in ("phi21_deg", "phi22_deg"):'),
+    Mutant("config.py", 'object.__setattr__(self, "seed", require_int("seed", self.seed, 0, MAX_KEY_WORD))', 'require_int("seed", self.seed, 0, MAX_KEY_WORD)'),
     Mutant("config.py", "if len(set(self.variants)) != len(self.variants):", "if len(set(self.variants)) > len(self.variants):"),
     Mutant("config.py", "if not isinstance(self.variants, tuple) or {type", "if {type"),
     Mutant("config.py", " or {type(v) for v in self.variants} - {ModelVariant}:", ":"),

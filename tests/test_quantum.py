@@ -14,7 +14,6 @@ from helpers import (
     KEY_SETTINGS,
     as_array,
     cell,
-    for_series,
     marginal_photon1,
     marginal_photon2,
     oracle_table,
@@ -22,10 +21,8 @@ from helpers import (
 )
 from rnlsim import (
     JointDistribution,
-    ModelVariant,
     PhaseSettings,
     amplitude_oracle,
-    predict,
     qm_correlation,
     qm_single_pair_correlation,
     symmetric_joint,
@@ -77,48 +74,6 @@ def test_distinguishable_table_is_flat() -> None:
     table = symmetric_joint(0.0)
     assert as_array(table).tolist() == [0.25, 0.25, 0.25, 0.25]
     assert table.correlation == 0.0
-
-
-def test_non_finite_phase_rejected() -> None:
-    with pytest.raises(ValueError):
-        PhaseSettings(float("nan"), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        PhaseSettings(0.0, float("inf"), 0.0)
-    # PhaseSettings guards every stage: a non-finite phase never reaches one.
-    with pytest.raises(ValueError, match="phi11 must be finite"):
-        qm_single_pair_correlation(PhaseSettings(float("nan"), 0.0, 0.0))
-
-
-def test_string_phases_are_refused() -> None:
-    for value in ("0.5", "half", b"0.5", None, 1j):
-        with pytest.raises(ValueError, match="phi11 must be a real number"):
-            PhaseSettings(value, 0, 0)
-        with pytest.raises(ValueError, match="phi22_deg must be a real number"):
-            PhaseSettings.from_degrees(0, 0, value)
-    # Real numbers of any type are still stored as floats.
-    settings = PhaseSettings(np.float64(0.5), 0, np.int64(1))
-    assert settings == PhaseSettings(0.5, 0.0, 1.0)
-    assert all(type(phi) is float for phi in (settings.phi11, settings.phi21, settings.phi22))
-    prediction = predict(settings, for_series(3), ModelVariant.QM)
-    assert prediction.joint == symmetric_joint(qm_correlation(PhaseSettings(0.5, 0.0, 1.0)))
-
-
-def test_single_pair_string_phases_are_refused() -> None:
-    # PhaseSettings refuses the phases before the intermediate stage sees them.
-    with pytest.raises(ValueError, match="phi11 must be a real number"):
-        qm_single_pair_correlation(PhaseSettings("0.5", 0, 0))
-    with pytest.raises(ValueError, match="phi21 must be a real number"):
-        qm_single_pair_correlation(PhaseSettings(0.5, "0", 0))
-    single = qm_single_pair_correlation(PhaseSettings(np.float32(0.5), 0, 0))
-    assert single == qm_single_pair_correlation(PhaseSettings(0.5, 0.0, 0.0))
-
-
-def test_string_probabilities_are_refused() -> None:
-    with pytest.raises(ValueError, match="p_pp must be a real number"):
-        JointDistribution("0.25", 0.25, 0.25, 0.25)
-    table = JointDistribution(np.float64(0.25), 0.25, 0.25, 0.25)
-    assert table == symmetric_joint(0.0)
-    assert type(table.p_pp) is float
 
 
 def test_from_degrees_conversion() -> None:

@@ -134,17 +134,6 @@ def test_predict_validates_inputs() -> None:
 # --- indistinguishability conditions -------------------------------------------
 
 
-def test_condition_flags_must_be_bools() -> None:
-    # A truthy string would run with the condition on: QM at series 3 gives
-    # E = 1 with condition2 on and E = 0 with it off.
-    for value in ("false", "true", 0, 1, None, np.True_):
-        for name in ("condition1", "condition2"):
-            for timing in (for_series(3), TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.B22)):
-                with pytest.raises(ValueError, match=f"{name} must be true or false"):
-                    predict(KEY_SETTINGS, timing, ModelVariant.QM, **{name: value})
-    assert predict(KEY_SETTINGS, for_series(3), ModelVariant.QM, condition2=False).correlation == 0.0
-
-
 # --- predict facade -------------------------------------------------------------
 
 

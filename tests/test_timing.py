@@ -208,16 +208,6 @@ def test_classify_agrees_with_the_reference_labels(
             assert abs(marginal_photon2(table, outcome) - 0.5) < ATOL
 
 
-def test_geometry_rejects_photon2_order_violation() -> None:
-    # Photon 2's impacts lie on one light ray: BS22's leg must be the longer,
-    # whatever the splitters' velocities.
-    for velocities in (AT_REST, (0.0, 0.9, -0.9)):
-        with pytest.raises(ValueError, match="BS21 before BS22") as error:
-            ExperimentGeometry(2.0, 3.0, 1.0, 0.0, *velocities)
-        # A reversal is a bad input, not an ambiguity to refuse later.
-        assert not isinstance(error.value, AmbiguousScheduleError)
-
-
 def test_guard_band_refuses_inside_and_decides_at_its_edge() -> None:
     # The reference allows a refusal wherever a flip inside the band could
     # change the labels, so it cannot say where the band ends; these cases
@@ -286,10 +276,6 @@ def test_unrepresentable_pairing_rejected() -> None:
 def test_before_label2_requires_bs21_before() -> None:
     with pytest.raises(ValueError):
         TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.B22, bs21_before=False)
-    # A truthy "no" or 1 would pass for True.
-    for flag in ("no", 1, np.True_):
-        with pytest.raises(ValueError, match="bs21_before must be true or false"):
-            TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.B22, bs21_before=flag)
 
 
 def test_series_must_match_the_pairing() -> None:
@@ -300,10 +286,6 @@ def test_series_must_match_the_pairing() -> None:
     ):
         with pytest.raises(ValueError, match="does not match pairing"):
             TimingAssignment(label1, label2, True, series)
-    # (a11[22], b22) is series 1, which True and 1.0 equal without being series ids.
-    for series in (True, np.True_, 1.0):
-        with pytest.raises(ValueError, match="series must be an integer"):
-            TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.B22, True, series)
 
 
 # --- geometry ------------------------------------------------------------------
@@ -314,34 +296,19 @@ def test_geometry_rejects_bad_lengths() -> None:
         ExperimentGeometry(length_bs11=0.0, length_bs21=1.0, length_bs22=2.0)
     with pytest.raises(ValueError):
         ExperimentGeometry(length_bs11=1.0, length_bs21=1.0, length_bs22=2.0, m11_displacement=-1.0)
-    # Photon 2 out of order, and legs of equal length.
-    for length_bs22 in (1.0, 0.5):
-        with pytest.raises(ValueError, match="BS21 before BS22"):
-            ExperimentGeometry(length_bs11=1.0, length_bs21=1.0, length_bs22=length_bs22)
+    # Photon 2's impacts lie on one light ray: BS22's leg must be the longer,
+    # whatever the splitters' velocities.  Legs of equal length, and reversed.
+    for velocities in (AT_REST, (0.0, 0.9, -0.9)):
+        for lengths in ((1.0, 1.0, 1.0), (1.0, 1.0, 0.5), (2.0, 3.0, 1.0)):
+            with pytest.raises(ValueError, match="BS21 before BS22") as error:
+                ExperimentGeometry(*lengths, 0.0, *velocities)
+            # A bad input, not an ambiguity to refuse later.
+            assert not isinstance(error.value, AmbiguousScheduleError)
+    # Two finite lengths whose sum is not.
     with pytest.raises(ValueError, match="effective_length_bs11 must be finite"):
         ExperimentGeometry(
             length_bs11=1e308, length_bs21=1.0, length_bs22=2.0, m11_displacement=1e308
         )
-
-
-def test_string_event_times_and_lengths_are_refused() -> None:
-    for kwargs in (
-        {"length_bs11": "2"},
-        {"length_bs22": "3"},
-        {"m11_displacement": "0.5"},
-        {"beta_bs11": "-0.3"},
-    ):
-        name = next(iter(kwargs))
-        with pytest.raises(ValueError, match=f"{name} must be a real number"):
-            ExperimentGeometry(**{"length_bs11": 2.0, "length_bs21": 1.0, "length_bs22": 3.0, **kwargs})
-    with pytest.raises(ValueError, match="must be a real number"):
-        ExperimentGeometry("2", "1", "3")
-    # Real numbers of any type are still stored as floats.
-    geometry = ExperimentGeometry(np.int64(2), 1, 3.0, m11_displacement=np.float64(0.5), beta_bs11=-0.3)
-    fields = (geometry.length_bs11, geometry.length_bs21, geometry.m11_displacement, geometry.beta_bs11)
-    assert fields == (2.0, 1.0, 0.5, -0.3)
-    assert all(type(value) is float for value in fields)
-    assert geometry.effective_length_bs11 == 2.5
 
 
 def test_schedule_from_geometry_returns_its_argument() -> None:
@@ -526,11 +493,3 @@ def test_presets_are_shared() -> None:
     assert len({id(series_preset(series)) for series in (1, 2, 3)}) == 3
 
 
-def test_preset_requires_known_series() -> None:
-    for series in (0, 4, -1):
-        with pytest.raises(ValueError, match="series must be in"):
-            series_preset(series)
-    # True would give the series-1 geometry, 3.0 the series-3 one.
-    for series in (True, np.True_, 3.0, 2.0):
-        with pytest.raises(ValueError, match="series must be an integer"):
-            series_preset(series)
