@@ -34,6 +34,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rnlsim",
+        allow_abbrev=False,  # a prefix of a flag would get round _glue_negative_numbers
         description=(
             "Compare quantum-mechanical and relativistic-nonlocality coincidence "
             "predictions for a two-photon experiment with successive beam-splitter "

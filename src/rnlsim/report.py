@@ -148,11 +148,15 @@ def _geometry_line(config: RunConfig) -> str:
     if config.series is not None:
         return f"geometry: series {config.series} preset"
     geometry = config.geometry
-    return (
+    line = (
         "geometry: lengths "
         f"bs11={geometry.length_bs11!r} m, bs21={geometry.length_bs21!r} m, "
         f"bs22={geometry.length_bs22!r} m, m11_displacement={geometry.m11_displacement!r} m"
     )
+    betas = (geometry.beta_bs11, geometry.beta_bs21, geometry.beta_bs22)
+    if betas != (0.0, 0.0, 0.0):  # classify's rest test, so -0.0 is at rest
+        line += ", beta_bs11={!r}, beta_bs21={!r}, beta_bs22={!r}".format(*betas)
+    return line
 
 
 def render_table(report: ComparisonReport) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import math
+import shlex
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from rnlsim import (
     compare_report,
     series_preset,
 )
+from rnlsim.cli import main
 
 
 def _load_reference():
@@ -152,3 +154,19 @@ def v5_reference(
     counts = np.zeros(4, dtype=np.int64)
     counts[cells] = rng.multinomial(n_events, p)
     return tuple(int(c) for c in counts), p.tolist()
+
+
+def run_cli(capsys, tmp_path: Path, config: bytes | None, argv: str) -> tuple[int, str, str]:
+    """main()'s exit code, stdout and stderr for one command line.
+
+    argv is split like a shell line, with {tmp} standing for tmp_path.  Config
+    bytes are written to tmp_path/run.cfg, which --config reads first.
+    """
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in shlex.split(argv)]
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_bytes(config)
+        args = ["--config", str(path), *args]
+    code = main(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err

@@ -165,6 +165,18 @@ MUTANTS = (
     Mutant("cli.py", "except (ConfigError, OSError) as exc:", "except (ValueError, OSError) as exc:"),
     Mutant("cli.py", "except (ConfigError, OSError) as exc:", "except ConfigError as exc:"),
     Mutant("cli.py", "raise ConfigError(message)", "super().error(message)"),
+    Mutant("cli.py", "allow_abbrev=False,", ""),
+    # --- errors: the one copy of each input check --------------------------------
+    Mutant("errors.py", "if isinstance(value, bool) or not isinstance(value, numbers.Real):", "if not isinstance(value, numbers.Real):"),
+    Mutant("errors.py", "if isinstance(value, bool) or not isinstance(value, numbers.Integral):", "if not isinstance(value, numbers.Integral):"),
+    Mutant("errors.py", "if not low <= value <= high:", "if not low < value <= high:"),
+    Mutant("errors.py", "if not low <= value <= high:", "if not low <= value < high:"),
+    Mutant("errors.py", "value = float(value)", "value = value"),
+    Mutant("errors.py", "value = int(value)", "value = value"),
+    Mutant("errors.py", "if value is not True and value is not False:", "if not isinstance(value, int):"),
+    Mutant("errors.py", "if not math.isfinite(value):", "if math.isnan(value):"),
+    # --- report: the table header -----------------------------------------------
+    Mutant("report.py", "if betas != (0.0, 0.0, 0.0):", "if False:"),
 )
 
 

@@ -5,9 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,9 +25,10 @@ from rnlsim import (
     parse_config_file,
     series_preset,
 )
+from helpers import run_cli
 from rnlsim.cli import main
-from rnlsim.config import CONFIG_KEYS, parse_value
-from rnlsim.report import CSV_COLUMNS
+from rnlsim.config import CONFIG_KEYS
+from rnlsim.report import CSV_COLUMNS, render_table
 
 
 def _write(tmp_path: Path, text: str) -> Path:
@@ -68,105 +67,11 @@ def test_parse_full_config(tmp_path: Path) -> None:
     assert config.condition2 is False
 
 
-def test_unknown_key_is_an_error(tmp_path: Path) -> None:
-    path = _write(tmp_path, "series = 3\nphi99_deg = 1\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_file(path)
-    # Typed values that come from no file are checked against the same keys.
-    with pytest.raises(ConfigError, match=r"^unknown keys \['bogus'\]$"):
-        build_run_config({"bogus": 1})
-
-
-def test_repeated_key_is_an_error(tmp_path: Path) -> None:
-    path = _write(tmp_path, "seed = 1\nseed = 2\n")
-    with pytest.raises(ConfigError, match="repeated key"):
-        parse_config_file(path)
-
-
-def test_malformed_line_is_an_error(tmp_path: Path) -> None:
-    path = _write(tmp_path, "series 3\n")
-    with pytest.raises(ConfigError, match="expected 'key = value'"):
-        parse_config_file(path)
-
-
-def test_bad_values_are_errors(tmp_path: Path) -> None:
-    for line in ("n_events = soon", "condition1 = maybe", "variants = QM, FTL", "seed ="):
-        path = _write(tmp_path, line + "\n")
-        with pytest.raises(ConfigError):
-            parse_config_file(path)
-    # The value is quoted as written, without the spaces around it.
-    for line, message in (
-        ("n_events =   soon  ", "n_events: expected an integer, got 'soon'"),
-        ("phi11_deg = abc", "phi11_deg: expected a number, got 'abc'"),
-        ("variants = ,", "variants: no variant named in ','"),
-    ):
-        path = _write(tmp_path, line + "\n")
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            parse_config_file(path)
-
-
-def test_boolean_words() -> None:
-    for word in ("true", "1", "yes", "on", "On", " TRUE "):
-        assert parse_value("condition2", word) is True
-    for word in ("false", "0", "no", "off", "OFF"):
-        assert parse_value("condition2", word) is False
-
-
-def test_config_file_with_byte_order_mark_parses_as_without(tmp_path: Path) -> None:
-    text = "series = 2\nseed = 7\n"
-    plain = tmp_path / "plain.cfg"
-    plain.write_bytes(text.encode("utf-8"))
-    marked = tmp_path / "marked.cfg"
-    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-    assert parse_config_file(marked) == parse_config_file(plain) == {"series": 2, "seed": 7}
-
-
-def test_a_comment_may_follow_a_value(tmp_path: Path) -> None:
-    # A # starts a comment wherever it stands: no valid value contains one.
-    for line in ("seed = 5#note", "#note\nseed = 5"):
-        assert parse_config_file(_write(tmp_path, line)) == {"seed": 5}
-    csvs = []
-    for line in ("seed = 5", "seed = 5  # note"):
-        cfg = _write(tmp_path, f"n_events = 1000\n{line}\n")
-        assert parse_config_file(cfg) == {"n_events": 1000, "seed": 5}
-        out_path = tmp_path / "r.csv"
-        assert main(["--config", str(cfg), "--format", "csv", "--out", str(out_path)]) == 0
-        csvs.append(out_path.read_bytes())
-    assert csvs[0] == csvs[1]
-    with pytest.raises(ConfigError, match="empty value for 'seed'"):
-        parse_config_file(_write(tmp_path, "seed = # x\n"))
-
-
 def test_readme_config_block_parses(tmp_path: Path) -> None:
     # Every line of the README's key block, inline comments included.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("### Config file", 1)[1].split("```\n", 2)[1]
     assert tuple(parse_config_file(_write(tmp_path, block))) == CONFIG_KEYS
-
-
-def test_explicit_geometry_config(tmp_path: Path) -> None:
-    path = _write(
-        tmp_path,
-        "length_bs11 = 1.0\nlength_bs21 = 1.0\nlength_bs22 = 2.0\nm11_displacement = 0.5\n",
-    )
-    config = build_run_config(parse_config_file(path))
-    assert config.series is None
-    assert config.geometry is not None
-    assert config.geometry.effective_length_bs11 == pytest.approx(1.5)
-
-
-def test_series_and_lengths_are_exclusive() -> None:
-    with pytest.raises(ConfigError, match="mutually exclusive"):
-        build_run_config({"series": 1, "length_bs11": 1.0, "length_bs21": 1.0, "length_bs22": 2.0})
-
-
-def test_partial_geometry_is_an_error() -> None:
-    with pytest.raises(ConfigError, match="all three lengths"):
-        build_run_config({"length_bs11": 1.0})
-    with pytest.raises(ConfigError, match=r"missing \['length_bs21'\]$"):
-        build_run_config({"length_bs11": 2.0, "length_bs22": 3.0})
-    with pytest.raises(ConfigError, match="requires explicit geometry"):
-        build_run_config({"m11_displacement": 0.5})
 
 
 def test_run_config_validation() -> None:
@@ -185,6 +90,9 @@ def test_run_config_validation() -> None:
             RunConfig(variants=variants)
     # No bound on the chunk count: each variant is one draw whatever chunk_size is.
     RunConfig(n_events=2**63 - 1, chunk_size=1)
+    # Typed values that come from no file are checked against the config keys.
+    with pytest.raises(ConfigError, match=r"^unknown keys \['bogus'\]$"):
+        build_run_config({"bogus": 1})
 
 
 def test_run_config_checks_and_builds_its_phases_once() -> None:
@@ -223,87 +131,6 @@ def test_run_config_resolves_its_geometry_once(monkeypatch: pytest.MonkeyPatch) 
 # --- CLI -----------------------------------------------------------------------
 
 
-def test_cli_default_run_table(capsys: pytest.CaptureFixture) -> None:
-    assert main(["--n-events", "2000"]) == 0
-    out = capsys.readouterr().out
-    assert "series 3 preset" in out
-    for variant in ModelVariant:
-        assert variant.value in out
-    assert "verdicts" in out
-
-
-def test_cli_csv_schema(tmp_path: Path) -> None:
-    out_path = tmp_path / "report.csv"
-    assert main(["--n-events", "1000", "--format", "csv", "--out", str(out_path)]) == 0
-    rows = list(csv.reader(io.StringIO(out_path.read_text())))
-    assert tuple(rows[0]) == CSV_COLUMNS
-    assert len(rows) == 1 + 3
-    qm_row = dict(zip(rows[0], rows[1]))
-    assert qm_row["variant"] == "QM"
-    assert qm_row["series"] == "3"
-    assert qm_row["phi11_deg"] == "45.0"
-    assert int(qm_row["R_pp"]) + int(qm_row["R_mm"]) == 1000
-    assert qm_row["e_hat"] == "1.0"
-    assert qm_row["e_analytic"] == "1.0"
-
-
-def test_cli_csv_is_byte_deterministic(tmp_path: Path) -> None:
-    args = ["--n-events", "5000", "--seed", "21", "--format", "csv"]
-    path_a = tmp_path / "a.csv"
-    path_b = tmp_path / "b.csv"
-    assert main([*args, "--out", str(path_a)]) == 0
-    assert main([*args, "--out", str(path_b)]) == 0
-    assert path_a.read_bytes() == path_b.read_bytes()
-
-
-def test_cli_json_lines(tmp_path: Path) -> None:
-    out_path = tmp_path / "report.jsonl"
-    assert main(["--n-events", "1000", "--format", "json-lines", "--out", str(out_path)]) == 0
-    lines = out_path.read_text().splitlines()
-    assert len(lines) == 3
-    for line in lines:
-        record = json.loads(line)
-        assert tuple(record) == CSV_COLUMNS
-        assert record["series"] == 3
-
-
-def test_cli_flags_override_config_file(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
-    cfg = _write(tmp_path, "series = 1\nn_events = 1000\nseed = 5\n")
-    out_path = tmp_path / "r.csv"
-    assert main(["--config", str(cfg), "--series", "2", "--format", "csv", "--out", str(out_path)]) == 0
-    rows = list(csv.reader(io.StringIO(out_path.read_text())))
-    assert dict(zip(rows[0], rows[1]))["series"] == "2"
-
-
-def test_cli_exit_code_on_config_errors(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
-    bad_cfg = _write(tmp_path, "warp_factor = 9\n")
-    assert main(["--config", str(bad_cfg)]) == 2
-    assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
-    assert main(["--series", "5"]) == 2
-    assert main(["--n-events", "0"]) == 2
-    assert main(["--variants", "QM,PILOT_WAVE"]) == 2
-    too_many = str(2**63)
-    assert main(["--n-events", too_many, "--chunk-size", too_many]) == 2
-    assert main(["--chunk-size", too_many]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err
-    # argparse's own refusals are config errors too: one error: line, no usage block.
-    # Only a number is glued to its flag, so --series stays a flag and --seed
-    # has no value.  Glued, argparse would refuse the stray 3 instead.
-    refusals = {
-        ("--seed", "--series", "3"): "error: argument --seed: expected one argument\n",
-        ("--bogus",): "error: unrecognized arguments: --bogus\n",
-        # How the choices are quoted after this differs between Python versions.
-        ("--format", "xml"): "error: argument --format: invalid choice: 'xml'",
-    }
-    for argv, first_line in refusals.items():
-        assert main(list(argv)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(first_line) and err.count("\n") == 1, err
-    result = _run_module("--bogus")
-    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: unrecognized arguments: --bogus\n")
-
-
 def _run_module(*args: str) -> subprocess.CompletedProcess:
     """`python -m rnlsim.cli ARGS` in a child process, killed after 30 s."""
     package_root = os.path.dirname(os.path.dirname(rnlsim.__file__))
@@ -323,6 +150,8 @@ def test_cli_module_runs_as_a_script() -> None:
     result = _run_module("--variants", "QM,FTL")
     assert result.returncode == 2
     assert (result.stdout, result.stderr) == ("", "error: variants: unknown variant 'FTL'\n")
+    result = _run_module("--bogus")
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: unrecognized arguments: --bogus\n")
 
 
 def test_cli_runs_max_events_in_one_event_chunks_promptly() -> None:
@@ -338,41 +167,6 @@ def test_cli_runs_max_events_in_one_event_chunks_promptly() -> None:
         assert sum(int(row[column]) for column in ("R_pp", "R_pm", "R_mp", "R_mm")) == n_events
 
 
-def test_cli_csv_does_not_depend_on_chunk_size(tmp_path: Path) -> None:
-    outputs = []
-    for chunk_args in ([], ["--chunk-size", "1000"], ["--chunk-size", "125000"]):
-        path = tmp_path / f"run{len(outputs)}.csv"
-        assert main(["--format", "csv", "--out", str(path), *chunk_args]) == 0
-        outputs.append(path.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        # Photon 2 reaching BS22 before BS21.
-        ["--length-bs11", "2", "--length-bs21", "3", "--length-bs22", "1"],
-        # Photon 2's legs of equal length.
-        ["--length-bs11", "1", "--length-bs21", "2.682", "--length-bs22", "2.682"],
-        # Photon 1's displaced path overflows to an infinite arrival time.
-        ["--length-bs11", "1e308", "--m11-displacement", "1e308"]
-        + ["--length-bs21", "1", "--length-bs22", "3"],
-        # Non-finite values parse as numbers; RunConfig and ExperimentGeometry refuse them.
-        ["--phi11-deg", "inf"],
-        ["--length-bs11", "nan", "--length-bs21", "1", "--length-bs22", "3"],
-        # A series together with explicit lengths.
-        ["--series", "1", "--length-bs11", "2", "--length-bs21", "1", "--length-bs22", "3"],
-    ],
-)
-def test_cli_inconsistent_geometry_is_a_config_error(
-    args: list[str], capsys: pytest.CaptureFixture
-) -> None:
-    assert main([*args, "--n-events", "10"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert err.count("\n") == 1
-
-
 def test_cli_legs_one_ulp_apart_run(capsys: pytest.CaptureFixture) -> None:
     # The longer second leg is photon 2's order in every frame, although both
     # arrival times round to the same float.
@@ -381,15 +175,105 @@ def test_cli_legs_one_ulp_apart_run(capsys: pytest.CaptureFixture) -> None:
     assert "timing: photon 1 = b11, photon 2 = a22" in capsys.readouterr().out
 
 
-def test_cli_config_file_that_is_not_utf8_is_a_config_error(
-    tmp_path: Path, capsys: pytest.CaptureFixture
+def test_table_header_names_the_splitter_velocities_of_a_moving_geometry() -> None:
+    moving = RunConfig(series=None, geometry=ExperimentGeometry(2, 1, 3, beta_bs11=-0.3, beta_bs22=0.3), n_events=10)
+    lines = render_table(compare_report(moving)).splitlines()
+    assert lines[1] == (
+        "geometry: lengths bs11=2.0 m, bs21=1.0 m, bs22=3.0 m, m11_displacement=0.0 m, "
+        "beta_bs11=-0.3, beta_bs21=0.0, beta_bs22=0.3"
+    )
+    assert lines[4] == "timing: photon 1 = a11[21], photon 2 = b22 (BS21 impact before: yes)"
+    # -0.0 is at rest, as classify counts it: lengths only, and the series.
+    resting = dataclasses.replace(moving, geometry=ExperimentGeometry(2, 1, 3, beta_bs11=-0.0))
+    lines = render_table(compare_report(resting)).splitlines()
+    assert lines[1] == "geometry: lengths bs11=2.0 m, bs21=1.0 m, bs22=3.0 m, m11_displacement=0.0 m"
+    assert lines[4].endswith(", series 3")
+
+
+# (config file bytes or None, command line with {tmp} for a scratch directory,
+# exit code, a fragment of the one error line).
+REFUSALS = (
+    # Config files.  A value is quoted as written, without the spaces around it.
+    (b"series = 3\nphi99_deg = 1\n", "", 2, "run.cfg:2: unknown key 'phi99_deg'"),
+    (b"warp_factor = 9\n", "", 2, "run.cfg:1: unknown key 'warp_factor'"),
+    (b"seed = 1\nseed = 2\n", "", 2, "run.cfg:2: repeated key 'seed'"),
+    (b"series 3\n", "", 2, "run.cfg:1: expected 'key = value', got 'series 3'"),
+    (b"n_events =   soon  \n", "", 2, "error: n_events: expected an integer, got 'soon'\n"),
+    (b"phi11_deg = abc\n", "", 2, "error: phi11_deg: expected a number, got 'abc'\n"),
+    (b"variants = ,\n", "", 2, "error: variants: no variant named in ','\n"),
+    (b"variants = QM, FTL\n", "", 2, "error: variants: unknown variant 'FTL'\n"),
+    (b"condition1 = maybe\n", "", 2, "error: condition1: expected true or false, got 'maybe'\n"),
+    (b"seed =\n", "", 2, "run.cfg:1: empty value for 'seed'"),
+    (b"seed = # x\n", "", 2, "run.cfg:1: empty value for 'seed'"),
+    (b"series = 3\nseed = \xff\n", "", 2, "run.cfg: not UTF-8 text"),
+    (None, "--config {tmp}/missing.cfg", 2, "No such file or directory"),
+    # Flags.
+    (None, "--series 5", 2, "error: series must be in [1, 3], got 5\n"),
+    (None, "--n-events 0", 2, f"error: n_events must be in [1, {2**63 - 1}], got 0\n"),
+    (None, f"--n-events {2**63}", 2, f"error: n_events must be in [1, {2**63 - 1}], got {2**63}\n"),
+    (None, f"--chunk-size {2**63}", 2, f"error: chunk_size must be in [1, {2**63 - 1}], got {2**63}\n"),
+    (None, "--variants QM,PILOT_WAVE", 2, "error: variants: unknown variant 'PILOT_WAVE'\n"),
+    (None, "--condition1 maybe", 2, "error: condition1: expected true or false, got 'maybe'\n"),
+    # argparse's own refusals.  Only a number is glued to its flag, so --series
+    # stays a flag and --seed has no value; glued, argparse would refuse the
+    # stray 3 instead.  How --format's choices are quoted differs between
+    # Python versions.  A flag is spelled in full: a prefix of one is unknown.
+    (None, "--seed --series 3", 2, "error: argument --seed: expected one argument\n"),
+    (None, "--bogus", 2, "error: unrecognized arguments: --bogus\n"),
+    (None, "--format xml", 2, "error: argument --format: invalid choice: 'xml'"),
+    (None, "--n-ev 10", 2, "error: unrecognized arguments: --n-ev 10\n"),
+    (None, "--phi21 -45", 2, "error: unrecognized arguments: --phi21 -45\n"),
+    # A partial geometry; test_cli_inconsistent_geometry_is_a_config_error
+    # holds the other geometry refusals.
+    (None, "--length-bs11 1.0", 2, "needs all three lengths, missing ['length_bs21', 'length_bs22']\n"),
+    (None, "--length-bs11 2.0 --length-bs22 3.0", 2, "needs all three lengths, missing ['length_bs21']\n"),
+    (None, "--m11-displacement 0.5", 2, "error: m11_displacement requires explicit geometry lengths\n"),
+    # Outcomes: a failed --out write, and equal photon 1 and BS21 paths, a tie
+    # inside the guard band.
+    (None, "--format csv --out {tmp}/missing/dir/x.csv", 2, "No such file or directory"),
+    (None, "--length-bs11 1.0 --length-bs21 1.0 --length-bs22 2.0", 3, "0.0 s apart, inside the guard band"),
+)
+
+
+@pytest.mark.parametrize(
+    ("config", "argv", "code", "fragment"), REFUSALS, ids=[repr(c) if c else a for c, a, _, _ in REFUSALS]
+)
+def test_every_refused_run_exits_with_one_error_line(
+    config: bytes | None, argv: str, code: int, fragment: str, capsys: pytest.CaptureFixture, tmp_path: Path
 ) -> None:
-    path = tmp_path / "run.cfg"
-    path.write_bytes(b"series = 3\nseed = \xff\n")
-    assert main(["--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert err.count("\n") == 1
+    _assert_refused(run_cli(capsys, tmp_path, config, argv), code, fragment)
+
+
+_GEOMETRY_21 = "--length-bs21 1 --length-bs22 3"
+
+# (command line, a fragment of the one error line): photon 2 reaching BS22
+# before BS21 or with legs of equal length, photon 1's displaced path
+# overflowing to an infinite arrival time, non-finite values (they parse as
+# numbers), and a series together with explicit lengths.
+INCONSISTENT_GEOMETRY = (
+    ("--length-bs11 2 --length-bs21 3 --length-bs22 1", "length_bs22 must exceed length_bs21\n"),
+    ("--length-bs11 1 --length-bs21 2.682 --length-bs22 2.682", "length_bs22 must exceed length_bs21\n"),
+    (f"--length-bs11 1e308 --m11-displacement 1e308 {_GEOMETRY_21}", "effective_length_bs11 must be finite, got inf\n"),
+    ("--phi11-deg inf", "error: phi11_deg must be finite, got inf\n"),
+    (f"--length-bs11 nan {_GEOMETRY_21}", "error: length_bs11 must be finite, got nan\n"),
+    (f"--series 1 --length-bs11 2 {_GEOMETRY_21}", "series and geometry are mutually exclusive"),
+)
+
+
+@pytest.mark.parametrize(
+    ("argv", "fragment"), INCONSISTENT_GEOMETRY, ids=[f"args{i}" for i in range(len(INCONSISTENT_GEOMETRY))]
+)
+def test_cli_inconsistent_geometry_is_a_config_error(
+    argv: str, fragment: str, capsys: pytest.CaptureFixture, tmp_path: Path
+) -> None:
+    _assert_refused(run_cli(capsys, tmp_path, None, argv), 2, fragment)
+
+
+def _assert_refused(result: tuple[int, str, str], code: int, fragment: str) -> None:
+    exit_code, stdout, stderr = result
+    assert (exit_code, stdout) == (code, "")
+    assert stderr.startswith("error: ") and stderr.endswith("\n") and stderr.count("\n") == 1, stderr
+    assert fragment in stderr
 
 
 def test_cli_internal_value_error_is_not_a_config_error(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -399,16 +283,6 @@ def test_cli_internal_value_error_is_not_a_config_error(monkeypatch: pytest.Monk
     monkeypatch.setattr("rnlsim.cli.compare_report", broken_report)
     with pytest.raises(ValueError, match="internal fault"):
         main(["--n-events", "10"])
-
-
-def test_cli_failed_out_write_is_a_clean_error(
-    tmp_path: Path, capsys: pytest.CaptureFixture
-) -> None:
-    out_path = tmp_path / "missing" / "dir" / "report.csv"
-    assert main(["--n-events", "100", "--format", "csv", "--out", str(out_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Traceback" not in err
 
 
 def test_cli_failed_stdout_write_is_a_clean_error(
@@ -422,55 +296,3 @@ def test_cli_failed_stdout_write_is_a_clean_error(
     assert main(["--n-events", "100", "--format", "csv"]) == 2
     err = capsys.readouterr().err
     assert err == "error: [Errno 32] Broken pipe\n"
-
-
-def test_cli_exit_code_on_ambiguous_timing(capsys: pytest.CaptureFixture) -> None:
-    # Equal photon 1 and BS21 path lengths: tie inside the guard band.
-    code = main(
-        ["--length-bs11", "1.0", "--length-bs21", "1.0", "--length-bs22", "2.0", "--n-events", "10"]
-    )
-    assert code == 3
-    assert "guard band" in capsys.readouterr().err
-
-
-def test_cli_explicit_geometry_runs(capsys: pytest.CaptureFixture) -> None:
-    code = main(
-        [
-            "--length-bs11",
-            "1.0",
-            "--length-bs21",
-            "1.0",
-            "--length-bs22",
-            "2.0",
-            "--m11-displacement",
-            "0.5",
-            "--n-events",
-            "500",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "series 3" in out  # classified from the lab ordering
-    assert "m11_displacement=0.5" in out
-
-
-def test_cli_conditions_flatten_predictions(capsys: pytest.CaptureFixture) -> None:
-    assert main(["--n-events", "1000", "--condition2", "false", "--variants", "QM"]) == 0
-    out = capsys.readouterr().out
-    assert "condition2=false" in out
-    assert "   0.000000" in out  # analytic E drops to zero
-
-
-def test_cli_condition_flags_read_like_config_values(capsys: pytest.CaptureFixture) -> None:
-    args = ["--n-events", "1000", "--variants", "qm, rnl_standard", "--format", "csv"]
-    assert main([*args, "--condition2", "false"]) == 0
-    as_false = capsys.readouterr().out
-    assert main([*args, "--condition2", "no"]) == 0
-    assert capsys.readouterr().out == as_false
-
-
-def test_cli_bad_condition_flag_is_a_config_error(capsys: pytest.CaptureFixture) -> None:
-    assert main(["--condition1", "maybe", "--n-events", "10"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert err.count("\n") == 1

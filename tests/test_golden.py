@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import v5_reference
+from helpers import run_cli, v5_reference
 from rnlsim import (
     ModelVariant,
     PhaseSettings,
@@ -39,19 +39,18 @@ from rnlsim import (
 from rnlsim.cli import build_parser, main
 from rnlsim.config import CONFIG_KEYS
 
+_GEOMETRY = "--length-bs11 2 --length-bs21 1 --length-bs22 3 --m11-displacement 0.5"
 GOLDEN_SHA256 = {
     "--series 1 --format csv": "6c89cacd4511389a8b5a0e6b751312b0d167ac8ea731410ef5c963100fee5403",
     "--series 2 --format csv": "6b355b8c77c257c3ca44925ebeaeee8601528347116b50a4ceb51ac2ba429bdf",
     "--series 3 --format csv": "7442e753a50a6171acadadfa87f67c621fcd7dfc371fa327f7297adf7298f72a",
-    "--length-bs11 2 --length-bs21 1 --length-bs22 3 --m11-displacement 0.5 --format csv": (
-        "7442e753a50a6171acadadfa87f67c621fcd7dfc371fa327f7297adf7298f72a"
-    ),
+    f"{_GEOMETRY} --format csv": "7442e753a50a6171acadadfa87f67c621fcd7dfc371fa327f7297adf7298f72a",
     "--condition2 false --format csv": "52f86b3fff6cb5997bf1017d03155c12cd01ea4aa54e2e6957c438c4ee311267",
+    # The indistinguishability line: only a config with a condition off prints it.
+    "--condition2 false --format table": "395f9468677cefa6791a207abd3a7a603154a2c04f85bef3654c00a6f856a1e6",
     "--format json-lines": "8bf4a9296819237122243bf973cc4453a73b96f7c1dc34b087e92ed3c6051eb0",
     "--format table": "3d2b0047320b74404460387458ce15718dd1b843ab9ad1db0a58057207b0c062",
-    "--length-bs11 2 --length-bs21 1 --length-bs22 3 --m11-displacement 0.5 --format table": (
-        "bce256cdf718faef9c010a947d7d380cd7a282bde551e14a18908bb7a42d7786"
-    ),
+    f"{_GEOMETRY} --format table": "bce256cdf718faef9c010a947d7d380cd7a282bde551e14a18908bb7a42d7786",
     "--series 2 --phi11-deg 10 --phi21-deg 0 --phi22-deg 5 --format csv": (
         "d22627fc3465c8956a5266c1c80ad87b22c0badcc64965163a325239c5543104"
     ),
@@ -65,6 +64,32 @@ def test_cli_output_is_byte_identical(args: str, capsys: pytest.CaptureFixture) 
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_SHA256[args]
 
 
+_SERIES3 = "--series 3 --format csv"
+_FLAT = "--condition2 false --format csv"
+
+# (config file bytes or None, command line, the GOLDEN_SHA256 key whose bytes it prints).
+SPELLINGS = (
+    # chunk_size is ignored since stream layout v4; variant names ignore case and spaces.
+    *((None, f"--chunk-size {size} --format csv", _SERIES3) for size in (1000, 125000)),
+    (None, "--variants 'qm, rnl_standard,rnl_alternative' --format csv", _SERIES3),
+    # Flags are read like config values.
+    *((None, f"--condition2 '{word}' --format csv", _FLAT) for word in ("no", "off", "0", "OFF", "False")),
+    *((None, f"--condition2 '{word}' --format csv", _SERIES3) for word in ("true", "yes", "on", "On", "1", " TRUE ")),
+    # A byte order mark is dropped, a flag overrides the file, and a # starts a comment.
+    (b"\xef\xbb\xbfseries = 2\nseed = 1\n", "--format csv", "--series 2 --format csv"),
+    (b"series = 1\nn_events = 1000000\n", "--series 2 --format csv", "--series 2 --format csv"),
+    *((text, "--format csv", _SERIES3) for text in (b"seed = 1  # note\n", b"seed = 1#note", b"#note\nseed = 1")),
+    (b"length_bs11 = 2\nlength_bs21 = 1\nlength_bs22 = 3\nm11_displacement = 0.5\n", "--format table", f"{_GEOMETRY} --format table"),
+)
+
+
+@pytest.mark.parametrize(("config", "argv", "golden"), SPELLINGS, ids=[f"{c!r} {a}" if c else a for c, a, _ in SPELLINGS])
+def test_every_spelling_of_a_golden_run_prints_its_bytes(
+    config: bytes | None, argv: str, golden: str, capsys: pytest.CaptureFixture, tmp_path: Path
+) -> None:
+    _assert_prints_golden(run_cli(capsys, tmp_path, config, argv), golden)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -75,14 +100,18 @@ def test_cli_output_is_byte_identical(args: str, capsys: pytest.CaptureFixture) 
     ],
 )
 def test_negative_flag_value_in_any_float_form_is_the_default_run(
-    args: str, capsys: pytest.CaptureFixture
+    args: str, capsys: pytest.CaptureFixture, tmp_path: Path
 ) -> None:
     # argparse alone takes these values for flags.  Each run is the default
     # one: -45 degrees is the default phase, and the displaced geometry is a
     # series 3 ordering, which the CSV does not tell from the preset.
-    assert main([*args.split(), "--format", "csv"]) == 0
-    stdout = capsys.readouterr().out
-    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_SHA256["--series 3 --format csv"]
+    _assert_prints_golden(run_cli(capsys, tmp_path, None, f"{args} --format csv"), _SERIES3)
+
+
+def _assert_prints_golden(result: tuple[int, str, str], golden: str) -> None:
+    code, stdout, stderr = result
+    assert (code, stderr) == (0, "")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_SHA256[golden]
 
 
 def test_default_csv_counts_are_the_v5_reference(capsys: pytest.CaptureFixture) -> None:
