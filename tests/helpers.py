@@ -7,12 +7,14 @@ import itertools
 import math
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
 from rnlsim import (
+    SPEED_OF_LIGHT,
     CoincidenceCounts,
     JointDistribution,
     ModelVariant,
@@ -57,6 +59,11 @@ def as_array(table: JointDistribution) -> np.ndarray:
     return np.array([table.p_pp, table.p_pm, table.p_mp, table.p_mm])
 
 
+def max_dev(a: JointDistribution, b: JointDistribution) -> float:
+    """The largest entrywise |a - b|."""
+    return float(np.max(np.abs(as_array(a) - as_array(b))))
+
+
 def cell(table: JointDistribution, sigma: int, omega: int) -> float:
     """P(sigma, omega), photon-1 outcome first, read from the table's p_* fields."""
     if sigma == 1:
@@ -64,17 +71,36 @@ def cell(table: JointDistribution, sigma: int, omega: int) -> float:
     return table.p_mp if omega == 1 else table.p_mm
 
 
-def marginal_photon1(table: JointDistribution, sigma: int) -> float:
-    return cell(table, sigma, 1) + cell(table, sigma, -1)
-
-
-def marginal_photon2(table: JointDistribution, omega: int) -> float:
-    return cell(table, 1, omega) + cell(table, -1, omega)
+def fair_deviation(table: JointDistribution) -> float:
+    """The largest of |total - 1| and each marginal's |P - 1/2|: 0 for a normalized fair-marginal table."""
+    photon1 = [cell(table, sigma, 1) + cell(table, sigma, -1) for sigma in (1, -1)]
+    photon2 = [cell(table, 1, omega) + cell(table, -1, omega) for omega in (1, -1)]
+    return max(abs(sum(as_array(table)) - 1.0), *(abs(m - 0.5) for m in photon1 + photon2))
 
 
 def for_series(series: int) -> TimingAssignment:
     """The timing assignment classify gives series_preset(series)."""
     return classify(series_preset(series))
+
+
+def exact_gaps(l11: float, l21: float, l22: float, beta11: float, beta21: float, beta22: float) -> tuple[Fraction, ...]:
+    """classify's four gaps, in its order, each as the exact rational gap * |gap| (s^2).
+
+    With t = l / c exactly, each gap is gamma A for a rational A, such as
+    t21 (1 - beta11) - t11 (1 + beta11), and gamma = (1 - beta^2)^-1/2 > 0: so
+    A |A| / (1 - beta^2) has the gap's sign, and |gap| >= GUARD_BAND_S is
+    A^2 >= GUARD_BAND_S^2 (1 - beta^2), that is |gap * |gap|| >= GUARD_BAND_S^2.
+    No float rounding enters.
+    """
+    t11, t21, t22 = (Fraction(length) / Fraction(SPEED_OF_LIGHT) for length in (l11, l21, l22))
+    b11, b21, b22 = (Fraction(beta) for beta in (beta11, beta21, beta22))
+    numerators = (
+        (b11, t21 * (1 - b11) - t11 * (1 + b11)),
+        (b11, t22 * (1 - b11) - t11 * (1 + b11)),
+        (b21, t11 * (1 + b21) - t21 * (1 - b21)),
+        (b22, t11 * (1 + b22) - t22 * (1 - b22)),
+    )
+    return tuple(a * abs(a) / (1 - beta * beta) for beta, a in numerators)
 
 
 def counts_by_variant(config: RunConfig) -> dict[ModelVariant, CoincidenceCounts]:

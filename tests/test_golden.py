@@ -14,12 +14,14 @@ returns the flat table itself.
 
 from __future__ import annotations
 
+import ast
 import csv
 import hashlib
 import io
 import itertools
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,7 @@ from rnlsim import (
 from rnlsim.cli import build_parser, main
 from rnlsim.config import CONFIG_KEYS
 
+ROOT = Path(__file__).resolve().parent.parent
 _GEOMETRY = "--length-bs11 2 --length-bs21 1 --length-bs22 3 --m11-displacement 0.5"
 GOLDEN_SHA256 = {
     "--series 1 --format csv": "6c89cacd4511389a8b5a0e6b751312b0d167ac8ea731410ef5c963100fee5403",
@@ -149,10 +152,24 @@ def test_every_config_key_is_a_flag() -> None:
 
 
 def test_readme_config_block_lists_the_config_keys() -> None:
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("### Config file", 1)[1].split("```", 2)[1]
     keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
     assert tuple(keys) == CONFIG_KEYS
+
+
+def test_readme_claim_table_names_existing_tests() -> None:
+    # A renamed or deleted test must not leave a paper claim without its owner.
+    section = (ROOT / "README.md").read_text().split("## Install and test", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ") and "`tests/" in line]
+    assert len(rows) >= 9
+    for row in rows:
+        owners = re.findall(r"`(tests/\w+\.py)::(\w+)`", row)
+        assert owners and row.count("::") == len(owners), row
+        for path, name in owners:
+            tree = ast.parse((ROOT / path).read_text())
+            tests = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            assert name.startswith("test_") and name in tests, f"{path}::{name}"
 
 
 # sha256 of the repr of every predict(...).joint over _table_grid(), one per line.

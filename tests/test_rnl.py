@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -15,7 +14,9 @@ from helpers import (
     KEY_SETTINGS,
     as_array,
     cell,
+    fair_deviation,
     for_series,
+    max_dev,
     oracle_table,
     phases,
     rule_table,
@@ -40,11 +41,15 @@ ALL_PAIRINGS = (
     TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.A22, bs21_before=False),
     TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.A22),
     TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22),
+    # label2 = a22 leaves bs21_before free, and a moving BS21 can make it true.
+    TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.A22, bs21_before=True),
 )
 
 
-def _max_dev(a, b) -> float:
-    return float(np.max(np.abs(as_array(a) - as_array(b))))
+def _timing_id(timing: TimingAssignment) -> str:
+    # (b11, a22) comes twice; series 2's, with BS21's impact not before, keeps the plain id.
+    twice = timing.pairing == (PhotonOneLabel.B11, PhotonTwoLabel.A22) and timing.bs21_before
+    return f"{timing.label1.value}-{timing.label2.value}" + ("-bs21-before" if twice else "")
 
 
 def _table(settings: PhaseSettings, timing: TimingAssignment, variant: ModelVariant, **conditions):
@@ -63,7 +68,7 @@ def _expected_table(settings: PhaseSettings, pairing, variant: ModelVariant, con
 
 
 @pytest.mark.parametrize("variant", list(ModelVariant), ids=lambda v: v.value)
-@pytest.mark.parametrize("timing", ALL_PAIRINGS, ids=lambda t: f"{t.label1.value}-{t.label2.value}")
+@pytest.mark.parametrize("timing", ALL_PAIRINGS, ids=_timing_id)
 @given(settings=settings_strategy)
 @example(settings=KEY_SETTINGS)
 @example(settings=PhaseSettings(0.8, 0.1, 2.0))
@@ -75,16 +80,17 @@ def test_every_table_is_the_fair_marginal_table_of_its_correlation(
 ) -> None:
     """predict gives the rule's table, bar its two exceptions, under every condition pair.
 
-    Bound: ATOL (1e-12) per entry and on E.  The expected table is the
-    fair-marginal table of its correlation, and the pairing's stored stage
-    is the E it has with both conditions on.
+    Bound: ATOL (1e-12) per entry, on E, on the total and on each marginal.
+    The expected table is the fair-marginal table of its correlation, and the
+    pairing's stored stage is the E it has with both conditions on.
     """
     for condition1, condition2 in itertools.product((True, False), repeat=2):
         expected = _expected_table(settings, timing.pairing, variant, condition1, condition2)
         e = expected.correlation
         assert as_array(expected) == pytest.approx(((1 + e) / 4, (1 - e) / 4, (1 - e) / 4, (1 + e) / 4), abs=ATOL)
         prediction = predict(settings, timing, variant, condition1=condition1, condition2=condition2)
-        assert _max_dev(prediction.joint, expected) < ATOL
+        assert max_dev(prediction.joint, expected) < ATOL
+        assert fair_deviation(prediction.joint) < ATOL
         assert prediction.correlation == pytest.approx(e, abs=ATOL)
         if condition1 and condition2:
             assert rnl._RULES[variant][timing.pairing](settings) == pytest.approx(e, abs=ATOL)
@@ -101,7 +107,7 @@ def test_every_label_pair_is_refused_or_predicted() -> None:
         for variant in ModelVariant:
             predict(KEY_SETTINGS, timing, variant)
         predicted += 1
-    assert predicted == len(ALL_PAIRINGS) == 8
+    assert predicted == len({timing.pairing for timing in ALL_PAIRINGS}) == 8
 
 
 def test_each_variant_has_one_rule_table_over_the_accepted_pairings() -> None:
