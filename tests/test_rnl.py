@@ -41,15 +41,18 @@ ALL_PAIRINGS = (
     TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.A22, bs21_before=False),
     TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.A22),
     TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22),
-    # label2 = a22 leaves bs21_before free, and a moving BS21 can make it true.
+    # label2 = a22 leaves bs21_before free, and a moving BS21 can flip it in each a22 pairing.
     TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.A22, bs21_before=True),
+    TimingAssignment(PhotonOneLabel.A11_22, PhotonTwoLabel.A22, bs21_before=False),
+    TimingAssignment(PhotonOneLabel.A11_21, PhotonTwoLabel.A22, bs21_before=False),
 )
 
 
 def _timing_id(timing: TimingAssignment) -> str:
-    # (b11, a22) comes twice; series 2's, with BS21's impact not before, keeps the plain id.
-    twice = timing.pairing == (PhotonOneLabel.B11, PhotonTwoLabel.A22) and timing.bs21_before
-    return f"{timing.label1.value}-{timing.label2.value}" + ("-bs21-before" if twice else "")
+    # Each a22 pairing comes twice; its first row keeps the plain id.
+    first = next(row for row in ALL_PAIRINGS if row.pairing == timing.pairing)
+    flipped = "" if timing == first else ("-bs21-before" if timing.bs21_before else "-bs21-not-before")
+    return f"{timing.label1.value}-{timing.label2.value}{flipped}"
 
 
 def _table(settings: PhaseSettings, timing: TimingAssignment, variant: ModelVariant, **conditions):
