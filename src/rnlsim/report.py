@@ -18,12 +18,18 @@ from .montecarlo import (
     sample_counts,
 )
 from .rnl import ModelVariant, predict
-from .timing import TimingAssignment, classify
+from .timing import ExperimentGeometry, PhotonOneLabel, PhotonTwoLabel, TimingAssignment, classify
 
 # Canonical stream index per variant, independent of the order requested.
 VARIANT_STREAM_INDEX = {variant: index for index, variant in enumerate(ModelVariant)}
 # Significance multiplier for calling two variants apart at the configured n.
 VERDICT_SIGMA = 6.0
+# The lab-ordering series of each pairing a geometry at rest can have.
+_SERIES_BY_PAIRING = {
+    (PhotonOneLabel.A11_22, PhotonTwoLabel.B22): 1,
+    (PhotonOneLabel.B11, PhotonTwoLabel.A22): 2,
+    (PhotonOneLabel.A11_21, PhotonTwoLabel.A22): 3,
+}
 
 CSV_COLUMNS = (
     "variant",
@@ -113,12 +119,22 @@ def compare_report(config: RunConfig) -> ComparisonReport:
     return ComparisonReport(config=config, timing=timing, rows=tuple(rows), verdicts=tuple(verdicts))
 
 
+def _at_rest(geometry: ExperimentGeometry) -> bool:
+    """Whether no splitter moves; a beta of -0.0 is at rest."""
+    return (geometry.beta_bs11, geometry.beta_bs21, geometry.beta_bs22) == (0.0, 0.0, 0.0)
+
+
+def _series(geometry: ExperimentGeometry, timing: TimingAssignment) -> int | None:
+    """The lab-ordering series of the pairing, or None when a splitter moves and no lab ordering decides."""
+    return _SERIES_BY_PAIRING.get(timing.pairing) if _at_rest(geometry) else None
+
+
 def _row_values(report: ComparisonReport, row: VariantRow) -> tuple[object, ...]:
     """One report row, in CSV_COLUMNS order."""
     config = report.config
     return (
         row.variant.value,
-        report.timing.series,
+        _series(config.resolve_geometry(), report.timing),
         config.phi11_deg,
         config.phi21_deg,
         config.phi22_deg,
@@ -153,9 +169,9 @@ def _geometry_line(config: RunConfig) -> str:
         f"bs11={geometry.length_bs11!r} m, bs21={geometry.length_bs21!r} m, "
         f"bs22={geometry.length_bs22!r} m, m11_displacement={geometry.m11_displacement!r} m"
     )
-    betas = (geometry.beta_bs11, geometry.beta_bs21, geometry.beta_bs22)
-    if betas != (0.0, 0.0, 0.0):  # classify's rest test, so -0.0 is at rest
-        line += ", beta_bs11={!r}, beta_bs21={!r}, beta_bs22={!r}".format(*betas)
+    if not _at_rest(geometry):
+        line += f", beta_bs11={geometry.beta_bs11!r}, beta_bs21={geometry.beta_bs21!r}, "
+        line += f"beta_bs22={geometry.beta_bs22!r}"
     return line
 
 
@@ -163,6 +179,7 @@ def render_table(report: ComparisonReport) -> str:
     """Human-readable comparison: header block, one line per variant, verdicts."""
     config = report.config
     timing = report.timing
+    series = _series(config.resolve_geometry(), timing)
     lines = [
         "two-photon coincidence comparison",
         _geometry_line(config),
@@ -174,7 +191,7 @@ def render_table(report: ComparisonReport) -> str:
         (
             f"timing: photon 1 = {timing.label1.value}, photon 2 = {timing.label2.value} "
             f"(BS21 impact before: {'yes' if timing.bs21_before else 'no'})"
-            + (f", series {timing.series}" if timing.series is not None else "")
+            + (f", series {series}" if series is not None else "")
         ),
     ]
     if not (config.condition1 and config.condition2):

@@ -37,28 +37,17 @@ class PhotonTwoLabel(enum.Enum):
     __hash__ = object.__hash__  # as PhotonOneLabel's
 
 
-# The lab-ordering series of each pairing a geometry at rest can have.
-_SERIES_BY_PAIRING = {
-    (PhotonOneLabel.A11_22, PhotonTwoLabel.B22): 1,
-    (PhotonOneLabel.B11, PhotonTwoLabel.A22): 2,
-    (PhotonOneLabel.A11_21, PhotonTwoLabel.A22): 3,
-}
-
-
 @dataclass(frozen=True)
 class TimingAssignment:
-    """Before/non-before labels for both photons, plus the series id when defined.
+    """Before/non-before labels for both photons.
 
     bs21_before records whether BS21's impact precedes BS11's in BS21's own
-    frame; the label2 = a22 case leaves it free, the others imply it.  The
-    series id is set only for geometries at rest, where the lab ordering
-    alone decides it.
+    frame; the label2 = a22 case leaves it free, the others imply it.
     """
 
     label1: PhotonOneLabel
     label2: PhotonTwoLabel
     bs21_before: bool = True
-    series: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.label1, PhotonOneLabel) or not isinstance(self.label2, PhotonTwoLabel):
@@ -69,12 +58,6 @@ class TimingAssignment:
             raise ValueError(f"pairing ({self.label1.value}, {self.label2.value}) is not representable")
         if not require_flag("bs21_before", self.bs21_before) and self.label2 is not PhotonTwoLabel.A22:
             raise ValueError(f"label {self.label2.value} requires the BS21 impact to be before")
-        if self.series is not None:
-            object.__setattr__(self, "series", require_int("series", self.series, 1, 3))
-            if self.series != _SERIES_BY_PAIRING.get(self.pairing):
-                raise ValueError(
-                    f"series {self.series!r} does not match pairing ({self.label1.value}, {self.label2.value})"
-                )
 
     @property
     def pairing(self) -> tuple[PhotonOneLabel, PhotonTwoLabel]:
@@ -152,8 +135,7 @@ class ExperimentGeometry:
             # Without the BS21 impact before, photon 2 is a22 whichever way BS22 falls.
             bs22_before = bs21_before and _strictly_before(lead_22_11, "BS22 vs BS11 in the BS22 frame")
             label2 = PhotonTwoLabel.B22 if bs22_before else PhotonTwoLabel.A22
-            series = _SERIES_BY_PAIRING.get((label1, label2)) if betas == (0.0, 0.0, 0.0) else None
-            outcome = TimingAssignment(label1, label2, bs21_before, series)
+            outcome = TimingAssignment(label1, label2, bs21_before)
         except AmbiguousScheduleError as error:
             outcome = str(error)
         # Not a field, so out of __eq__, __hash__, __repr__; replace classifies afresh.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from rnlsim import (
     PhaseSettings,
     RunConfig,
     build_run_config,
+    classify,
     compare_report,
     parse_config_file,
     series_preset,
@@ -28,7 +30,7 @@ from rnlsim import (
 from helpers import run_cli
 from rnlsim.cli import main
 from rnlsim.config import CONFIG_KEYS
-from rnlsim.report import CSV_COLUMNS, render_table
+from rnlsim.report import CSV_COLUMNS, render_csv, render_json_lines, render_table
 
 
 def _write(tmp_path: Path, text: str) -> Path:
@@ -124,7 +126,7 @@ def test_run_config_resolves_its_geometry_once(monkeypatch: pytest.MonkeyPatch) 
         geometry = config.resolve_geometry()
         assert geometry is (explicit if series is None else presets[series])
         assert config.resolve_geometry() is geometry
-        assert compare_report(config).timing.series == (2 if series is None else series)
+        assert rnlsim.report._series(geometry, compare_report(config).timing) == (2 if series is None else series)
     assert replaced.resolve_geometry() is presets[1]
 
 
@@ -175,6 +177,14 @@ def test_cli_legs_one_ulp_apart_run(capsys: pytest.CaptureFixture) -> None:
     assert "timing: photon 1 = b11, photon 2 = a22" in capsys.readouterr().out
 
 
+def _series_fields(config: RunConfig) -> tuple[list[str], list[object]]:
+    """The series of each row of the run's CSV, and of its JSON lines."""
+    comparison = compare_report(config)
+    csv_series = [row["series"] for row in csv.DictReader(io.StringIO(render_csv(comparison)))]
+    json_series = [json.loads(line)["series"] for line in render_json_lines(comparison).splitlines()]
+    return csv_series, json_series
+
+
 def test_table_header_names_the_splitter_velocities_of_a_moving_geometry() -> None:
     moving = RunConfig(series=None, geometry=ExperimentGeometry(2, 1, 3, beta_bs11=-0.3, beta_bs22=0.3), n_events=10)
     lines = render_table(compare_report(moving)).splitlines()
@@ -183,11 +193,30 @@ def test_table_header_names_the_splitter_velocities_of_a_moving_geometry() -> No
         "beta_bs11=-0.3, beta_bs21=0.0, beta_bs22=0.3"
     )
     assert lines[4] == "timing: photon 1 = a11[21], photon 2 = b22 (BS21 impact before: yes)"
-    # -0.0 is at rest, as classify counts it: lengths only, and the series.
+    assert _series_fields(moving) == ([""] * 3, [None] * 3)
+    # -0.0 is at rest: lengths only, and the series.
     resting = dataclasses.replace(moving, geometry=ExperimentGeometry(2, 1, 3, beta_bs11=-0.0))
     lines = render_table(compare_report(resting)).splitlines()
     assert lines[1] == "geometry: lengths bs11=2.0 m, bs21=1.0 m, bs22=3.0 m, m11_displacement=0.0 m"
     assert lines[4].endswith(", series 3")
+    assert _series_fields(resting) == (["3"] * 3, [3] * 3)
+
+
+@pytest.mark.parametrize("beta", ["beta_bs11", "beta_bs21", "beta_bs22"])
+def test_any_one_moving_splitter_leaves_no_series(beta: str) -> None:
+    # Moving at 1e-3, the splitter keeps series 3's pairing (a11[21], a22), yet
+    # no lab ordering decides it, so no renderer prints a series; at -0.0 it rests.
+    moving = RunConfig(series=None, geometry=ExperimentGeometry(2, 1, 3, **{beta: 1e-3}), n_events=10)
+    assert classify(moving.resolve_geometry()).pairing == classify(series_preset(3)).pairing
+    lines = render_table(compare_report(moving)).splitlines()
+    assert f"{beta}=0.001" in lines[1]
+    assert "series" not in lines[4]
+    assert _series_fields(moving) == ([""] * 3, [None] * 3)
+    resting = dataclasses.replace(moving, geometry=ExperimentGeometry(2, 1, 3, **{beta: -0.0}))
+    lines = render_table(compare_report(resting)).splitlines()
+    assert "beta" not in lines[1]
+    assert lines[4].endswith(", series 3")
+    assert _series_fields(resting) == (["3"] * 3, [3] * 3)
 
 
 # (config file bytes or None, command line with {tmp} for a scratch directory,

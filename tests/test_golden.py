@@ -151,13 +151,6 @@ def test_every_config_key_is_a_flag() -> None:
         assert getattr(args, key) == "1"
 
 
-def test_readme_config_block_lists_the_config_keys() -> None:
-    readme = (ROOT / "README.md").read_text()
-    block = readme.split("### Config file", 1)[1].split("```", 2)[1]
-    keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
-    assert tuple(keys) == CONFIG_KEYS
-
-
 def test_readme_claim_table_names_existing_tests() -> None:
     # A renamed or deleted test must not leave a paper claim without its owner.
     section = (ROOT / "README.md").read_text().split("## Install and test", 1)[1].split("\n## ", 1)[0]

@@ -101,7 +101,6 @@ INPUTS = [  # entry point, valid values of its other arguments, kind, its argume
     (substream, {"seed": 1, "variant_index": 0}, KEY_WORD, "seed variant_index"),
     (series_preset, {}, SERIES, "series"),
     (TimingAssignment, PAIRING, FLAG, "bs21_before"),
-    (TimingAssignment, PAIRING, integer(1, 3, np.int64(2), np.uint64(2)), "series"),
     (predict, FLAT_STAGE, FLAG, "condition1 condition2"),
     (RunConfig, {"n_events": 100}, REAL, "phi11_deg phi21_deg phi22_deg"),
     (RunConfig, {"n_events": 100}, SERIES, "series"),

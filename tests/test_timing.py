@@ -1,11 +1,12 @@
 """Impact classification against the boost oracle, its stored outcome, geometries and presets.
 
 Two properties own what classify gives.  test_classify_agrees_with_the_reference_labels
-owns every outcome: the labels, bs21_before and the series of each geometry,
-or its refusal, against bench/reference.py's brute-force boosts and the lab
-ordering.  test_a_geometry_keeps_the_classification_its_fields_give owns the
-stored outcome: equal fields, copies and replace give the same one, and a
-refusal is raised afresh on every call.  The other tests check what neither
+owns every outcome: the labels and bs21_before of each geometry, or its
+refusal, against bench/reference.py's brute-force boosts, and the series that
+report derives from them, against the lab ordering.
+test_a_geometry_keeps_the_classification_its_fields_give owns the stored
+outcome: equal fields, copies and replace give the same one, and a refusal is
+raised afresh on every call.  The other tests check what neither
 can: the oracle's boosts, the exact gaps, the guard band's edge, the pairings
 only moving splitters reach, the presets, input checks and when the gaps are
 computed.
@@ -41,11 +42,12 @@ from rnlsim import (
     classify,
     compare_report,
     predict,
+    render_csv,
+    render_table,
     schedule_from_geometry,
     series_preset,
 )
-from rnlsim import rnl, timing
-from rnlsim.timing import _SERIES_BY_PAIRING
+from rnlsim import report, rnl, timing
 
 frame_time = reference.frame_time
 
@@ -209,7 +211,7 @@ def test_classify_agrees_with_the_reference_labels(
     beta_bs22: float,
     settings: PhaseSettings,
 ) -> None:
-    """classify's labels, bs21_before and series, or its refusal, for any accepted geometry.
+    """classify's labels and bs21_before, or its refusal, and report's series, for any accepted geometry.
 
     The labels are the oracle's boosted-frame ones.  Only a point whose labels
     a guard-band flip could change may be refused.
@@ -227,13 +229,13 @@ def test_classify_agrees_with_the_reference_labels(
         assert expected.near_tie
         assert "guard band" in str(error)
         return
-    # At rest every frame is the lab's, so the lengths alone name the series:
-    # BS11's impact before both of photon 2's (2), between them (3) or after
-    # both (1).  A moving splitter leaves no lab ordering to name.
+    # At rest every frame is the lab's, so the lengths alone name the series
+    # that report prints: BS11's impact before both of photon 2's (2), between
+    # them (3) or after both (1).  A moving splitter leaves no lab ordering to name.
     at_rest = (beta_bs11, beta_bs21, beta_bs22) == AT_REST
     series = (2 if l11 < length_bs21 else 3 if l11 < l22 else 1) if at_rest else None
-    got = (assignment.label1.value, assignment.label2.value, assignment.bs21_before, assignment.series)
-    assert got == (*expected.assignment, series)
+    got = (assignment.label1.value, assignment.label2.value, assignment.bs21_before)
+    assert (*got, report._series(geometry, assignment)) == (*expected.assignment, series)
     for variant in ModelVariant:
         assert fair_deviation(predict(settings, assignment, variant).joint) < ATOL
 
@@ -296,8 +298,8 @@ def test_moving_splitters_reach_pairings_no_rest_geometry_has(
     geometry: ExperimentGeometry, pairing: tuple[PhotonOneLabel, PhotonTwoLabel]
 ) -> None:
     # The oracle reaches each pairing; the reference property takes each
-    # geometry as an example, where classify must agree and give no series.
-    assert pairing not in _SERIES_BY_PAIRING
+    # geometry as an example, where classify must agree and report name no series.
+    assert pairing not in report._SERIES_BY_PAIRING
     labels = reference.reference_labels(
         geometry.effective_length_bs11,
         geometry.length_bs21,
@@ -326,14 +328,16 @@ def test_before_label2_requires_bs21_before() -> None:
         TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.B22, bs21_before=False)
 
 
-def test_series_must_match_the_pairing() -> None:
-    # (b11, a22) is series 2; (b11, b21) has no series at all.
-    for label1, label2, series in (
-        (PhotonOneLabel.B11, PhotonTwoLabel.A22, 1),
-        (PhotonOneLabel.B11, PhotonTwoLabel.B21, 3),
-    ):
-        with pytest.raises(ValueError, match="does not match pairing"):
-            TimingAssignment(label1, label2, True, series)
+def test_an_assignment_holds_no_series() -> None:
+    # The series is report's to derive from the geometry; an assignment takes none.
+    assert [f.name for f in dataclasses.fields(TimingAssignment)] == ["label1", "label2", "bs21_before"]
+    with pytest.raises(TypeError):
+        TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.A22, True, 2)
+    with pytest.raises(TypeError):
+        TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.A22, series=2)
+    assert repr(TimingAssignment(PhotonOneLabel.B11, PhotonTwoLabel.A22)) == (
+        "TimingAssignment(label1=<PhotonOneLabel.B11: 'b11'>, label2=<PhotonTwoLabel.A22: 'a22'>, bs21_before=True)"
+    )
 
 
 # --- geometry ------------------------------------------------------------------
@@ -478,7 +482,7 @@ def test_classify_keeps_no_reference_to_a_geometry() -> None:
 
 
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))])
-def test_cloned_assignments_keep_their_rule_row_and_series(clone) -> None:
+def test_cloned_assignments_keep_their_rule_row(clone) -> None:
     rules = rnl._RULES[ModelVariant.RNL_STANDARD]
     assignments = [TimingAssignment(label1, label2) for label1, label2 in rules]
     for assignment in (*assignments, *(for_series(series) for series in (1, 2, 3))):
@@ -486,16 +490,12 @@ def test_cloned_assignments_keep_their_rule_row_and_series(clone) -> None:
         assert cloned == assignment and hash(cloned) == hash(assignment)
         assert cloned.label1 is assignment.label1 and cloned.label2 is assignment.label2
         assert rules[cloned.pairing] is rules[assignment.pairing]
-        if assignment.series is not None:
-            assert _SERIES_BY_PAIRING[cloned.pairing] == assignment.series
-            # TimingAssignment's series check reads the same table.
-            assert TimingAssignment(cloned.label1, cloned.label2, cloned.bs21_before, cloned.series) == cloned
 
 
 def test_label_lookups_never_call_the_enum_hash(monkeypatch: pytest.MonkeyPatch) -> None:
     # Enum.__hash__ is Python code; classify, TimingAssignment and predict run
-    # once per sweep point, and compare_report once per op, so their label and
-    # variant lookups must not reach it.
+    # once per sweep point, and compare_report and the renderers once per op,
+    # so their label and variant lookups, the series one too, must not reach it.
     def refuse(self):
         raise AssertionError(f"Enum.__hash__ called on {self!r}")
 
@@ -505,12 +505,14 @@ def test_label_lookups_never_call_the_enum_hash(monkeypatch: pytest.MonkeyPatch)
         patch.setattr(enum.Enum, "__hash__", refuse)
         for geometry in geometries:
             assignment = classify(geometry)
-            TimingAssignment(assignment.label1, assignment.label2, assignment.bs21_before, assignment.series)
+            TimingAssignment(assignment.label1, assignment.label2, assignment.bs21_before)
             for variant in ModelVariant:
                 predict(KEY_SETTINGS, assignment, variant)
         # compare_report looks each variant's stream up in a dict keyed by ModelVariant.
         for series in (1, 2, 3):
-            compare_report(RunConfig(series=series, n_events=1000, chunk_size=100))
+            comparison = compare_report(RunConfig(series=series, n_events=1000, chunk_size=100))
+            render_csv(comparison)
+            render_table(comparison)
         by_variant = {variant: variant.value for variant in ModelVariant}
         assert by_variant[ModelVariant.RNL_ALTERNATIVE] == "RNL_ALTERNATIVE"
 
@@ -537,7 +539,7 @@ def test_presets_classify_to_their_series_with_nanosecond_gaps() -> None:
         assert times[1] - times[0] >= 1e-9
         assert times[2] - times[1] >= 1e-9
         assert (geometry.beta_bs11, geometry.beta_bs21, geometry.beta_bs22) == AT_REST
-        assert classify(geometry).series == series
+        assert report._series(geometry, classify(geometry)) == series
         assert classify(geometry).pairing == pairing
 
 
