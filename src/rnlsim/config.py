@@ -45,9 +45,9 @@ class RunConfig:
             object.__setattr__(self, "_settings", settings)  # no field, so out of __eq__, __hash__, __repr__
             if (self.series is None) == (self.geometry is None):
                 raise ValueError("series and geometry are mutually exclusive, and one must be set")
-            if self.series is not None:
-                object.__setattr__(self, "series", require_int("series", self.series, 1, 3))
             geometry = self.geometry if self.series is None else series_preset(self.series)
+            if self.series is not None:  # series_preset made the one check: keep the id as a plain int
+                object.__setattr__(self, "series", int(self.series))
             object.__setattr__(self, "_geometry", geometry)
             if not isinstance(geometry, ExperimentGeometry):
                 raise ValueError("geometry must be an ExperimentGeometry")

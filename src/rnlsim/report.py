@@ -18,18 +18,12 @@ from .montecarlo import (
     sample_counts,
 )
 from .rnl import ModelVariant, predict
-from .timing import ExperimentGeometry, PhotonOneLabel, PhotonTwoLabel, TimingAssignment, classify
+from .timing import SERIES_BY_PAIRING, ExperimentGeometry, TimingAssignment, classify
 
 # Canonical stream index per variant, independent of the order requested.
 VARIANT_STREAM_INDEX = {variant: index for index, variant in enumerate(ModelVariant)}
 # Significance multiplier for calling two variants apart at the configured n.
 VERDICT_SIGMA = 6.0
-# The lab-ordering series of each pairing a geometry at rest can have.
-_SERIES_BY_PAIRING = {
-    (PhotonOneLabel.A11_22, PhotonTwoLabel.B22): 1,
-    (PhotonOneLabel.B11, PhotonTwoLabel.A22): 2,
-    (PhotonOneLabel.A11_21, PhotonTwoLabel.A22): 3,
-}
 
 CSV_COLUMNS = (
     "variant",
@@ -126,7 +120,7 @@ def _at_rest(geometry: ExperimentGeometry) -> bool:
 
 def _series(geometry: ExperimentGeometry, timing: TimingAssignment) -> int | None:
     """The lab-ordering series of the pairing, or None when a splitter moves and no lab ordering decides."""
-    return _SERIES_BY_PAIRING.get(timing.pairing) if _at_rest(geometry) else None
+    return SERIES_BY_PAIRING.get(timing.pairing) if _at_rest(geometry) else None
 
 
 def _row_values(report: ComparisonReport, row: VariantRow) -> tuple[object, ...]:

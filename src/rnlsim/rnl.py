@@ -75,7 +75,9 @@ class Prediction:
         return self.joint.correlation
 
 
-# Frozen, so every flat-stage prediction can be this one object.
+# Frozen, so every flat-stage prediction can be this one object.  Flat stages
+# return it without going through _evaluate: that skips the memo's key hashing,
+# which a scalar sweep over mostly flat pairings would otherwise pay per point.
 _FLAT_PREDICTION = Prediction(symmetric_joint(0.0))
 
 

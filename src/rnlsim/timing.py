@@ -169,6 +169,8 @@ def schedule_from_geometry(geometry: ExperimentGeometry) -> ExperimentGeometry:
 
 # Built once: geometries are frozen, so every caller can share them.
 _PRESETS = {series: ExperimentGeometry(2.0, 1.0, 3.0, m11) for series, m11 in ((1, 2.0), (2, -1.5), (3, 0.0))}
+# The lab-ordering series of each pairing a geometry at rest can have, read off the presets.
+SERIES_BY_PAIRING = {classify(geometry).pairing: series for series, geometry in _PRESETS.items()}
 
 
 def series_preset(series: int) -> ExperimentGeometry:

@@ -108,7 +108,7 @@ MUTANTS = (
     Mutant("quantum.py", "(upper + 1j * lower) / math.sqrt(2.0)", "(upper - 1j * lower) / math.sqrt(2.0)"),
     Mutant("quantum.py", "bs21 = _splitter(upper, phase21 * lower)", "bs21 = _splitter(phase21 * upper, lower)"),
     Mutant("quantum.py", "from .errors import require_finite", "import numpy as np\n\nfrom .errors import require_finite"),
-    # --- timing: guard band, the four closed-form gaps and labels; report's series -
+    # --- timing: guard band, gaps, labels and the series table; report's series --
     Mutant("timing.py", "GUARD_BAND_S = 1e-15", "GUARD_BAND_S = 1e-14"),
     Mutant("timing.py", "if not abs(gap) >= GUARD_BAND_S:", "if not abs(gap) > GUARD_BAND_S:"),
     Mutant("timing.py", "if not self.length_bs22 > self.length_bs21:", "if not self.length_bs22 >= self.length_bs21:"),
@@ -118,7 +118,7 @@ MUTANTS = (
     Mutant("timing.py", "t22 * (1.0 - beta22)", "t22 * (1.0 - beta21)"),
     Mutant("timing.py", "g21 * (t11 * (1.0 + beta21)", "g11 * (t11 * (1.0 + beta21)"),
     Mutant("timing.py", "if not -1.0 < beta < 1.0:", "if not -1.0 <= beta < 1.0:"),
-    Mutant("report.py", "(PhotonOneLabel.A11_22, PhotonTwoLabel.B22): 1,", "(PhotonOneLabel.A11_22, PhotonTwoLabel.B22): 2,"),
+    Mutant("timing.py", "{classify(geometry).pairing: series for", "{classify(geometry).pairing: max(series, 2) for"),
     Mutant("timing.py", "label1 = PhotonOneLabel.A11_21", "label1 = PhotonOneLabel.A11_22"),
     Mutant(
         "report.py",
@@ -128,7 +128,7 @@ MUTANTS = (
     Mutant("timing.py", "elif _strictly_before(lead_11_22,", "elif _strictly_before(-lead_22_11,"),
     Mutant("timing.py", "bs21_before = _strictly_before(lead_21_11,", "bs21_before = _strictly_before(-lead_11_21,"),
     Mutant("timing.py", "bs22_before = bs21_before and _strictly_before(", "bs22_before = _strictly_before("),
-    Mutant("report.py", "_SERIES_BY_PAIRING.get(timing.pairing) if _at_rest", "_SERIES_BY_PAIRING.get(timing.pairing) if True or _at_rest"),
+    Mutant("report.py", "SERIES_BY_PAIRING.get(timing.pairing) if _at_rest", "SERIES_BY_PAIRING.get(timing.pairing) if True or _at_rest"),
     Mutant(
         "timing.py",
         "if not isinstance(self.label1, PhotonOneLabel) or not isinstance(self.label2, PhotonTwoLabel):",
@@ -181,12 +181,14 @@ MUTANTS = (
     Mutant("errors.py", "if not math.isfinite(value):", "if math.isnan(value):"),
     # --- report: the table header and the printed series ------------------------
     Mutant("report.py", "if not _at_rest(geometry):", "if False:"),
-    Mutant("report.py", "_series(config.resolve_geometry(), report.timing),", "_SERIES_BY_PAIRING.get(report.timing.pairing),"),
+    Mutant("report.py", "_series(config.resolve_geometry(), report.timing),", "SERIES_BY_PAIRING.get(report.timing.pairing),"),
     Mutant(
         "report.py",
         "return (geometry.beta_bs11, geometry.beta_bs21, geometry.beta_bs22) == (0.0, 0.0, 0.0)",
         "return (geometry.beta_bs11, geometry.beta_bs21) == (0.0, 0.0)",
     ),
+    # --- timing: the presets, which the series table is read from ---------------
+    Mutant("timing.py", "(1, 2.0), (2, -1.5)", "(1, -1.5), (2, 2.0)"),
 )
 
 

@@ -299,7 +299,7 @@ def test_moving_splitters_reach_pairings_no_rest_geometry_has(
 ) -> None:
     # The oracle reaches each pairing; the reference property takes each
     # geometry as an example, where classify must agree and report name no series.
-    assert pairing not in report._SERIES_BY_PAIRING
+    assert pairing not in timing.SERIES_BY_PAIRING
     labels = reference.reference_labels(
         geometry.effective_length_bs11,
         geometry.length_bs21,
