@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .config import CONFIG_KEYS, KEY_TABLE, build_run_config, parse_config_file, parse_value
+from .config import KEY_TABLE, build_run_config, parse_config_file, parse_value
 from .errors import AmbiguousScheduleError, ConfigError
 from .report import compare_report, render_csv, render_json_lines, render_table
 
@@ -16,7 +16,7 @@ EXIT_CONFIG = 2
 EXIT_AMBIGUOUS = 3
 
 # Each config key's flag: length_bs11 is --length-bs11.
-_KEY_FLAGS = {"--" + key.replace("_", "-"): key for key in CONFIG_KEYS}
+_KEY_FLAGS = {"--" + key.replace("_", "-"): key for key in KEY_TABLE}
 
 _RENDERERS = {
     "table": render_table,
@@ -61,7 +61,7 @@ def _collect_values(args: argparse.Namespace) -> dict[str, object]:
     values: dict[str, object] = {}
     if args.config is not None:
         values.update(parse_config_file(args.config))
-    for key in CONFIG_KEYS:
+    for key in KEY_TABLE:
         text = getattr(args, key)
         if text is not None:
             values[key] = parse_value(key, text)

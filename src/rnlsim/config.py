@@ -135,7 +135,6 @@ KEY_TABLE = {
     ),
     "condition2": (_parse_bool, "paths unknowable after the final splitter (true or false)"),
 }
-CONFIG_KEYS = tuple(KEY_TABLE)
 
 
 def parse_value(key: str, text: str) -> object:
@@ -164,7 +163,7 @@ def parse_config_file(path: Path | str) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key = key.strip()
         raw = raw.strip()
-        if key not in CONFIG_KEYS:
+        if key not in KEY_TABLE:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
@@ -180,7 +179,7 @@ def build_run_config(values: dict[str, object]) -> RunConfig:
     Explicit geometry lengths must come as a complete triple; RunConfig
     refuses them together with a series id.
     """
-    unknown = set(values) - set(CONFIG_KEYS)
+    unknown = set(values) - set(KEY_TABLE)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)!r}")
     length_keys = [key for key in _GEOMETRY_LENGTH_KEYS if key in values]

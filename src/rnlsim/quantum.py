@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import require_finite
 
-# Absolute tolerance for probability normalization.
+# Absolute tolerance of a table's sum; an entry itself gets none.
 PROB_ATOL = 1e-12
 
 
@@ -43,9 +43,10 @@ class JointDistribution:
     """Probability table over the four coincidence outcomes (sigma, omega) in {+1,-1}^2.
 
     Entries are ordered photon-1 outcome first: p_pm is P(sigma=+1, omega=-1).
-    Entries must be in [0,1] and sum to 1; marginal fairness (each one-sided
-    marginal equal to 1/2) is a property of the model tables, not of the type,
-    so degenerate test tables remain constructible.
+    Entries must be non-negative and sum to 1 up to the module's tolerance;
+    they are kept as given.  Marginal fairness (each one-sided marginal
+    equal to 1/2) is a property of the model tables, not of the type, so
+    degenerate test tables remain constructible.
     """
 
     p_pp: float
@@ -58,11 +59,7 @@ class JointDistribution:
         for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
             p = require_finite(name, getattr(self, name))
             if p < 0.0:
-                # No table the package builds has a negative entry; a caller's
-                # table may undershoot zero by rounding, and that is clamped.
-                if p < -PROB_ATOL:
-                    raise ValueError(f"{name} = {p!r} is negative")
-                p = 0.0
+                raise ValueError(f"{name} = {p!r} is negative")
             object.__setattr__(self, name, p)
             total += p  # every p >= 0, so total >= p: the sum check also bounds each entry by 1
         if abs(total - 1.0) > PROB_ATOL:

@@ -97,6 +97,7 @@ MUTANTS = (
     Mutant("montecarlo.py", "p = [table[cell] / total for cell in cells]", "p = [table[cell] for cell in cells]"),
     # --- quantum: closed forms, the oracle and the probability tolerance --------
     Mutant("quantum.py", "PROB_ATOL = 1e-12", "PROB_ATOL = 1e-9"),
+    Mutant("quantum.py", "if p < 0.0:", "if p < -PROB_ATOL:"),
     Mutant("quantum.py", "same, differ = 0.25 + e / 4.0, 0.25 - e / 4.0", "same, differ = 0.25 - e / 4.0, 0.25 + e / 4.0"),
     Mutant(
         "quantum.py",

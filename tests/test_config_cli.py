@@ -29,7 +29,7 @@ from rnlsim import (
 )
 from helpers import run_cli
 from rnlsim.cli import main
-from rnlsim.config import CONFIG_KEYS
+from rnlsim.config import KEY_TABLE
 from rnlsim.report import CSV_COLUMNS, render_csv, render_json_lines, render_table
 
 
@@ -73,7 +73,7 @@ def test_readme_config_block_parses(tmp_path: Path) -> None:
     # Every line of the README's key block, inline comments included.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("### Config file", 1)[1].split("```\n", 2)[1]
-    assert tuple(parse_config_file(_write(tmp_path, block))) == CONFIG_KEYS
+    assert tuple(parse_config_file(_write(tmp_path, block))) == tuple(KEY_TABLE)
 
 
 def test_run_config_validation() -> None:

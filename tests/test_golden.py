@@ -39,7 +39,7 @@ from rnlsim import (
     symmetric_joint,
 )
 from rnlsim.cli import build_parser, main
-from rnlsim.config import CONFIG_KEYS
+from rnlsim.config import KEY_TABLE
 
 ROOT = Path(__file__).resolve().parent.parent
 _GEOMETRY = "--length-bs11 2 --length-bs21 1 --length-bs22 3 --m11-displacement 0.5"
@@ -145,8 +145,8 @@ def test_cli_help_is_byte_identical(monkeypatch: pytest.MonkeyPatch) -> None:
 
 def test_every_config_key_is_a_flag() -> None:
     parser = build_parser()
-    assert list(vars(parser.parse_args([]))) == ["config", *CONFIG_KEYS, "out", "format"]
-    for key in CONFIG_KEYS:
+    assert list(vars(parser.parse_args([]))) == ["config", *KEY_TABLE, "out", "format"]
+    for key in KEY_TABLE:
         args = parser.parse_args(["--" + key.replace("_", "-"), "1"])
         assert getattr(args, key) == "1"
 

@@ -89,7 +89,7 @@ def test_joint_distribution_validation() -> None:
         JointDistribution(-0.1, 0.4, 0.4, 0.3)  # genuinely negative
     with pytest.raises(ValueError, match="p_pm = -1e-11 is negative"):
         JointDistribution(0.5 + 1e-11, -1e-11, 0.25, 0.25)  # beyond rounding, though it sums to 1
-    # Entries are non-negative once clamped, so one above 1 + PROB_ATOL fails the sum check.
+    # Entries are non-negative, so one above 1 + PROB_ATOL fails the sum check.
     for entry in (1.0 + 2e-12, 1.5):
         with pytest.raises(ValueError, match="probabilities sum to"):
             JointDistribution(entry, 0.0, 0.0, 0.0)
@@ -99,9 +99,21 @@ def test_joint_distribution_validation() -> None:
     # A degenerate but normalized table is allowed (used for sampler tests).
     degenerate = JointDistribution(1.0, 0.0, 0.0, 0.0)
     assert degenerate.p_pp == 1.0
-    # Rounding-level negatives clamp to zero.
-    clamped = JointDistribution(0.5, -1e-17, 0.0, 0.5)
-    assert clamped.p_pm == 0.0
+    # PROB_ATOL bounds the sum only: a negative entry is refused however small.
+    for tiny in (-1e-17, -5e-324):
+        with pytest.raises(ValueError, match=f"^p_pm = {tiny!r} is negative$"):
+            JointDistribution(0.5, tiny, 0.0, 0.5)
+    # -0.0 is not below 0.0, and is kept as given.
+    signed_zero = JointDistribution(0.5, -0.0, 0.0, 0.5)
+    assert math.copysign(1.0, signed_zero.p_pm) == -1.0
+
+
+@given(st.floats(min_value=-1.0, max_value=1.0))
+@example(-1.0)
+@example(1.0)
+def test_symmetric_joint_never_has_a_negative_entry(e: float) -> None:
+    # Every correlation a stage can return lies in [-1, 1], so no model table is refused.
+    assert min(as_array(symmetric_joint(e))) >= 0.0
 
 
 @given(settings_strategy)
