@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .config import KEY_TABLE, build_run_config, parse_config_file, parse_value
+from .config import KEY_TABLE, build_run_config, parse_config_file
 from .errors import AmbiguousScheduleError, ConfigError
 from .report import compare_report, render_csv, render_json_lines, render_table
 
@@ -64,7 +64,7 @@ def _collect_values(args: argparse.Namespace) -> dict[str, object]:
     for key in KEY_TABLE:
         text = getattr(args, key)
         if text is not None:
-            values[key] = parse_value(key, text)
+            values[key] = KEY_TABLE[key][0](key, text)
     return values
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, require_finite, require_flag, require_int
+from .errors import ConfigError, require_flag, require_int
 from .montecarlo import MAX_EVENTS, MAX_KEY_WORD
 from .quantum import PhaseSettings
 from .rnl import ModelVariant
@@ -39,9 +39,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         # Only checks inside: a ValueError from anywhere else is no config error.
         try:
-            for name in ("phi11_deg", "phi21_deg", "phi22_deg"):
-                object.__setattr__(self, name, require_finite(name, getattr(self, name)))
             settings = PhaseSettings.from_degrees(self.phi11_deg, self.phi21_deg, self.phi22_deg)
+            for name in ("phi11_deg", "phi21_deg", "phi22_deg"):  # from_degrees accepted each one
+                object.__setattr__(self, name, float(getattr(self, name)))
             object.__setattr__(self, "_settings", settings)  # no field, so out of __eq__, __hash__, __repr__
             if (self.series is None) == (self.geometry is None):
                 raise ValueError("series and geometry are mutually exclusive, and one must be set")
@@ -100,9 +100,7 @@ def _parse_bool(key: str, text: str) -> bool:
 
 def _parse_variants(key: str, text: str) -> tuple[ModelVariant, ...]:
     """Comma-separated variant names, case-insensitive."""
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    if not names:
-        raise ConfigError(f"{key}: no variant named in {text!r}")
+    names = [part.strip() for part in text.split(",") if part.strip()]  # none: RunConfig refuses ()
     by_name = {variant.value.lower(): variant for variant in ModelVariant}
     variants = []
     for name in names:
@@ -113,9 +111,9 @@ def _parse_variants(key: str, text: str) -> tuple[ModelVariant, ...]:
     return tuple(variants)
 
 
-# The complete config vocabulary, in --help order: each key's parser and the
-# help text of its command line flag --key-with-dashes.  Anything else in a
-# file is an error.
+# The complete config vocabulary, in --help order: each key's parser, the one
+# reader of its text (an empty one too), and the help text of its command line
+# flag --key-with-dashes.  Anything else in a file is an error.
 KEY_TABLE = {
     "series": (_parse_int, "preset geometry: lab ordering series 1, 2 or 3"),
     "length_bs11": (_parse_float, "photon 1 path length in m"),
@@ -135,11 +133,6 @@ KEY_TABLE = {
     ),
     "condition2": (_parse_bool, "paths unknowable after the final splitter (true or false)"),
 }
-
-
-def parse_value(key: str, text: str) -> object:
-    """The typed value of one config key, from a file line or a command line flag."""
-    return KEY_TABLE[key][0](key, text)
 
 
 def parse_config_file(path: Path | str) -> dict[str, object]:
@@ -167,9 +160,7 @@ def parse_config_file(path: Path | str) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
-        if not raw:
-            raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-        values[key] = parse_value(key, raw)
+        values[key] = KEY_TABLE[key][0](key, raw)
     return values
 
 

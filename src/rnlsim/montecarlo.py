@@ -115,8 +115,8 @@ def sample_counts(
 
 
 def correlation_stderr(e: float, n: int) -> float:
-    """sqrt((1 - e^2) / n): the binomial standard error of n outcome products of mean e."""
-    return math.sqrt(max(0.0, 1.0 - e * e) / n)
+    """sqrt((1 - e^2) / n): the binomial stderr of n outcome products of mean e; |e| > 1 is a ValueError."""
+    return math.sqrt((1.0 - e * e) / n)
 
 
 def estimate_correlation(counts: CoincidenceCounts) -> EstimatorResult:

@@ -10,6 +10,7 @@ to its own temporary copy of the repository, where tier-1 runs with
 `-x -q -p no:cacheprovider` and a fixed Hypothesis seed, so a run kills the
 same mutants every time.  A mutant that passes every test survives.  The
 unmutated copy runs first: if it fails, no mutant result would mean anything.
+The last line counts the results and gives the wall time of the whole run.
 
 Exit status: 0 when every survivor is marked equivalent (with its reason), 1
 when any other survives, 2 when the unmutated copy fails or a mutant's old
@@ -24,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -138,7 +140,7 @@ MUTANTS = (
     # --- config: value parsers, file format and run checks ----------------------
     Mutant("config.py", 'in ("true", "1", "yes", "on")', 'in ("true", "1", "yes")'),
     Mutant("config.py", "return float(text)\n    except ValueError:", "return float(text)\n    except TypeError:"),
-    Mutant("config.py", "if not names:", "if False:"),
+    Mutant("config.py", "if not self.variants:", "if False:"),
     Mutant("config.py", "if unknown:", "if False:"),
     Mutant("config.py", "if not isinstance(geometry, ExperimentGeometry):", "if False:"),
     Mutant("config.py", "variant = by_name.get(name.lower())", "variant = by_name.get(name)"),
@@ -164,7 +166,7 @@ MUTANTS = (
     ),
     # --- cli: flag values, exit codes and the error path ------------------------
     Mutant("cli.py", "EXIT_AMBIGUOUS = 3", "EXIT_AMBIGUOUS = 2"),
-    Mutant("cli.py", "values[key] = parse_value(key, text)", "values.setdefault(key, parse_value(key, text))"),
+    Mutant("cli.py", "values[key] = KEY_TABLE[key][0](key, text)", "values.setdefault(key, KEY_TABLE[key][0](key, text))"),
     Mutant("cli.py", 'glued[-1] += "=" + token', 'glued.append(token)'),
     Mutant("cli.py", "        return False\n    return True", "        return True\n    return True"),
     Mutant("cli.py", "except (ConfigError, OSError) as exc:", "except (ValueError, OSError) as exc:"),
@@ -217,6 +219,7 @@ def _tier1(mutant: Mutant | None) -> subprocess.CompletedProcess | None:
 
 
 def main(argv: list[str]) -> int:
+    started = time.monotonic()
     numbered = dict(enumerate(MUTANTS, 1))
     mutants = {int(arg): numbered[int(arg)] for arg in argv} or numbered
     stale = [
@@ -248,7 +251,11 @@ def main(argv: list[str]) -> int:
         print(f"survivor {number}: {mutant.path}: {mutant.old!r} -> {mutant.new!r}")
         if mutant.equivalent:
             print(f"  equivalent because {mutant.equivalent}")
-    print(f"{len(mutants)} mutants, {len(mutants) - len(survivors)} killed, {len(survivors)} survived, {len(unexplained)} unexplained")
+    minutes, seconds = divmod(round(time.monotonic() - started), 60)
+    print(
+        f"{len(mutants)} mutants, {len(mutants) - len(survivors)} killed, {len(survivors)} survived, "
+        f"{len(unexplained)} unexplained, in {minutes} min {seconds} s of wall time"
+    )
     return 1 if unexplained else 0
 
 

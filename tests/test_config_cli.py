@@ -229,11 +229,11 @@ REFUSALS = (
     (b"series 3\n", "", 2, "run.cfg:1: expected 'key = value', got 'series 3'"),
     (b"n_events =   soon  \n", "", 2, "error: n_events: expected an integer, got 'soon'\n"),
     (b"phi11_deg = abc\n", "", 2, "error: phi11_deg: expected a number, got 'abc'\n"),
-    (b"variants = ,\n", "", 2, "error: variants: no variant named in ','\n"),
+    (b"variants = ,\n", "", 2, "error: variants must not be empty\n"),
     (b"variants = QM, FTL\n", "", 2, "error: variants: unknown variant 'FTL'\n"),
     (b"condition1 = maybe\n", "", 2, "error: condition1: expected true or false, got 'maybe'\n"),
-    (b"seed =\n", "", 2, "run.cfg:1: empty value for 'seed'"),
-    (b"seed = # x\n", "", 2, "run.cfg:1: empty value for 'seed'"),
+    (b"seed =\n", "", 2, "error: seed: expected an integer, got ''\n"),
+    (b"seed = # x\n", "", 2, "error: seed: expected an integer, got ''\n"),
     (b"series = 3\nseed = \xff\n", "", 2, "run.cfg: not UTF-8 text"),
     (None, "--config {tmp}/missing.cfg", 2, "No such file or directory"),
     # Flags.
@@ -271,6 +271,17 @@ def test_every_refused_run_exits_with_one_error_line(
     config: bytes | None, argv: str, code: int, fragment: str, capsys: pytest.CaptureFixture, tmp_path: Path
 ) -> None:
     _assert_refused(run_cli(capsys, tmp_path, config, argv), code, fragment)
+
+
+@pytest.mark.parametrize("key", KEY_TABLE)
+def test_an_empty_value_is_refused_alike_in_a_file_and_on_the_command_line(
+    key: str, capsys: pytest.CaptureFixture, tmp_path: Path
+) -> None:
+    # The key's parser is the one reader of its text; an empty variant list parses and RunConfig refuses it.
+    in_file = run_cli(capsys, tmp_path, f"{key} =\n".encode(), "")
+    on_command_line = run_cli(capsys, tmp_path, None, f"--{key.replace('_', '-')} ''")
+    assert in_file == on_command_line
+    _assert_refused(in_file, 2, f"error: {key}")
 
 
 _GEOMETRY_21 = "--length-bs21 1 --length-bs22 3"

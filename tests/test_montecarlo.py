@@ -26,7 +26,7 @@ from rnlsim import (
     symmetric_joint,
 )
 from rnlsim import rnl
-from rnlsim.montecarlo import MAX_EVENTS, MAX_KEY_WORD
+from rnlsim.montecarlo import MAX_EVENTS, MAX_KEY_WORD, correlation_stderr
 from rnlsim.quantum import PROB_ATOL
 from rnlsim.report import VERDICT_SIGMA
 
@@ -226,6 +226,14 @@ def test_estimator_known_values() -> None:
 def test_estimator_rejects_zero_counts() -> None:
     with pytest.raises(ValueError):
         estimate_correlation(CoincidenceCounts(0, 0, 0, 0))
+
+
+def test_stderr_refuses_a_correlation_outside_minus_one_to_one() -> None:
+    # Refused, not clamped to 0: no estimate or model table has |e| > 1.
+    assert correlation_stderr(1.0, 10) == correlation_stderr(-1.0, 10) == 0.0
+    for e in (math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0)):
+        with pytest.raises(ValueError):
+            correlation_stderr(e, 10)
 
 
 @given(st.tuples(*(st.integers(min_value=0, max_value=10_000),) * 4))

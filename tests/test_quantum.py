@@ -112,8 +112,11 @@ def test_joint_distribution_validation() -> None:
 @example(-1.0)
 @example(1.0)
 def test_symmetric_joint_never_has_a_negative_entry(e: float) -> None:
-    # Every correlation a stage can return lies in [-1, 1], so no model table is refused.
-    assert min(as_array(symmetric_joint(e))) >= 0.0
+    # Every correlation a stage can return lies in [-1, 1], so no model table is
+    # refused, and its table's correlation stays there for correlation_stderr.
+    table = symmetric_joint(e)
+    assert min(as_array(table)) >= 0.0
+    assert -1.0 <= table.correlation <= 1.0
 
 
 @given(settings_strategy)

@@ -140,9 +140,6 @@ def test_predict_validates_inputs() -> None:
                 _table(settings, timing, variant)
 
 
-# --- indistinguishability conditions -------------------------------------------
-
-
 # --- predict facade -------------------------------------------------------------
 
 
