@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,32 +54,33 @@ class EstimatorResult:
     stderr: float
 
 
+def _philox_state(seed: int, variant_index: int) -> dict:
+    """Philox's state at the start of the stream keyed (seed, variant_index), one 64-bit word each."""
+    seed = require_int("seed", seed, 0, MAX_KEY_WORD)
+    variant_index = require_int("variant_index", variant_index, 0, MAX_KEY_WORD)
+    return {
+        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, variant_index)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+
+
 @functools.cache  # built on first use, so `import rnlsim` does not import numpy.random
-def _philox_key() -> type:
-    """Seed type that hands Philox its key words as given; Philox(key=...) first draws OS entropy."""
-    from numpy.random.bit_generator import ISeedSequence
+def _shared_stream() -> tuple[np.random.Philox, np.random.Generator, threading.Lock]:
+    """The Philox that sample_counts re-keys for every draw, its Generator, and their lock.
 
-    class PhiloxKey(ISeedSequence):
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != 2 or np.dtype(dtype) != np.uint64:  # any other ask would change the key
-                raise RuntimeError(f"Philox asked for {n_words} {dtype} words, not 2 uint64")
-            return self.words
-
-    return PhiloxKey
+    A Philox stream is a pure function of (key, counter), so writing a stream's
+    start state gives that stream bit for bit, and no generator is built per draw.
+    """
+    bitgen = np.random.Philox(0)
+    return bitgen, np.random.Generator(bitgen), threading.Lock()
 
 
 def substream(seed: int, variant_index: int) -> np.random.Generator:
-    """A fresh Generator(Philox(key=np.array([seed, variant_index], dtype=np.uint64))), bit for bit.
-
-    seed and variant_index are one 64-bit key word each, so distinct pairs are distinct keys.
-    """
-    seed = require_int("seed", seed, 0, MAX_KEY_WORD)
-    variant_index = require_int("variant_index", variant_index, 0, MAX_KEY_WORD)
-    key = np.array([seed, variant_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_philox_key()(key)))
+    """A fresh Generator(Philox(key=np.array([seed, variant_index], dtype=np.uint64))), bit for bit."""
+    state = _philox_state(seed, variant_index)
+    bitgen = np.random.Philox(0)
+    bitgen.state = state
+    return np.random.Generator(bitgen)
 
 
 def sample_counts(
@@ -91,9 +93,11 @@ def sample_counts(
 ) -> CoincidenceCounts:
     """Draw n_events pairs as one multinomial over the table's nonzero cells.
 
-    The counts are substream(seed, variant_index).multinomial(n_events, p),
-    a pure function of (joint, seed, variant_index, n_events).  chunk_size
-    is range-checked and otherwise ignored since stream layout v4.
+    The draw re-keys one shared Philox to _philox_state(seed, variant_index)
+    under a lock, so from any thread the counts are substream(seed,
+    variant_index).multinomial(n_events, p): a pure function of (joint, seed,
+    variant_index, n_events).  chunk_size is range-checked and otherwise
+    ignored since stream layout v4.
     """
     n_events = require_int("n_events", n_events, 1, MAX_EVENTS)
     require_int("chunk_size", chunk_size, 1, MAX_EVENTS)
@@ -107,7 +111,11 @@ def sample_counts(
     for cell in cells:
         total += table[cell]
     p = [table[cell] / total for cell in cells]
-    drawn = substream(seed, variant_index).multinomial(n_events, p)
+    state = _philox_state(seed, variant_index)
+    bitgen, generator, lock = _shared_stream()
+    with lock:
+        bitgen.state = state
+        drawn = generator.multinomial(n_events, p)
     counts = [0, 0, 0, 0]
     for cell, count in zip(cells, drawn.tolist()):
         counts[cell] = count

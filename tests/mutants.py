@@ -93,7 +93,10 @@ MUTANTS = (
     Mutant("montecarlo.py", "1.0 - e * e) / n)", "1.0 - e * e) / (n - 1))"),
     Mutant("montecarlo.py", "counts.r_pp - counts.r_pm - counts.r_mp + counts.r_mm", "counts.r_pp - counts.r_pm + counts.r_mp - counts.r_mm"),
     Mutant("montecarlo.py", "if n < 1:", "if n < 0:"),
-    Mutant("montecarlo.py", "key = np.array([seed, variant_index]", "key = np.array([variant_index, seed]"),
+    Mutant("montecarlo.py", '"key": (seed, variant_index)', '"key": (variant_index, seed)'),
+    Mutant("montecarlo.py", '"counter": (0, 0, 0, 0)', '"counter": (0, 0, 0, 1)'),
+    Mutant("montecarlo.py", '"buffer_pos": 4', '"buffer_pos": 0'),
+    Mutant("montecarlo.py", "    with lock:\n", "    if True:\n"),
     Mutant("montecarlo.py", "MAX_EVENTS = 2**63 - 1", "MAX_EVENTS = 2**64 - 1"),
     Mutant("montecarlo.py", "for cell, q in enumerate(table) if q]", "for cell, q in enumerate(table)]"),
     Mutant("montecarlo.py", "p = [table[cell] / total for cell in cells]", "p = [table[cell] for cell in cells]"),

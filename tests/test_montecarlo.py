@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -51,12 +53,54 @@ def test_uniform_frequencies_within_statistical_bound() -> None:
 
 
 def test_counts_are_a_pure_function_of_their_arguments() -> None:
-    kwargs = dict(seed=7, variant_index=1, n_events=50_000, chunk_size=8_192)
-    first = sample_counts(JointDistribution(0.1, 0.2, 0.3, 0.4), **kwargs)
-    # Other draws in between leave no state behind.
-    sample_counts(symmetric_joint(0.0), seed=8, variant_index=0, n_events=999, chunk_size=7)
-    again = sample_counts(JointDistribution(0.1, 0.2, 0.3, 0.4), **kwargs)
+    # Every draw re-keys one shared Philox, so A, B, A with refused calls in
+    # between must give A's counts twice: no draw, and no refusal, leaves a
+    # key, counter or buffered word behind for the next.
+    a = (JointDistribution(0.1, 0.2, 0.3, 0.4), dict(seed=7, variant_index=1, n_events=50_000))
+    b = (symmetric_joint(0.5), dict(seed=MAX_KEY_WORD, variant_index=3, n_events=999))
+    first = sample_counts(a[0], **a[1])
+    with pytest.raises(ValueError, match="n_events"):
+        sample_counts(b[0], **{**b[1], "n_events": 0})
+    middle = sample_counts(b[0], **b[1])
+    with pytest.raises(ValueError, match="seed"):
+        sample_counts(a[0], **{**a[1], "seed": MAX_KEY_WORD + 1})
+    again = sample_counts(a[0], **a[1])
     assert first == again
+    for (table, kwargs), counts in ((a, first), (b, middle)):
+        seed, variant_index, n_events = kwargs["seed"], kwargs["variant_index"], kwargs["n_events"]
+        p = v5_reference(table, seed, n_events, variant_index)[1]
+        assert counts.as_tuple() == tuple(substream(seed, variant_index).multinomial(n_events, p).tolist())
+
+
+def test_threads_sharing_the_stream_each_get_their_serial_counts() -> None:
+    # The lock keeps one thread's re-key from landing between another's key
+    # write and its draw.  A switch interval of 1 us makes such a landing
+    # likely: with the lock dropped, dozens of these 20 000 draws differ.
+    table = JointDistribution(0.1, 0.2, 0.3, 0.4)
+    keys = [(seed, variant_index) for seed in range(5_000) for variant_index in range(4)]
+
+    def draw(key: tuple[int, int]) -> CoincidenceCounts:
+        return sample_counts(table, seed=key[0], variant_index=key[1], n_events=1000)
+
+    serial = [draw(key) for key in keys]
+    threaded = [None] * len(keys)
+
+    def draw_every_fourth(start: int) -> None:
+        for i in range(start, len(keys), 4):
+            threaded[i] = draw(keys[i])
+
+    threads = [threading.Thread(target=draw_every_fourth, args=(start,)) for start in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sum(got != want for got, want in zip(threaded, serial)) == 0
 
 
 def test_seeds_past_32_bits_do_not_collide_with_other_variants() -> None:
@@ -110,11 +154,21 @@ def test_substream_key_is_seed_and_variant_at_counter_zero(seed: int, variant_in
     assert state["buffer_pos"] == 4 and state["has_uint32"] == 0
 
 
-def test_substream_refuses_keys_outside_64_bits_before_building(monkeypatch: pytest.MonkeyPatch) -> None:
-    def no_build():
-        raise AssertionError("a generator was built")
+class _NoRekey:
+    """Stands in for the shared Philox: any write of its state fails the test."""
 
-    monkeypatch.setattr("rnlsim.montecarlo._philox_key", no_build)
+    def __setattr__(self, name: str, value) -> None:
+        raise AssertionError("the shared Philox was re-keyed")
+
+
+def test_keys_outside_64_bits_are_refused_before_any_philox_is_built_or_re_keyed(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    def no_build(*args, **kwargs):
+        raise AssertionError("a Philox was built")
+
+    monkeypatch.setattr(np.random, "Philox", no_build)
+    monkeypatch.setattr("rnlsim.montecarlo._shared_stream", lambda: (_NoRekey(), None, threading.Lock()))
     for seed, variant_index, message in (
         (MAX_KEY_WORD + 1, 0, "seed must be in"),
         (-1, 0, "seed must be in"),
@@ -127,15 +181,25 @@ def test_substream_refuses_keys_outside_64_bits_before_building(monkeypatch: pyt
     ):
         with pytest.raises(ValueError, match=message):
             substream(seed, variant_index)
+        with pytest.raises(ValueError, match=message):
+            sample_counts(symmetric_joint(0.0), seed=seed, variant_index=variant_index, n_events=10)
 
 
-def test_philox_key_refuses_any_other_ask() -> None:
-    # A numpy that asked for other words would get a different key; fail loudly.
-    key = rnlsim.montecarlo._philox_key()(np.array([1, 2], dtype=np.uint64))
-    assert key.generate_state(2, np.uint64).tolist() == [1, 2]
-    for n_words, dtype in ((2, np.uint32), (4, np.uint32), (1, np.uint64), (4, np.uint64)):
-        with pytest.raises(RuntimeError, match="not 2 uint64"):
-            key.generate_state(n_words, dtype)
+def _plain(state):
+    """A Philox state dict with its arrays and tuples as lists of Python ints."""
+    if isinstance(state, dict):
+        return {name: _plain(value) for name, value in state.items()}
+    if isinstance(state, np.ndarray):
+        return state.tolist()
+    return list(state) if isinstance(state, tuple) else state
+
+
+@pytest.mark.parametrize("seed, variant_index", [(0, 0), (MAX_KEY_WORD, MAX_KEY_WORD), (1, 2)])
+def test_philox_state_is_a_fresh_philox_keyed_by_seed_and_variant(seed: int, variant_index: int) -> None:
+    # The state both sample_counts and substream write is the one numpy's
+    # Philox(key=...) starts in, so the re-keyed stream is the v5 stream.
+    keyed = np.random.Philox(key=np.array([seed, variant_index], dtype=np.uint64))
+    assert _plain(rnlsim.montecarlo._philox_state(seed, variant_index)) == _plain(keyed.state)
 
 
 class _RecordingStream:
@@ -150,17 +214,13 @@ class _RecordingStream:
 
 
 def _recorded_sample_counts(table: JointDistribution, **kwargs):
-    """sample_counts through recording streams: the counts and each stream's draws."""
-    streams = []
-
-    def recording_substream(seed: int, variant_index: int) -> _RecordingStream:
-        streams.append(_RecordingStream(substream(seed, variant_index)))
-        return streams[-1]
-
+    """sample_counts through a recording shared generator: the counts and its draws."""
+    bitgen, generator, lock = rnlsim.montecarlo._shared_stream()
+    recording = _RecordingStream(generator)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("rnlsim.montecarlo.substream", recording_substream)
+        patch.setattr("rnlsim.montecarlo._shared_stream", lambda: (bitgen, recording, lock))
         counts = sample_counts(table, **kwargs)
-    return counts, [stream.draws for stream in streams]
+    return counts, recording.draws
 
 
 @settings(deadline=None)
@@ -188,14 +248,14 @@ def _recorded_sample_counts(table: JointDistribution, **kwargs):
 def test_sample_counts_equals_the_v5_reference(table: JointDistribution, shape: tuple[int, int], seed: int) -> None:
     n_events, chunk_size = shape
     expected_counts, expected_p = v5_reference(table, seed, n_events)
-    counts, streams = _recorded_sample_counts(table, seed=seed, variant_index=1, n_events=n_events, chunk_size=chunk_size)
+    counts, draws = _recorded_sample_counts(table, seed=seed, variant_index=1, n_events=n_events, chunk_size=chunk_size)
     assert counts.as_tuple() == expected_counts
     assert all(type(count) is int for count in counts.as_tuple())
     assert counts.n_total == n_events
     assert all(count == 0 for p, count in zip(as_array(table), counts.as_tuple()) if p == 0.0)
-    # One stream, one draw of all the events, with the reference's
-    # renormalised p bit for bit.
-    assert streams == [[(n_events, expected_p, None)]]
+    # One draw of all the events from the shared generator, with the
+    # reference's renormalised p bit for bit.
+    assert draws == [(n_events, expected_p, None)]
 
 
 @settings(max_examples=60, deadline=None)
