@@ -13,7 +13,6 @@ from .montecarlo import (
     EstimatorResult,
     estimate_correlation,
     sample_counts,
-    substream,
 )
 from .quantum import (
     JointDistribution,
@@ -77,6 +76,5 @@ __all__ = [
     "sample_counts",
     "schedule_from_geometry",
     "series_preset",
-    "substream",
     "symmetric_joint",
 ]

@@ -13,6 +13,7 @@ from .timing import ExperimentGeometry, series_preset
 
 _GEOMETRY_LENGTH_KEYS = ("length_bs11", "length_bs21", "length_bs22")
 _GEOMETRY_KEYS = (*_GEOMETRY_LENGTH_KEYS, "m11_displacement")
+MAX_CONFIG_BYTES = 64 * 1024  # the longest config file read; a complete one is under 1 KiB
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,16 @@ def parse_config_file(path: Path | str) -> dict[str, object]:
     """Read a flat `key = value` file into typed values.
 
     A # starts a comment that ends with its line; blank lines are skipped.
-    Unknown keys, repeated keys and malformed values are all ConfigErrors.
+    Files over MAX_CONFIG_BYTES, unknown keys, repeated keys and malformed
+    values are all ConfigErrors.
     """
     path = Path(path)
+    with path.open("rb") as file:
+        data = file.read(MAX_CONFIG_BYTES + 1)  # bounded: /dev/zero or a FIFO cannot fill memory
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"{path}: longer than {MAX_CONFIG_BYTES} bytes")
     try:
-        text = path.read_text(encoding="utf-8-sig")  # a leading byte order mark is dropped
+        text = data.decode("utf-8-sig")  # a leading byte order mark is dropped
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     values: dict[str, object] = {}

@@ -3,8 +3,9 @@
 Each variant owns one Philox (counter-based) stream whose 128-bit key is
 the pair (seed, variant index), so a variant's counts do not depend on which
 other variants run.  A variant's events are one multinomial draw over its
-4-cell table from that stream: independent draws over one table sum to a
-draw over their total, so splitting the events into chunks buys nothing.
+4-cell table from that stream.  Drawing them in pieces would not change
+their law below about 2^61 events; above it, numpy's int64 binomial
+overflows and the one draw's counts stray from the table's law.
 """
 
 from __future__ import annotations
@@ -75,14 +76,6 @@ def _shared_stream() -> tuple[np.random.Philox, np.random.Generator, threading.L
     return bitgen, np.random.Generator(bitgen), threading.Lock()
 
 
-def substream(seed: int, variant_index: int) -> np.random.Generator:
-    """A fresh Generator(Philox(key=np.array([seed, variant_index], dtype=np.uint64))), bit for bit."""
-    state = _philox_state(seed, variant_index)
-    bitgen = np.random.Philox(0)
-    bitgen.state = state
-    return np.random.Generator(bitgen)
-
-
 def sample_counts(
     joint: JointDistribution,
     *,
@@ -94,10 +87,10 @@ def sample_counts(
     """Draw n_events pairs as one multinomial over the table's nonzero cells.
 
     The draw re-keys one shared Philox to _philox_state(seed, variant_index)
-    under a lock, so from any thread the counts are substream(seed,
-    variant_index).multinomial(n_events, p): a pure function of (joint, seed,
-    variant_index, n_events).  chunk_size is range-checked and otherwise
-    ignored since stream layout v4.
+    under a lock, so from any thread the counts are
+    Generator(Philox(key=np.array([seed, variant_index], dtype=np.uint64))).multinomial(n_events, p):
+    a pure function of (joint, seed, variant_index, n_events).  chunk_size
+    is range-checked and otherwise ignored since stream layout v4.
     """
     n_events = require_int("n_events", n_events, 1, MAX_EVENTS)
     require_int("chunk_size", chunk_size, 1, MAX_EVENTS)

@@ -147,7 +147,9 @@ MUTANTS = (
     Mutant("config.py", "if unknown:", "if False:"),
     Mutant("config.py", "if not isinstance(geometry, ExperimentGeometry):", "if False:"),
     Mutant("config.py", "variant = by_name.get(name.lower())", "variant = by_name.get(name)"),
-    Mutant("config.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
+    Mutant("config.py", 'data.decode("utf-8-sig")', 'data.decode("utf-8")'),
+    Mutant("config.py", "data = file.read(MAX_CONFIG_BYTES + 1)", "data = file.read()"),
+    Mutant("config.py", "if len(data) > MAX_CONFIG_BYTES:", "if len(data) >= MAX_CONFIG_BYTES:"),
     Mutant("config.py", "raw = raw.strip()", "raw = raw"),
     Mutant("config.py", 'stripped = line.partition("#")[0].strip()', "stripped = line.strip()"),
     Mutant("config.py", 'stripped = line.partition("#")[0].strip()', 'stripped = line.partition(" #")[0].strip()'),

@@ -29,7 +29,7 @@ from rnlsim import (
 )
 from helpers import run_cli
 from rnlsim.cli import main
-from rnlsim.config import KEY_TABLE
+from rnlsim.config import KEY_TABLE, MAX_CONFIG_BYTES
 from rnlsim.report import CSV_COLUMNS, render_csv, render_json_lines, render_table
 
 
@@ -133,11 +133,11 @@ def test_run_config_resolves_its_geometry_once(monkeypatch: pytest.MonkeyPatch) 
 # --- CLI -----------------------------------------------------------------------
 
 
-def _run_module(*args: str) -> subprocess.CompletedProcess:
-    """`python -m rnlsim.cli ARGS` in a child process, killed after 30 s."""
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python ARGS` in a child process that imports this rnlsim, killed after 30 s."""
     package_root = os.path.dirname(os.path.dirname(rnlsim.__file__))
     return subprocess.run(
-        [sys.executable, "-m", "rnlsim.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": package_root},
@@ -146,13 +146,13 @@ def _run_module(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_module_runs_as_a_script() -> None:
-    result = _run_module("--format", "csv", "--n-events", "10")
+    result = _run_python("-m", "rnlsim.cli", "--format", "csv", "--n-events", "10")
     assert result.returncode == 0, result.stderr
     assert tuple(next(csv.reader(io.StringIO(result.stdout)))) == CSV_COLUMNS
-    result = _run_module("--variants", "QM,FTL")
+    result = _run_python("-m", "rnlsim.cli", "--variants", "QM,FTL")
     assert result.returncode == 2
     assert (result.stdout, result.stderr) == ("", "error: variants: unknown variant 'FTL'\n")
-    result = _run_module("--bogus")
+    result = _run_python("-m", "rnlsim.cli", "--bogus")
     assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: unrecognized arguments: --bogus\n")
 
 
@@ -161,7 +161,7 @@ def test_cli_runs_max_events_in_one_event_chunks_promptly() -> None:
     # time; each variant is one draw instead.  A child process, so that a
     # regression is killed at the timeout instead of hanging the suite.
     n_events = 2**63 - 1
-    result = _run_module("--n-events", str(n_events), "--chunk-size", "1", "--format", "csv")
+    result = _run_python("-m", "rnlsim.cli", "--n-events", str(n_events), "--chunk-size", "1", "--format", "csv")
     assert result.returncode == 0, result.stderr
     rows = list(csv.DictReader(io.StringIO(result.stdout)))
     assert len(rows) == 3
@@ -219,6 +219,37 @@ def test_any_one_moving_splitter_leaves_no_series(beta: str) -> None:
     assert _series_fields(resting) == (["3"] * 3, [3] * 3)
 
 
+# python -c _BOUNDED_CLI ARGS runs the CLI with 256 MiB of address space
+# above what the interpreter and numpy have mapped: the limit is the child's alone.
+_BOUNDED_CLI = """
+import resource, sys
+from rnlsim.cli import main
+with open("/proc/self/statm") as statm:
+    limit = int(statm.read().split()[0]) * resource.getpagesize() + 2**28
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_config_file_with_no_end_is_refused_in_bounded_memory() -> None:
+    # Read whole, /dev/zero fills the address space: a MemoryError traceback
+    # and exit 1 under this limit, the host's OOM killer without one.
+    result = _run_python("-c", _BOUNDED_CLI, "--config", "/dev/zero", "--n-events", "10")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: /dev/zero: longer than {MAX_CONFIG_BYTES} bytes\n"
+
+
+# A valid config padded with a comment to exactly MAX_CONFIG_BYTES.
+_AT_CAP = b"n_events = 10\n" + b"#" * (MAX_CONFIG_BYTES - 15) + b"\n"
+
+
+def test_a_config_file_at_the_size_cap_runs(capsys: pytest.CaptureFixture, tmp_path: Path) -> None:
+    assert len(_AT_CAP) == MAX_CONFIG_BYTES
+    padded = run_cli(capsys, tmp_path, _AT_CAP, "--format csv")
+    assert padded[0] == 0
+    assert padded == run_cli(capsys, tmp_path, b"n_events = 10\n", "--format csv")
+
+
 # (config file bytes or None, command line with {tmp} for a scratch directory,
 # exit code, a fragment of the one error line).
 REFUSALS = (
@@ -235,6 +266,8 @@ REFUSALS = (
     (b"seed =\n", "", 2, "error: seed: expected an integer, got ''\n"),
     (b"seed = # x\n", "", 2, "error: seed: expected an integer, got ''\n"),
     (b"series = 3\nseed = \xff\n", "", 2, "run.cfg: not UTF-8 text"),
+    (b"\xef\xbb", "", 2, "run.cfg: not UTF-8 text"),  # two bytes of a byte order mark
+    (_AT_CAP + b"\n", "", 2, f"run.cfg: longer than {MAX_CONFIG_BYTES} bytes\n"),
     (None, "--config {tmp}/missing.cfg", 2, "No such file or directory"),
     # Flags.
     (None, "--series 5", 2, "error: series must be in [1, 3], got 5\n"),
@@ -265,7 +298,7 @@ REFUSALS = (
 
 
 @pytest.mark.parametrize(
-    ("config", "argv", "code", "fragment"), REFUSALS, ids=[repr(c) if c else a for c, a, _, _ in REFUSALS]
+    ("config", "argv", "code", "fragment"), REFUSALS, ids=[repr(c[:40]) if c else a for c, a, _, _ in REFUSALS]
 )
 def test_every_refused_run_exits_with_one_error_line(
     config: bytes | None, argv: str, code: int, fragment: str, capsys: pytest.CaptureFixture, tmp_path: Path

@@ -38,7 +38,6 @@ from rnlsim import (
     render_table,
     sample_counts,
     series_preset,
-    substream,
     symmetric_joint,
 )
 from rnlsim.montecarlo import MAX_EVENTS, MAX_KEY_WORD
@@ -98,7 +97,6 @@ INPUTS = [  # entry point, valid values of its other arguments, kind, its argume
     (CoincidenceCounts, dict.fromkeys(["r_pp", "r_pm", "r_mp", "r_mm"], 0), integer(0, MAX_EVENTS), "r_pp r_pm r_mp r_mm"),
     (sample_counts, SAMPLING, KEY_WORD, "seed variant_index"),
     (sample_counts, SAMPLING, EVENTS, "n_events chunk_size"),
-    (substream, {"seed": 1, "variant_index": 0}, KEY_WORD, "seed variant_index"),
     (series_preset, {}, SERIES, "series"),
     (TimingAssignment, PAIRING, FLAG, "bs21_before"),
     (predict, FLAT_STAGE, FLAG, "condition1 condition2"),
@@ -116,9 +114,7 @@ CASES = [
 
 
 def _kept(result: object) -> list:
-    """What a result keeps: each field with its type, or a generator's key words."""
-    if isinstance(result, np.random.Generator):
-        return result.bit_generator.state["state"]["key"].tolist()
+    """What a result keeps: each field with its type."""
     return [(type(value), value) for value in (getattr(result, field.name) for field in dataclasses.fields(result))]
 
 

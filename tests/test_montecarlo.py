@@ -24,7 +24,6 @@ from rnlsim import (
     estimate_correlation,
     predict,
     sample_counts,
-    substream,
     symmetric_joint,
 )
 from rnlsim import rnl
@@ -33,7 +32,7 @@ from rnlsim.quantum import PROB_ATOL
 from rnlsim.report import VERDICT_SIGMA
 
 
-def test_different_substreams_differ() -> None:
+def test_different_streams_differ() -> None:
     table = symmetric_joint(0.0)
     counts_a = sample_counts(table, seed=42, variant_index=0, n_events=1000, chunk_size=1000)
     counts_b = sample_counts(table, seed=42, variant_index=1, n_events=1000, chunk_size=1000)
@@ -68,8 +67,7 @@ def test_counts_are_a_pure_function_of_their_arguments() -> None:
     assert first == again
     for (table, kwargs), counts in ((a, first), (b, middle)):
         seed, variant_index, n_events = kwargs["seed"], kwargs["variant_index"], kwargs["n_events"]
-        p = v5_reference(table, seed, n_events, variant_index)[1]
-        assert counts.as_tuple() == tuple(substream(seed, variant_index).multinomial(n_events, p).tolist())
+        assert counts.as_tuple() == v5_reference(table, seed, n_events, variant_index)[0]
 
 
 def test_threads_sharing_the_stream_each_get_their_serial_counts() -> None:
@@ -111,7 +109,7 @@ def test_seeds_past_32_bits_do_not_collide_with_other_variants() -> None:
     wide = sample_counts(table, seed=5 + (2 << 32), variant_index=0, n_events=1000, chunk_size=1000)
     narrow = sample_counts(table, seed=5, variant_index=2, n_events=1000, chunk_size=1000)
     assert wide != narrow
-    assert not np.array_equal(substream(5 + (2 << 32), 0).random(4), substream(5, 2).random(4))
+    assert rnlsim.montecarlo._philox_state(5 + (2 << 32), 0) != rnlsim.montecarlo._philox_state(5, 2)
 
 
 @st.composite
@@ -136,22 +134,6 @@ def _run_shapes(draw) -> tuple[int, int]:
     n_events = draw(st.one_of(st.integers(1, 10_000), st.integers(1, MAX_EVENTS)))
     chunk_size = draw(st.one_of(st.integers(1, n_events + 100), st.integers(1, MAX_EVENTS)))
     return n_events, chunk_size
-
-
-@given(st.integers(0, MAX_KEY_WORD), st.integers(0, MAX_KEY_WORD))
-@example(0, 0)
-@example(2**63, 1)
-@example(MAX_KEY_WORD, 2)
-@example(MAX_KEY_WORD, MAX_KEY_WORD)
-def test_substream_key_is_seed_and_variant_at_counter_zero(seed: int, variant_index: int) -> None:
-    # Read back as Python ints.  numpy casts a Python-list key through float,
-    # so Philox(key=[2**64 - 1, 1]) has the key [0, 1]: the v5 oracle,
-    # helpers.v5_reference, keys by a uint64 array.
-    state = substream(seed, variant_index).bit_generator.state
-    assert state["bit_generator"] == "Philox"
-    assert state["state"]["key"].tolist() == [seed, variant_index]
-    assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
-    assert state["buffer_pos"] == 4 and state["has_uint32"] == 0
 
 
 class _NoRekey:
@@ -180,8 +162,6 @@ def test_keys_outside_64_bits_are_refused_before_any_philox_is_built_or_re_keyed
         (1, False, "variant_index must be an integer"),
     ):
         with pytest.raises(ValueError, match=message):
-            substream(seed, variant_index)
-        with pytest.raises(ValueError, match=message):
             sample_counts(symmetric_joint(0.0), seed=seed, variant_index=variant_index, n_events=10)
 
 
@@ -194,10 +174,17 @@ def _plain(state):
     return list(state) if isinstance(state, tuple) else state
 
 
-@pytest.mark.parametrize("seed, variant_index", [(0, 0), (MAX_KEY_WORD, MAX_KEY_WORD), (1, 2)])
+@given(st.integers(0, MAX_KEY_WORD), st.integers(0, MAX_KEY_WORD))
+@example(0, 0)
+@example(1, 2)
+@example(2**63, 1)
+@example(MAX_KEY_WORD, 2)
+@example(MAX_KEY_WORD, MAX_KEY_WORD)
 def test_philox_state_is_a_fresh_philox_keyed_by_seed_and_variant(seed: int, variant_index: int) -> None:
-    # The state both sample_counts and substream write is the one numpy's
-    # Philox(key=...) starts in, so the re-keyed stream is the v5 stream.
+    # The state sample_counts writes is the one numpy's Philox(key=...) starts
+    # in, so the re-keyed stream is the v5 stream.  The key is a uint64 array:
+    # numpy casts a Python-list key through float, so Philox(key=[2**64 - 1, 1])
+    # has the key [0, 1].
     keyed = np.random.Philox(key=np.array([seed, variant_index], dtype=np.uint64))
     assert _plain(rnlsim.montecarlo._philox_state(seed, variant_index)) == _plain(keyed.state)
 

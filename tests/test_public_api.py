@@ -56,7 +56,6 @@ PUBLIC_NAMES = {
     "sample_counts",
     "schedule_from_geometry",
     "series_preset",
-    "substream",
     "symmetric_joint",
 }
 
@@ -73,7 +72,7 @@ def _rnlsim_imports(path: Path) -> list[tuple[str, str]]:
 
 
 def test_all_is_pinned() -> None:
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 33
     assert len(rnlsim.__all__) == len(set(rnlsim.__all__))
     assert set(rnlsim.__all__) == PUBLIC_NAMES
     for name in rnlsim.__all__:
