@@ -174,19 +174,26 @@ def _plain(state):
     return list(state) if isinstance(state, tuple) else state
 
 
-@given(st.integers(0, MAX_KEY_WORD), st.integers(0, MAX_KEY_WORD))
-@example(0, 0)
-@example(1, 2)
-@example(2**63, 1)
-@example(MAX_KEY_WORD, 2)
-@example(MAX_KEY_WORD, MAX_KEY_WORD)
-def test_philox_state_is_a_fresh_philox_keyed_by_seed_and_variant(seed: int, variant_index: int) -> None:
+def _assert_fresh_philox_state(seed: int, variant_index: int) -> None:
     # The state sample_counts writes is the one numpy's Philox(key=...) starts
     # in, so the re-keyed stream is the v5 stream.  The key is a uint64 array:
     # numpy casts a Python-list key through float, so Philox(key=[2**64 - 1, 1])
     # has the key [0, 1].
     keyed = np.random.Philox(key=np.array([seed, variant_index], dtype=np.uint64))
     assert _plain(rnlsim.montecarlo._philox_state(seed, variant_index)) == _plain(keyed.state)
+
+
+@pytest.mark.parametrize(
+    "seed, variant_index",
+    [(0, 0), (MAX_KEY_WORD, MAX_KEY_WORD), (1, 2), (2**63, 1), (MAX_KEY_WORD, 2)],
+)
+def test_philox_state_is_a_fresh_philox_keyed_by_seed_and_variant(seed: int, variant_index: int) -> None:
+    _assert_fresh_philox_state(seed, variant_index)
+
+
+@given(st.integers(0, MAX_KEY_WORD), st.integers(0, MAX_KEY_WORD))
+def test_philox_state_matches_numpy_over_the_whole_64_bit_key_range(seed: int, variant_index: int) -> None:
+    _assert_fresh_philox_state(seed, variant_index)
 
 
 class _RecordingStream:
