@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rnlsim",
-        allow_abbrev=False,  # a prefix of a flag would get round _glue_negative_numbers
+        allow_abbrev=False,  # a prefix of a flag would get round _glue_values
         description=(
             "Compare quantum-mechanical and relativistic-nonlocality coincidence "
             "predictions for a two-photon experiment with successive beam-splitter "
@@ -68,23 +68,16 @@ def _collect_values(args: argparse.Namespace) -> dict[str, object]:
     return values
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+def _glue_values(argv: list[str]) -> list[str]:
+    """`--key value` as `--key=value`, unless the value is itself a long flag.
 
-
-def _glue_negative_numbers(argv: list[str]) -> list[str]:
-    """`--key -4.5e1` as `--key=-4.5e1`, so a flag's value reads the same in both forms.
-
-    argparse on Python 3.10 and 3.11 takes only -N and -N.N for negative
-    numbers and any other token starting with - (-4.5e1, -45.) for a flag.
+    argparse then never judges a key's value, and only the key's own parser
+    reads it, as in a config file.  Left alone, argparse on Python 3.10 and
+    3.11 takes -4.5e1, -45. and -x for flags, and only -N and -N.N as values.
     """
     glued: list[str] = []
     for token in argv:
-        if glued and glued[-1] in _KEY_FLAGS and token.startswith("-") and _is_number(token):
+        if glued and glued[-1] in _KEY_FLAGS and not token.startswith("--"):
             glued[-1] += "=" + token
         else:
             glued.append(token)
@@ -93,7 +86,7 @@ def _glue_negative_numbers(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(_glue_negative_numbers(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
         report = compare_report(build_run_config(_collect_values(args)))
         text = _RENDERERS[args.format](report)
         if args.out is None:

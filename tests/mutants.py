@@ -173,7 +173,8 @@ MUTANTS = (
     Mutant("cli.py", "EXIT_AMBIGUOUS = 3", "EXIT_AMBIGUOUS = 2"),
     Mutant("cli.py", "values[key] = KEY_TABLE[key][0](key, text)", "values.setdefault(key, KEY_TABLE[key][0](key, text))"),
     Mutant("cli.py", 'glued[-1] += "=" + token', 'glued.append(token)'),
-    Mutant("cli.py", "        return False\n    return True", "        return True\n    return True"),
+    Mutant("cli.py", 'and not token.startswith("--"):', 'and not token.startswith("-"):'),
+    Mutant("cli.py", 'and not token.startswith("--"):', ":"),
     Mutant("cli.py", "except (ConfigError, OSError) as exc:", "except (ValueError, OSError) as exc:"),
     Mutant("cli.py", "except (ConfigError, OSError) as exc:", "except ConfigError as exc:"),
     Mutant("cli.py", "raise ConfigError(message)", "super().error(message)"),

@@ -276,10 +276,12 @@ REFUSALS = (
     (None, f"--chunk-size {2**63}", 2, f"error: chunk_size must be in [1, {2**63 - 1}], got {2**63}\n"),
     (None, "--variants QM,PILOT_WAVE", 2, "error: variants: unknown variant 'PILOT_WAVE'\n"),
     (None, "--condition1 maybe", 2, "error: condition1: expected true or false, got 'maybe'\n"),
-    # argparse's own refusals.  Only a number is glued to its flag, so --series
-    # stays a flag and --seed has no value; glued, argparse would refuse the
-    # stray 3 instead.  How --format's choices are quoted differs between
-    # Python versions.  A flag is spelled in full: a prefix of one is unknown.
+    (None, "--seed -x", 2, "error: seed: expected an integer, got '-x'\n"),
+    # argparse's own refusals.  A key's flag takes the next token as its value
+    # unless that token is a long flag, so --series stays a flag and --seed
+    # has no value; glued, argparse would refuse the stray 3 instead.  How
+    # --format's choices are quoted differs between Python versions.  A flag
+    # is spelled in full: a prefix of one is unknown.
     (None, "--seed --series 3", 2, "error: argument --seed: expected one argument\n"),
     (None, "--bogus", 2, "error: unrecognized arguments: --bogus\n"),
     (None, "--format xml", 2, "error: argument --format: invalid choice: 'xml'"),

@@ -398,6 +398,40 @@ def test_two_stderr_intervals_cover_e_at_the_nominal_rate(e: float) -> None:
     assert abs(misses - expected) <= 4.0 * math.sqrt(expected * (1.0 - q))
 
 
+_LAW_SEEDS = 40_000
+
+
+@pytest.mark.parametrize(
+    ("n_events", "e"),
+    [
+        (2**58, 0.0),
+        (2**58, 0.7071),
+        pytest.param(MAX_EVENTS, 0.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 22")),
+    ],
+)
+def test_counts_follow_the_table_law_at_large_n_events(n_events: int, e: float) -> None:
+    # Multinomial counts make z = (e_hat - E) / sqrt((1 - E^2) / n) standard
+    # normal over K seeds.  Both bounds are 5 standard errors, fixed before any
+    # run: mean(z^2) = 1 with variance 2 / K, and P(|z| > 3) = q with variance
+    # q (1 - q) / K.  numpy's int64 binomial overflows above about 2^61 events:
+    # at MAX_EVENTS and E = 0, mean(z^2) is 1.090 and P(|z| > 3) is 0.0054.
+    # n = 2^62, and MAX_EVENTS at E = 0.7071, are left out: their mean(z^2),
+    # 1.021 and 1.029, lies inside the bound, so those cases would pass on this
+    # sampler, which is known to be wrong at both points.
+    table = symmetric_joint(e)
+    scale = math.sqrt((1.0 - table.correlation**2) / n_events)
+    e_hat = np.array(
+        [
+            estimate_correlation(sample_counts(table, seed=seed, variant_index=0, n_events=n_events)).e_hat
+            for seed in range(_LAW_SEEDS)
+        ]
+    )
+    z = (e_hat - table.correlation) / scale
+    q = math.erfc(3.0 / math.sqrt(2.0))
+    assert abs(np.mean(z**2) - 1.0) <= 5.0 * math.sqrt(2.0 / _LAW_SEEDS)
+    assert abs(np.mean(np.abs(z) > 3.0) - q) <= 5.0 * math.sqrt(q * (1.0 - q) / _LAW_SEEDS)
+
+
 def test_identical_tables_draw_from_separate_streams() -> None:
     # At the series-3 defaults QM and RNL_ALTERNATIVE predict the same table
     # (E = 1), so only their streams can set their counts apart.

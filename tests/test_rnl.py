@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given
@@ -28,6 +29,7 @@ from rnlsim import (
     PhotonOneLabel,
     PhotonTwoLabel,
     TimingAssignment,
+    amplitude_oracle,
     predict,
 )
 from rnlsim import rnl
@@ -268,3 +270,44 @@ def test_int_and_float_phases_give_one_table() -> None:
     int_first = predict(as_int, timing, ModelVariant.QM)
     assert _bits(int_first) == _bits(predict(as_float, timing, ModelVariant.QM))
     assert _bits(int_first) == _bits(_fresh(as_float, timing, ModelVariant.QM, True, True))
+
+
+# --- the phase symmetries --------------------------------------------------------
+
+
+def _phase_tables(settings: PhaseSettings) -> dict:
+    """Every table the phases set, each with whether its stage is final.
+
+    predict's for each MEMO_CASES row, amplitude_oracle's, and rule_table's for
+    each accepted pairing and condition pair, whose stage is RNL_STANDARD's.
+    """
+    tables = {"amplitude_oracle": (amplitude_oracle(settings), True)}
+    for timing, variant, condition1, condition2 in MEMO_CASES:
+        final = condition2 and rnl._RULES[variant][timing.pairing] is rnl._FINAL
+        prediction = _predict(settings, timing, variant, condition1, condition2)
+        tables[timing, variant, condition1, condition2] = (prediction.joint, final)
+        if variant is ModelVariant.RNL_STANDARD:
+            conditions = (condition1, condition2)
+            tables["rule_table", timing.pairing, *conditions] = (rule_table(settings, timing.pairing, *conditions), final)
+    return tables
+
+
+@given(settings=settings_strategy, d=phases)
+@example(settings=KEY_SETTINGS, d=math.pi)
+@example(settings=PhaseSettings(0.8, 0.1, 2.0), d=-25.0)
+def test_phases_act_through_their_difference_and_the_final_phase_alone(settings: PhaseSettings, d: float) -> None:
+    """Every stage reads phi11 - phi21 and phi22, and only the final one reads phi22, as sin(phi22).
+
+    So adding d to phi11 and phi21 keeps every table, while phi22 -> phi22 + pi
+    and phi22 -> -phi22 negate each final-stage E, which swaps photon 2's
+    outcomes, and keep the intermediate and flat tables.  Bound: ATOL per entry.
+    """
+    tables = _phase_tables(settings)
+    shifted = _phase_tables(PhaseSettings(settings.phi11 + d, settings.phi21 + d, settings.phi22))
+    for where, (table, _) in tables.items():
+        assert max_dev(shifted[where][0], table) < ATOL, where
+    for phi22 in (settings.phi22 + math.pi, -settings.phi22):
+        mirrored = _phase_tables(PhaseSettings(settings.phi11, settings.phi21, phi22))
+        for where, (table, final) in tables.items():
+            expected = as_array(table)[[1, 0, 3, 2]] if final else as_array(table)
+            assert abs(as_array(mirrored[where][0]) - expected).max() < ATOL, where

@@ -369,6 +369,46 @@ def test_schedule_from_geometry_returns_its_argument() -> None:
     assert schedule_from_geometry(geometry) is geometry
 
 
+def _gaps(geometry: ExperimentGeometry) -> tuple[float, ...]:
+    """classify's four gaps (s) for the geometry's fields."""
+    paths = (geometry.effective_length_bs11, geometry.length_bs21, geometry.length_bs22)
+    betas = (geometry.beta_bs11, geometry.beta_bs21, geometry.beta_bs22)
+    return timing._frame_gaps(*(path / SPEED_OF_LIGHT for path in paths), *betas)
+
+
+# Preset 3 at both ends of the scale, and the near-tie, refused as it is and decided at 2^30 times its size.
+@example(2.0, 1.0, 2.0, 0.0, AT_REST, -30)
+@example(2.0, 1.0, 2.0, 0.0, AT_REST, 30)
+@example(*NEAR_TIE[:2], 1.0, 0.0, AT_REST, 30)
+@given(
+    lengths, lengths, leg_gaps, st.floats(min_value=-1e3, max_value=1e3), st.tuples(betas, betas, betas), st.integers(-30, 30)
+)
+def test_scaling_every_length_by_a_power_of_two_scales_every_gap_exactly(
+    length_bs11: float,
+    length_bs21: float,
+    leg_gap: float,
+    m11_displacement: float,
+    velocities: tuple[float, float, float],
+    k: int,
+) -> None:
+    """Lengths times 2^k give gaps times 2^k, bit for bit, and the same outcome where no gap is in the guard band.
+
+    Only the guard band, an absolute time, sets a scale: a gap inside it
+    before or after scaling may be refused on one side and decided on the other.
+    """
+    l22 = math.nextafter(length_bs21, math.inf) if leg_gap == 0.0 else length_bs21 + leg_gap
+    fields = (length_bs11, length_bs21, l22, m11_displacement)
+    try:
+        geometry = ExperimentGeometry(*fields, *velocities)
+    except ValueError:
+        assume(False)
+    scaled = ExperimentGeometry(*(math.ldexp(field, k) for field in fields), *velocities)
+    gaps, scaled_gaps = _gaps(geometry), _gaps(scaled)
+    assert scaled_gaps == tuple(math.ldexp(gap, k) for gap in gaps)
+    if all(abs(gap) >= timing.GUARD_BAND_S for gap in (*gaps, *scaled_gaps)):
+        assert classify(scaled) == classify(geometry)
+
+
 # --- the stored outcome ----------------------------------------------------------
 
 
