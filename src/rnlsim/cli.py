@@ -17,6 +17,8 @@ EXIT_AMBIGUOUS = 3
 
 # Each config key's flag: length_bs11 is --length-bs11.
 _KEY_FLAGS = {"--" + key.replace("_", "-"): key for key in KEY_TABLE}
+# Every flag that takes a value: _glue_values gives each the token after it.
+_VALUE_FLAGS = {"--config", "--out", "--format", *_KEY_FLAGS}
 
 _RENDERERS = {
     "table": render_table,
@@ -69,15 +71,15 @@ def _collect_values(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _glue_values(argv: list[str]) -> list[str]:
-    """`--key value` as `--key=value`, unless the value is itself a long flag.
+    """`--flag value` as `--flag=value` for every flag that takes a value, unless the value is a long flag.
 
-    argparse then never judges a key's value, and only the key's own parser
-    reads it, as in a config file.  Left alone, argparse on Python 3.10 and
-    3.11 takes -4.5e1, -45. and -x for flags, and only -N and -N.N as values.
+    argparse then never judges a value, and only its one reader takes it: a key's parser, as in
+    a config file, or --config's, --out's or --format's.  Left alone, argparse on Python 3.10 and
+    3.11 takes -4.5e1, -45., -x and -r.csv for flags, and only -N and -N.N as values.
     """
     glued: list[str] = []
     for token in argv:
-        if glued and glued[-1] in _KEY_FLAGS and not token.startswith("--"):
+        if glued and glued[-1] in _VALUE_FLAGS and not token.startswith("--"):
             glued[-1] += "=" + token
         else:
             glued.append(token)

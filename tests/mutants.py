@@ -124,6 +124,10 @@ MUTANTS = (
     Mutant("timing.py", "t22 * (1.0 - beta22)", "t22 * (1.0 - beta21)"),
     Mutant("timing.py", "g21 * (t11 * (1.0 + beta21)", "g11 * (t11 * (1.0 + beta21)"),
     Mutant("timing.py", "if not -1.0 < beta < 1.0:", "if not -1.0 <= beta < 1.0:"),
+    # Only the observer-frame property draws a beta beyond 0.99: its moving frames' betas reach 0.9945.
+    Mutant("timing.py", "if not -1.0 < beta < 1.0:", "if not -0.99 <= beta <= 0.99:"),
+    # Only the length-scale property draws a length below 1e-9 m: it scales lengths down by up to 2^30.
+    Mutant("timing.py", 'if value <= 0.0 and name != "m11_displacement":', 'if value <= 1e-9 and name != "m11_displacement":'),
     Mutant("timing.py", "{classify(geometry).pairing: series for", "{classify(geometry).pairing: max(series, 2) for"),
     Mutant("timing.py", "label1 = PhotonOneLabel.A11_21", "label1 = PhotonOneLabel.A11_22"),
     Mutant(
@@ -179,6 +183,9 @@ MUTANTS = (
     Mutant("cli.py", "except (ConfigError, OSError) as exc:", "except ConfigError as exc:"),
     Mutant("cli.py", "raise ConfigError(message)", "super().error(message)"),
     Mutant("cli.py", "allow_abbrev=False,", ""),
+    # --out and --config left to argparse, which takes -r.csv and -c.cfg for flags; then --format.
+    Mutant("cli.py", '_VALUE_FLAGS = {"--config", "--out", "--format", *_KEY_FLAGS}', '_VALUE_FLAGS = {"--format", *_KEY_FLAGS}'),
+    Mutant("cli.py", '_VALUE_FLAGS = {"--config", "--out", "--format", *_KEY_FLAGS}', '_VALUE_FLAGS = {"--config", "--out", *_KEY_FLAGS}'),
     # --- errors: the one copy of each input check --------------------------------
     Mutant("errors.py", "if isinstance(value, bool) or not isinstance(value, numbers.Real):", "if not isinstance(value, numbers.Real):"),
     Mutant("errors.py", "if isinstance(value, bool) or not isinstance(value, numbers.Integral):", "if not isinstance(value, numbers.Integral):"),

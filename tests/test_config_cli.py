@@ -277,14 +277,17 @@ REFUSALS = (
     (None, "--variants QM,PILOT_WAVE", 2, "error: variants: unknown variant 'PILOT_WAVE'\n"),
     (None, "--condition1 maybe", 2, "error: condition1: expected true or false, got 'maybe'\n"),
     (None, "--seed -x", 2, "error: seed: expected an integer, got '-x'\n"),
-    # argparse's own refusals.  A key's flag takes the next token as its value
-    # unless that token is a long flag, so --series stays a flag and --seed
-    # has no value; glued, argparse would refuse the stray 3 instead.  How
-    # --format's choices are quoted differs between Python versions.  A flag
-    # is spelled in full: a prefix of one is unknown.
+    # argparse's own refusals.  A flag that takes a value takes the next token
+    # as it unless that token is a long flag, so --series and --format stay
+    # flags and --seed and --out have no value; glued, argparse would refuse
+    # the stray 3 or csv instead.  -x is --format's value, outside its choices.
+    # How the choices are quoted differs between Python versions.  A flag is
+    # spelled in full: a prefix of one is unknown.
     (None, "--seed --series 3", 2, "error: argument --seed: expected one argument\n"),
+    (None, "--out --format csv", 2, "error: argument --out: expected one argument\n"),
     (None, "--bogus", 2, "error: unrecognized arguments: --bogus\n"),
     (None, "--format xml", 2, "error: argument --format: invalid choice: 'xml'"),
+    (None, "--format -x", 2, "error: argument --format: invalid choice: '-x'"),
     (None, "--n-ev 10", 2, "error: unrecognized arguments: --n-ev 10\n"),
     (None, "--phi21 -45", 2, "error: unrecognized arguments: --phi21 -45\n"),
     # A partial geometry; test_cli_inconsistent_geometry_is_a_config_error
@@ -349,6 +352,21 @@ def _assert_refused(result: tuple[int, str, str], code: int, fragment: str) -> N
     assert (exit_code, stdout) == (code, "")
     assert stderr.startswith("error: ") and stderr.endswith("\n") and stderr.count("\n") == 1, stderr
     assert fragment in stderr
+
+
+def test_config_and_out_paths_that_start_with_a_dash_run_like_their_glued_spelling(
+    capsys: pytest.CaptureFixture, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # helpers.run_cli's {tmp} is an absolute path, which never starts with -:
+    # this test runs in tmp_path and names its files from there.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-c.cfg").write_text("series = 2\nn_events = 10\n")
+    assert main(["--config", "-c.cfg", "--format", "csv", "--out", "-r.csv"]) == 0
+    assert main(["--config=-c.cfg", "--format=csv", "--out=-s.csv"]) == 0
+    assert main(["--series", "2", "--n-events", "10", "--format", "csv"]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stderr == "" and stdout.splitlines()[1].startswith("QM,2,")
+    assert (tmp_path / "-r.csv").read_text() == (tmp_path / "-s.csv").read_text() == stdout
 
 
 def test_cli_internal_value_error_is_not_a_config_error(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -301,6 +301,13 @@ def test_phases_act_through_their_difference_and_the_final_phase_alone(settings:
     So adding d to phi11 and phi21 keeps every table, while phi22 -> phi22 + pi
     and phi22 -> -phi22 negate each final-stage E, which swaps photon 2's
     outcomes, and keep the intermediate and flat tables.  Bound: ATOL per entry.
+    Of the gate's mutants (tests/mutants.py) it kills the rule rows that send
+    (a11[22], b22) or (b11, a22) to the flat stage, QM's intermediate stage read
+    as its final one, the two conditions swapped, and in quantum the single-pair
+    E read at phi22, a splitter's reflection sign flipped and phi21 moved to
+    BS21's upper arm.  Other tests kill each of them too: every table is also
+    checked against a closed form in phi11 - phi21 and phi22, so no single-site
+    mutant that only this property kills is known.
     """
     tables = _phase_tables(settings)
     shifted = _phase_tables(PhaseSettings(settings.phi11 + d, settings.phi21 + d, settings.phi22))

@@ -8,8 +8,8 @@ test_a_geometry_keeps_the_classification_its_fields_give owns the stored
 outcome: equal fields, copies and replace give the same one, and a refusal is
 raised afresh on every call.  The other tests check what neither
 can: the oracle's boosts, the exact gaps, the guard band's edge, the pairings
-only moving splitters reach, the presets, input checks and when the gaps are
-computed.
+only moving splitters reach, the symmetries of length scale and observer
+frame, the presets, input checks and when the gaps are computed.
 """
 
 from __future__ import annotations
@@ -395,6 +395,8 @@ def test_scaling_every_length_by_a_power_of_two_scales_every_gap_exactly(
 
     Only the guard band, an absolute time, sets a scale: a gap inside it
     before or after scaling may be refused on one side and decided on the other.
+    Of the gate's mutants (tests/mutants.py) it kills one, which no other test
+    kills: a floor of 1e-9 m on the lengths, a scale no other test's lengths reach.
     """
     l22 = math.nextafter(length_bs21, math.inf) if leg_gap == 0.0 else length_bs21 + leg_gap
     fields = (length_bs11, length_bs21, l22, m11_displacement)
@@ -407,6 +409,96 @@ def test_scaling_every_length_by_a_power_of_two_scales_every_gap_exactly(
     assert scaled_gaps == tuple(math.ldexp(gap, k) for gap in gaps)
     if all(abs(gap) >= timing.GUARD_BAND_S for gap in (*gaps, *scaled_gaps)):
         assert classify(scaled) == classify(geometry)
+
+
+# Seen from a frame moving at u, each impact stays on its light ray from the
+# source: photon 1's lengths become l gamma_u (1 + u), photon 2's l gamma_u (1 - u),
+# and each splitter's beta (beta - u) / (1 - beta u).
+frame_lengths = st.floats(min_value=1e-2, max_value=1e6)
+frame_betas = st.floats(min_value=-0.9, max_value=0.9)
+
+# Rounding in the moving frame's betas, amplified by its gammas (up to 9.5 at
+# |beta|, |u| <= 0.9) and its lengths, moved a gap by at most 290 ulps of the
+# largest arrival time over 2e5 random geometries.  The bound is 4096 ulps.
+FRAME_ROUNDING = 2.0**-40
+
+
+def _decision(geometry: ExperimentGeometry) -> TimingAssignment | str:
+    """classify's assignment, or the comparison its refusal names without the gap, which frames round apart."""
+    outcome = _outcome(geometry)
+    return outcome.partition(":")[0] if isinstance(outcome, str) else outcome
+
+
+@given(frame_lengths, frame_lengths, frame_lengths, st.tuples(frame_betas, frame_betas, frame_betas))
+def test_every_exact_gap_is_the_same_seen_from_a_frame_at_three_fifths_c(
+    l11: float, l21: float, leg: float, velocities: tuple[float, float, float]
+) -> None:
+    """At u = 3/5, gamma_u = 5/4, so photon 1's lengths double and photon 2's halve, both exactly.
+
+    Each gap is a time difference in one splitter's rest frame, so no observer
+    frame can move it.  The moving frame's betas are rationals but not floats:
+    exact_gaps takes them, and classify only in the float form.  This form reads
+    no package code but SPEED_OF_LIGHT, so it kills no gate mutant (tests/mutants.py).
+    """
+    u = Fraction(3, 5)
+    l22 = l21 + leg
+    observed = ((Fraction(beta) - u) / (1 - Fraction(beta) * u) for beta in velocities)
+    assert exact_gaps(2.0 * l11, l21 / 2.0, l22 / 2.0, *observed) == exact_gaps(l11, l21, l22, *velocities)
+
+
+# Preset 3 seen from 3/5 c; splitters at 0.9 seen from -0.9 c, at 0.9945 c; a tie
+# of BS11 with BS22 in BS22's frame, refused in both; and the near-tie at 0.5 c.
+@example(2.0, 1.0, 2.0, AT_REST, 0.6, None, 0.0)
+@example(2.0, 1.0, 2.0, (0.9, -0.9, 0.9), -0.9, None, 0.0)
+@example(2.0, 1.0, 2.0, (0.3, 0.6, 0.8), 0.5, 3, 0.0)
+@example(*NEAR_TIE[:2], 1.0, AT_REST, 0.5, None, 0.0)
+@given(
+    frame_lengths,
+    frame_lengths,
+    frame_lengths,
+    st.tuples(frame_betas, frame_betas, frame_betas),
+    frame_betas,
+    st.sampled_from((None, 0, 1, 2, 3)),
+    st.floats(min_value=-1e-9, max_value=1e-9),
+)
+def test_labels_are_the_same_seen_from_any_observer_frame(
+    l11: float,
+    l21: float,
+    leg: float,
+    velocities: tuple[float, float, float],
+    u: float,
+    tied: int | None,
+    offset: float,
+) -> None:
+    """The four gaps agree within FRAME_ROUNDING of the largest arrival time, and so do the outcomes away from the guard band.
+
+    A tied gap is put within a relative offset of a tie, so that refusals and
+    gaps at the band's edge are drawn too.  Where a gap lies within the bound
+    of the guard band, the transform's rounding may flip it.  Of the gate's
+    mutants (tests/mutants.py) it kills those that flip a beta's sign in one
+    term of _frame_gaps, drop the gammas, read beta21 for beta22 or g11 for g21,
+    or read the BS22 gap when BS21's impact is not before; other tests kill
+    these too.  It alone kills a refusal of |beta| > 0.99: only its moving
+    frames draw such betas.
+    """
+    l22 = l21 + leg
+    if tied is not None:  # photon 1's path that ties the gap's two impacts in the gap's frame
+        length, beta = ((l21, velocities[0]), (l22, velocities[0]), (l21, velocities[1]), (l22, velocities[2]))[tied]
+        l11 = length * (1.0 - beta) / (1.0 + beta) * (1.0 + offset)
+    gamma_u = (1.0 - u * u) ** -0.5
+    geometry = ExperimentGeometry(l11, l21, l22, 0.0, *velocities)
+    observed = ExperimentGeometry(
+        l11 * gamma_u * (1.0 + u),
+        l21 * gamma_u * (1.0 - u),
+        l22 * gamma_u * (1.0 - u),
+        0.0,
+        *((beta - u) / (1.0 - beta * u) for beta in velocities),
+    )
+    bound = FRAME_ROUNDING * max(l11, l22) / SPEED_OF_LIGHT
+    gaps = _gaps(geometry)
+    assert all(abs(seen - gap) <= bound for seen, gap in zip(_gaps(observed), gaps))
+    if all(abs(abs(gap) - timing.GUARD_BAND_S) > bound for gap in gaps):
+        assert _decision(observed) == _decision(geometry)
 
 
 # --- the stored outcome ----------------------------------------------------------
