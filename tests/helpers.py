@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import math
 import shlex
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,20 +26,6 @@ from rnlsim import (
     series_preset,
 )
 from rnlsim.cli import main
-
-
-def _load_reference():
-    """bench/reference.py, the brute-force Lorentz-boost labels, imported by path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("bench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-# The one timing oracle: it boosts each impact into each splitter's frame.
-reference = _load_reference()
 
 # Absolute tolerance of every closed-form comparison.
 ATOL = 1e-12
@@ -83,24 +67,49 @@ def for_series(series: int) -> TimingAssignment:
     return classify(series_preset(series))
 
 
+# classify's four comparisons, in its order, as (frame, a, b): a positive gap means
+# impact a is earlier than impact b in that splitter's frame.  0, 1 and 2 stand
+# for BS11, BS21 and BS22.
+GAP_FRAMES = ((0, 0, 1), (0, 0, 2), (1, 1, 0), (2, 2, 0))
+
+
 def exact_gaps(l11: float, l21: float, l22: float, beta11: float, beta21: float, beta22: float) -> tuple[Fraction, ...]:
     """classify's four gaps, in its order, each as the exact rational gap * |gap| (s^2).
 
-    With t = l / c exactly, each gap is gamma A for a rational A, such as
-    t21 (1 - beta11) - t11 (1 + beta11), and gamma = (1 - beta^2)^-1/2 > 0: so
-    A |A| / (1 - beta^2) has the gap's sign, and |gap| >= GUARD_BAND_S is
-    A^2 >= GUARD_BAND_S^2 (1 - beta^2), that is |gap * |gap|| >= GUARD_BAND_S^2.
-    No float rounding enters.
+    The impacts, as (t, x / c) with t = l / c exactly, are (t11, -t11),
+    (t21, t21) and (t22, t22).  Boosted into a frame moving at beta, an
+    impact's time is gamma (t - beta x / c), so a gap is gamma A for the
+    rational A = (t_b - beta x_b / c) - (t_a - beta x_a / c), with gamma =
+    (1 - beta^2)^-1/2 > 0.  So A |A| / (1 - beta^2) has the gap's sign, and
+    |gap| >= GUARD_BAND_S is |gap * |gap|| >= GUARD_BAND_S^2.  No float
+    rounding enters, and no closed form of the package is restated.
     """
     t11, t21, t22 = (Fraction(length) / Fraction(SPEED_OF_LIGHT) for length in (l11, l21, l22))
-    b11, b21, b22 = (Fraction(beta) for beta in (beta11, beta21, beta22))
-    numerators = (
-        (b11, t21 * (1 - b11) - t11 * (1 + b11)),
-        (b11, t22 * (1 - b11) - t11 * (1 + b11)),
-        (b21, t11 * (1 + b21) - t21 * (1 - b21)),
-        (b22, t11 * (1 + b22) - t22 * (1 - b22)),
-    )
-    return tuple(a * abs(a) / (1 - beta * beta) for beta, a in numerators)
+    events = ((t11, -t11), (t21, t21), (t22, t22))
+    betas = [Fraction(beta) for beta in (beta11, beta21, beta22)]
+    signed_squares = []
+    for frame, a, b in GAP_FRAMES:
+        beta, (t_a, x_a), (t_b, x_b) = betas[frame], events[a], events[b]
+        gap = (t_b - beta * x_b) - (t_a - beta * x_a)
+        signed_squares.append(gap * abs(gap) / (1 - beta * beta))
+    return tuple(signed_squares)
+
+
+def rounding_bounds(l11: float, l21: float, l22: float, beta11: float, beta21: float, beta22: float) -> tuple[Fraction, ...]:
+    """How far each of classify's float gaps may lie from its exact gap (s), in classify's order.
+
+    A gap is a difference of two terms gamma t (1 +- beta), each rounded within
+    a few ulps, so with gamma as rounded it is right to 16 ulps of the larger
+    term, 2 gamma max(t_a, t_b) at most, whatever the cancellation.  Rounding
+    1 - beta^2 gives gamma a relative error of gamma^2 ulps: hence the factor gamma^2.
+    """
+    times = (l11 / SPEED_OF_LIGHT, l21 / SPEED_OF_LIGHT, l22 / SPEED_OF_LIGHT)
+    betas = (beta11, beta21, beta22)
+    bounds = []
+    for frame, a, b in GAP_FRAMES:
+        gamma = 1.0 / math.sqrt(1.0 - betas[frame] ** 2)
+        bounds.append(Fraction(16 * 2.0**-52 * 2.0 * gamma * max(times[a], times[b]) * gamma**2))
+    return tuple(bounds)
 
 
 def counts_by_variant(config: RunConfig) -> dict[ModelVariant, CoincidenceCounts]:

@@ -138,6 +138,14 @@ MUTANTS = (
     Mutant("timing.py", "elif _strictly_before(lead_11_22,", "elif _strictly_before(-lead_22_11,"),
     Mutant("timing.py", "bs21_before = _strictly_before(lead_21_11,", "bs21_before = _strictly_before(-lead_11_21,"),
     Mutant("timing.py", "bs22_before = bs21_before and _strictly_before(", "bs22_before = _strictly_before("),
+    # A near-tie in BS21's or BS22's frame guessed, not refused; a refusal in BS21's frame naming BS11's comparison.
+    Mutant("timing.py", 'bs21_before = _strictly_before(lead_21_11, "BS21 vs BS11 in the BS21 frame")', "bs21_before = lead_21_11 > 0.0"),
+    Mutant(
+        "timing.py",
+        'bs22_before = bs21_before and _strictly_before(lead_22_11, "BS22 vs BS11 in the BS22 frame")',
+        "bs22_before = bs21_before and lead_22_11 > 0.0",
+    ),
+    Mutant("timing.py", '"BS21 vs BS11 in the BS21 frame"', '"BS11 vs BS21 in the BS11 frame"'),
     Mutant("report.py", "SERIES_BY_PAIRING.get(timing.pairing) if _at_rest", "SERIES_BY_PAIRING.get(timing.pairing) if True or _at_rest"),
     Mutant(
         "timing.py",

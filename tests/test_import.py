@@ -43,3 +43,16 @@ def test_only_the_sampler_imports_numpy() -> None:
             if any(module.split(".")[0] == "numpy" for module in modules):
                 importers.add(path.name)
     assert importers == {"montecarlo.py"}
+
+
+def test_the_tests_load_no_module_from_bench() -> None:
+    # Tests run once every module is collected, so sys.modules holds all that
+    # collection imported.  The tests state their own oracles: bench/ may go
+    # or change without touching them.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    loaded = {
+        name: module.__file__
+        for name, module in list(sys.modules.items())
+        if getattr(module, "__file__", None) and Path(module.__file__).resolve().is_relative_to(bench)
+    }
+    assert loaded == {}

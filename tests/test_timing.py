@@ -1,15 +1,16 @@
-"""Impact classification against the boost oracle, its stored outcome, geometries and presets.
+"""Impact classification against the exact gaps, its stored outcome, geometries and presets.
 
 Two properties own what classify gives.  test_classify_agrees_with_the_reference_labels
 owns every outcome: the labels and bs21_before of each geometry, or its
-refusal, against bench/reference.py's brute-force boosts, and the series that
-report derives from them, against the lab ordering.
-test_a_geometry_keeps_the_classification_its_fields_give owns the stored
-outcome: equal fields, copies and replace give the same one, and a refusal is
-raised afresh on every call.  The other tests check what neither
-can: the oracle's boosts, the exact gaps, the guard band's edge, the pairings
-only moving splitters reach, the symmetries of length scale and observer
-frame, the presets, input checks and when the gaps are computed.
+refusal, against the signs of helpers.exact_gaps, the exact Lorentz boosts of
+the three impacts, and the series that report derives from them, against the
+lab ordering.  test_a_geometry_keeps_the_classification_its_fields_give owns
+the stored outcome: equal fields, copies and replace give the same one, and a
+refusal is raised afresh on every call.  The other tests check what neither
+can: the float gaps' rounding bound, the guard band's edge, the Doppler
+thresholds and the pairings only moving splitters reach, the symmetries of
+length scale and observer frame, the presets, input checks and when the gaps
+are computed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from helpers import ATOL, KEY_SETTINGS, exact_gaps, fair_deviation, for_series, reference, settings_strategy
+from helpers import ATOL, KEY_SETTINGS, exact_gaps, fair_deviation, for_series, rounding_bounds, settings_strategy
 from rnlsim import (
     SPEED_OF_LIGHT,
     AmbiguousScheduleError,
@@ -48,8 +49,6 @@ from rnlsim import (
     series_preset,
 )
 from rnlsim import report, rnl, timing
-
-frame_time = reference.frame_time
 
 lengths = st.floats(min_value=1e-3, max_value=1e3)
 # A zero of either sign is a splitter at rest: drawn often, so whole geometries at rest are too.
@@ -77,51 +76,30 @@ LARGE_GEOMETRIES = {
 }
 
 
-# --- the boost oracle ----------------------------------------------------------
-
-
-finite = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@example(1.0, 123.0, 0.0)
-@given(finite, finite, st.sampled_from((0.0, -0.0)))
-def test_boost_identity_at_rest(t: float, x: float, beta: float) -> None:
-    assert frame_time(t, x, beta) == t
-
-
-def test_boost_pure_time_dilation() -> None:
-    assert frame_time(1.0, 0.0, 0.6) == pytest.approx(1.25, abs=ATOL)
-
-
-def test_boost_with_position_offset() -> None:
-    # x chosen so that t - beta x / c = t (1 - beta^2), i.e. boosted time t / gamma.
-    beta = 0.6
-    assert frame_time(1.0, beta * SPEED_OF_LIGHT * 1.0, beta) == pytest.approx(0.8, abs=ATOL)
-
-
-@pytest.mark.parametrize("beta", [1.0, -1.0, 1.5, float("nan"), float("inf")])
-def test_boost_rejects_unphysical_beta(beta: float) -> None:
-    # No frame moves at |beta| >= 1, so no splitter may.
-    for name in ("beta_bs11", "beta_bs21", "beta_bs22"):
-        with pytest.raises(ValueError, match=name):
-            ExperimentGeometry(2.0, 1.0, 3.0, **{name: beta})
-
-
-@given(
-    st.floats(min_value=-1e-6, max_value=1e-6),
-    st.floats(min_value=1e-15, max_value=1e-6),
-    st.booleans(),
-    st.floats(min_value=-100.0, max_value=100.0),
-    st.floats(min_value=-0.99, max_value=0.99),
+# The comparison each of classify's gaps names when it refuses, in its order.
+COMPARISONS = (
+    "BS11 vs BS21 in the BS11 frame",
+    "BS11 vs BS22 in the BS11 frame",
+    "BS21 vs BS11 in the BS21 frame",
+    "BS22 vs BS11 in the BS22 frame",
 )
-def test_same_position_ordering_is_boost_invariant(
-    t_a: float, gap: float, later: bool, x: float, beta: float
-) -> None:
-    # Two events at one position with a resolvable time gap (at or above the
-    # classification guard band): their order is frame-independent.
-    t_b = t_a + gap if later else t_a - gap
-    boosted_order = frame_time(t_a, x, beta) - frame_time(t_b, x, beta)
-    assert (t_a > t_b) == (boosted_order > 0)
+
+
+def _exact_labels(signed_squares: tuple[Fraction, ...]) -> tuple[tuple[str, str, bool], tuple[int, ...]]:
+    """The labels and bs21_before that the exact gaps' signs give, and the indices of the gaps that decide them.
+
+    The comparisons are classify's: a tie is not before, photon 1's second gap
+    decides only when its first is not before, and BS22's only when BS21's
+    impact is before.
+    """
+    before = [signed_square > 0 for signed_square in signed_squares]
+    label1 = "b11" if before[0] else "a11[21]" if before[1] else "a11[22]"
+    label2 = "b22" if before[2] and before[3] else "a22"
+    deciding = ((0,) if before[0] else (0, 1)) + ((2, 3) if before[2] else (2,))
+    return (label1, label2, before[2]), deciding
+
+
+# --- the exact gaps ------------------------------------------------------------
 
 
 # The BS11-frame gap is 1.4e-15 s with gamma = 5/3, and 0.84e-15 s without it.
@@ -138,26 +116,16 @@ def test_same_position_ordering_is_boost_invariant(
     st.floats(min_value=-0.999, max_value=0.999),
     st.floats(min_value=-0.999, max_value=0.999),
 )
-def test_closed_form_gaps_equal_the_boosted_frame_time_gaps(
+def test_closed_form_gaps_are_within_their_rounding_bound_of_the_exact_gaps(
     l11: float, l21: float, l22: float, beta11: float, beta21: float, beta22: float
 ) -> None:
-    # Each gap is a difference of two terms gamma t (1 +- beta); both ways of
-    # computing it round each term within a few ulps, so they agree to 16 ulps
-    # of the larger term, whatever the cancellation.  Both round gamma alike;
-    # against the exact gap, its 1 - beta^2 has a relative error of gamma^2 ulps.
     times = (l11 / SPEED_OF_LIGHT, l21 / SPEED_OF_LIGHT, l22 / SPEED_OF_LIGHT)
     gaps = timing._frame_gaps(*times, beta11, beta21, beta22)
-    expected = reference.reference_labels(l11, l21, l22, beta11, beta21, beta22).gaps_s
     exact = exact_gaps(l11, l21, l22, beta11, beta21, beta22)
-    frames = ((beta11, 0, 1), (beta11, 0, 2), (beta21, 0, 1), (beta22, 0, 2))
-    for gap, oracle, signed_square, (beta, first, second) in zip(gaps, expected, exact, frames):
-        gamma = 1.0 / math.sqrt(1.0 - beta * beta)
-        scale = gamma * 2.0 * max(times[first], times[second])
+    for gap, signed_square, bound in zip(gaps, exact, rounding_bounds(l11, l21, l22, beta11, beta21, beta22)):
         assert math.isfinite(gap)
-        bound = 16 * 2.0**-52 * scale
-        assert abs(gap - oracle) <= bound
         # x |x| is increasing, so the exact gap is in [low, high] iff its signed square is.
-        low, high = (Fraction(gap) + side * Fraction(bound * gamma * gamma) for side in (-1, 1))
+        low, high = (Fraction(gap) + side * bound for side in (-1, 1))
         assert low * abs(low) <= signed_square <= high * abs(high)
 
 
@@ -213,8 +181,16 @@ def test_classify_agrees_with_the_reference_labels(
 ) -> None:
     """classify's labels and bs21_before, or its refusal, and report's series, for any accepted geometry.
 
-    The labels are the oracle's boosted-frame ones.  Only a point whose labels
-    a guard-band flip could change may be refused.
+    A decided geometry has the labels that the exact gaps' signs give, and each
+    gap that decided them is at least GUARD_BAND_S less its rounding bound
+    exactly: a near-tie is never guessed.  A refusal names a comparison whose
+    exact gap is within GUARD_BAND_S plus its rounding bound.  Of the gate's
+    mutants (tests/mutants.py) it kills those that flip a beta's sign in one
+    term of _frame_gaps, drop the gammas, read beta21 for beta22, read BS11's
+    second gap or BS21's as the negated other-frame gap, read the BS22 gap
+    when BS21's impact is not before, label a11[21] as a11[22], swap the
+    presets of series 1 and 2, or derive report's series from a wrong table
+    or a wrong at-rest test; other tests kill each of these too.
     """
     l11 = length_bs11 + m11_displacement
     assume(l11 > 0.0)
@@ -222,36 +198,45 @@ def test_classify_agrees_with_the_reference_labels(
     geometry = ExperimentGeometry(
         length_bs11, length_bs21, l22, m11_displacement, beta_bs11, beta_bs21, beta_bs22
     )
-    expected = reference.reference_labels(l11, length_bs21, l22, beta_bs11, beta_bs21, beta_bs22)
+    exact = exact_gaps(l11, length_bs21, l22, beta_bs11, beta_bs21, beta_bs22)
+    bounds = rounding_bounds(l11, length_bs21, l22, beta_bs11, beta_bs21, beta_bs22)
+    band = Fraction(timing.GUARD_BAND_S)
     try:
         assignment = classify(geometry)
     except AmbiguousScheduleError as error:
-        assert expected.near_tie
-        assert "guard band" in str(error)
+        comparison, _, reason = str(error).partition(": ")
+        assert "guard band" in reason
+        refused = COMPARISONS.index(comparison)
+        assert abs(exact[refused]) < (band + bounds[refused]) ** 2
         return
+    labels, deciding = _exact_labels(exact)
+    assert all(abs(exact[index]) >= max(band - bounds[index], 0) ** 2 for index in deciding)
     # At rest every frame is the lab's, so the lengths alone name the series
     # that report prints: BS11's impact before both of photon 2's (2), between
     # them (3) or after both (1).  A moving splitter leaves no lab ordering to name.
     at_rest = (beta_bs11, beta_bs21, beta_bs22) == AT_REST
     series = (2 if l11 < length_bs21 else 3 if l11 < l22 else 1) if at_rest else None
     got = (assignment.label1.value, assignment.label2.value, assignment.bs21_before)
-    assert (*got, report._series(geometry, assignment)) == (*expected.assignment, series)
+    assert (*got, report._series(geometry, assignment)) == (*labels, series)
     for variant in ModelVariant:
         assert fair_deviation(predict(settings, assignment, variant).joint) < ATOL
 
 
 def test_guard_band_refuses_inside_and_decides_at_its_edge() -> None:
-    # The reference allows a refusal wherever a flip inside the band could
-    # change the labels, so it cannot say where the band ends; these cases
-    # pin the edge, and so compare outcomes themselves.  Near-ties of BS11
-    # with BS21 (1e-16 s, and 1.5e-7 m, half the guard band) and an exact
-    # tie of BS11 with BS22 are refused, naming the comparison.
+    # The reference property allows each gap its rounding bound on both sides
+    # of the band, so it cannot say where the band ends, and its draws seldom
+    # tie a gap in BS21's or BS22's frame; these cases pin both.  Near-ties
+    # of BS11 with BS21 (1e-16 s, and 1.5e-7 m, half the guard band) and exact
+    # ties of BS11 with BS22, with BS21 at 0.5 c and with BS22 at 0.5 c are
+    # refused, naming the comparison.
     for geometry, comparison in (
-        (NEAR_TIE, "BS11 vs BS21"),
-        ((1.0, 1.0 + 1.5e-7, 2.0), "BS11 vs BS21"),
-        ((2.0, 1.0, 2.0), "BS11 vs BS22"),
+        (NEAR_TIE, "BS11 vs BS21 in the BS11"),
+        ((1.0, 1.0 + 1.5e-7, 2.0), "BS11 vs BS21 in the BS11"),
+        ((2.0, 1.0, 2.0), "BS11 vs BS22 in the BS11"),
+        ((1.0, 3.0, 6.0, 0.0, 0.0, 0.5), "BS21 vs BS11 in the BS21"),
+        ((2.0, 1.0, 6.0, 0.0, 0.0, 0.0, 0.5), "BS22 vs BS11 in the BS22"),
     ):
-        with pytest.raises(AmbiguousScheduleError, match=f"^{comparison} in the BS11 frame: .*guard band"):
+        with pytest.raises(AmbiguousScheduleError, match=f"^{comparison} frame: .*guard band"):
             classify(ExperimentGeometry(*geometry))
     # Arrival times exactly the guard band apart, and three times it, still decide.
     assert 5.99792458e-07 / SPEED_OF_LIGHT - 3e-7 / SPEED_OF_LIGHT == timing.GUARD_BAND_S
@@ -297,18 +282,63 @@ def test_large_geometries_take_their_exact_outcome(case: str) -> None:
 def test_moving_splitters_reach_pairings_no_rest_geometry_has(
     geometry: ExperimentGeometry, pairing: tuple[PhotonOneLabel, PhotonTwoLabel]
 ) -> None:
-    # The oracle reaches each pairing; the reference property takes each
+    # The exact gaps reach each pairing; the reference property takes each
     # geometry as an example, where classify must agree and report name no series.
     assert pairing not in timing.SERIES_BY_PAIRING
-    labels = reference.reference_labels(
-        geometry.effective_length_bs11,
-        geometry.length_bs21,
-        geometry.length_bs22,
-        geometry.beta_bs11,
-        geometry.beta_bs21,
-        geometry.beta_bs22,
-    )
-    assert labels.pairing == (pairing[0].value, pairing[1].value)
+    paths = (geometry.effective_length_bs11, geometry.length_bs21, geometry.length_bs22)
+    labels, _ = _exact_labels(exact_gaps(*paths, geometry.beta_bs11, geometry.beta_bs21, geometry.beta_bs22))
+    assert labels[:2] == (pairing[0].value, pairing[1].value)
+
+
+# At rest, series 1, 2 and 3; then the pairings only moving splitters reach:
+# (a11[22], a22), (b11, b22) and (a11[21], b22).
+@example(4.0, 1.0, 2.0, 0.0, 0.0, 0.0)
+@example(0.5, 1.0, 2.0, 0.0, 0.0, 0.0)
+@example(2.0, 1.0, 2.0, 0.0, 0.0, 0.0)
+@example(2.0, 1.0, 2.0, 0.5, 0.0, 0.0)
+@example(4.0, 1.0, 2.0, -0.9, 0.0, 0.0)
+@example(2.0, 1.0, 2.0, -0.3, 0.0, 0.3)
+@given(lengths, lengths, leg_gaps, betas, betas, betas)
+def test_each_gap_has_the_sign_of_a_doppler_factor_less_a_length_ratio(
+    l11: float, l21: float, leg_gap: float, beta11: float, beta21: float, beta22: float
+) -> None:
+    """ROADMAP item 6's thresholds, exactly, and the pairings they let each set of velocities reach.
+
+    With x = l11 / l21, y = l11 / l22 and each splitter's Doppler factor
+    k = (1 - beta) / (1 + beta), the four gaps have the signs of k11 - x,
+    k11 - y, x - k21 and y - k22.  So photon 1 is b11 iff x < k11, a11[21]
+    iff y < k11 < x and a11[22] iff y > k11; BS21's impact is before iff
+    x > k21, and photon 2 is b22 iff also y > k22.  Where each deciding gap
+    clears the guard band by its rounding bound, classify decides so.  Hence
+    (b11, b22) needs beta21 > beta11, beta22 > beta11 and l22 / l21 < k11 / k22,
+    (a11[21], b22) needs beta22 > beta11, and (a11[22], a22) needs
+    beta11 > min(beta21, beta22).
+    """
+    l22 = math.nextafter(l21, math.inf) if leg_gap == 0.0 else l21 + leg_gap
+    x, y = Fraction(l11) / Fraction(l21), Fraction(l11) / Fraction(l22)
+    k11, k21, k22 = ((1 - Fraction(beta)) / (1 + Fraction(beta)) for beta in (beta11, beta21, beta22))
+    exact = exact_gaps(l11, l21, l22, beta11, beta21, beta22)
+    signs = [(value > 0) - (value < 0) for value in (*exact, k11 - x, k11 - y, x - k21, y - k22)]
+    assert signs[:4] == signs[4:]
+    band = Fraction(timing.GUARD_BAND_S)
+    bounds = rounding_bounds(l11, l21, l22, beta11, beta21, beta22)
+    _, deciding = _exact_labels(exact)
+    clear = all(abs(exact[index]) >= (band + bounds[index]) ** 2 for index in deciding)
+    try:
+        assignment = classify(ExperimentGeometry(l11, l21, l22, 0.0, beta11, beta21, beta22))
+    except AmbiguousScheduleError:
+        assert not clear
+        return
+    got = (assignment.label1.value, assignment.label2.value, assignment.bs21_before)
+    if clear:
+        label1 = "b11" if x < k11 else "a11[21]" if y < k11 else "a11[22]"
+        assert got == (label1, "b22" if x > k21 and y > k22 else "a22", x > k21)
+    if got[:2] == ("b11", "b22"):
+        assert beta21 > beta11 and beta22 > beta11 and Fraction(l22) / Fraction(l21) < k11 / k22
+    elif got[:2] == ("a11[21]", "b22"):
+        assert beta22 > beta11
+    elif got[:2] == ("a11[22]", "a22"):
+        assert beta11 > min(beta21, beta22)
 
 
 # --- timing assignments -------------------------------------------------------
@@ -361,6 +391,14 @@ def test_geometry_rejects_bad_lengths() -> None:
         ExperimentGeometry(
             length_bs11=1e308, length_bs21=1.0, length_bs22=2.0, m11_displacement=1e308
         )
+
+
+@pytest.mark.parametrize("beta", [1.0, -1.0, 1.5, float("nan"), float("inf")])
+def test_geometry_rejects_unphysical_beta(beta: float) -> None:
+    # No frame moves at |beta| >= 1, so no splitter may.
+    for name in ("beta_bs11", "beta_bs21", "beta_bs22"):
+        with pytest.raises(ValueError, match=name):
+            ExperimentGeometry(2.0, 1.0, 3.0, **{name: beta})
 
 
 def test_schedule_from_geometry_returns_its_argument() -> None:
