@@ -73,14 +73,23 @@ def for_series(series: int) -> TimingAssignment:
 GAP_FRAMES = ((0, 0, 1), (0, 0, 2), (1, 1, 0), (2, 2, 0))
 
 
+def boost(t: Fraction, x_over_c: Fraction, beta: Fraction) -> tuple[Fraction, Fraction]:
+    """An event's time in a frame moving at beta, exactly, as (t - beta x / c, gamma^2).
+
+    The boosted time is gamma (t - beta x / c), with gamma = (1 - beta^2)^-1/2
+    > 0 irrational in general, so it is returned as its rational factor and
+    gamma^2: the time is the first times the square root of the second.
+    """
+    return t - beta * x_over_c, 1 / (1 - beta * beta)
+
+
 def exact_gaps(l11: float, l21: float, l22: float, beta11: float, beta21: float, beta22: float) -> tuple[Fraction, ...]:
     """classify's four gaps, in its order, each as the exact rational gap * |gap| (s^2).
 
     The impacts, as (t, x / c) with t = l / c exactly, are (t11, -t11),
-    (t21, t21) and (t22, t22).  Boosted into a frame moving at beta, an
-    impact's time is gamma (t - beta x / c), so a gap is gamma A for the
-    rational A = (t_b - beta x_b / c) - (t_a - beta x_a / c), with gamma =
-    (1 - beta^2)^-1/2 > 0.  So A |A| / (1 - beta^2) has the gap's sign, and
+    (t21, t21) and (t22, t22).  Boosted into a frame moving at beta, the two
+    impacts' times are gamma u_a and gamma u_b, so a gap is gamma A for the
+    rational A = u_b - u_a.  So A |A| gamma^2 has the gap's sign, and
     |gap| >= GUARD_BAND_S is |gap * |gap|| >= GUARD_BAND_S^2.  No float
     rounding enters, and no closed form of the package is restated.
     """
@@ -89,9 +98,9 @@ def exact_gaps(l11: float, l21: float, l22: float, beta11: float, beta21: float,
     betas = [Fraction(beta) for beta in (beta11, beta21, beta22)]
     signed_squares = []
     for frame, a, b in GAP_FRAMES:
-        beta, (t_a, x_a), (t_b, x_b) = betas[frame], events[a], events[b]
-        gap = (t_b - beta * x_b) - (t_a - beta * x_a)
-        signed_squares.append(gap * abs(gap) / (1 - beta * beta))
+        (u_a, gamma_squared), (u_b, _) = (boost(*events[index], betas[frame]) for index in (a, b))
+        gap = u_b - u_a
+        signed_squares.append(gap * abs(gap) * gamma_squared)
     return tuple(signed_squares)
 
 

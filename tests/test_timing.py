@@ -7,10 +7,10 @@ the three impacts, and the series that report derives from them, against the
 lab ordering.  test_a_geometry_keeps_the_classification_its_fields_give owns
 the stored outcome: equal fields, copies and replace give the same one, and a
 refusal is raised afresh on every call.  The other tests check what neither
-can: the float gaps' rounding bound, the guard band's edge, the Doppler
-thresholds and the pairings only moving splitters reach, the symmetries of
-length scale and observer frame, the presets, input checks and when the gaps
-are computed.
+can: the exact boost helpers.boost, the float gaps' rounding bound, the
+guard band's edge, the Doppler thresholds and the pairings only moving
+splitters reach, the symmetries of length scale and observer frame, the
+presets, input checks and when the gaps are computed.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from helpers import ATOL, KEY_SETTINGS, exact_gaps, fair_deviation, for_series, rounding_bounds, settings_strategy
+from helpers import ATOL, KEY_SETTINGS, boost, exact_gaps, fair_deviation, for_series, rounding_bounds, settings_strategy
 from rnlsim import (
     SPEED_OF_LIGHT,
     AmbiguousScheduleError,
@@ -97,6 +97,49 @@ def _exact_labels(signed_squares: tuple[Fraction, ...]) -> tuple[tuple[str, str,
     label2 = "b22" if before[2] and before[3] else "a22"
     deciding = ((0,) if before[0] else (0, 1)) + ((2, 3) if before[2] else (2,))
     return (label1, label2, before[2]), deciding
+
+
+# --- the exact boost -----------------------------------------------------------
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@example(1.0, 123.0, 0.0)
+@given(finite, finite, st.sampled_from((0.0, -0.0)))
+def test_boost_identity_at_rest(t: float, x_over_c: float, beta: float) -> None:
+    assert boost(Fraction(t), Fraction(x_over_c), Fraction(beta)) == (Fraction(t), 1)
+
+
+def test_boost_pure_time_dilation() -> None:
+    # gamma = 5/4 at 3/5 c.
+    assert boost(Fraction(1), Fraction(0), Fraction(3, 5)) == (1, Fraction(25, 16))
+
+
+def test_boost_with_position_offset() -> None:
+    # x chosen so that t - beta x / c = t (1 - beta^2), i.e. boosted time t / gamma = 4/5.
+    beta = Fraction(3, 5)
+    u, gamma_squared = boost(Fraction(1), beta, beta)
+    assert u > 0
+    assert u * u * gamma_squared == Fraction(4, 5) ** 2
+
+
+@given(
+    st.floats(min_value=-1e-6, max_value=1e-6),
+    st.floats(min_value=1e-15, max_value=1e-6),
+    st.booleans(),
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.floats(min_value=-0.99, max_value=0.99),
+)
+def test_same_position_ordering_is_boost_invariant(
+    t_a: float, gap: float, later: bool, x: float, beta: float
+) -> None:
+    # Two events at one position with a resolvable time gap (at or above the
+    # classification guard band): their order is frame-independent.
+    t_b = t_a + gap if later else t_a - gap
+    x_over_c = Fraction(x) / Fraction(SPEED_OF_LIGHT)
+    (u_a, _), (u_b, _) = (boost(Fraction(t), x_over_c, Fraction(beta)) for t in (t_a, t_b))
+    assert (t_a > t_b) == (u_a - u_b > 0)
 
 
 # --- the exact gaps ------------------------------------------------------------
