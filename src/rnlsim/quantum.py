@@ -35,7 +35,8 @@ class PhaseSettings:
     @classmethod
     def from_degrees(cls, phi11_deg: float, phi21_deg: float, phi22_deg: float) -> "PhaseSettings":
         degrees = {"phi11_deg": phi11_deg, "phi21_deg": phi21_deg, "phi22_deg": phi22_deg}
-        return cls(*(math.radians(require_finite(name, value)) for name, value in degrees.items()))
+        # fmod is exact for every finite float, so a huge phase keeps its residue mod 360 degrees.
+        return cls(*(math.radians(math.fmod(require_finite(name, value), 360.0)) for name, value in degrees.items()))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Plain-math readings of joint tables and timing, shared by the test modules."""
+"""Plain-math readings of joint tables, timing and whole CLI runs, and the geometry strategy, shared by the test modules."""
 
 from __future__ import annotations
 
@@ -7,13 +7,16 @@ import math
 import shlex
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from rnlsim import (
     SPEED_OF_LIGHT,
     CoincidenceCounts,
+    ExperimentGeometry,
     JointDistribution,
     ModelVariant,
     PhaseSettings,
@@ -21,11 +24,14 @@ from rnlsim import (
     PhotonTwoLabel,
     RunConfig,
     TimingAssignment,
+    build_run_config,
     classify,
     compare_report,
     series_preset,
+    symmetric_joint,
 )
 from rnlsim.cli import main
+from rnlsim.timing import GUARD_BAND_S
 
 # Absolute tolerance of every closed-form comparison.
 ATOL = 1e-12
@@ -121,6 +127,103 @@ def rounding_bounds(l11: float, l21: float, l22: float, beta11: float, beta21: f
     return tuple(bounds)
 
 
+# The comparison each of classify's gaps names when it refuses, in its order.
+COMPARISONS = (
+    "BS11 vs BS21 in the BS11 frame",
+    "BS11 vs BS22 in the BS11 frame",
+    "BS21 vs BS11 in the BS21 frame",
+    "BS22 vs BS11 in the BS22 frame",
+)
+
+
+def paths_and_betas(geometry: ExperimentGeometry) -> tuple[float, ...]:
+    """The geometry's three source-to-impact paths (m) and three betas, in exact_gaps' order."""
+    paths = (geometry.effective_length_bs11, geometry.length_bs21, geometry.length_bs22)
+    return (*paths, geometry.beta_bs11, geometry.beta_bs21, geometry.beta_bs22)
+
+
+def exact_reference(geometry: ExperimentGeometry) -> tuple[tuple, tuple, tuple[str, str, bool], tuple[int, ...]]:
+    """The geometry's exact gaps, their rounding bounds, the labels and bs21_before their signs give, and the deciding indices.
+
+    The comparisons are classify's: a tie is not before, photon 1's second gap
+    decides only when its first is not before, and BS22's only when BS21's
+    impact is before.
+    """
+    fields = paths_and_betas(geometry)
+    exact = exact_gaps(*fields)
+    before = [signed_square > 0 for signed_square in exact]
+    label1 = "b11" if before[0] else "a11[21]" if before[1] else "a11[22]"
+    label2 = "b22" if before[2] and before[3] else "a22"
+    deciding = ((0,) if before[0] else (0, 1)) + ((2, 3) if before[2] else (2,))
+    return exact, rounding_bounds(*fields), (label1, label2, before[2]), deciding
+
+
+def allowed_outcomes(geometry: ExperimentGeometry) -> tuple[tuple[str, str, bool] | None, frozenset[str]]:
+    """What classify may give the geometry: the labels and bs21_before it may decide, or None, and the comparisons a refusal may name.
+
+    It may decide only the labels that the exact gaps' signs give, and only
+    if each gap that decides them is at least GUARD_BAND_S less its rounding
+    bound exactly: a near-tie is never guessed.  A refusal may name a
+    comparison whose exact gap is within GUARD_BAND_S plus its rounding bound.
+    """
+    exact, bounds, labels, deciding = exact_reference(geometry)
+    band = Fraction(GUARD_BAND_S)
+    decidable = all(abs(exact[index]) >= max(band - bounds[index], 0) ** 2 for index in deciding)
+    refusable = frozenset(name for name, gap, bound in zip(COMPARISONS, exact, bounds) if abs(gap) < (band + bound) ** 2)
+    return (labels if decidable else None), refusable
+
+
+def lab_series(geometry: ExperimentGeometry) -> int | None:
+    """The series of the lab ordering, or None when a splitter moves and leaves no lab ordering to name.
+
+    At rest every frame is the lab's, so the lengths alone name it: BS11's
+    impact before both of photon 2's (2), between them (3) or after both (1).
+    """
+    l11, l21, l22, *velocities = paths_and_betas(geometry)
+    if tuple(velocities) != (0.0, 0.0, 0.0):
+        return None
+    return 2 if l11 < l21 else 3 if l11 < l22 else 1
+
+
+lengths = st.floats(min_value=1e-3, max_value=1e3)
+# A leg gap of 0 stands for photon 2's legs one ulp apart, whose frame times can round into a tie.
+leg_gaps = st.one_of(st.just(0.0), lengths)
+
+
+@st.composite
+def geometries(draw, max_beta: float = 0.99) -> ExperimentGeometry:
+    """Accepted geometries, about half of them with one of classify's four gaps within 3 guard bands of a tie.
+
+    Each beta is at most max_beta in size, and a zero of either sign often,
+    so whole geometries at rest are drawn too; max_beta = 0 draws only those.
+    A tie puts photon 1's path at the comparison's Doppler threshold, k l2
+    with k = (1 - beta) / (1 + beta) in the comparison's frame and l2 photon
+    2's length in it, then steps it by up to 3 guard bands of time in that frame.
+    """
+    betas = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(min_value=-max_beta, max_value=max_beta))
+    length_bs11, length_bs21, leg_gap = draw(lengths), draw(lengths), draw(leg_gaps)
+    l22 = math.nextafter(length_bs21, math.inf) if leg_gap == 0.0 else length_bs21 + leg_gap
+    velocities = [draw(betas) for _ in range(3)]
+    m11_displacement = draw(st.floats(min_value=-1e3, max_value=1e3))
+    tied = draw(st.sampled_from(range(4))) if draw(st.booleans()) else None
+    if tied is not None:
+        frame, a, b = GAP_FRAMES[tied]
+        # At BS11's beta this gap is BS11's own negated, whose refusal would come first and hide the tie;
+        # 1e-3 off it, BS11's gap lies a few guard bands out even at the shortest legs.  At rest
+        # every frame is BS11's, so the tie is placed there.
+        if frame and max_beta > 0.0 and abs(velocities[frame] - velocities[0]) < 1e-3:
+            moved = draw(st.floats(min_value=1e-3, max_value=max_beta)) * draw(st.sampled_from((1.0, -1.0)))
+            velocities[frame] = -moved if abs(moved - velocities[0]) < 1e-3 else moved
+        beta, l2 = velocities[frame], length_bs21 if 1 in (a, b) else l22
+        bands = draw(st.floats(min_value=-3.0, max_value=3.0))
+        step = bands * GUARD_BAND_S * SPEED_OF_LIGHT * math.sqrt(1.0 - beta * beta) / (1.0 + beta)
+        m11_displacement = (1.0 - beta) / (1.0 + beta) * l2 + step - length_bs11
+    try:
+        return ExperimentGeometry(length_bs11, length_bs21, l22, m11_displacement, *velocities)
+    except ValueError:
+        assume(False)
+
+
 def counts_by_variant(config: RunConfig) -> dict[ModelVariant, CoincidenceCounts]:
     """The sampled counts of compare_report, keyed by variant."""
     return {row.variant: row.counts for row in compare_report(config).rows}
@@ -214,3 +317,87 @@ def run_cli(capsys, tmp_path: Path, config: bytes | None, argv: str) -> tuple[in
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The CSV columns that a run's draw sets: the counts, then the estimate from them.
+SAMPLED_COLUMNS = ("R_pp", "R_pm", "R_mp", "R_mm", "e_hat", "stderr")
+
+
+def tables_with_correlation(e: float) -> set[JointDistribution]:
+    """Every table symmetric_joint(x), for a float x, whose correlation is e.
+
+    A run prints its table's correlation, which rounds four sums of its
+    cells and so lies within 3 * 2^-53 of x; and a one-ulp change in a cell
+    can move a multinomial count.  symmetric_joint(x) changes only where
+    1/4 +- x/4 meets a rounding midpoint, at multiples of 2^-54 while
+    |x| < 1/2, and every float x with |x| >= 1/8 is a multiple of 2^-55: so
+    the multiples of 2^-55 within 2^-50 of e give every such table.
+    """
+    step, reach = 2.0**-55, 2.0**-50
+    xs = (k * step for k in range(math.ceil((e - reach) / step), math.floor((e + reach) / step) + 1))
+    return {table for table in {symmetric_joint(x) for x in xs if abs(x) <= 1.0} if table.correlation == e}
+
+
+class ReferenceRow(NamedTuple):
+    """One configured variant's CSV row, as reference_rows gives it."""
+
+    printed: dict[str, str]  # the variant, series and phase columns, as the CSV prints them
+    e_analytic: float  # the correlation of the tests' own table for the variant
+    stream: tuple[int, int, int]  # the seed, n_events and variant index of its v5 draw
+
+    def sampled(self, e_printed: float) -> list[dict[str, str]]:
+        """The SAMPLED_COLUMNS a run that printed e_printed may print: one dict per table of that correlation.
+
+        The counts are the v5 draw of the table; e_hat and stderr are the
+        estimator's, (R_pp - R_pm - R_mp + R_mm) / n and sqrt((1 - e_hat^2) / n).
+        """
+        rows = []
+        for table in tables_with_correlation(e_printed):
+            counts, _ = v5_reference(table, *self.stream)
+            n = sum(counts)
+            e_hat = (counts[0] - counts[1] - counts[2] + counts[3]) / n
+            rows.append(dict(zip(SAMPLED_COLUMNS, map(str, (*counts, e_hat, math.sqrt((1.0 - e_hat * e_hat) / n))))))
+        return rows
+
+
+# The one pairing on which RNL_ALTERNATIVE departs from RNL_STANDARD.
+_ALTERNATIVE_PAIRING = (PhotonOneLabel.A11_21, PhotonTwoLabel.A22)
+
+
+def reference_rows(values: dict[str, object]) -> dict[int, object]:
+    """What `rnlsim --format csv` may do with config values the package accepts: each exit code and what it prints.
+
+    Exit 3 maps to the comparisons its refusal may name, and exit 0 to one
+    ReferenceRow per configured variant, in order.  The package's parser
+    builds the config, whose fields alone are read; nothing here calls
+    classify, predict, the sampler, the estimator or a renderer:
+    - the labels and series come from the signs of the exact gaps (allowed_outcomes, lab_series);
+    - the phases are the exact residues Fraction(x) % 360 of the degrees;
+    - QM's table is oracle_table's final one, and so is RNL_ALTERNATIVE's at
+      (a11[21], a22); every other is rule_table's;
+    - a variant's stream index is its place in ModelVariant.
+    """
+    config = build_run_config(values)
+    geometry = config.resolve_geometry()
+    labels, refusable = allowed_outcomes(geometry)
+    outcomes: dict[int, object] = {3: refusable} if refusable else {}
+    if labels is None:
+        return outcomes
+    degrees = {"phi11_deg": config.phi11_deg, "phi21_deg": config.phi21_deg, "phi22_deg": config.phi22_deg}
+    settings = PhaseSettings(*(math.radians(float(Fraction(x) % 360)) for x in degrees.values()))
+    pairing = (PhotonOneLabel(labels[0]), PhotonTwoLabel(labels[1]))
+    final = oracle_table(settings, coherent=config.condition2)
+    series = lab_series(geometry)
+    rows = []
+    for variant in config.variants:
+        alternative = variant is ModelVariant.RNL_ALTERNATIVE and pairing == _ALTERNATIVE_PAIRING
+        if variant is ModelVariant.QM or alternative:
+            table = final
+        else:
+            table = rule_table(settings, pairing, config.condition1, config.condition2)
+        printed = {"variant": variant.value, "series": "" if series is None else str(series)}
+        printed.update((name, str(x)) for name, x in degrees.items())
+        stream = (config.seed, config.n_events, list(ModelVariant).index(variant))
+        rows.append(ReferenceRow(printed, table.correlation, stream))
+    outcomes[0] = rows
+    return outcomes

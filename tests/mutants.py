@@ -213,6 +213,12 @@ MUTANTS = (
     ),
     # --- timing: the presets, which the series table is read from ---------------
     Mutant("timing.py", "(1, 2.0), (2, -1.5)", "(1, -1.5), (2, 2.0)"),
+    # --- quantum: phases in degrees, reduced exactly mod 360 ---------------------
+    Mutant(
+        "quantum.py",
+        "math.radians(math.fmod(require_finite(name, value), 360.0))",
+        "math.radians(require_finite(name, value))",
+    ),
 )
 
 

@@ -1,4 +1,4 @@
-"""Byte-identical CLI output at fixed configs, and bit-identical tables.
+"""Byte-identical CLI output at fixed configs, bit-identical tables, and drawn CLI runs against the reference oracle.
 
 A refactor must leave these hashes alone.  The CLI hashes cover the analytic
 columns and the sampled counts, so a change to the RNG stream layout
@@ -9,7 +9,10 @@ one at 10/0/5 reports an e_analytic (the table's correlation) that differs
 from the closed-form E in its last digits, so it pins that rounding.  The
 table hash pins every rule at seeded float phases as well.  The flat pairings, two non-before impacts
 included, are exactly flat by construction: their stage is flat, and predict
-returns the flat table itself.
+returns the flat table itself.  Between the fixed configs,
+test_cli_runs_print_the_reference_rows checks drawn runs, rows and refusals,
+against helpers.reference_rows, which shares no code with the package's
+classify -> predict -> sample -> render pass.
 """
 
 from __future__ import annotations
@@ -25,16 +28,16 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from helpers import run_cli, v5_reference
+from helpers import ATOL, SAMPLED_COLUMNS, geometries, reference_rows, run_cli
 from rnlsim import (
     ModelVariant,
     PhaseSettings,
     PhotonOneLabel,
     PhotonTwoLabel,
-    RunConfig,
     TimingAssignment,
-    compare_report,
     predict,
     symmetric_joint,
 )
@@ -117,20 +120,78 @@ def _assert_prints_golden(result: tuple[int, str, str], golden: str) -> None:
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_SHA256[golden]
 
 
-def test_default_csv_counts_are_the_v5_reference(capsys: pytest.CaptureFixture) -> None:
-    # The CSV goldens move with the stream layout alone: the default run's
-    # counts are plain numpy's Philox(key=[1, variant index]) multinomial.
-    assert main(["--format", "csv"]) == 0
-    rows = {row["variant"]: row for row in csv.DictReader(io.StringIO(capsys.readouterr().out))}
-    config = RunConfig()
-    timing = compare_report(config).timing
-    indices = {ModelVariant.QM: 0, ModelVariant.RNL_STANDARD: 1, ModelVariant.RNL_ALTERNATIVE: 2}
-    for variant, index in indices.items():
-        conditions = dict(condition1=config.condition1, condition2=config.condition2)
-        joint = predict(config.settings(), timing, variant, **conditions).joint
-        expected, _ = v5_reference(joint, config.seed, config.n_events, variant_index=index)
-        row = rows[variant.name]
-        assert tuple(int(row[name]) for name in ("R_pp", "R_pm", "R_mp", "R_mm")) == expected
+# Config values of accepted runs at rest: the default geometry, a series, or
+# lengths from helpers.geometries (ties in every frame at rest); then any subset
+# of the other keys, with any finite phase in degrees.
+_GEOMETRY_VALUES = st.one_of(
+    st.just({}),
+    st.integers(1, 3).map(lambda series: {"series": series}),
+    geometries(max_beta=0.0).map(
+        lambda geometry: {key: getattr(geometry, key) for key in ("length_bs11", "length_bs21", "length_bs22", "m11_displacement")}
+    ),
+)
+_RUN_VALUES = st.fixed_dictionaries(
+    {},
+    optional={
+        **dict.fromkeys(("phi11_deg", "phi21_deg", "phi22_deg"), st.floats(allow_nan=False, allow_infinity=False)),
+        "variants": st.lists(st.sampled_from(ModelVariant), min_size=1, unique=True).map(tuple),
+        "n_events": st.integers(1, 2**58),  # the sampler's law holds up to here (ROADMAP item 22)
+        "seed": st.integers(0, 2**64 - 1),
+        "condition1": st.booleans(),
+        "condition2": st.booleans(),
+    },
+)
+
+
+def _config_file(values: dict[str, object]) -> bytes:
+    """The values as a config file, one `key = value` line each."""
+
+    def text(value: object) -> str:
+        if isinstance(value, bool):
+            return str(value).lower()
+        return ",".join(variant.value for variant in value) if isinstance(value, tuple) else repr(value)
+
+    return "".join(f"{key} = {text(value)}\n" for key, value in values.items()).encode()
+
+
+# The default run, whose counts are plain numpy's Philox(key=[1, variant index])
+# multinomial; the decisive settings at 20 000 events, in another variant order
+# and at 10^9 events; legs one ulp apart, series 2, that is (b11, a22); and
+# phi11 = 1e20 degrees, exactly 280 mod 360, where E is sin 280 degrees.
+@example({})
+@example({"n_events": 20_000, "seed": 9})
+@example({"n_events": 10_000, "seed": 13, "variants": (ModelVariant.RNL_STANDARD, ModelVariant.QM, ModelVariant.RNL_ALTERNATIVE)})
+@example({"n_events": 10**9, "seed": 1})
+@example({"length_bs11": 1.0, "length_bs21": 2.682, "length_bs22": math.nextafter(2.682, math.inf)})
+@example({"phi11_deg": 1e20, "phi21_deg": 0.0, "phi22_deg": 90.0})
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])  # run_cli reads both fixtures afresh
+@given(st.builds(lambda geometry, run: {**geometry, **run}, _GEOMETRY_VALUES, _RUN_VALUES))
+def test_cli_runs_print_the_reference_rows(
+    capsys: pytest.CaptureFixture, tmp_path: Path, values: dict[str, object]
+) -> None:
+    """`rnlsim --format csv` ends as helpers.reference_rows allows, and prints its rows.
+
+    A refusal names a comparison the oracle allows.  A run prints one row per
+    configured variant, in order: the variant, series and phase columns as
+    the oracle has them, e_analytic within ATOL of its E, and the counts,
+    e_hat and stderr of a table whose correlation is the printed e_analytic,
+    bit for bit.
+    """
+    code, out, err = run_cli(capsys, tmp_path, _config_file(values), "--format csv")
+    outcomes = reference_rows(values)
+    assert code in outcomes, err
+    if code == 3:
+        comparison, _, reason = err.removeprefix("error: ").partition(": ")
+        assert out == "" and "guard band" in reason and comparison in outcomes[3]
+        return
+    assert err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(outcomes[0])
+    for row, reference in zip(rows, outcomes[0]):
+        assert {key: row[key] for key in reference.printed} == reference.printed
+        e_analytic = float(row["e_analytic"])
+        assert abs(e_analytic - reference.e_analytic) <= ATOL
+        assert {key: row[key] for key in SAMPLED_COLUMNS} in reference.sampled(e_analytic)
 
 
 # sha256 of `rnlsim --help` at 80 columns: the flags generated from the key table.

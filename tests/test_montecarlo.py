@@ -132,7 +132,7 @@ def _valid_tables(draw) -> JointDistribution:
 def _run_shapes(draw) -> tuple[int, int]:
     """(n_events, chunk_size) anywhere in 1 .. MAX_EVENTS, small event counts often."""
     n_events = draw(st.one_of(st.integers(1, 10_000), st.integers(1, MAX_EVENTS)))
-    chunk_size = draw(st.one_of(st.integers(1, n_events + 100), st.integers(1, MAX_EVENTS)))
+    chunk_size = draw(st.one_of(st.integers(1, min(n_events + 100, MAX_EVENTS)), st.integers(1, MAX_EVENTS)))
     return n_events, chunk_size
 
 
@@ -237,6 +237,8 @@ def _recorded_sample_counts(table: JointDistribution, **kwargs):
 # 2^63 - 1 one-event chunks (millennia, one chunk at a time), and the largest seed.
 @example(symmetric_joint(0.0), (MAX_EVENTS, 1), 1)
 @example(symmetric_joint(0.0), (10, MAX_EVENTS), MAX_KEY_WORD)
+# n_events within 100 of MAX_EVENTS, and a chunk_size at the bound, which n_events + 100 once passed.
+@example(JointDistribution(0.1, 0.2, 0.3, 0.4), (MAX_EVENTS - 99, MAX_EVENTS), 6)
 # numpy hands its last cell what the earlier binomials leave: a few hundred of 2^63 - 1 here, unless it is left out.
 @example(JointDistribution(0.6720976591387724, 0.28466864239501943, 0.04323369846620814, 0.0), (MAX_EVENTS, MAX_EVENTS), 1)
 def test_sample_counts_equals_the_v5_reference(table: JointDistribution, shape: tuple[int, int], seed: int) -> None:
@@ -302,18 +304,6 @@ def test_estimator_is_bounded(counts: tuple[int, int, int, int]) -> None:
 # --- runner --------------------------------------------------------------------
 
 
-def test_compare_report_key_settings() -> None:
-    config = RunConfig(n_events=20_000, seed=9)
-    counts = counts_by_variant(config)
-    assert set(counts) == set(ModelVariant)
-    for variant in (ModelVariant.QM, ModelVariant.RNL_ALTERNATIVE):
-        assert counts[variant].r_pm == 0
-        assert counts[variant].r_mp == 0
-        assert estimate_correlation(counts[variant]).e_hat == 1.0
-    standard = estimate_correlation(counts[ModelVariant.RNL_STANDARD])
-    assert abs(standard.e_hat) < 5.0 * standard.stderr
-
-
 def test_compare_report_predicts_each_variant_once(monkeypatch: pytest.MonkeyPatch) -> None:
     # report.predict is called once per configured variant, in order.  Below
     # it, the memo sees the stage of every quantum table: at the default
@@ -348,12 +338,6 @@ def test_compare_report_predicts_each_variant_once(monkeypatch: pytest.MonkeyPat
         compare_report(RunConfig(n_events=1000, variants=variants))
         assert tuple(predicted) == variants
         assert stages == [stage for variant in variants for stage in expected[variant]]
-
-
-def test_run_results_do_not_depend_on_variant_order() -> None:
-    base = RunConfig(n_events=10_000, seed=13)
-    reordered = dataclasses.replace(base, variants=(ModelVariant.RNL_STANDARD, ModelVariant.QM, ModelVariant.RNL_ALTERNATIVE))
-    assert counts_by_variant(reordered) == counts_by_variant(base)
 
 
 def test_estimates_converge_across_seeds() -> None:
@@ -488,9 +472,3 @@ def test_equal_tables_are_never_distinguishable() -> None:
             verdict = _verdicts(RunConfig(n_events=n_events, seed=seed))[_QM_VS_ALTERNATIVE]
             assert verdict.separation == verdict.threshold == 0.0
             assert not verdict.distinguishable
-
-
-def test_billion_events_per_variant() -> None:
-    report = compare_report(RunConfig(n_events=10**9, seed=1))
-    for row in report.rows:
-        assert row.counts.n_total == 10**9

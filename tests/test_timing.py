@@ -4,18 +4,20 @@ Two properties own what classify gives.  test_classify_agrees_with_the_reference
 owns every outcome: the labels and bs21_before of each geometry, or its
 refusal, against the signs of helpers.exact_gaps, the exact Lorentz boosts of
 the three impacts, and the series that report derives from them, against the
-lab ordering.  test_a_geometry_keeps_the_classification_its_fields_give owns
-the stored outcome: equal fields, copies and replace give the same one, and a
-refusal is raised afresh on every call.  The other tests check what neither
-can: the exact boost helpers.boost, the float gaps' rounding bound, the
-guard band's edge, the Doppler thresholds and the pairings only moving
+lab ordering.  Its rule is helpers.allowed_outcomes, which the CLI's oracle,
+helpers.reference_rows, shares.  test_a_geometry_keeps_the_classification_its_fields_give
+owns the stored outcome: equal fields, copies and replace give the same one,
+and a refusal is raised afresh on every call.  The other tests check what
+neither can: the exact boost helpers.boost, the float gaps' rounding bound,
+the guard band's edge, the Doppler thresholds and the pairings only moving
 splitters reach, the symmetries of length scale and observer frame, the
 presets, input checks and when the gaps are computed.
 
-Every property draws its geometry from one strategy, geometries: accepted
-geometries with lengths from 1e-3 to 1e3 m, photon 2's legs sometimes one
-ulp apart, splitters often at rest, and about half the time one of
-classify's four gaps, in any of the three frames, within 3 guard bands of a tie.
+Every property draws its geometry from one strategy, helpers.geometries:
+accepted geometries with lengths from 1e-3 to 1e3 m, photon 2's legs
+sometimes one ulp apart, splitters often at rest, and about half the time
+one of classify's four gaps, in any of the three frames, within 3 guard
+bands of a tie.
 """
 
 from __future__ import annotations
@@ -35,7 +37,21 @@ from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    ATOL, GAP_FRAMES, KEY_SETTINGS, boost, exact_gaps, fair_deviation, for_series, rounding_bounds, settings_strategy
+    ATOL,
+    COMPARISONS,
+    GAP_FRAMES,
+    KEY_SETTINGS,
+    allowed_outcomes,
+    boost,
+    exact_gaps,
+    exact_reference,
+    fair_deviation,
+    for_series,
+    geometries,
+    lab_series,
+    paths_and_betas,
+    rounding_bounds,
+    settings_strategy,
 )
 from rnlsim import (
     SPEED_OF_LIGHT,
@@ -56,44 +72,6 @@ from rnlsim import (
     series_preset,
 )
 from rnlsim import report, rnl, timing
-
-lengths = st.floats(min_value=1e-3, max_value=1e3)
-# A leg gap of 0 stands for photon 2's legs one ulp apart, whose frame times can round into a tie.
-leg_gaps = st.one_of(st.just(0.0), lengths)
-
-
-@st.composite
-def geometries(draw, max_beta: float = 0.99) -> ExperimentGeometry:
-    """Accepted geometries, about half of them with one of classify's four gaps within 3 guard bands of a tie.
-
-    Each beta is at most max_beta in size, and a zero of either sign often,
-    so whole geometries at rest are drawn too.  A tie puts photon 1's path at
-    the comparison's Doppler threshold, k l2 with k = (1 - beta) / (1 + beta)
-    in the comparison's frame and l2 photon 2's length in it, then steps it by
-    up to 3 guard bands of time in that frame.
-    """
-    betas = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(min_value=-max_beta, max_value=max_beta))
-    length_bs11, length_bs21, leg_gap = draw(lengths), draw(lengths), draw(leg_gaps)
-    l22 = math.nextafter(length_bs21, math.inf) if leg_gap == 0.0 else length_bs21 + leg_gap
-    velocities = [draw(betas) for _ in range(3)]
-    m11_displacement = draw(st.floats(min_value=-1e3, max_value=1e3))
-    tied = draw(st.sampled_from(range(4))) if draw(st.booleans()) else None
-    if tied is not None:
-        frame, a, b = GAP_FRAMES[tied]
-        # At BS11's beta this gap is BS11's own negated, whose refusal would come first and hide the tie;
-        # 1e-3 off it, BS11's gap lies a few guard bands out even at the shortest legs.
-        if frame and abs(velocities[frame] - velocities[0]) < 1e-3:
-            moved = draw(st.floats(min_value=1e-3, max_value=max_beta)) * draw(st.sampled_from((1.0, -1.0)))
-            velocities[frame] = -moved if abs(moved - velocities[0]) < 1e-3 else moved
-        beta, l2 = velocities[frame], length_bs21 if 1 in (a, b) else l22
-        bands = draw(st.floats(min_value=-3.0, max_value=3.0))
-        step = bands * timing.GUARD_BAND_S * SPEED_OF_LIGHT * math.sqrt(1.0 - beta * beta) / (1.0 + beta)
-        m11_displacement = (1.0 - beta) / (1.0 + beta) * l2 + step - length_bs11
-    try:
-        return ExperimentGeometry(length_bs11, length_bs21, l22, m11_displacement, *velocities)
-    except ValueError:
-        assume(False)
-
 
 AT_REST = (0.0, 0.0, 0.0)
 
@@ -116,37 +94,6 @@ LARGE_GEOMETRIES = {
         1, 7.7e-17, "BS11 vs BS22 in the BS11 frame",
     ),
 }
-
-
-# The comparison each of classify's gaps names when it refuses, in its order.
-COMPARISONS = (
-    "BS11 vs BS21 in the BS11 frame",
-    "BS11 vs BS22 in the BS11 frame",
-    "BS21 vs BS11 in the BS21 frame",
-    "BS22 vs BS11 in the BS22 frame",
-)
-
-
-def _paths_and_betas(geometry: ExperimentGeometry) -> tuple[float, ...]:
-    """The geometry's three source-to-impact paths (m) and three betas, in exact_gaps' order."""
-    paths = (geometry.effective_length_bs11, geometry.length_bs21, geometry.length_bs22)
-    return (*paths, geometry.beta_bs11, geometry.beta_bs21, geometry.beta_bs22)
-
-
-def _reference(geometry: ExperimentGeometry) -> tuple[tuple, tuple, tuple[str, str, bool], tuple[int, ...]]:
-    """The geometry's exact gaps, their rounding bounds, the labels and bs21_before their signs give, and the deciding indices.
-
-    The comparisons are classify's: a tie is not before, photon 1's second gap
-    decides only when its first is not before, and BS22's only when BS21's
-    impact is before.
-    """
-    fields = _paths_and_betas(geometry)
-    exact = exact_gaps(*fields)
-    before = [signed_square > 0 for signed_square in exact]
-    label1 = "b11" if before[0] else "a11[21]" if before[1] else "a11[22]"
-    label2 = "b22" if before[2] and before[3] else "a22"
-    deciding = ((0,) if before[0] else (0, 1)) + ((2, 3) if before[2] else (2,))
-    return exact, rounding_bounds(*fields), (label1, label2, before[2]), deciding
 
 
 # --- the exact boost -----------------------------------------------------------
@@ -195,27 +142,22 @@ def test_same_position_ordering_is_boost_invariant(
 # --- the exact gaps ------------------------------------------------------------
 
 
+def _large(case: str) -> ExperimentGeometry:
+    """The LARGE_GEOMETRIES case as a geometry."""
+    l11, l21, l22, *velocities = LARGE_GEOMETRIES[case][0]
+    return ExperimentGeometry(l11, l21, l22, 0.0, *velocities)
+
+
 # The BS11-frame gap is 1.4e-15 s with gamma = 5/3, and 0.84e-15 s without it.
-@example(0.44444430454129735, 4.0, 5.0, 0.8, 0.0, 0.0)
-@example(1.5e308, 1.6e308, 1.7e308, 0.9, -0.9, 0.9)
+@example(ExperimentGeometry(0.44444430454129735, 4.0, 5.0, beta_bs11=0.8))
+@example(ExperimentGeometry(1.5e308, 1.6e308, 1.7e308, 0.0, 0.9, -0.9, 0.9))
 # Each float gap is within its bound of the exact one, but on the wrong side of 0 or of the guard band.
-@example(*LARGE_GEOMETRIES["wrong-side"][0])
-@example(*LARGE_GEOMETRIES["guessed-near-tie"][0])
-@given(
-    st.floats(min_value=1e-3, max_value=1e3),
-    st.floats(min_value=1e-3, max_value=1e3),
-    st.floats(min_value=1e-3, max_value=1e3),
-    st.floats(min_value=-0.999, max_value=0.999),
-    st.floats(min_value=-0.999, max_value=0.999),
-    st.floats(min_value=-0.999, max_value=0.999),
-)
-def test_closed_form_gaps_are_within_their_rounding_bound_of_the_exact_gaps(
-    l11: float, l21: float, l22: float, beta11: float, beta21: float, beta22: float
-) -> None:
-    times = (l11 / SPEED_OF_LIGHT, l21 / SPEED_OF_LIGHT, l22 / SPEED_OF_LIGHT)
-    gaps = timing._frame_gaps(*times, beta11, beta21, beta22)
-    exact = exact_gaps(l11, l21, l22, beta11, beta21, beta22)
-    for gap, signed_square, bound in zip(gaps, exact, rounding_bounds(l11, l21, l22, beta11, beta21, beta22)):
+@example(_large("wrong-side"))
+@example(_large("guessed-near-tie"))
+@given(geometries(max_beta=0.999))
+def test_closed_form_gaps_are_within_their_rounding_bound_of_the_exact_gaps(geometry: ExperimentGeometry) -> None:
+    fields = paths_and_betas(geometry)
+    for gap, signed_square, bound in zip(_gaps(geometry), exact_gaps(*fields), rounding_bounds(*fields)):
         assert math.isfinite(gap)
         # x |x| is increasing, so the exact gap is in [low, high] iff its signed square is.
         low, high = (Fraction(gap) + side * bound for side in (-1, 1))
@@ -259,6 +201,9 @@ S = PhaseSettings(0.8, 0.1, 2.0)  # the settings of every example
 @example(ExperimentGeometry(1.5e308, 1.6e308, 1.7e308, 0.0, 0.9, -0.9, 0.9), S)
 # The BS11-frame gap is 1.4e-15 s, outside the guard band only with gamma = 5/3.
 @example(ExperimentGeometry(0.44444430454129735, 4.0, 5.0, beta_bs11=0.8), S)
+# Exact ties in BS21's frame and in BS22's, so that a guessed tie there fails whatever the seed draws.
+@example(ExperimentGeometry(1.0, 3.0, 6.0, 0.0, 0.0, 0.5), S)
+@example(ExperimentGeometry(2.0, 1.0, 6.0, 0.0, 0.0, 0.0, 0.5), S)
 @given(geometries(), settings_strategy)
 def test_classify_agrees_with_the_reference_labels(geometry: ExperimentGeometry, phase_settings: PhaseSettings) -> None:
     """classify's labels and bs21_before, or its refusal, and report's series, for any accepted geometry.
@@ -275,25 +220,16 @@ def test_classify_agrees_with_the_reference_labels(geometry: ExperimentGeometry,
     derive report's series from a wrong table or a wrong at-rest test; other
     tests kill each of these too.
     """
-    exact, bounds, labels, deciding = _reference(geometry)
-    band = Fraction(timing.GUARD_BAND_S)
+    labels, refusable = allowed_outcomes(geometry)
     try:
         assignment = classify(geometry)
     except AmbiguousScheduleError as error:
         comparison, _, reason = str(error).partition(": ")
-        assert "guard band" in reason
-        refused = COMPARISONS.index(comparison)
-        assert abs(exact[refused]) < (band + bounds[refused]) ** 2
+        assert "guard band" in reason and comparison in refusable
         return
-    assert all(abs(exact[index]) >= max(band - bounds[index], 0) ** 2 for index in deciding)
-    # At rest every frame is the lab's, so the lengths alone name the series
-    # that report prints: BS11's impact before both of photon 2's (2), between
-    # them (3) or after both (1).  A moving splitter leaves no lab ordering to name.
-    l11, l21, l22, *velocities = _paths_and_betas(geometry)
-    at_rest = tuple(velocities) == AT_REST
-    series = (2 if l11 < l21 else 3 if l11 < l22 else 1) if at_rest else None
+    assert labels is not None, "a near-tie was decided"
     got = (assignment.label1.value, assignment.label2.value, assignment.bs21_before)
-    assert (*got, report._series(geometry, assignment)) == (*labels, series)
+    assert (*got, report._series(geometry, assignment)) == (*labels, lab_series(geometry))
     for variant in ModelVariant:
         assert fair_deviation(predict(phase_settings, assignment, variant).joint) < ATOL
 
@@ -311,15 +247,15 @@ def test_geometries_reach_a_tie_in_every_comparison(comparison: str) -> None:
     index, band = COMPARISONS.index(comparison), Fraction(timing.GUARD_BAND_S)
 
     def refused_in_its_frame_alone(geometry: ExperimentGeometry) -> bool:
-        _, l21, l22, *velocities = _paths_and_betas(geometry)
+        _, l21, l22, *velocities = paths_and_betas(geometry)
         beta = velocities[GAP_FRAMES[index][0]]
         if _decision(geometry) != comparison or beta == 0.0 or velocities.count(beta) > 1:
             return False
-        same_pair = _reference(geometry)[0][(2, 3, 0, 1)[index]]  # the same two impacts, in the other splitter's frame
+        same_pair = exact_reference(geometry)[0][(2, 3, 0, 1)[index]]  # the same two impacts, in the other splitter's frame
         return l22 - l21 > 3 * timing.GUARD_BAND_S * SPEED_OF_LIGHT and abs(same_pair) >= (3 * band) ** 2
 
     def decided_near_tie(geometry: ExperimentGeometry) -> bool:
-        exact, _, _, deciding = _reference(geometry)
+        exact, _, _, deciding = exact_reference(geometry)
         return index in deciding and abs(exact[index]) < (2 * band) ** 2 and not isinstance(_outcome(geometry), str)
 
     search = settings(max_examples=2000, database=None, phases=[Phase.generate])
@@ -363,9 +299,9 @@ def test_large_geometries_have_their_exact_gap(case: str) -> None:
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="classify decides on float gaps (ROADMAP item 13)")
 @pytest.mark.parametrize("case", LARGE_GEOMETRIES)
 def test_large_geometries_take_their_exact_outcome(case: str) -> None:
-    geometry, _, _, exact_outcome = LARGE_GEOMETRIES[case]
+    exact_outcome = LARGE_GEOMETRIES[case][3]
     refused = type(exact_outcome) is str
-    outcome = _outcome(ExperimentGeometry(*geometry[:3], 0.0, *geometry[3:]))
+    outcome = _outcome(_large(case))
     assert str(outcome).startswith(exact_outcome) if refused else outcome == exact_outcome, outcome
 
 
@@ -391,7 +327,7 @@ def test_moving_splitters_reach_pairings_no_rest_geometry_has(
     # The exact gaps reach each pairing; the reference property takes each
     # geometry as an example, where classify must agree and report name no series.
     assert pairing not in timing.SERIES_BY_PAIRING
-    assert _reference(geometry)[2][:2] == (pairing[0].value, pairing[1].value)
+    assert exact_reference(geometry)[2][:2] == (pairing[0].value, pairing[1].value)
 
 
 # At rest, series 1, 2 and 3; then the pairings only moving splitters reach:
@@ -416,8 +352,8 @@ def test_each_gap_has_the_sign_of_a_doppler_factor_less_a_length_ratio(geometry:
     (a11[21], b22) needs beta22 > beta11, and (a11[22], a22) needs
     beta11 > min(beta21, beta22).
     """
-    exact, bounds, _, deciding = _reference(geometry)
-    l11, l21, l22, beta11, beta21, beta22 = _paths_and_betas(geometry)
+    exact, bounds, _, deciding = exact_reference(geometry)
+    l11, l21, l22, beta11, beta21, beta22 = paths_and_betas(geometry)
     x, y = Fraction(l11) / Fraction(l21), Fraction(l11) / Fraction(l22)
     k11, k21, k22 = ((1 - Fraction(beta)) / (1 + Fraction(beta)) for beta in (beta11, beta21, beta22))
     signs = [(value > 0) - (value < 0) for value in (*exact, k11 - x, k11 - y, x - k21, y - k22)]
@@ -509,7 +445,7 @@ def test_schedule_from_geometry_returns_its_argument() -> None:
 
 def _gaps(geometry: ExperimentGeometry) -> tuple[float, ...]:
     """classify's four gaps (s) for the geometry's fields."""
-    l11, l21, l22, *betas = _paths_and_betas(geometry)
+    l11, l21, l22, *betas = paths_and_betas(geometry)
     return timing._frame_gaps(l11 / SPEED_OF_LIGHT, l21 / SPEED_OF_LIGHT, l22 / SPEED_OF_LIGHT, *betas)
 
 
@@ -559,7 +495,7 @@ def test_every_exact_gap_is_the_same_seen_from_a_frame_at_three_fifths_c(geometr
     no package code but SPEED_OF_LIGHT, so it kills no gate mutant (tests/mutants.py).
     """
     u = Fraction(3, 5)
-    l11, l21, l22, *velocities = _paths_and_betas(geometry)
+    l11, l21, l22, *velocities = paths_and_betas(geometry)
     observed = ((Fraction(beta) - u) / (1 - Fraction(beta) * u) for beta in velocities)
     assert exact_gaps(2.0 * l11, l21 / 2.0, l22 / 2.0, *observed) == exact_gaps(l11, l21, l22, *velocities)
 
@@ -582,7 +518,7 @@ def test_labels_are_the_same_seen_from_any_observer_frame(geometry: ExperimentGe
     is not before; other tests kill these too.  It alone kills a refusal of
     |beta| > 0.99: only its moving frames draw such betas.
     """
-    l11, l21, l22, *velocities = _paths_and_betas(geometry)
+    l11, l21, l22, *velocities = paths_and_betas(geometry)
     gamma_u = (1.0 - u * u) ** -0.5
     observed_l21, observed_l22 = l21 * gamma_u * (1.0 - u), l22 * gamma_u * (1.0 - u)
     # Legs one ulp apart can round into one length in the moving frame, which no geometry has.
