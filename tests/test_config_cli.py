@@ -169,6 +169,14 @@ def test_cli_runs_max_events_in_one_event_chunks_promptly() -> None:
         assert sum(int(row[column]) for column in ("R_pp", "R_pm", "R_mp", "R_mm")) == n_events
 
 
+def test_cli_legs_one_ulp_apart_run(capsys: pytest.CaptureFixture) -> None:
+    # The longer second leg is photon 2's order in every frame, although both
+    # arrival times round to the same float.
+    args = ["--length-bs11", "1", "--length-bs21", "2.682", "--length-bs22", "2.6820000000000004"]
+    assert main([*args, "--n-events", "10"]) == 0
+    assert "timing: photon 1 = b11, photon 2 = a22" in capsys.readouterr().out
+
+
 def _series_fields(config: RunConfig) -> tuple[list[str], list[object]]:
     """The series of each row of the run's CSV, and of its JSON lines."""
     comparison = compare_report(config)

@@ -31,13 +31,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ATOL, SAMPLED_COLUMNS, geometries, reference_rows, run_cli
+from helpers import ATOL, SAMPLED_COLUMNS, geometries, reference_rows, run_cli, v5_reference
 from rnlsim import (
     ModelVariant,
     PhaseSettings,
     PhotonOneLabel,
     PhotonTwoLabel,
+    RunConfig,
     TimingAssignment,
+    compare_report,
     predict,
     symmetric_joint,
 )
@@ -118,6 +120,22 @@ def _assert_prints_golden(result: tuple[int, str, str], golden: str) -> None:
     code, stdout, stderr = result
     assert (code, stderr) == (0, "")
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_SHA256[golden]
+
+
+def test_default_csv_counts_are_the_v5_reference(capsys: pytest.CaptureFixture) -> None:
+    # The CSV goldens move with the stream layout alone: the default run's
+    # counts are plain numpy's Philox(key=[1, variant index]) multinomial.
+    assert main(["--format", "csv"]) == 0
+    rows = {row["variant"]: row for row in csv.DictReader(io.StringIO(capsys.readouterr().out))}
+    config = RunConfig()
+    timing = compare_report(config).timing
+    indices = {ModelVariant.QM: 0, ModelVariant.RNL_STANDARD: 1, ModelVariant.RNL_ALTERNATIVE: 2}
+    for variant, index in indices.items():
+        conditions = dict(condition1=config.condition1, condition2=config.condition2)
+        joint = predict(config.settings(), timing, variant, **conditions).joint
+        expected, _ = v5_reference(joint, config.seed, config.n_events, variant_index=index)
+        row = rows[variant.name]
+        assert tuple(int(row[name]) for name in ("R_pp", "R_pm", "R_mp", "R_mm")) == expected
 
 
 # Config values of accepted runs at rest: the default geometry, a series, or

@@ -304,6 +304,18 @@ def test_estimator_is_bounded(counts: tuple[int, int, int, int]) -> None:
 # --- runner --------------------------------------------------------------------
 
 
+def test_compare_report_key_settings() -> None:
+    config = RunConfig(n_events=20_000, seed=9)
+    counts = counts_by_variant(config)
+    assert set(counts) == set(ModelVariant)
+    for variant in (ModelVariant.QM, ModelVariant.RNL_ALTERNATIVE):
+        assert counts[variant].r_pm == 0
+        assert counts[variant].r_mp == 0
+        assert estimate_correlation(counts[variant]).e_hat == 1.0
+    standard = estimate_correlation(counts[ModelVariant.RNL_STANDARD])
+    assert abs(standard.e_hat) < 5.0 * standard.stderr
+
+
 def test_compare_report_predicts_each_variant_once(monkeypatch: pytest.MonkeyPatch) -> None:
     # report.predict is called once per configured variant, in order.  Below
     # it, the memo sees the stage of every quantum table: at the default
@@ -338,6 +350,12 @@ def test_compare_report_predicts_each_variant_once(monkeypatch: pytest.MonkeyPat
         compare_report(RunConfig(n_events=1000, variants=variants))
         assert tuple(predicted) == variants
         assert stages == [stage for variant in variants for stage in expected[variant]]
+
+
+def test_run_results_do_not_depend_on_variant_order() -> None:
+    base = RunConfig(n_events=10_000, seed=13)
+    reordered = dataclasses.replace(base, variants=(ModelVariant.RNL_STANDARD, ModelVariant.QM, ModelVariant.RNL_ALTERNATIVE))
+    assert counts_by_variant(reordered) == counts_by_variant(base)
 
 
 def test_estimates_converge_across_seeds() -> None:
@@ -472,3 +490,9 @@ def test_equal_tables_are_never_distinguishable() -> None:
             verdict = _verdicts(RunConfig(n_events=n_events, seed=seed))[_QM_VS_ALTERNATIVE]
             assert verdict.separation == verdict.threshold == 0.0
             assert not verdict.distinguishable
+
+
+def test_billion_events_per_variant() -> None:
+    report = compare_report(RunConfig(n_events=10**9, seed=1))
+    for row in report.rows:
+        assert row.counts.n_total == 10**9
