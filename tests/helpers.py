@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import shlex
@@ -234,6 +235,7 @@ def counts_by_variant(config: RunConfig) -> dict[ModelVariant, CoincidenceCounts
 _SPLITTER = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=1024)
 def oracle_table(
     settings: PhaseSettings, intermediate: bool = False, coherent: bool = True
 ) -> JointDistribution:
@@ -245,6 +247,7 @@ def oracle_table(
     counts as +1: that is the port for which the table has E = +cos(phi11 -
     phi21), as qm_single_pair_correlation says.  Incoherent tables add the
     two source branches in probability, as when the pair's origin is known.
+    Memoized: rule_table asks for the same four tables many times per settings.
     """
     transfer_1 = _SPLITTER @ np.diag([np.exp(1j * settings.phi11), 1.0])
     transfer_2 = _SPLITTER @ np.diag([1.0, np.exp(1j * settings.phi21)])
@@ -284,6 +287,17 @@ def rule_table(
         sum(photon1(sigma, b) * photon2(omega, b) for b in befores) / 8.0
         for sigma, omega in itertools.product((1, -1), repeat=2)
     ))
+
+
+def variant_table(
+    settings: PhaseSettings, pairing: tuple[PhotonOneLabel, PhotonTwoLabel], variant: ModelVariant,
+    condition1: bool = True, condition2: bool = True,
+) -> JointDistribution:
+    """rule_table, but for its two exceptions: QM everywhere and RNL_ALTERNATIVE on (a11[21], a22) are final."""
+    alternative = variant is ModelVariant.RNL_ALTERNATIVE and pairing == (PhotonOneLabel.A11_21, PhotonTwoLabel.A22)
+    if variant is ModelVariant.QM or alternative:
+        return oracle_table(settings, coherent=condition2)
+    return rule_table(settings, pairing, condition1, condition2)
 
 
 def v5_reference(
@@ -360,10 +374,6 @@ class ReferenceRow(NamedTuple):
         return rows
 
 
-# The one pairing on which RNL_ALTERNATIVE departs from RNL_STANDARD.
-_ALTERNATIVE_PAIRING = (PhotonOneLabel.A11_21, PhotonTwoLabel.A22)
-
-
 def reference_rows(values: dict[str, object]) -> dict[int, object]:
     """What `rnlsim --format csv` may do with config values the package accepts: each exit code and what it prints.
 
@@ -373,8 +383,8 @@ def reference_rows(values: dict[str, object]) -> dict[int, object]:
     classify, predict, the sampler, the estimator or a renderer:
     - the labels and series come from the signs of the exact gaps (allowed_outcomes, lab_series);
     - the phases are the exact residues Fraction(x) % 360 of the degrees;
-    - QM's table is oracle_table's final one, and so is RNL_ALTERNATIVE's at
-      (a11[21], a22); every other is rule_table's;
+    - each variant's table is variant_table's: oracle_table's final one for QM,
+      and for RNL_ALTERNATIVE at (a11[21], a22); every other is rule_table's;
     - a variant's stream index is its place in ModelVariant.
     """
     config = build_run_config(values)
@@ -386,15 +396,10 @@ def reference_rows(values: dict[str, object]) -> dict[int, object]:
     degrees = {"phi11_deg": config.phi11_deg, "phi21_deg": config.phi21_deg, "phi22_deg": config.phi22_deg}
     settings = PhaseSettings(*(math.radians(float(Fraction(x) % 360)) for x in degrees.values()))
     pairing = (PhotonOneLabel(labels[0]), PhotonTwoLabel(labels[1]))
-    final = oracle_table(settings, coherent=config.condition2)
     series = lab_series(geometry)
     rows = []
     for variant in config.variants:
-        alternative = variant is ModelVariant.RNL_ALTERNATIVE and pairing == _ALTERNATIVE_PAIRING
-        if variant is ModelVariant.QM or alternative:
-            table = final
-        else:
-            table = rule_table(settings, pairing, config.condition1, config.condition2)
+        table = variant_table(settings, pairing, variant, config.condition1, config.condition2)
         printed = {"variant": variant.value, "series": "" if series is None else str(series)}
         printed.update((name, str(x)) for name, x in degrees.items())
         stream = (config.seed, config.n_events, list(ModelVariant).index(variant))

@@ -10,7 +10,8 @@ to its own temporary copy of the repository, where tier-1 runs with
 `-x -q -p no:cacheprovider` and a fixed Hypothesis seed, so a run kills the
 same mutants every time.  A mutant that passes every test survives.  The
 unmutated copy runs first: if it fails, no mutant result would mean anything.
-The last line counts the results and gives the wall time of the whole run.
+A killed mutant's line ends with its killer, "by" the first FAILED or ERROR node
+id of its run, or "(timed out)"; the last line gives the counts and wall time.
 
 Exit status: 0 when every survivor is marked equivalent (with its reason), 1
 when any other survives, 2 when the unmutated copy fails or a mutant's old
@@ -227,6 +228,13 @@ def _summary(text: str, width: int = 48) -> str:
     return flat if len(flat) <= width else flat[: width - 3] + "..."
 
 
+def _killer(result: subprocess.CompletedProcess | None) -> str:
+    """How a failed -x run killed its mutant: by the first FAILED or ERROR node id of its summary, or (timed out)."""
+    lines = [] if result is None else result.stdout.splitlines()
+    failed = (line.partition(" ")[2].split(" - ", 1)[0] for line in lines if line.startswith(("FAILED ", "ERROR ")))
+    return "(timed out)" if result is None else "by " + next(failed, f"exit status {result.returncode}")
+
+
 def _tier1(mutant: Mutant | None) -> subprocess.CompletedProcess | None:
     """Tier-1 in a fresh copy of the repository, mutated when a mutant is given; None on timeout."""
     with tempfile.TemporaryDirectory(prefix="rnlsim-mutant-") as scratch:
@@ -265,14 +273,13 @@ def main(argv: list[str]) -> int:
     survivors = []
     for number, mutant in mutants.items():
         result = _tier1(mutant)
-        if result is None:
-            status = "killed (timed out)"
-        elif result.returncode != 0:
-            status = "killed"
+        if result is None or result.returncode != 0:
+            status, killer = "killed", f" {_killer(result)}"
         else:
-            status = "equivalent" if mutant.equivalent else "SURVIVED"
+            status, killer = ("equivalent" if mutant.equivalent else "SURVIVED"), ""
             survivors.append((number, mutant))
-        print(f"{number:3d} {status:<10} {mutant.path}: {_summary(mutant.old)} -> {_summary(mutant.new)}", flush=True)
+        change = f"{mutant.path}: {_summary(mutant.old)} -> {_summary(mutant.new)}"
+        print(f"{number:3d} {status:<10} {change}{killer}", flush=True)
     unexplained = [number for number, mutant in survivors if not mutant.equivalent]
     for number, mutant in survivors:
         print(f"survivor {number}: {mutant.path}: {mutant.old!r} -> {mutant.new!r}")

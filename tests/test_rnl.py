@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -18,10 +19,10 @@ from helpers import (
     fair_deviation,
     for_series,
     max_dev,
-    oracle_table,
     phases,
     rule_table,
     settings_strategy,
+    variant_table,
 )
 from rnlsim import (
     ModelVariant,
@@ -50,55 +51,42 @@ ALL_PAIRINGS = (
 )
 
 
-def _timing_id(timing: TimingAssignment) -> str:
-    # Each a22 pairing comes twice; its first row keeps the plain id.
-    first = next(row for row in ALL_PAIRINGS if row.pairing == timing.pairing)
-    flipped = "" if timing == first else ("-bs21-before" if timing.bs21_before else "-bs21-not-before")
-    return f"{timing.label1.value}-{timing.label2.value}{flipped}"
+MEMO_CASES = list(itertools.product(ALL_PAIRINGS, ModelVariant, (True, False), (True, False)))
 
 
-def _table(settings: PhaseSettings, timing: TimingAssignment, variant: ModelVariant, **conditions):
-    return predict(settings, timing, variant, **conditions).joint
+def _predict(settings: PhaseSettings, timing, variant, condition1: bool, condition2: bool):
+    return predict(settings, timing, variant, condition1=condition1, condition2=condition2)
 
 
 # --- the multisimultaneity rule and dispatch -------------------------------------
 
 
-def _expected_table(settings: PhaseSettings, pairing, variant: ModelVariant, condition1: bool, condition2: bool):
-    """rule_table, but for its two exceptions: QM everywhere and RNL_ALTERNATIVE on (a11[21], a22) are final."""
-    series3 = (PhotonOneLabel.A11_21, PhotonTwoLabel.A22)
-    if variant is ModelVariant.QM or (variant is ModelVariant.RNL_ALTERNATIVE and pairing == series3):
-        return oracle_table(settings, coherent=condition2)
-    return rule_table(settings, pairing, condition1, condition2)
-
-
-@pytest.mark.parametrize("variant", list(ModelVariant), ids=lambda v: v.value)
-@pytest.mark.parametrize("timing", ALL_PAIRINGS, ids=_timing_id)
 @given(settings=settings_strategy)
 @example(settings=KEY_SETTINGS)
 @example(settings=PhaseSettings(0.8, 0.1, 2.0))
 @example(settings=PhaseSettings(-2.5, 1.3, -0.4))
 @example(settings=PhaseSettings(0.2, 0.2, 0.0))  # intermediate E = 1
 @example(settings=PhaseSettings(0.9, 0.1, 0.0))
-def test_every_table_is_the_fair_marginal_table_of_its_correlation(
-    timing: TimingAssignment, variant: ModelVariant, settings: PhaseSettings
-) -> None:
-    """predict gives the rule's table, bar its two exceptions, under every condition pair.
+def test_every_table_is_the_fair_marginal_table_of_its_correlation(settings: PhaseSettings) -> None:
+    """predict gives variant_table's table, the rule's bar its two exceptions, for every MEMO_CASES row.
 
     Bound: ATOL (1e-12) per entry, on E, on the total and on each marginal.
-    The expected table is the fair-marginal table of its correlation, and the
-    pairing's stored stage is the E it has with both conditions on.
+    The expected table, built once per pairing, variant and conditions, is the
+    fair-marginal table of its correlation, and the pairing's stored stage is
+    the E it has with both conditions on.  Each message names its MEMO_CASES row.
     """
-    for condition1, condition2 in itertools.product((True, False), repeat=2):
-        expected = _expected_table(settings, timing.pairing, variant, condition1, condition2)
+    expected_table = functools.cache(variant_table)
+    for case in MEMO_CASES:
+        timing, variant, condition1, condition2 = case
+        expected = expected_table(settings, timing.pairing, variant, condition1, condition2)
         e = expected.correlation
-        assert as_array(expected) == pytest.approx(((1 + e) / 4, (1 - e) / 4, (1 - e) / 4, (1 + e) / 4), abs=ATOL)
-        prediction = predict(settings, timing, variant, condition1=condition1, condition2=condition2)
-        assert max_dev(prediction.joint, expected) < ATOL
-        assert fair_deviation(prediction.joint) < ATOL
-        assert prediction.correlation == pytest.approx(e, abs=ATOL)
+        assert as_array(expected) == pytest.approx(((1 + e) / 4, (1 - e) / 4, (1 - e) / 4, (1 + e) / 4), abs=ATOL), case
+        prediction = _predict(settings, *case)
+        assert max_dev(prediction.joint, expected) < ATOL, case
+        assert fair_deviation(prediction.joint) < ATOL, case
+        assert prediction.correlation == pytest.approx(e, abs=ATOL), case
         if condition1 and condition2:
-            assert rnl._RULES[variant][timing.pairing](settings) == pytest.approx(e, abs=ATOL)
+            assert rnl._RULES[variant][timing.pairing](settings) == pytest.approx(e, abs=ATOL), case
 
 
 def test_every_label_pair_is_refused_or_predicted() -> None:
@@ -131,15 +119,15 @@ def test_each_variant_has_one_rule_table_over_the_accepted_pairings() -> None:
 def test_predict_validates_inputs() -> None:
     timing = for_series(3)
     with pytest.raises(ValueError):
-        _table(KEY_SETTINGS, timing, "QM")
+        predict(KEY_SETTINGS, timing, "QM")
     with pytest.raises(ValueError):
-        _table(KEY_SETTINGS, "series 3", ModelVariant.QM)
+        predict(KEY_SETTINGS, "series 3", ModelVariant.QM)
     # Series 3 is a flat stage under RNL_STANDARD, which reads no phase: the
     # settings are refused there too, not only where a table needs them.
     for settings in (None, (0.1, 0.2, 0.3)):
         for variant in ModelVariant:
             with pytest.raises(ValueError, match="settings must be a PhaseSettings"):
-                _table(settings, timing, variant)
+                predict(settings, timing, variant)
 
 
 # --- predict facade -------------------------------------------------------------
@@ -160,21 +148,10 @@ def test_predict_reports_the_table_correlation() -> None:
 # --- memoized rule evaluation -----------------------------------------------------
 
 signed_phases = st.one_of(st.sampled_from((0.0, -0.0)), phases)
-MEMO_CASES = [
-    (timing, variant, condition1, condition2)
-    for timing in ALL_PAIRINGS
-    for variant in ModelVariant
-    for condition1 in (True, False)
-    for condition2 in (True, False)
-]
 
 
 def _bits(prediction) -> tuple[str, ...]:
     return tuple(float(p).hex() for p in (*as_array(prediction.joint), prediction.correlation))
-
-
-def _predict(settings: PhaseSettings, timing, variant, condition1: bool, condition2: bool):
-    return predict(settings, timing, variant, condition1=condition1, condition2=condition2)
 
 
 def _fresh(settings: PhaseSettings, *case):
@@ -211,7 +188,7 @@ def test_flat_tables_never_reach_the_memo(monkeypatch: pytest.MonkeyPatch) -> No
     flat = rnl._FLAT_PREDICTION.joint
     for timing, variant, condition1, condition2 in MEMO_CASES:
         stages.clear()
-        joint = _table(KEY_SETTINGS, timing, variant, condition1=condition1, condition2=condition2)
+        joint = _predict(KEY_SETTINGS, timing, variant, condition1, condition2).joint
         # At most one quantum stage is evaluated, and only with its condition on.
         assert stages in ([], [rnl._INTERMEDIATE], [rnl._FINAL])
         assert condition1 or rnl._INTERMEDIATE not in stages
@@ -286,9 +263,9 @@ def _phase_tables(settings: PhaseSettings) -> dict:
         final = condition2 and rnl._RULES[variant][timing.pairing] is rnl._FINAL
         prediction = _predict(settings, timing, variant, condition1, condition2)
         tables[timing, variant, condition1, condition2] = (prediction.joint, final)
-        if variant is ModelVariant.RNL_STANDARD:
-            conditions = (condition1, condition2)
-            tables["rule_table", timing.pairing, *conditions] = (rule_table(settings, timing.pairing, *conditions), final)
+        rule_key = ("rule_table", timing.pairing, condition1, condition2)
+        if variant is ModelVariant.RNL_STANDARD and rule_key not in tables:
+            tables[rule_key] = (rule_table(settings, timing.pairing, condition1, condition2), final)
     return tables
 
 

@@ -22,6 +22,7 @@ bands of a tie.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import enum
@@ -35,6 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
+from hypothesis.errors import NoSuchExample
 
 from helpers import (
     ATOL,
@@ -234,8 +236,7 @@ def test_classify_agrees_with_the_reference_labels(geometry: ExperimentGeometry,
         assert fair_deviation(predict(phase_settings, assignment, variant).joint) < ATOL
 
 
-@pytest.mark.parametrize("comparison", COMPARISONS)
-def test_geometries_reach_a_tie_in_every_comparison(comparison: str) -> None:
+def test_geometries_reach_a_tie_in_every_comparison() -> None:
     # For each comparison the strategy draws a decided geometry whose exact gap
     # there decides within 2 guard bands, and a refusal that names it.  Equal
     # lengths, equal betas and legs one ulp apart tie frames without any tie
@@ -244,23 +245,29 @@ def test_geometries_reach_a_tie_in_every_comparison(comparison: str) -> None:
     # tie aimed at the pair's other splitter is a tie there, so that splitter
     # must see the two impacts more than 3 guard bands apart.  Without tie
     # placement, or with it aimed at the wrong frame, no such refusal is found.
-    index, band = COMPARISONS.index(comparison), Fraction(timing.GUARD_BAND_S)
+    # One search checks each of its up to 2000 draws for all eight findings.
+    band = Fraction(timing.GUARD_BAND_S)
+    findings = ("refused in its frame alone", "decided within 2 guard bands")
+    missing = {(finding, comparison) for finding in findings for comparison in COMPARISONS}
 
-    def refused_in_its_frame_alone(geometry: ExperimentGeometry) -> bool:
+    def meets_every_finding(geometry: ExperimentGeometry) -> bool:
+        decision, (exact, _, _, deciding) = _decision(geometry), exact_reference(geometry)
         _, l21, l22, *velocities = paths_and_betas(geometry)
-        beta = velocities[GAP_FRAMES[index][0]]
-        if _decision(geometry) != comparison or beta == 0.0 or velocities.count(beta) > 1:
-            return False
-        same_pair = exact_reference(geometry)[0][(2, 3, 0, 1)[index]]  # the same two impacts, in the other splitter's frame
-        return l22 - l21 > 3 * timing.GUARD_BAND_S * SPEED_OF_LIGHT and abs(same_pair) >= (3 * band) ** 2
-
-    def decided_near_tie(geometry: ExperimentGeometry) -> bool:
-        exact, _, _, deciding = exact_reference(geometry)
-        return index in deciding and abs(exact[index]) < (2 * band) ** 2 and not isinstance(_outcome(geometry), str)
+        legs_apart = l22 - l21 > 3 * timing.GUARD_BAND_S * SPEED_OF_LIGHT
+        for index, comparison in enumerate(COMPARISONS):
+            beta = velocities[GAP_FRAMES[index][0]]
+            same_pair = exact[(2, 3, 0, 1)[index]]  # the same two impacts, in the other splitter's frame
+            alone = beta != 0.0 and velocities.count(beta) == 1 and legs_apart and abs(same_pair) >= (3 * band) ** 2
+            if decision == comparison and alone:
+                missing.discard((findings[0], comparison))
+            if not isinstance(decision, str) and index in deciding and abs(exact[index]) < (2 * band) ** 2:
+                missing.discard((findings[1], comparison))
+        return not missing
 
     search = settings(max_examples=2000, database=None, phases=[Phase.generate])
-    find(geometries(), refused_in_its_frame_alone, settings=search)
-    find(geometries(), decided_near_tie, settings=search)
+    with contextlib.suppress(NoSuchExample):
+        find(geometries(), meets_every_finding, settings=search)
+    assert not missing, sorted(missing)
 
 
 def test_guard_band_refuses_inside_and_decides_at_its_edge() -> None:
