@@ -89,6 +89,53 @@ def test_every_table_is_the_fair_marginal_table_of_its_correlation(settings: Pha
             assert rnl._RULES[variant][timing.pairing](settings) == pytest.approx(e, abs=ATOL), case
 
 
+def _timing_id(timing: TimingAssignment) -> str:
+    # Each a22 pairing comes twice; its first row keeps the plain id.
+    first = next(row for row in ALL_PAIRINGS if row.pairing == timing.pairing)
+    flipped = "" if timing == first else ("-bs21-before" if timing.bs21_before else "-bs21-not-before")
+    return f"{timing.label1.value}-{timing.label2.value}{flipped}"
+
+
+# The README's prediction rules, row by row: the QM stage of each pairing under
+# RNL_STANDARD, None where it is the flat table under every condition pair.
+README_STAGES = {
+    (PhotonOneLabel.B11, PhotonTwoLabel.B21): None,  # two before impacts
+    (PhotonOneLabel.B11, PhotonTwoLabel.B22): None,
+    (PhotonOneLabel.A11_21, PhotonTwoLabel.B21): "intermediate",  # one non-before, one before
+    (PhotonOneLabel.A11_22, PhotonTwoLabel.B22): "final",
+    (PhotonOneLabel.B11, PhotonTwoLabel.A22): "final",
+    (PhotonOneLabel.A11_22, PhotonTwoLabel.A22): None,  # two non-before impacts
+    (PhotonOneLabel.A11_21, PhotonTwoLabel.A22): None,
+    (PhotonOneLabel.A11_21, PhotonTwoLabel.B22): None,  # reachable only with moving splitters
+}
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("timing", ALL_PAIRINGS, ids=_timing_id)
+def test_each_row_has_the_readme_correlation_of_its_stage(timing: TimingAssignment, variant: ModelVariant) -> None:
+    """predict's E is the README's closed form for the row's stage, under every condition pair.
+
+    QM takes the final stage on every pairing, RNL_ALTERNATIVE on (a11[21],
+    a22).  A stage whose condition is off is flat.  At 45/-45/90 deg the final
+    stage has E = 1 and the intermediate 0; at 30/-30/45 deg the three stages
+    have three different E.
+    """
+    series3 = (PhotonOneLabel.A11_21, PhotonTwoLabel.A22)
+    final = variant is ModelVariant.QM or (variant is ModelVariant.RNL_ALTERNATIVE and timing.pairing == series3)
+    stage = "final" if final else README_STAGES[timing.pairing]
+    for settings in (KEY_SETTINGS, PhaseSettings.from_degrees(30.0, -30.0, 45.0)):
+        delta = settings.phi11 - settings.phi21
+        for condition1, condition2 in itertools.product((True, False), repeat=2):
+            e = {
+                "intermediate": math.cos(delta) if condition1 else 0.0,
+                "final": math.sin(delta) * math.sin(settings.phi22) if condition2 else 0.0,
+                None: 0.0,
+            }[stage]
+            prediction = _predict(settings, timing, variant, condition1, condition2)
+            assert prediction.correlation == pytest.approx(e, abs=ATOL), (settings, condition1, condition2)
+            assert fair_deviation(prediction.joint) < ATOL, (settings, condition1, condition2)
+
+
 def test_every_label_pair_is_refused_or_predicted() -> None:
     predicted = 0
     for label1, label2 in itertools.product(PhotonOneLabel, PhotonTwoLabel):

@@ -236,6 +236,27 @@ def test_classify_agrees_with_the_reference_labels(geometry: ExperimentGeometry,
         assert fair_deviation(predict(phase_settings, assignment, variant).joint) < ATOL
 
 
+TIE_FINDINGS = ("refused in its frame alone", "decided within 2 guard bands")
+
+
+def _tie_findings(geometry: ExperimentGeometry) -> set[tuple[str, str]]:
+    """The (finding, comparison) pairs of TIE_FINDINGS that one geometry shows."""
+    band = Fraction(timing.GUARD_BAND_S)
+    decision, (exact, _, _, deciding) = _decision(geometry), exact_reference(geometry)
+    _, l21, l22, *velocities = paths_and_betas(geometry)
+    legs_apart = l22 - l21 > 3 * timing.GUARD_BAND_S * SPEED_OF_LIGHT
+    found = set()
+    for index, comparison in enumerate(COMPARISONS):
+        beta = velocities[GAP_FRAMES[index][0]]
+        same_pair = exact[(2, 3, 0, 1)[index]]  # the same two impacts, in the other splitter's frame
+        alone = beta != 0.0 and velocities.count(beta) == 1 and legs_apart and abs(same_pair) >= (3 * band) ** 2
+        if decision == comparison and alone:
+            found.add((TIE_FINDINGS[0], comparison))
+        if not isinstance(decision, str) and index in deciding and abs(exact[index]) < (2 * band) ** 2:
+            found.add((TIE_FINDINGS[1], comparison))
+    return found
+
+
 def test_geometries_reach_a_tie_in_every_comparison() -> None:
     # For each comparison the strategy draws a decided geometry whose exact gap
     # there decides within 2 guard bands, and a refusal that names it.  Equal
@@ -246,28 +267,36 @@ def test_geometries_reach_a_tie_in_every_comparison() -> None:
     # must see the two impacts more than 3 guard bands apart.  Without tie
     # placement, or with it aimed at the wrong frame, no such refusal is found.
     # One search checks each of its up to 2000 draws for all eight findings.
-    band = Fraction(timing.GUARD_BAND_S)
-    findings = ("refused in its frame alone", "decided within 2 guard bands")
-    missing = {(finding, comparison) for finding in findings for comparison in COMPARISONS}
+    missing = {(finding, comparison) for finding in TIE_FINDINGS for comparison in COMPARISONS}
 
     def meets_every_finding(geometry: ExperimentGeometry) -> bool:
-        decision, (exact, _, _, deciding) = _decision(geometry), exact_reference(geometry)
-        _, l21, l22, *velocities = paths_and_betas(geometry)
-        legs_apart = l22 - l21 > 3 * timing.GUARD_BAND_S * SPEED_OF_LIGHT
-        for index, comparison in enumerate(COMPARISONS):
-            beta = velocities[GAP_FRAMES[index][0]]
-            same_pair = exact[(2, 3, 0, 1)[index]]  # the same two impacts, in the other splitter's frame
-            alone = beta != 0.0 and velocities.count(beta) == 1 and legs_apart and abs(same_pair) >= (3 * band) ** 2
-            if decision == comparison and alone:
-                missing.discard((findings[0], comparison))
-            if not isinstance(decision, str) and index in deciding and abs(exact[index]) < (2 * band) ** 2:
-                missing.discard((findings[1], comparison))
+        missing.difference_update(_tie_findings(geometry))
         return not missing
 
     search = settings(max_examples=2000, database=None, phases=[Phase.generate])
     with contextlib.suppress(NoSuchExample):
         find(geometries(), meets_every_finding, settings=search)
     assert not missing, sorted(missing)
+
+
+@pytest.mark.parametrize("comparison", COMPARISONS)
+def test_a_tie_placed_by_hand_shows_both_findings_of_its_comparison(comparison: str) -> None:
+    # The reach test's two findings at fixed geometries, whatever the seed: the
+    # comparison's splitter alone moves, at -0.5 c, photon 2's legs are 1 m
+    # apart, and photon 1's path is the comparison's Doppler threshold (refused)
+    # or 1.5 guard bands of time either side of it (decided, on the labels
+    # that the exact gaps' signs give), as geometries() places its ties.
+    frame, a, b = GAP_FRAMES[COMPARISONS.index(comparison)]
+    beta, velocities, l2 = -0.5, [0.0, 0.0, 0.0], 1.0 if 1 in (a, b) else 2.0
+    velocities[frame] = beta
+    for bands in (0.0, 1.5, -1.5):
+        step = bands * timing.GUARD_BAND_S * SPEED_OF_LIGHT * math.sqrt(1.0 - beta * beta) / (1.0 + beta)
+        geometry = ExperimentGeometry(1.0, 1.0, 2.0, (1.0 - beta) / (1.0 + beta) * l2 + step - 1.0, *velocities)
+        assert _tie_findings(geometry) == {(TIE_FINDINGS[bool(bands)], comparison)}, bands
+        if bands:
+            assignment = classify(geometry)
+            got = (assignment.label1.value, assignment.label2.value, assignment.bs21_before)
+            assert got == allowed_outcomes(geometry)[0], bands
 
 
 def test_guard_band_refuses_inside_and_decides_at_its_edge() -> None:
